@@ -51,18 +51,11 @@ FaultModel::FaultModel(FaultConfig config, std::uint64_t seed)
   FEDRA_EXPECTS(config.retry_backoff_s >= 0.0);
 }
 
-DeviceFault FaultModel::draw_device(std::size_t iteration, std::size_t device,
-                                    bool was_crashed,
-                                    bool* now_crashed) const {
-  Rng rng(mix(mix(seed_, iteration), device));
+DeviceFault FaultModel::draw_rest(Rng& rng, bool crashed) const {
   DeviceFault f;
   f.retry_backoff_s = config_.retry_backoff_s;
-
-  // Crash chain first: a down device draws nothing else this round.
-  const bool crashed_now = was_crashed ? !rng.bernoulli(config_.rejoin_prob)
-                                       : rng.bernoulli(config_.crash_prob);
-  *now_crashed = crashed_now;
-  if (crashed_now) {
+  // A down device draws nothing else this round.
+  if (crashed) {
     f.crashed = true;
     return f;
   }
@@ -92,46 +85,65 @@ DeviceFault FaultModel::draw_device(std::size_t iteration, std::size_t device,
   return f;
 }
 
+void FaultModel::draw_block(std::size_t iteration, std::size_t begin,
+                            std::size_t end,
+                            const std::vector<bool>& was_crashed,
+                            const std::vector<bool>* participating,
+                            DeviceFault* out,
+                            std::vector<bool>* now_crashed) const {
+  FEDRA_EXPECTS(begin <= end);
+  FEDRA_EXPECTS(participating == nullptr || participating->size() >= end);
+  FEDRA_EXPECTS(now_crashed == nullptr || now_crashed->size() >= end);
+  if (!enabled()) return;
+  const std::uint64_t round_seed = mix(seed_, iteration);
+  for (std::size_t i = begin; i < end; ++i) {
+    const bool drawn = participating == nullptr || (*participating)[i];
+    if (!drawn && now_crashed == nullptr) continue;
+    // Read before the (possibly aliased) write below: each index is only
+    // ever touched by its own iteration.
+    const bool was = i < was_crashed.size() && was_crashed[i];
+    Rng rng(mix(round_seed, i));
+    // Crash chain first; the rest of the stream only matters to devices
+    // whose fault is read.
+    const bool now = was ? !rng.bernoulli(config_.rejoin_prob)
+                         : rng.bernoulli(config_.crash_prob);
+    if (now_crashed != nullptr) (*now_crashed)[i] = now;
+    if (drawn) out[i - begin] = draw_rest(rng, now);
+  }
+}
+
 void FaultModel::draw_range(std::size_t iteration, std::size_t begin,
                             std::size_t end,
                             const std::vector<bool>& was_crashed,
                             RoundFaults* round,
                             std::vector<bool>* now_crashed) const {
-  FEDRA_EXPECTS(round != nullptr && begin <= end);
-  FEDRA_EXPECTS(round->devices.size() >= end);
-  FEDRA_EXPECTS(now_crashed == nullptr || now_crashed->size() >= end);
-  if (!enabled()) return;
-  for (std::size_t i = begin; i < end; ++i) {
-    const bool was = i < was_crashed.size() && was_crashed[i];
-    bool now = false;
-    round->devices[i] = draw_device(iteration, i, was, &now);
-    if (now_crashed != nullptr) (*now_crashed)[i] = now;
-  }
+  FEDRA_EXPECTS(round != nullptr && round->devices.size() >= end);
+  draw_block(iteration, begin, end, was_crashed, nullptr,
+             round->devices.data() + begin, now_crashed);
 }
 
-RoundFaults FaultModel::draw_round(std::size_t iteration,
-                                   std::size_t num_devices,
-                                   std::vector<bool>* crash_state) const {
-  RoundFaults round;
-  round.devices.resize(num_devices);
-  if (!enabled()) return round;
-  if (crash_state != nullptr && crash_state->size() < num_devices) {
-    crash_state->resize(num_devices);
-  }
-  // When crash_state aliases crashed_ (advance), each index is read from
-  // the old state before it is overwritten, so the alias is benign.
-  draw_range(iteration, 0, num_devices, crashed_, &round, crash_state);
-  return round;
+std::vector<bool>& FaultModel::chain_for(std::size_t num_devices) {
+  if (crashed_.size() < num_devices) crashed_.resize(num_devices);
+  return crashed_;
 }
 
 RoundFaults FaultModel::peek(std::size_t iteration,
                              std::size_t num_devices) const {
-  return draw_round(iteration, num_devices, nullptr);
+  RoundFaults round;
+  round.devices.resize(num_devices);
+  draw_range(iteration, 0, num_devices, crashed_, &round, nullptr);
+  return round;
 }
 
 RoundFaults FaultModel::advance(std::size_t iteration,
                                 std::size_t num_devices) {
-  return draw_round(iteration, num_devices, &crashed_);
+  RoundFaults round;
+  round.devices.resize(num_devices);
+  if (enabled()) {
+    draw_range(iteration, 0, num_devices, crashed_, &round,
+               &chain_for(num_devices));
+  }
+  return round;
 }
 
 std::size_t FaultModel::num_crashed() const {

@@ -127,20 +127,35 @@ class FaultModel {
   /// crash chain (used by previews / dry runs).
   RoundFaults peek(std::size_t iteration, std::size_t num_devices) const;
 
-  /// Batched range draw: fills devices [begin, end) of `iteration`'s
-  /// assignment into round->devices (sized >= end), reading the prior
-  /// crash state from `was_crashed` (indices past its size = healthy) and
-  /// writing the evolved state into `now_crashed` (sized >= end) when
-  /// non-null. Every device is a pure function of (seed, iteration,
-  /// device, its own prior crash bit), so disjoint ranges commute: any
-  /// shard schedule produces the same assignment bitwise as one
-  /// sequential draw_range(0, n). No-op when the model is disabled.
+  /// The one draw loop: writes devices [begin, end) of `iteration`'s
+  /// assignment into out[0, end - begin), reading the prior crash state
+  /// from `was_crashed` (indices past its size = healthy) and writing the
+  /// evolved state into `now_crashed` (sized >= end) when non-null; the
+  /// two may be the same vector. A device with a false `participating`
+  /// entry (nullptr = everyone) only steps its crash chain — the first
+  /// draw of the same stream — and its `out` slot is left untouched.
+  /// Every device is a pure function of (seed, iteration, device, its own
+  /// prior crash bit), so disjoint blocks commute: any block schedule
+  /// produces the same assignment and crash chain bitwise as one
+  /// sequential draw. No-op when the model is disabled.
   /// NOTE: now_crashed is bit-packed (std::vector<bool>), so concurrent
-  /// shard-parallel writers must either pass nullptr or use ranges
+  /// block-parallel writers must either pass nullptr or use ranges
   /// aligned to 64-device multiples.
+  void draw_block(std::size_t iteration, std::size_t begin, std::size_t end,
+                  const std::vector<bool>& was_crashed,
+                  const std::vector<bool>* participating, DeviceFault* out,
+                  std::vector<bool>* now_crashed) const;
+
+  /// draw_block for every device of [begin, end) into round->devices
+  /// (sized >= end), at the devices' own indices.
   void draw_range(std::size_t iteration, std::size_t begin, std::size_t end,
                   const std::vector<bool>& was_crashed, RoundFaults* round,
                   std::vector<bool>* now_crashed) const;
+
+  /// The crash chain, sized for at least `num_devices`, for callers that
+  /// advance it in place with draw_block (was_crashed and now_crashed
+  /// both the chain). Call once, serially, before concurrent block draws.
+  std::vector<bool>& chain_for(std::size_t num_devices);
 
   /// Draws the fault assignment for `iteration` and advances the crash
   /// chain. Call once per real simulator step, in iteration order.
@@ -160,10 +175,9 @@ class FaultModel {
   void set_crash_state(std::vector<bool> state) { crashed_ = std::move(state); }
 
  private:
-  DeviceFault draw_device(std::size_t iteration, std::size_t device,
-                          bool was_crashed, bool* now_crashed) const;
-  RoundFaults draw_round(std::size_t iteration, std::size_t num_devices,
-                         std::vector<bool>* crash_state) const;
+  /// A device's fault given its crash-chain draw, continuing the same
+  /// stream after that draw.
+  DeviceFault draw_rest(Rng& rng, bool crashed) const;
 
   FaultConfig config_;
   std::uint64_t seed_ = 0;

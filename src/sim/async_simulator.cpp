@@ -30,11 +30,8 @@ AsyncFlSimulator::AsyncFlSimulator(FleetState fleet, TraceTable traces,
 IterationResult AsyncFlSimulator::step(const std::vector<double>& freqs_hz,
                                        const StepOptions& options) {
   if (options.dry_run_at.has_value()) return preview(freqs_hz, options);
-  fault::RoundFaults faults;
-  const bool has_faults = resolve_faults(options, /*advance=*/true, &faults);
-  IterationResult result = compute_round(
-      freqs_hz, options, has_faults ? &faults : nullptr, now_,
-      /*barrier_idle=*/false);
+  IterationResult result = compute_round(freqs_hz, options, /*advance=*/true,
+                                         now_, /*barrier_idle=*/false);
   now_ += result.iteration_time;
   ++iteration_;
   FEDRA_TELEMETRY_IF {
@@ -51,10 +48,8 @@ IterationResult AsyncFlSimulator::preview(const std::vector<double>& freqs_hz,
                                           StepOptions options) const {
   const double start_time = options.dry_run_at.value_or(now());
   FEDRA_EXPECTS(start_time >= 0.0);
-  fault::RoundFaults faults;
-  const bool has_faults = resolve_faults(options, /*advance=*/false, &faults);
-  return compute_round(freqs_hz, options, has_faults ? &faults : nullptr,
-                       start_time, /*barrier_idle=*/false);
+  return compute_round(freqs_hz, options, /*advance=*/false, start_time,
+                       /*barrier_idle=*/false);
 }
 
 AsyncRunResult AsyncFlSimulator::run(const std::vector<double>& freqs_hz,

@@ -1,6 +1,7 @@
 #include "sim/cohort.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -32,6 +33,17 @@ std::vector<bool> Cohort::mask(std::size_t fleet_size) const {
 
 Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
                      std::uint64_t seed, std::size_t round) {
+  const double n = static_cast<double>(fleet_size);
+  return detail::sample_cohort_with_cut(
+      fleet_size, k, seed, round,
+      1.05 * static_cast<double>(k) / n + 64.0 / n);
+}
+
+namespace detail {
+
+Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
+                              std::uint64_t seed, std::size_t round,
+                              double cut) {
   FEDRA_EXPECTS(fleet_size > 0 && k > 0);
   Cohort cohort;
   if (k >= fleet_size) {
@@ -40,11 +52,23 @@ Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
     return cohort;
   }
 
-  // Rank all devices by (key, id) and keep the k smallest. nth_element
-  // keeps this O(n) instead of a full sort of the fleet.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ranked(fleet_size);
-  for (std::size_t i = 0; i < fleet_size; ++i) {
-    ranked[i] = {cohort_key(seed, round, i), i};
+  // Keys are uniform over 2^64, so about cut * n devices have a key at or
+  // below cut * 2^64. When at least k do, the k smallest (key, id) pairs
+  // are all among them: rank only those. Otherwise rank the whole fleet.
+  // nth_element keeps either ranking O(candidates) instead of a full sort.
+  std::vector<std::pair<std::uint64_t, std::size_t>> ranked;
+  if (cut < 1.0) {
+    const auto key_cut = static_cast<std::uint64_t>(std::ldexp(cut, 64));
+    for (std::size_t i = 0; i < fleet_size; ++i) {
+      const std::uint64_t key = cohort_key(seed, round, i);
+      if (key <= key_cut) ranked.emplace_back(key, i);
+    }
+  }
+  if (ranked.size() < k) {
+    ranked.resize(fleet_size);
+    for (std::size_t i = 0; i < fleet_size; ++i) {
+      ranked[i] = {cohort_key(seed, round, i), i};
+    }
   }
   std::nth_element(ranked.begin(), ranked.begin() + (k - 1), ranked.end());
   cohort.indices.resize(k);
@@ -52,5 +76,7 @@ Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
   std::sort(cohort.indices.begin(), cohort.indices.end());
   return cohort;
 }
+
+}  // namespace detail
 
 }  // namespace fedra

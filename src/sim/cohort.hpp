@@ -37,4 +37,17 @@ struct Cohort {
 Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
                      std::uint64_t seed, std::size_t round);
 
+namespace detail {
+
+/// sample_cohort with an explicit candidate cut, as a fraction of the key
+/// space: only devices whose key is at most cut * 2^64 are ranked, and the
+/// whole fleet is ranked when fewer than k pass (or cut >= 1). The result
+/// is the same for every cut; sample_cohort picks one that about 1.05 k +
+/// 64 devices pass. Exposed so tests can drive both paths.
+Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
+                              std::uint64_t seed, std::size_t round,
+                              double cut);
+
+}  // namespace detail
+
 }  // namespace fedra

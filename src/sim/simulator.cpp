@@ -89,11 +89,8 @@ IterationResult FlSimulator::step(const std::vector<double>& freqs_hz,
   if (options.dry_run_at.has_value()) return preview(freqs_hz, options);
   tel::ScopedTimer timer(tel::Telemetry::enabled() ? sim_metrics().step_us
                                                    : tel::Histogram{});
-  fault::RoundFaults faults;
-  const bool has_faults = resolve_faults(options, /*advance=*/true, &faults);
-  IterationResult result = compute_round(
-      freqs_hz, options, has_faults ? &faults : nullptr, now_,
-      /*barrier_idle=*/true);
+  IterationResult result = compute_round(freqs_hz, options, /*advance=*/true,
+                                         now_, /*barrier_idle=*/true);
   // Constraint (11): t^{k+1} = t^k + T^k.
   now_ += result.iteration_time;
   ++iteration_;
@@ -112,10 +109,8 @@ IterationResult FlSimulator::preview(const std::vector<double>& freqs_hz,
                                      StepOptions options) const {
   const double start_time = options.dry_run_at.value_or(now_);
   FEDRA_EXPECTS(start_time >= 0.0);
-  fault::RoundFaults faults;
-  const bool has_faults = resolve_faults(options, /*advance=*/false, &faults);
-  return compute_round(freqs_hz, options, has_faults ? &faults : nullptr,
-                       start_time, /*barrier_idle=*/true);
+  return compute_round(freqs_hz, options, /*advance=*/false, start_time,
+                       /*barrier_idle=*/true);
 }
 
 }  // namespace fedra

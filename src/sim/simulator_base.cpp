@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "sim/fleet_pricing.hpp"
 #include "trace/transforms.hpp"
@@ -27,7 +28,7 @@ struct TimelinePhase {
 /// Replays `phases` up to `cut` seconds after the round start and writes
 /// the realized per-phase times and energies into `out`. `cut` may be
 /// infinity (no cutoff).
-void apply_timeline(const std::vector<TimelinePhase>& phases, double cut,
+void apply_timeline(std::span<const TimelinePhase> phases, double cut,
                     DeviceOutcome& out) {
   out.compute_time = 0.0;
   out.comm_time = 0.0;
@@ -63,15 +64,18 @@ struct BlockScratch {
   std::vector<double> freq;
   std::vector<double> tcmp;
   std::vector<double> ecmp;
+  std::vector<fault::DeviceFault> faults;  // model-drawn, block-relative
   std::vector<std::size_t> solve_idx;
   std::vector<double> solve_start;
   std::vector<double> solve_end;
+  std::vector<TimelinePhase> phases;  // one faulty device's timeline
 
   void ensure(std::size_t n) {
     if (freq.size() < n) {
       freq.resize(n);
       tcmp.resize(n);
       ecmp.resize(n);
+      faults.resize(n);
     }
   }
 };
@@ -96,6 +100,16 @@ struct SimulatorBase::BlockTotals {
   std::size_t timeouts = 0;
   std::size_t upload_failures = 0;
   std::size_t retries = 0;
+};
+
+/// Where a round's faults come from: an explicit assignment read in place,
+/// or a model drawn block by block (its crash chain evolved in place when
+/// `chain` is set), or neither — a fault-free round.
+struct SimulatorBase::FaultSource {
+  const fault::RoundFaults* assignment = nullptr;
+  const fault::FaultModel* model = nullptr;
+  std::size_t iteration = 0;
+  std::vector<bool>* chain = nullptr;
 };
 
 SimulatorBase::SimulatorBase(std::vector<DeviceProfile> devices,
@@ -123,27 +137,16 @@ void SimulatorBase::reset(double start_time) {
   iteration_ = 0;
 }
 
-bool SimulatorBase::resolve_faults(const StepOptions& options, bool advance,
-                                   fault::RoundFaults* storage) const {
-  if (options.faults != nullptr) {
-    FEDRA_EXPECTS(options.faults->devices.size() == fleet_.size());
-    *storage = *options.faults;
-    return true;
-  }
-  if (options.fault_model != nullptr && options.fault_model->enabled()) {
-    *storage = advance
-                   ? options.fault_model->advance(iteration_, num_devices())
-                   : options.fault_model->peek(iteration_, num_devices());
-    return true;
-  }
-  return false;
-}
+namespace {
 
-void SimulatorBase::faulty_device_round(const DeviceProfile& dev,
-                                        const BandwidthTrace& base_trace,
-                                        const fault::DeviceFault& f,
-                                        double start_time, double deadline,
-                                        DeviceOutcome& out) const {
+/// Per-device timeline under a fault assignment (slow path). `phases` is
+/// the caller's reusable buffer.
+void faulty_device_round(const DeviceProfile& dev,
+                         const BandwidthTrace& base_trace,
+                         const fault::DeviceFault& f, const CostParams& params,
+                         double start_time, double deadline,
+                         std::vector<TimelinePhase>& phases,
+                         DeviceOutcome& out) {
   // Radio outage: the device uploads against a blacked-out copy of its
   // trace for this round only (the DRL state keeps seeing the measured
   // base trace — outages are not announced in advance).
@@ -155,24 +158,23 @@ void SimulatorBase::faulty_device_round(const DeviceProfile& dev,
     trace = &blacked;
   }
 
-  std::vector<TimelinePhase> phases;
-  phases.reserve(2 * (f.failed_uploads + 1));
+  phases.clear();
 
   // Compute, stretched by background load. The CPU stays busy at freq_hz
   // for the whole stretched interval, so energy scales with the slowdown.
   TimelinePhase compute;
   compute.kind = TimelinePhase::kCompute;
   compute.duration =
-      dev.compute_time(out.freq_hz, params_.tau) * f.compute_slowdown;
+      dev.compute_time(out.freq_hz, params.tau) * f.compute_slowdown;
   compute.energy =
-      dev.compute_energy(out.freq_hz, params_.tau) * f.compute_slowdown;
+      dev.compute_energy(out.freq_hz, params.tau) * f.compute_slowdown;
   phases.push_back(compute);
 
   // Upload attempts: `failed_uploads` failures, then one success unless
   // the retry budget is exhausted. Each attempt moves the (degraded)
   // payload through the trace integral from its own start time; failed
   // attempts back off exponentially before the next try.
-  const double payload = params_.model_bytes * f.upload_slowdown;
+  const double payload = params.model_bytes * f.upload_slowdown;
   const std::size_t attempts = f.failed_uploads + (f.upload_exhausted ? 0 : 1);
   double t = start_time + compute.duration;
   double last_attempt_duration = 0.0;
@@ -217,20 +219,35 @@ void SimulatorBase::faulty_device_round(const DeviceProfile& dev,
       f.upload_exhausted ? f.failed_uploads - 1 : f.failed_uploads;
   out.avg_bandwidth =
       out.completed && last_attempt_duration > 0.0
-          ? params_.model_bytes / last_attempt_duration
+          ? params.model_bytes / last_attempt_duration
           : 0.0;
 }
+
+}  // namespace
 
 void SimulatorBase::price_block(std::size_t begin, std::size_t end,
                                 const std::vector<double>& freqs_hz,
                                 const std::vector<bool>* participating,
-                                const fault::RoundFaults* faults,
+                                const FaultSource& source,
                                 double start_time, double deadline,
                                 IterationResult& result,
                                 BlockTotals& totals) const {
   const std::size_t bn = end - begin;
   BlockScratch& s = block_scratch();
   s.ensure(bn);
+
+  // This block's faults, indexed like the scratch columns. A model is
+  // drawn here, on the worker that prices the block: participants get
+  // their full fault, non-participants only step the crash chain.
+  const fault::DeviceFault* faults = nullptr;
+  if (source.assignment != nullptr) {
+    faults = source.assignment->devices.data() + begin;
+  } else if (source.model != nullptr) {
+    source.model->draw_block(source.iteration, begin, end,
+                             source.model->crash_state(), participating,
+                             s.faults.data(), source.chain);
+    faults = s.faults.data();
+  }
 
   // Compute-side pricing for the whole block through the SIMD-dispatched
   // kernel. Masked/crashed lanes are priced too and overwritten below —
@@ -251,9 +268,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
   for (std::size_t k = 0; k < bn; ++k) {
     const std::size_t i = begin + k;
     if (participating != nullptr && !(*participating)[i]) continue;
-    const fault::DeviceFault* df =
-        faults != nullptr ? &faults->devices[i] : nullptr;
-    if (df != nullptr && (df->crashed || df->faulty())) continue;
+    if (faults != nullptr && faults[k].faulty()) continue;
     s.solve_idx.push_back(i);
     s.solve_start.push_back(start_time + s.tcmp[k]);
   }
@@ -289,8 +304,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
     }
     ++totals.scheduled;
 
-    const fault::DeviceFault* df =
-        faults != nullptr ? &faults->devices[i] : nullptr;
+    const fault::DeviceFault* df = faults != nullptr ? &faults[k] : nullptr;
     if (df != nullptr && df->crashed) {
       // Down before the round started: the server skips a known-dead
       // connection — no time, no energy, no barrier contribution.
@@ -322,18 +336,17 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
 
       if (out.total_time > deadline) {
         // Healthy but too slow: the server cut the round at the deadline.
-        std::vector<TimelinePhase> phases(2);
-        phases[0] = {out.compute_time, out.compute_energy,
-                     TimelinePhase::kCompute};
-        phases[1] = {out.comm_time, out.comm_energy, TimelinePhase::kComm};
+        const TimelinePhase phases[] = {
+            {out.compute_time, out.compute_energy, TimelinePhase::kCompute},
+            {out.comm_time, out.comm_energy, TimelinePhase::kComm}};
         apply_timeline(phases, deadline, out);
         out.completed = false;
         out.failure = DeviceFailure::kTimeout;
         out.avg_bandwidth = 0.0;  // no completed upload to estimate from
       }
     } else {
-      faulty_device_round(fleet_.device(i), traces_[i], *df, start_time,
-                          deadline, out);
+      faulty_device_round(fleet_.device(i), traces_[i], *df, params_,
+                          start_time, deadline, s.phases, out);
     }
 
     switch (out.failure) {
@@ -355,8 +368,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
 
 IterationResult SimulatorBase::compute_round(
     const std::vector<double>& freqs_hz, const StepOptions& options,
-    const fault::RoundFaults* faults, double start_time,
-    bool barrier_idle) const {
+    bool advance, double start_time, bool barrier_idle) const {
   const std::size_t n = fleet_.size();
   FEDRA_EXPECTS(freqs_hz.size() == n);
   const std::vector<bool>* participating = options.participating;
@@ -365,8 +377,17 @@ IterationResult SimulatorBase::compute_round(
     FEDRA_EXPECTS(std::find(participating->begin(), participating->end(),
                             true) != participating->end());
   }
-  if (faults != nullptr) {
-    FEDRA_EXPECTS(faults->devices.size() == n);
+  // An explicit assignment overrides the model, which it leaves untouched.
+  FaultSource faults;
+  if (options.faults != nullptr) {
+    FEDRA_EXPECTS(options.faults->devices.size() == n);
+    faults.assignment = options.faults;
+  } else if (options.fault_model != nullptr &&
+             options.fault_model->enabled()) {
+    faults.model = options.fault_model;
+    faults.iteration = iteration_;
+    // Sized here, serially: the blocks below then only flip their own bits.
+    if (advance) faults.chain = &options.fault_model->chain_for(n);
   }
   const double deadline = options.deadline > 0.0
                               ? options.deadline
@@ -389,6 +410,9 @@ IterationResult SimulatorBase::compute_round(
   // Price in fixed blocks. Boundaries depend only on n, blocks write
   // disjoint slots and their own totals, and partials combine in block
   // order below — so any pool size (or none) produces identical bits.
+  // Blocks start at multiples of 64 devices, so their crash-chain bits
+  // live in disjoint std::vector<bool> words.
+  static_assert(kPricingBlock % 64 == 0);
   const std::size_t nblocks = (n + kPricingBlock - 1) / kPricingBlock;
   std::vector<BlockTotals> totals(nblocks);
   const auto run_block = [&](std::size_t b) {

@@ -20,8 +20,9 @@
 // trace pool), not a million structs and trace copies. The protected
 // compute_round() prices rounds in fixed device blocks of kPricingBlock:
 // within a block the compute-side math runs through the SIMD-dispatched
-// fleet kernels and the upload solves in lockstep batches, faults and
-// deadlines take the scalar per-device path, and accumulation is
+// fleet kernels and the upload solves in lockstep batches, a fault model
+// is drawn per block on the worker that prices it, faults and deadlines
+// take the scalar per-device path, and accumulation is
 // sequential in device order within the block with block partials combined
 // in block order. Block boundaries depend only on fleet size, so results
 // are bit-identical across thread-pool sizes — and, for fleets up to one
@@ -111,42 +112,33 @@ class SimulatorBase {
   SimulatorBase(FleetState fleet, TraceTable traces, CostParams params,
                 double start_time);
 
-  /// The shared round engine. `faults` is the resolved per-device fault
-  /// assignment (nullptr = fault-free). `barrier_idle` selects the
-  /// synchronous barrier semantics (idle_time = makespan - T_i) vs the
-  /// asynchronous no-barrier semantics (idle_time = 0).
+  /// The shared round engine. Faults come from options.faults (read in
+  /// place) or else options.fault_model, drawn for iteration() inside each
+  /// pricing block; `advance` evolves the model's crash chain (real steps
+  /// only). `barrier_idle` selects the synchronous barrier semantics
+  /// (idle_time = makespan - T_i) vs the asynchronous no-barrier semantics
+  /// (idle_time = 0).
   IterationResult compute_round(const std::vector<double>& freqs_hz,
                                 const StepOptions& options,
-                                const fault::RoundFaults* faults,
-                                double start_time, bool barrier_idle) const;
-
-  /// Resolves options.faults / options.fault_model into a concrete round
-  /// assignment. `advance` evolves the crash chain (real steps only).
-  /// Returns false when the round is fault-free (storage untouched).
-  bool resolve_faults(const StepOptions& options, bool advance,
-                      fault::RoundFaults* storage) const;
+                                bool advance, double start_time,
+                                bool barrier_idle) const;
 
   double now_ = 0.0;
   std::size_t iteration_ = 0;
 
  private:
   struct BlockTotals;
+  struct FaultSource;
 
-  /// Prices devices [begin, end) of one block (SIMD compute kernel,
-  /// batched upload solves, scalar fault/deadline paths) and accumulates
-  /// the block's partial totals sequentially in device order.
+  /// Prices devices [begin, end) of one block (fault draw, SIMD compute
+  /// kernel, batched upload solves, scalar fault/deadline paths) and
+  /// accumulates the block's partial totals sequentially in device order.
   void price_block(std::size_t begin, std::size_t end,
                    const std::vector<double>& freqs_hz,
                    const std::vector<bool>* participating,
-                   const fault::RoundFaults* faults, double start_time,
+                   const FaultSource& faults, double start_time,
                    double deadline, IterationResult& result,
                    BlockTotals& totals) const;
-
-  /// Per-device timeline under a fault assignment (slow path).
-  void faulty_device_round(const DeviceProfile& dev,
-                           const BandwidthTrace& trace,
-                           const fault::DeviceFault& f, double start_time,
-                           double deadline, DeviceOutcome& out) const;
 
   FleetState fleet_;
   TraceTable traces_;

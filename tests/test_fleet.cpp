@@ -15,6 +15,7 @@
 
 #include "fault/fault_model.hpp"
 #include "sim/cohort.hpp"
+#include "sim/async_simulator.hpp"
 #include "sim/experiment_config.hpp"
 #include "sim/fleet_pricing.hpp"
 #include "sim/simulator.hpp"
@@ -451,6 +452,114 @@ TEST(FaultModelBatch, RangeDrawsMatchSequentialDraw) {
 }
 
 // ---------------------------------------------------------------------------
+// Faults drawn inside the pricing blocks == the materialized assignment.
+// ---------------------------------------------------------------------------
+
+FaultConfig churn_config() {
+  FaultConfig cfg;
+  cfg.dropout_prob = 0.05;
+  cfg.straggler_prob = 0.15;
+  cfg.crash_prob = 0.1;
+  cfg.rejoin_prob = 0.5;  // several rejoins within five rounds
+  cfg.blackout_prob = 0.02;
+  cfg.upload_failure_prob = 0.1;
+  cfg.max_retries = 2;
+  return cfg;
+}
+
+/// Five steps of a model-driven simulator against a twin fed the same
+/// rounds as explicit assignments from a twin model's advance(): results
+/// bitwise equal, crash chains equal after every step, and a preview in
+/// between touches neither the chain nor the outcome of the next step.
+template <typename Sim>
+void expect_block_draws_match_assignment(bool cohort) {
+  constexpr std::size_t kBlock = SimulatorBase::kPricingBlock;
+  const std::size_t n = 3 * kBlock + 17;
+  const FleetState fleet = make_fleet_state(n, FleetModel{}, 21);
+  const TraceTable traces = make_traces(n);
+  const auto freqs = make_freqs(fleet);
+
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "pool " << workers << " cohort "
+                                      << cohort);
+    ThreadPool pool(workers);
+    Sim drawn(fleet, traces, fleet_params());
+    Sim given(fleet, traces, fleet_params());
+    FaultModel model(churn_config(), 314);
+    FaultModel twin(churn_config(), 314);
+    std::size_t rejoins = 0;
+    for (std::size_t k = 0; k < 5; ++k) {
+      const std::vector<bool> mask = sample_cohort(n, n / 10, 9, k).mask(n);
+      StepOptions opts;
+      opts.outcomes = OutcomeLayout::kColumns;
+      opts.pool = &pool;
+      opts.deadline = 40.0;
+      if (cohort) opts.participating = &mask;
+
+      StepOptions by_model = opts;
+      by_model.fault_model = &model;
+      const std::vector<bool> chain_before = model.crash_state();
+      const IterationResult previewed = drawn.preview(freqs, by_model);
+      EXPECT_EQ(model.crash_state(), chain_before);
+      const RoundFaults peeked = model.peek(k, n);
+      StepOptions by_peek = opts;
+      by_peek.faults = &peeked;
+      expect_result_eq(previewed, given.preview(freqs, by_peek));
+
+      const std::vector<bool> was = twin.crash_state();
+      const RoundFaults assignment = twin.advance(k, n);
+      StepOptions by_assignment = opts;
+      by_assignment.faults = &assignment;
+      const IterationResult expected = given.step(freqs, by_assignment);
+      expect_result_eq(drawn.step(freqs, by_model), expected);
+      expect_result_eq(previewed, expected);
+      EXPECT_EQ(model.crash_state(), twin.crash_state());
+      for (std::size_t i = 0; i < was.size(); ++i) {
+        if (was[i] && !twin.crash_state()[i]) ++rejoins;
+      }
+    }
+    EXPECT_GT(rejoins, 0u);
+  }
+}
+
+TEST(FleetFaults, BlockDrawsMatchAssignmentFullFleet) {
+  expect_block_draws_match_assignment<FlSimulator>(false);
+}
+
+TEST(FleetFaults, BlockDrawsMatchAssignmentCohort) {
+  expect_block_draws_match_assignment<FlSimulator>(true);
+}
+
+TEST(FleetFaults, AsyncBlockDrawsMatchAssignmentFullFleet) {
+  expect_block_draws_match_assignment<AsyncFlSimulator>(false);
+}
+
+TEST(FleetFaults, AsyncBlockDrawsMatchAssignmentCohort) {
+  expect_block_draws_match_assignment<AsyncFlSimulator>(true);
+}
+
+TEST(FaultModelBatch, NonParticipantsOnlyStepTheCrashChain) {
+  const FaultModel model(churn_config(), 8);
+  const std::size_t n = 200;
+  std::vector<bool> mask(n);
+  for (std::size_t i = 0; i < n; i += 3) mask[i] = true;
+
+  RoundFaults full;
+  full.devices.resize(n);
+  std::vector<bool> full_chain(n);
+  model.draw_range(4, 0, n, {}, &full, &full_chain);
+
+  const DeviceFault untouched{.dropout_frac = -1.0};
+  std::vector<DeviceFault> block(n, untouched);
+  std::vector<bool> chain(n);
+  model.draw_block(4, 0, n, {}, &mask, block.data(), &chain);
+  EXPECT_EQ(chain, full_chain);
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_fault_eq(block[i], mask[i] ? full.devices[i] : untouched);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Order-independent fleet sampling.
 // ---------------------------------------------------------------------------
 
@@ -553,6 +662,22 @@ TEST(CohortSampling, MaskMatchesIndices) {
   }
   EXPECT_EQ(set, c.size());
   for (std::size_t i : c.indices) EXPECT_TRUE(mask[i]);
+}
+
+TEST(CohortSampling, CandidateFilterMatchesFullRanking) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{4097},
+                        std::size_t{1} << 20}) {
+    for (std::size_t k : {std::size_t{1}, n / 10, n - 1, n}) {
+      if (k == 0) continue;
+      SCOPED_TRACE(::testing::Message() << "n " << n << " k " << k);
+      const Cohort full = detail::sample_cohort_with_cut(n, k, 17, 2, 1.0);
+      ASSERT_EQ(full.size(), k);
+      EXPECT_EQ(sample_cohort(n, k, 17, 2).indices, full.indices);
+      // A cut almost nothing passes takes the full-ranking fallback.
+      EXPECT_EQ(detail::sample_cohort_with_cut(n, k, 17, 2, 0.0).indices,
+                full.indices);
+    }
+  }
 }
 
 TEST(CohortSampling, CohortStepPricesOnlyMembers) {
