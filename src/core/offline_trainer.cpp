@@ -1,11 +1,8 @@
 #include "core/offline_trainer.hpp"
 
-#include <algorithm>
-
 #include "telemetry/telemetry.hpp"
 #include "util/contracts.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedra {
 
@@ -57,30 +54,7 @@ OfflineTrainer::OfflineTrainer(FlEnv env, const TrainerConfig& config,
   FEDRA_EXPECTS(config.episodes > 0);
 }
 
-OfflineTrainer::OfflineTrainer(std::vector<FlEnv> envs,
-                               const TrainerConfig& config, std::uint64_t seed)
-    : OfflineTrainer([&] {
-        FEDRA_EXPECTS(!envs.empty());
-        return std::move(envs.front());
-      }(), config, seed) {
-  for (std::size_t e = 1; e < envs.size(); ++e) {
-    FEDRA_EXPECTS(envs[e].state_dim() == env_.state_dim());
-    FEDRA_EXPECTS(envs[e].action_dim() == env_.action_dim());
-    extra_envs_.push_back(std::move(envs[e]));
-  }
-}
-
-void OfflineTrainer::set_pool(ThreadPool* pool) {
-  pool_ = pool;
-  agent_.set_pool(pool);
-}
-
 EpisodeStats OfflineTrainer::run_episode(std::size_t episode_index) {
-  if (extra_envs_.empty()) return run_episode_single(episode_index);
-  return run_episode_lockstep(episode_index);
-}
-
-EpisodeStats OfflineTrainer::run_episode_single(std::size_t episode_index) {
   EpisodeStats stats;
   stats.episode = episode_index;
 
@@ -167,137 +141,6 @@ EpisodeStats OfflineTrainer::run_episode_single(std::size_t episode_index) {
   FEDRA_TELEMETRY_IF {
     auto& m = trainer_metrics();
     m.episodes.add();
-    m.episode_avg_cost.set(stats.avg_cost);
-    m.episode_avg_reward.set(stats.avg_reward);
-  }
-  return stats;
-}
-
-EpisodeStats OfflineTrainer::run_episode_lockstep(std::size_t episode_index) {
-  EpisodeStats stats;
-  stats.episode = episode_index;
-  FEDRA_TRACE_SPAN("rollout");
-
-  std::vector<FlEnv*> envs;
-  envs.push_back(&env_);
-  for (FlEnv& e : extra_envs_) envs.push_back(&e);
-  const std::size_t num = envs.size();
-
-  // Serial resets in env order: each consumes the shared RNG stream, so
-  // the collected experience is a pure function of (seed, episode_index)
-  // regardless of the pool.
-  std::vector<std::vector<double>> state(num);
-  for (std::size_t e = 0; e < num; ++e) state[e] = envs[e]->reset(rng_);
-
-  std::vector<char> done(num, 0);
-  std::vector<PolicySample> samples(num);
-  std::vector<double> values(num);
-  std::vector<StepResult> steps(num);
-  // Same carried-value optimization as run_episode_single, per env: a
-  // step's next_value is the next round's state value, bit-identical
-  // because value() is pure. Invalidated whenever an update fires.
-  std::vector<double> carried(num, 0.0);
-  std::vector<char> value_carried(num, 0);
-  // Per-env staging: transitions accumulate here and flush to the shared
-  // rollout buffer only when the env's episode completes, so every GAE
-  // trajectory stays contiguous even though envs advance in lockstep.
-  std::vector<std::vector<Transition>> staged(num);
-
-  double cost_acc = 0.0;
-  double reward_acc = 0.0;
-  double time_acc = 0.0;
-  double energy_acc = 0.0;
-  std::size_t total_steps = 0;
-
-  auto all_done = [&] {
-    for (std::size_t e = 0; e < num; ++e) {
-      if (!done[e]) return false;
-    }
-    return true;
-  };
-
-  while (!all_done()) {
-    // Serial policy pass in env order (shared RNG + critic workspace).
-    for (std::size_t e = 0; e < num; ++e) {
-      if (done[e]) continue;
-      samples[e] = agent_.act(state[e], rng_);
-      values[e] = value_carried[e] ? carried[e] : agent_.value(state[e]);
-    }
-
-    // Parallel simulator step: each env touches only its own state, so
-    // the fan-out is embarrassingly parallel AND deterministic.
-    auto step_one = [&](std::size_t e) {
-      if (done[e]) return;
-      steps[e] = envs[e]->step(samples[e].action);
-    };
-    if (pool_ != nullptr && num > 1) {
-      pool_->parallel_for(0, num, step_one);
-    } else {
-      for (std::size_t e = 0; e < num; ++e) step_one(e);
-    }
-
-    // Serial bookkeeping in env order.
-    for (std::size_t e = 0; e < num; ++e) {
-      if (done[e]) continue;
-      StepResult& step = steps[e];
-      Transition t;
-      t.state = state[e];
-      t.next_state = step.state;
-      t.action_u = samples[e].action_u;
-      t.log_prob = samples[e].log_prob;
-      t.reward = step.reward;
-      t.value = values[e];
-      t.next_value = agent_.value(step.state);
-      t.episode_end = step.done;
-      carried[e] = t.next_value;
-      value_carried[e] = 1;
-      staged[e].push_back(std::move(t));
-
-      cost_acc += step.info.cost;
-      reward_acc += step.reward;
-      time_acc += step.info.iteration_time;
-      energy_acc += step.info.total_energy;
-      ++total_steps;
-      FEDRA_TELEMETRY_IF {
-        auto& m = trainer_metrics();
-        m.env_steps.add();
-        m.step_cost.record(step.info.cost);
-      }
-
-      if (step.done) {
-        done[e] = 1;
-        for (Transition& tr : staged[e]) {
-          buffer_.push(std::move(tr));
-          if (buffer_.full()) {
-            last_update_ = agent_.update(buffer_, rng_);
-            has_update_ = true;
-            buffer_.clear();
-            // Every env's carried value predates the new critic.
-            std::fill(value_carried.begin(), value_carried.end(), char(0));
-          }
-        }
-        staged[e].clear();
-      } else {
-        state[e] = std::move(step.state);
-      }
-    }
-  }
-
-  const double inv =
-      total_steps > 0 ? 1.0 / static_cast<double>(total_steps) : 0.0;
-  stats.avg_cost = cost_acc * inv;
-  stats.avg_reward = reward_acc * inv;
-  stats.avg_time = time_acc * inv;
-  stats.avg_energy = energy_acc * inv;
-  if (has_update_) {
-    stats.total_loss = last_update_.total_loss;
-    stats.policy_loss = last_update_.policy_loss;
-    stats.value_loss = last_update_.value_loss;
-    stats.entropy = last_update_.entropy;
-  }
-  FEDRA_TELEMETRY_IF {
-    auto& m = trainer_metrics();
-    m.episodes.add(num);
     m.episode_avg_cost.set(stats.avg_cost);
     m.episode_avg_reward.set(stats.avg_reward);
   }

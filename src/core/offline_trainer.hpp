@@ -30,8 +30,6 @@
 
 namespace fedra {
 
-class ThreadPool;
-
 struct TrainerConfig {
   std::size_t episodes = 300;
   std::size_t buffer_capacity = 256;  ///< |D| of Algorithm 1
@@ -78,27 +76,6 @@ class OfflineTrainer {
  public:
   OfflineTrainer(FlEnv env, const TrainerConfig& config, std::uint64_t seed);
 
-  /// Multi-env construction: run_episode() advances ALL envs in lockstep
-  /// (one episode each), so one call collects envs.size() episodes of
-  /// experience. Action sampling, value estimation and buffer pushes stay
-  /// serial in env order (a single RNG stream feeds every env), while
-  /// env.step() fans out across the attached pool — the env step is the
-  /// expensive leg (it runs a full simulated FL round) and is
-  /// deterministic per env, so the collected experience is bit-identical
-  /// across pool sizes. Transitions are staged per env and flushed to the
-  /// rollout buffer as whole episodes (env order), which keeps each
-  /// GAE trajectory contiguous.
-  OfflineTrainer(std::vector<FlEnv> envs, const TrainerConfig& config,
-                 std::uint64_t seed);
-
-  /// Attaches a pool for parallel env stepping (multi-env mode) and
-  /// block-parallel minibatch backprop (config.ppo.grad_block_rows > 0).
-  /// Results are bit-identical with or without a pool.
-  void set_pool(ThreadPool* pool);
-
-  /// 1 + the number of extra envs behind the multi-env constructor.
-  std::size_t num_envs() const { return 1 + extra_envs_.size(); }
-
   /// Runs the full offline procedure; returns one stats row per episode.
   std::vector<EpisodeStats> train() { return train(TrainHooks{}); }
 
@@ -131,18 +108,13 @@ class OfflineTrainer {
   }
 
  private:
-  EpisodeStats run_episode_single(std::size_t episode_index);
-  EpisodeStats run_episode_lockstep(std::size_t episode_index);
-
   FlEnv env_;
-  std::vector<FlEnv> extra_envs_;  ///< multi-env mode: envs 1..E-1
   TrainerConfig config_;
   PpoAgent agent_;
   RolloutBuffer buffer_;
   Rng rng_;
   UpdateStats last_update_;
   bool has_update_ = false;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace fedra

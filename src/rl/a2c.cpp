@@ -33,18 +33,7 @@ A2cAgent::A2cAgent(std::size_t state_dim, std::size_t action_dim,
                    config.critic_activation, rng);
       }()),
       actor_opt_(policy_.params(), policy_.grads(), config.actor_lr),
-      critic_opt_(critic_, config.critic_lr) {
-  if (config.grad_block_rows > 0 && !policy_config.state_dependent_std) {
-    engine_ = std::make_unique<BlockGradEngine>(
-        state_dim, action_dim, policy_config,
-        critic_sizes(state_dim, config.critic_hidden),
-        config.critic_activation, config.grad_block_rows);
-  }
-}
-
-void A2cAgent::set_pool(ThreadPool* pool) {
-  if (engine_ != nullptr) engine_->set_pool(pool);
-}
+      critic_opt_(critic_, config.critic_lr) {}
 
 PolicySample A2cAgent::act(const std::vector<double>& state, Rng& rng) {
   return policy_.act(state, rng);
@@ -78,30 +67,15 @@ UpdateStats A2cAgent::update(const RolloutBuffer& buffer, Rng& /*rng*/) {
   const double inv_n = 1.0 / static_cast<double>(n);
 
   // ---- Actor: vanilla policy gradient with advantages ----
-  std::vector<double> logp;
+  const std::vector<double> logp = policy_.forward_log_probs(states, actions_u);
   double policy_loss = 0.0;
-  if (engine_ != nullptr) {
-    // Block-sharded path (rl/block_grads.hpp): the whole buffer is one
-    // "minibatch"; the coefficient is logp-independent here.
-    auto coeff_fn = [&](std::size_t i, double /*lp*/) -> double {
-      return -gae.advantages[i] * inv_n;
-    };
-    engine_->actor_pass(policy_, states, actions_u, coeff_fn,
-                        config_.entropy_coef, logp);
-    for (std::size_t i = 0; i < n; ++i) {
-      policy_loss += -gae.advantages[i] * logp[i] * inv_n;
-    }
-  } else {
-    logp = policy_.forward_log_probs(states, actions_u);
-    std::vector<double> coeff(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      policy_loss += -gae.advantages[i] * logp[i] * inv_n;
-      coeff[i] = -gae.advantages[i] * inv_n;
-    }
-    policy_.zero_grad();
-    policy_.backward_log_probs(states, actions_u, coeff,
-                               config_.entropy_coef);
+  std::vector<double> coeff(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    policy_loss += -gae.advantages[i] * logp[i] * inv_n;
+    coeff[i] = -gae.advantages[i] * inv_n;
   }
+  policy_.zero_grad();
+  policy_.backward_log_probs(states, actions_u, coeff, config_.entropy_coef);
   actor_opt_.clip_grad_norm(config_.max_grad_norm);
   actor_opt_.step();
   policy_.clamp_log_std();
@@ -109,29 +83,16 @@ UpdateStats A2cAgent::update(const RolloutBuffer& buffer, Rng& /*rng*/) {
   // ---- Critic: one TD fit ----
   Matrix next_v = critic_.forward(next_states);
   double value_loss = 0.0;
-  if (engine_ != nullptr) {
-    auto dloss_dv = [&](std::size_t i, double v) -> double {
-      const double target = rewards[i] + config_.gamma * next_v(i, 0);
-      return 2.0 * (v - target) * inv_n;
-    };
-    engine_->critic_pass(critic_, states, dloss_dv, v_vals_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double target = rewards[i] + config_.gamma * next_v(i, 0);
-      const double err = v_vals_[i] - target;
-      value_loss += err * err * inv_n;
-    }
-  } else {
-    critic_.zero_grad();
-    Matrix v = critic_.forward(states);
-    Matrix grad_v(v.rows(), 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double target = rewards[i] + config_.gamma * next_v(i, 0);
-      const double err = v(i, 0) - target;
-      value_loss += err * err * inv_n;
-      grad_v(i, 0) = 2.0 * err * inv_n;
-    }
-    critic_.backward(grad_v);
+  critic_.zero_grad();
+  Matrix v = critic_.forward(states);
+  Matrix grad_v(v.rows(), 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double target = rewards[i] + config_.gamma * next_v(i, 0);
+    const double err = v(i, 0) - target;
+    value_loss += err * err * inv_n;
+    grad_v(i, 0) = 2.0 * err * inv_n;
   }
+  critic_.backward(grad_v);
   critic_opt_.clip_grad_norm(config_.max_grad_norm);
   critic_opt_.step();
 

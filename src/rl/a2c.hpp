@@ -5,19 +5,14 @@
 // is unsound), using the same GAE advantages and TD critic fit as PPO.
 #pragma once
 
-#include <memory>
-
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "rl/block_grads.hpp"
 #include "rl/policy.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
-
-class ThreadPool;
 
 class A2cAgent {
  public:
@@ -35,11 +30,6 @@ class A2cAgent {
 
   UpdateStats update(const RolloutBuffer& buffer, Rng& rng);
 
-  /// Attaches a thread pool for block-parallel backprop (effective with
-  /// config.grad_block_rows > 0; see rl/block_grads.hpp). The update
-  /// result is bit-identical with or without a pool.
-  void set_pool(ThreadPool* pool);
-
   GaussianPolicy& policy() { return policy_; }
 
  private:
@@ -50,8 +40,6 @@ class A2cAgent {
   Adam critic_opt_;
   Workspace critic_infer_ws_;  ///< single-row V(s) inference buffers
   Matrix critic_infer_in_;     ///< persistent 1xS input row for value()
-  std::vector<double> v_vals_;
-  std::unique_ptr<BlockGradEngine> engine_;
 };
 
 }  // namespace fedra

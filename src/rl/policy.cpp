@@ -207,11 +207,6 @@ double GaussianPolicy::entropy() const {
   return h;
 }
 
-void GaussianPolicy::accumulate_entropy_grad(double coeff) {
-  FEDRA_EXPECTS(!config_.state_dependent_std);
-  for (std::size_t j = 0; j < action_dim_; ++j) grad_log_std_[j] += coeff;
-}
-
 std::vector<Matrix*> GaussianPolicy::params() {
   auto ps = mean_net_.params();
   if (!config_.state_dependent_std) ps.push_back(&log_std_);

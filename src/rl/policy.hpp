@@ -94,11 +94,6 @@ class GaussianPolicy {
   /// forward_log_probs call (0 before any call).
   double entropy() const;
 
-  /// Adds d(entropy)/d(log_std) * coeff to the log-std gradient (entropy
-  /// bonus). Only valid for state-independent sigma — state-dependent
-  /// entropy must flow through backward_log_probs' entropy_coeff.
-  void accumulate_entropy_grad(double coeff);
-
   std::vector<Matrix*> params();
   std::vector<Matrix*> grads();
   void zero_grad();

@@ -81,16 +81,6 @@ PpoAgent::PpoAgent(std::size_t state_dim, std::size_t action_dim,
   FEDRA_EXPECTS(config.gamma >= 0.0 && config.gamma < 1.0);
   FEDRA_EXPECTS(config.clip_epsilon > 0.0);
   FEDRA_EXPECTS(config.update_epochs > 0 && config.minibatch_size > 0);
-  if (config.grad_block_rows > 0 && !policy_config.state_dependent_std) {
-    engine_ = std::make_unique<BlockGradEngine>(
-        state_dim, action_dim, policy_config,
-        critic_sizes(state_dim, config.critic_hidden),
-        config.critic_activation, config.grad_block_rows);
-  }
-}
-
-void PpoAgent::set_pool(ThreadPool* pool) {
-  if (engine_ != nullptr) engine_->set_pool(pool);
 }
 
 PolicySample PpoAgent::act(const std::vector<double>& state, Rng& rng) {
@@ -174,26 +164,8 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
         // ---- Actor: clipped surrogate ----
         tel::ScopedTimer actor_timer(timed ? ppo_metrics().actor_step_us
                                            : tel::Histogram{});
-        if (engine_ != nullptr) {
-          // Block-sharded path: the per-row surrogate coefficient is
-          // computed on the block's thread (pure function of shared
-          // const data); loss/clip bookkeeping happens serially below
-          // from the assembled log-probs, in the same ascending order as
-          // the legacy path.
-          auto coeff_fn = [&](std::size_t b, double lp) -> double {
-            const double adv = gae.advantages[idx[b]];
-            const double ratio = std::exp(lp - logp_old[idx[b]]);
-            const bool clip_active =
-                (adv > 0.0 && ratio > 1.0 + config_.clip_epsilon) ||
-                (adv < 0.0 && ratio < 1.0 - config_.clip_epsilon);
-            return clip_active ? 0.0 : -adv * ratio * inv_b;
-          };
-          engine_->actor_pass(policy_, mb_states, mb_actions, coeff_fn,
-                              config_.entropy_coef, logp_new_);
-        } else {
-          policy_.forward_log_probs(mb_states, mb_actions, logp_new_);
-          coeff_.assign(idx.size(), 0.0);
-        }
+        policy_.forward_log_probs(mb_states, mb_actions, logp_new_);
+        coeff_.assign(idx.size(), 0.0);
         const std::vector<double>& logp_new = logp_new_;
         std::vector<double>& coeff = coeff_;
         for (std::size_t b = 0; b < idx.size(); ++b) {
@@ -208,18 +180,16 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
               (adv < 0.0 && ratio < 1.0 - config_.clip_epsilon);
           if (clip_active) {
             clip_count += 1.0;
-          } else if (engine_ == nullptr) {
+          } else {
             // d(-surr)/d logp = -adv * ratio (per sample, averaged).
             coeff[b] = -adv * ratio * inv_b;
           }
         }
-        if (engine_ == nullptr) {
-          policy_.zero_grad();
-          // Entropy bonus folded into the same backward pass: the loss
-          // includes -entropy_coef * H(pi).
-          policy_.backward_log_probs(mb_states, mb_actions, coeff,
-                                     config_.entropy_coef);
-        }
+        policy_.zero_grad();
+        // Entropy bonus folded into the same backward pass: the loss
+        // includes -entropy_coef * H(pi).
+        policy_.backward_log_probs(mb_states, mb_actions, coeff,
+                                   config_.entropy_coef);
         actor_opt_.clip_grad_norm(config_.max_grad_norm);
         actor_opt_.step();
         policy_.clamp_log_std();
@@ -230,39 +200,20 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
         tel::ScopedTimer critic_timer(timed ? ppo_metrics().critic_step_us
                                             : tel::Histogram{});
         const double delta = config_.critic_huber_delta;
-        if (engine_ != nullptr) {
-          auto dloss_dv = [&](std::size_t b, double v) -> double {
-            const double err = v - td_target_[idx[b]];
-            if (delta > 0.0 && std::abs(err) > delta) {
-              return (err > 0.0 ? delta : -delta) * inv_b;
-            }
-            return 2.0 * err * inv_b;
-          };
-          engine_->critic_pass(critic_, mb_states, dloss_dv, v_vals_);
-          for (std::size_t b = 0; b < idx.size(); ++b) {
-            const double err = v_vals_[b] - td_target_[idx[b]];
-            if (delta > 0.0 && std::abs(err) > delta) {
-              mb_value_loss += delta * (std::abs(err) - 0.5 * delta) * inv_b;
-            } else {
-              mb_value_loss += err * err * inv_b;
-            }
+        critic_.zero_grad();
+        const Matrix& v = critic_.forward_cached(mb_states, critic_ws_);
+        grad_v_.resize_reuse(v.rows(), 1);  // every entry assigned below
+        for (std::size_t b = 0; b < idx.size(); ++b) {
+          const double err = v(b, 0) - td_target_[idx[b]];
+          if (delta > 0.0 && std::abs(err) > delta) {
+            mb_value_loss += delta * (std::abs(err) - 0.5 * delta) * inv_b;
+            grad_v_(b, 0) = (err > 0.0 ? delta : -delta) * inv_b;
+          } else {
+            mb_value_loss += err * err * inv_b;
+            grad_v_(b, 0) = 2.0 * err * inv_b;
           }
-        } else {
-          critic_.zero_grad();
-          const Matrix& v = critic_.forward_cached(mb_states, critic_ws_);
-          grad_v_.resize_reuse(v.rows(), 1);  // every entry assigned below
-          for (std::size_t b = 0; b < idx.size(); ++b) {
-            const double err = v(b, 0) - td_target_[idx[b]];
-            if (delta > 0.0 && std::abs(err) > delta) {
-              mb_value_loss += delta * (std::abs(err) - 0.5 * delta) * inv_b;
-              grad_v_(b, 0) = (err > 0.0 ? delta : -delta) * inv_b;
-            } else {
-              mb_value_loss += err * err * inv_b;
-              grad_v_(b, 0) = 2.0 * err * inv_b;
-            }
-          }
-          critic_.backward_cached(grad_v_, critic_ws_);
         }
+        critic_.backward_cached(grad_v_, critic_ws_);
         critic_opt_.clip_grad_norm(config_.max_grad_norm);
         critic_opt_.step();
       }

@@ -10,18 +10,14 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "rl/block_grads.hpp"
 #include "rl/policy.hpp"
 #include "rl/rollout.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
-
-class ThreadPool;
 
 struct PpoConfig {
   double gamma = 0.95;
@@ -39,15 +35,6 @@ struct PpoConfig {
   /// tails cap the gradient of outlier targets (long straggler
   /// iterations produce heavy-tailed rewards). 0 disables.
   double critic_huber_delta = 0.0;
-  /// Rows per gradient block for block-sharded minibatch backprop (see
-  /// rl/block_grads.hpp). 0 (default) keeps the legacy whole-batch
-  /// sequential pass, bit for bit. When > 0 the update gradient is
-  /// reduced block-by-block in a fixed order, so the result is
-  /// bit-identical across thread pools of any size (attach one with
-  /// PpoAgent::set_pool) but is a different summation grouping than the
-  /// legacy pass. Ignored (legacy path) for state-dependent-sigma
-  /// policies.
-  std::size_t grad_block_rows = 0;
 };
 
 struct UpdateStats {
@@ -85,11 +72,6 @@ class PpoAgent {
   /// Runs M PPO epochs + critic fits over the (full) buffer, then syncs
   /// theta_a^old <- theta_a. The caller clears the buffer afterwards.
   UpdateStats update(const RolloutBuffer& buffer, Rng& rng);
-
-  /// Attaches a thread pool for block-parallel minibatch backprop (only
-  /// effective with config.grad_block_rows > 0). nullptr detaches; the
-  /// update result is bit-identical with or without a pool.
-  void set_pool(ThreadPool* pool);
 
   GaussianPolicy& policy() { return policy_; }
   GaussianPolicy& behavior_policy() { return policy_old_; }
@@ -129,11 +111,6 @@ class PpoAgent {
   std::vector<double> td_target_;
   std::vector<double> coeff_;
   std::vector<double> logp_new_;
-  std::vector<double> v_vals_;  ///< blocked critic pass: per-row V(s)
-
-  /// Non-null iff config.grad_block_rows > 0 and the policy's sigma is
-  /// state-independent (the blocked path's precondition).
-  std::unique_ptr<BlockGradEngine> engine_;
 };
 
 }  // namespace fedra

@@ -77,57 +77,50 @@ TEST(Policy, EntropyMatchesClosedForm) {
 }
 
 TEST(Policy, BackwardLogProbsMatchesNumericGradient) {
-  // Check d(sum_b coeff_b logp_b)/d theta for EVERY parameter against
-  // central differences — validates the hand-derived policy gradient.
-  auto p = make_policy(3, 2, 9);
-  Rng rng(10);
-  const std::size_t batch = 5;
-  Matrix states = Matrix::random_gaussian(batch, 3, rng);
-  Matrix actions = Matrix::random_gaussian(batch, 2, rng, 0.0, 0.7);
-  std::vector<double> coeff{0.5, -1.0, 2.0, 0.1, -0.3};
+  // Check d(sum_b coeff_b logp_b - entropy_coeff * H)/d theta for EVERY
+  // parameter against central differences — validates the hand-derived
+  // policy gradient, with and without the state-independent entropy term.
+  for (const double entropy_coeff : {0.0, 0.3}) {
+    auto p = make_policy(3, 2, 9);
+    Rng rng(10);
+    const std::size_t batch = 5;
+    Matrix states = Matrix::random_gaussian(batch, 3, rng);
+    Matrix actions = Matrix::random_gaussian(batch, 2, rng, 0.0, 0.7);
+    std::vector<double> coeff{0.5, -1.0, 2.0, 0.1, -0.3};
 
-  auto objective = [&] {
-    auto logps = p.log_probs(states, actions);
-    double acc = 0.0;
-    for (std::size_t b = 0; b < batch; ++b) acc += coeff[b] * logps[b];
-    return acc;
-  };
+    auto objective = [&] {
+      auto logps = p.log_probs(states, actions);
+      double acc = 0.0;
+      for (std::size_t b = 0; b < batch; ++b) acc += coeff[b] * logps[b];
+      return acc - entropy_coeff * p.entropy();
+    };
 
-  p.zero_grad();
-  p.forward_log_probs(states, actions);
-  p.backward_log_probs(states, actions, coeff);
+    p.zero_grad();
+    p.forward_log_probs(states, actions);
+    p.backward_log_probs(states, actions, coeff, entropy_coeff);
 
-  auto params = p.params();
-  auto grads = p.grads();
-  double worst = 0.0;
-  const double eps = 1e-6;
-  for (std::size_t pi = 0; pi < params.size(); ++pi) {
-    for (std::size_t j = 0; j < params[pi]->size(); ++j) {
-      double& w = (*params[pi])[j];
-      const double orig = w;
-      w = orig + eps;
-      const double up = objective();
-      w = orig - eps;
-      const double down = objective();
-      w = orig;
-      const double numeric = (up - down) / (2 * eps);
-      const double analytic = (*grads[pi])[j];
-      const double denom =
-          std::max({std::abs(numeric), std::abs(analytic), 1e-8});
-      worst = std::max(worst, std::abs(numeric - analytic) / denom);
+    auto params = p.params();
+    auto grads = p.grads();
+    double worst = 0.0;
+    const double eps = 1e-6;
+    for (std::size_t pi = 0; pi < params.size(); ++pi) {
+      for (std::size_t j = 0; j < params[pi]->size(); ++j) {
+        double& w = (*params[pi])[j];
+        const double orig = w;
+        w = orig + eps;
+        const double up = objective();
+        w = orig - eps;
+        const double down = objective();
+        w = orig;
+        const double numeric = (up - down) / (2 * eps);
+        const double analytic = (*grads[pi])[j];
+        const double denom =
+            std::max({std::abs(numeric), std::abs(analytic), 1e-8});
+        worst = std::max(worst, std::abs(numeric - analytic) / denom);
+      }
     }
+    EXPECT_LT(worst, 1e-5) << "entropy_coeff=" << entropy_coeff;
   }
-  EXPECT_LT(worst, 1e-5);
-}
-
-TEST(Policy, EntropyGradAccumulation) {
-  auto p = make_policy(2, 2, 11);
-  p.zero_grad();
-  p.accumulate_entropy_grad(-0.5);
-  auto grads = p.grads();
-  // Last grad entry is log_std's.
-  const Matrix& g = *grads.back();
-  for (std::size_t j = 0; j < g.size(); ++j) EXPECT_DOUBLE_EQ(g[j], -0.5);
 }
 
 TEST(Policy, ClampLogStdEnforcesBounds) {
@@ -271,11 +264,6 @@ TEST(PolicySds, BackwardMatchesNumericGradientWithEntropy) {
     }
   }
   EXPECT_LT(worst, 1e-5);
-}
-
-TEST(PolicySds, AccumulateEntropyGradAborts) {
-  auto p = make_sds_policy();
-  EXPECT_DEATH(p.accumulate_entropy_grad(0.1), "precondition");
 }
 
 TEST(PolicySds, SaveLoadRoundTrip) {

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "nn/activations.hpp"
@@ -213,6 +214,69 @@ TEST(Workspace, LossIntoMatchesLegacy) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(into.value),
             std::bit_cast<std::uint64_t>(legacy.value));
   EXPECT_TRUE(bitwise_equal(into.grad, legacy.grad));
+}
+
+// Cached forward/backward passes must fully overwrite everything they
+// read: warm a workspace at batch 8, poison every buffer with NaN/±inf,
+// then run batch 3 — the result must match a pristine workspace bit for
+// bit. A PPO update relies on this: its ragged tail minibatch reuses the
+// critic and actor workspaces that earlier, larger minibatches warmed.
+TEST(Workspace, PoisonedPaddingDoesNotLeak) {
+  auto make_net = [] {
+    Rng rng(17);
+    return Mlp({5, 11, 3}, Activation::Tanh, rng);
+  };
+  Mlp warm_net = make_net();
+  Mlp fresh_net = make_net();
+
+  Rng data_rng(19);
+  Matrix big(8, 5);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big.data()[i] = data_rng.uniform(-1.0, 1.0);
+  }
+  Matrix input(3, 5);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input.data()[i] = data_rng.uniform(-1.0, 1.0);
+  }
+  Matrix grad_out(3, 3);
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    grad_out.data()[i] = data_rng.uniform(-1.0, 1.0);
+  }
+  Matrix big_grad(8, 3, 0.25);
+
+  Workspace warm_ws;
+  warm_net.forward_cached(big, warm_ws);
+  warm_net.backward_cached(big_grad, warm_ws);
+  warm_net.zero_grad();
+
+  // Poison the warmed buffers: alternating NaN / +inf / -inf.
+  const double poisons[3] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (std::size_t s = 0; s < warm_ws.num_slots(); ++s) {
+    Matrix& m = warm_ws.slot(s);
+    for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = poisons[i % 3];
+  }
+  for (std::size_t g = 0; g < 2; ++g) {
+    Matrix& m = warm_ws.grad(g);
+    for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = poisons[i % 3];
+  }
+
+  Workspace fresh_ws;
+  const Matrix& warm_out = warm_net.forward_cached(input, warm_ws);
+  const Matrix& fresh_out = fresh_net.forward_cached(input, fresh_ws);
+  EXPECT_TRUE(bitwise_equal(warm_out, fresh_out)) << "forward output";
+
+  const Matrix& warm_gin = warm_net.backward_cached(grad_out, warm_ws);
+  const Matrix& fresh_gin = fresh_net.backward_cached(grad_out, fresh_ws);
+  EXPECT_TRUE(bitwise_equal(warm_gin, fresh_gin)) << "input gradient";
+
+  auto wg = warm_net.grads();
+  auto fg = fresh_net.grads();
+  ASSERT_EQ(wg.size(), fg.size());
+  for (std::size_t i = 0; i < wg.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(*wg[i], *fg[i])) << "param gradient " << i;
+  }
 }
 
 }  // namespace
