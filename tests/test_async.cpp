@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "fl/async_fedavg.hpp"
 #include "fl/dataset.hpp"
@@ -199,6 +200,29 @@ TEST(AsyncFedAvg, EventDrivenTrainingConverges) {
   }
   EXPECT_LT(server.global_loss(), 0.6 * initial);
   EXPECT_GT(server.global_accuracy(), 0.6);
+}
+
+TEST(AsyncFedAvg, GlobalAccuracyIsPinned) {
+  // Bitwise pin of the evaluation pass after two staleness-weighted rounds.
+  Rng rng(61);
+  ModelSpec spec;
+  spec.sizes = {4, 12, 3};
+  auto data = make_gaussian_mixture(240, 4, 3, rng, 3.0, 0.6);
+  auto shards = split_iid(data, 2, rng);
+  std::vector<FlClient> clients;
+  for (std::size_t i = 0; i < 2; ++i) {
+    clients.emplace_back(std::move(shards[i]), spec, 62 + i);
+  }
+  AsyncFedAvgServer server(std::move(clients), spec,
+                           AsyncAggregationConfig{}, 64);
+  const auto pulled = server.snapshot();
+  LocalTrainConfig ltc;
+  server.apply_update(0, pulled, 0, ltc, 0);
+  server.apply_update(1, pulled, 1, ltc, 1);
+  const double acc = server.global_accuracy();
+  std::ostringstream os;
+  os << std::hexfloat << acc;
+  EXPECT_EQ(acc, 0x1.1dddddddddddep-1) << "actual " << os.str();
 }
 
 TEST(AsyncDeathTest, BadInputsAbort) {

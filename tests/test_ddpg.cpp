@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 namespace fedra {
 namespace {
@@ -166,6 +167,47 @@ TEST(Ddpg, UpdateStatsFiniteAfterWarmup) {
   EXPECT_TRUE(std::isfinite(stats.critic_loss));
   EXPECT_TRUE(std::isfinite(stats.actor_objective));
   EXPECT_GT(stats.critic_loss, 0.0);
+}
+
+// Bitwise pin: a mismatch prints the actual value as a hex-float literal.
+void expect_bits(double actual, double pinned) {
+  std::ostringstream os;
+  os << std::hexfloat << actual;
+  EXPECT_EQ(actual, pinned) << "actual " << os.str();
+}
+
+TEST(Ddpg, SeededUpdatesArePinned) {
+  // gamma > 0 so the target actor and target critic both enter the TD
+  // target; the actor step chains through the critic's input gradient.
+  DdpgConfig cfg;
+  cfg.gamma = 0.9;
+  cfg.warmup = 32;
+  cfg.batch_size = 16;
+  DdpgAgent agent(3, 2, cfg, 51);
+  auto state_at = [](int i) {
+    return std::vector<double>{std::sin(0.7 * i), std::cos(0.3 * i),
+                               0.1 * (i % 5)};
+  };
+  const auto first = agent.act(state_at(0));
+  expect_bits(first[0], 0x1.0a3fa05ea890ep-1);
+  expect_bits(first[1], 0x1.0f95ea7f7b14ap-1);
+  Rng rng(52);
+  for (int i = 0; i < 40; ++i) {
+    OffPolicyTransition t;
+    t.state = state_at(i);
+    t.next_state = state_at(i + 1);
+    t.action = agent.act_noisy(t.state, rng);
+    t.reward = -std::abs(t.action[0] - 0.6) - std::abs(t.action[1] - 0.4);
+    agent.remember(std::move(t));
+  }
+  const double pinned[3][2] = {{0x1.54df19a62ac98p-3, -0x1.33f2c1960e32p-3},
+                               {0x1.2d0d720b54e1ep-4, -0x1.007474708153ep-2},
+                               {0x1.19a5822e90479p-5, -0x1.13043f71f75ebp-2}};
+  for (int u = 0; u < 3; ++u) {
+    const DdpgStats stats = agent.update(rng);
+    expect_bits(stats.critic_loss, pinned[u][0]);
+    expect_bits(stats.actor_objective, pinned[u][1]);
+  }
 }
 
 }  // namespace

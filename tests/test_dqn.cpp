@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 namespace fedra {
 namespace {
@@ -127,6 +128,46 @@ TEST(Dqn, TwoDeviceFactoredBandit) {
   const auto a = agent.act(state);
   EXPECT_DOUBLE_EQ(a[0], 0.4);
   EXPECT_DOUBLE_EQ(a[1], 1.0);
+}
+
+// Bitwise pin: a mismatch prints the actual value as a hex-float literal.
+void expect_bits(double actual, double pinned) {
+  std::ostringstream os;
+  os << std::hexfloat << actual;
+  EXPECT_EQ(actual, pinned) << "actual " << os.str();
+}
+
+TEST(Dqn, SeededUpdatesArePinned) {
+  // gamma > 0 so the target network's forward enters every TD target.
+  DqnConfig cfg = fast_config();
+  cfg.gamma = 0.5;
+  cfg.batch_size = 16;
+  cfg.warmup = 32;
+  FactoredDqnAgent agent(3, 2, cfg, 41);
+  auto state_at = [](int i) {
+    return std::vector<double>{std::sin(0.7 * i), std::cos(0.3 * i),
+                               0.1 * (i % 5)};
+  };
+  const Matrix q0 = agent.q_values(state_at(0));
+  expect_bits(q0(0, 0), -0x1.b7a80947fbd1bp+0);
+  expect_bits(q0(1, 4), 0x1.28b153c690746p+1);
+  const auto first = agent.act(state_at(0));
+  expect_bits(first[0], 0x1.3333333333333p-1);
+  expect_bits(first[1], 0x1p+0);
+  Rng rng(42);
+  for (int i = 0; i < 40; ++i) {
+    OffPolicyTransition t;
+    t.state = state_at(i);
+    t.next_state = state_at(i + 1);
+    t.action = agent.act_epsilon_greedy(t.state, rng);
+    t.reward = -std::abs(t.action[0] - 0.6) - std::abs(t.action[1] - 0.4);
+    agent.remember(std::move(t));
+  }
+  const double pinned[3] = {0x1.81b2df55cc30ep-1, 0x1.2765e7df033e6p-1,
+                            0x1.571a380c8ca8ep-1};
+  for (int u = 0; u < 3; ++u) {
+    expect_bits(agent.update(rng).td_loss, pinned[u]);
+  }
 }
 
 TEST(DqnDeathTest, BadConfigsAbort) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <sstream>
 
 #include "rl/a2c.hpp"
 #include "util/rng.hpp"
@@ -222,6 +223,70 @@ TEST(A2c, AlsoSolvesBanditButIsUsable) {
     agent.update(buffer, rng);
   }
   EXPECT_NEAR(agent.mean_action(env.state)[0], env.target, 0.15);
+}
+
+TEST(Ppo, ActIsTensorAllocationFree) {
+  // The rollout hot path: once the inference buffers have warmed up, a
+  // stochastic act() must not touch the tensor heap.
+  PolicyConfig pcfg;
+  PpoAgent agent(2, 1, pcfg, fast_ppo(), 21);
+  Rng rng(22);
+  const std::vector<double> state{0.25, -0.5};
+  for (int i = 0; i < 3; ++i) agent.act(state, rng);
+  const TensorAllocStats before = tensor_alloc_stats();
+  for (int i = 0; i < 50; ++i) agent.act(state, rng);
+  const TensorAllocStats after = tensor_alloc_stats();
+  EXPECT_EQ(after.allocs, before.allocs);
+  EXPECT_EQ(after.bytes, before.bytes);
+}
+
+// Bitwise pin: a mismatch prints the actual value as a hex-float literal.
+void expect_bits(double actual, double pinned) {
+  std::ostringstream os;
+  os << std::hexfloat << actual;
+  EXPECT_EQ(actual, pinned) << "actual " << os.str();
+}
+
+TEST(A2c, SeededUpdatesArePinned) {
+  // Three updates on a bootstrapped (gamma > 0) task whose next states
+  // differ from the states, so both critic forwards of the update matter.
+  PolicyConfig pcfg;
+  pcfg.hidden = {16};
+  PpoConfig cfg = fast_ppo();
+  cfg.gamma = 0.9;
+  A2cAgent agent(2, 1, pcfg, cfg, 31);
+  Rng rng(32);
+  auto state_at = [](int i) {
+    return std::vector<double>{std::sin(0.7 * i), std::cos(0.3 * i)};
+  };
+  const PolicySample first = agent.act(state_at(0), rng);
+  expect_bits(first.action[0], 0x1.3579b339a633dp-1);
+  expect_bits(first.log_prob, -0x1.5f0083aac1709p+0);
+  const double pinned[3][2] = {{-0x1.2aee6c93351dfp-4, 0x1.0d077679fcabap-8},
+                               {0x1.6899c3964be7cp-4, 0x1.3542f2464c6d3p-4},
+                               {-0x1.662d064d67675p-3, 0x1.ade32984d7ab7p-7}};
+  for (int u = 0; u < 3; ++u) {
+    RolloutBuffer buffer(32);
+    for (int i = 0; i < 32; ++i) {
+      const auto s = state_at(i);
+      const auto next = state_at(i + 1);
+      auto a = agent.act(s, rng);
+      Transition t;
+      t.state = s;
+      t.next_state = next;
+      t.action_u = a.action_u;
+      t.log_prob = a.log_prob;
+      const double d = a.action[0] - 0.5 - 0.2 * s[0];
+      t.reward = -d * d;
+      t.value = agent.value(s);
+      t.next_value = agent.value(next);
+      t.episode_end = (i % 8 == 7);
+      buffer.push(std::move(t));
+    }
+    const UpdateStats stats = agent.update(buffer, rng);
+    expect_bits(stats.policy_loss, pinned[u][0]);
+    expect_bits(stats.value_loss, pinned[u][1]);
+  }
 }
 
 TEST(RolloutBuffer, MatrixViewsMatchTransitions) {
