@@ -1,11 +1,10 @@
-// Perf-regression harness for the tensor/NN hot path (ISSUE 4 acceptance
-// gauge). Measures, before-vs-after in one binary:
+// Perf-regression harness for the tensor/NN hot path. Measures:
 //   * GEMM GFLOP/s per shape: the seed's scalar kernel (faithful copy,
 //     including its `aik == 0.0` skip) vs the blocked/SIMD kernels behind
 //     matmul / matmul_at_b / matmul_a_bt;
-//   * ns per PPO update and tensor heap bytes+allocs per update, with the
-//     workspace-reuse paths on vs off (set_workspace_reuse is the lever);
-//   * ns per FedAvg round, same lever.
+//   * ns per PPO update and tensor heap bytes+allocs per update (the
+//     workspace passes must stay allocation-free once warm);
+//   * the same for one FedAvg round.
 // Results go to stdout and to a JSON file (default BENCH_tensor.json,
 // schema documented in EXPERIMENTS.md).
 //
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "fl/fedavg.hpp"
-#include "nn/workspace.hpp"
 #include "rl/ppo.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -169,10 +167,7 @@ struct TrainStats {
 /// Steady-state cost of one PPO update (fresh agent per call so warmup is
 /// honest): `warmup` updates prime the workspaces, then `steps` timed
 /// updates report mean ns and tensor-heap traffic per update.
-TrainStats measure_ppo(bool reuse, std::size_t steps, std::size_t warmup) {
-  const bool saved = workspace_reuse_enabled();
-  set_workspace_reuse(reuse);
-
+TrainStats measure_ppo(std::size_t steps, std::size_t warmup) {
   const std::size_t state_dim = 27;  // 3 devices x 9 state features
   const std::size_t action_dim = 3;
   PolicyConfig pcfg;
@@ -209,7 +204,6 @@ TrainStats measure_ppo(bool reuse, std::size_t steps, std::size_t warmup) {
   const double secs = seconds_since(t0);
   const TensorAllocStats after = tensor_alloc_stats();
 
-  set_workspace_reuse(saved);
   TrainStats out;
   const double inv = 1.0 / static_cast<double>(steps);
   out.ns_per_step = secs * 1e9 * inv;
@@ -221,10 +215,7 @@ TrainStats measure_ppo(bool reuse, std::size_t steps, std::size_t warmup) {
 }
 
 /// Steady-state cost of one FedAvg round (4 IID clients, tau=0.25).
-TrainStats measure_fedavg(bool reuse, std::size_t steps, std::size_t warmup) {
-  const bool saved = workspace_reuse_enabled();
-  set_workspace_reuse(reuse);
-
+TrainStats measure_fedavg(std::size_t steps, std::size_t warmup) {
   Rng rng(9);
   Dataset data = make_gaussian_mixture(512, 16, 4, rng);
   auto shards = split_iid(data, 4, rng);
@@ -247,7 +238,6 @@ TrainStats measure_fedavg(bool reuse, std::size_t steps, std::size_t warmup) {
   const double secs = seconds_since(t0);
   const TensorAllocStats after = tensor_alloc_stats();
 
-  set_workspace_reuse(saved);
   TrainStats out;
   const double inv = 1.0 / static_cast<double>(steps);
   out.ns_per_step = secs * 1e9 * inv;
@@ -259,15 +249,14 @@ TrainStats measure_fedavg(bool reuse, std::size_t steps, std::size_t warmup) {
 }
 
 void write_json(const std::string& path, bool smoke, int reps,
-                const std::vector<GemmRow>& gemm, const TrainStats& ppo_on,
-                const TrainStats& ppo_off, const TrainStats& fed_on,
-                const TrainStats& fed_off) {
+                const std::vector<GemmRow>& gemm, const TrainStats& ppo,
+                const TrainStats& fed) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "bench_gemm: cannot write %s\n", path.c_str());
     return;
   }
-  os << "{\n  \"schema\": \"fedra.bench.tensor.v1\",\n";
+  os << "{\n  \"schema\": \"fedra.bench.tensor.v2\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"gemm\": [\n";
@@ -281,28 +270,16 @@ void write_json(const std::string& path, bool smoke, int reps,
        << (i + 1 < gemm.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  auto train_obj = [&os](const char* key, const TrainStats& on,
-                         const TrainStats& off, bool last) {
-    const double reduction =
-        off.alloc_bytes_per_step > 0.0
-            ? 1.0 - on.alloc_bytes_per_step / off.alloc_bytes_per_step
-            : 0.0;
-    // Boolean gate (kExact in bench_obs --compare): the reuse path must
-    // not cost time for its allocation savings. 10% slack absorbs
-    // measurement noise on the short smoke runs.
-    const bool not_slower = on.ns_per_step <= off.ns_per_step * 1.10;
-    os << "  \"" << key << "\": {\"ns_reuse\": " << on.ns_per_step
-       << ", \"ns_legacy\": " << off.ns_per_step
-       << ", \"alloc_bytes_reuse\": " << on.alloc_bytes_per_step
-       << ", \"alloc_bytes_legacy\": " << off.alloc_bytes_per_step
-       << ", \"allocs_reuse\": " << on.allocs_per_step
-       << ", \"allocs_legacy\": " << off.allocs_per_step
-       << ", \"alloc_reduction\": " << reduction
-       << ", \"reuse_not_slower\": " << (not_slower ? "true" : "false")
-       << "}" << (last ? "" : ",") << "\n";
+  // The keys keep their historical "_reuse" suffix, so the baseline's
+  // allocs_reuse = 0 upper bounds keep gating allocation-free passes.
+  auto train_obj = [&os](const char* key, const TrainStats& t, bool last) {
+    os << "  \"" << key << "\": {\"ns_reuse\": " << t.ns_per_step
+       << ", \"alloc_bytes_reuse\": " << t.alloc_bytes_per_step
+       << ", \"allocs_reuse\": " << t.allocs_per_step << "}"
+       << (last ? "" : ",") << "\n";
   };
-  train_obj("ppo_update", ppo_on, ppo_off, false);
-  train_obj("fedavg_round", fed_on, fed_off, true);
+  train_obj("ppo_update", ppo, false);
+  train_obj("fedavg_round", fed, true);
   os << "}\n";
 }
 
@@ -354,48 +331,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Four smoke steps, not two: the reuse_not_slower gate needs the mean to
-  // sit above scheduler noise, and a PPO update is ~6 ms either way.
+  // Four smoke steps, not two, so the mean sits above scheduler noise (a
+  // PPO update is ~6 ms).
   const std::size_t train_steps = smoke ? 4 : 20;
   const std::size_t warmup = smoke ? 1 : 3;
-  // Each config is measured twice and keeps its best mean: the
-  // reuse_not_slower gates compare paths that are near time-parity, so a
-  // single noisy mean would flip them. Alloc counts are deterministic —
-  // either run reports the same ones.
+  // Each config is measured twice and keeps its best mean. Alloc counts
+  // are deterministic — either run reports the same ones.
   auto best_of = [](TrainStats a, const TrainStats& b) {
     if (b.ns_per_step < a.ns_per_step) a.ns_per_step = b.ns_per_step;
     return a;
   };
-  const TrainStats ppo_on = best_of(measure_ppo(true, train_steps, warmup),
-                                    measure_ppo(true, train_steps, warmup));
-  const TrainStats ppo_off = best_of(measure_ppo(false, train_steps, warmup),
-                                     measure_ppo(false, train_steps, warmup));
-  const TrainStats fed_on =
-      best_of(measure_fedavg(true, train_steps, warmup),
-              measure_fedavg(true, train_steps, warmup));
-  const TrainStats fed_off =
-      best_of(measure_fedavg(false, train_steps, warmup),
-              measure_fedavg(false, train_steps, warmup));
+  const TrainStats ppo = best_of(measure_ppo(train_steps, warmup),
+                                 measure_ppo(train_steps, warmup));
+  const TrainStats fed = best_of(measure_fedavg(train_steps, warmup),
+                                 measure_fedavg(train_steps, warmup));
 
-  auto print_train = [](const char* what, const TrainStats& on,
-                        const TrainStats& off) {
-    std::printf("\n%s (workspace reuse on vs off):\n", what);
-    std::printf("  time:   %.0f ns vs %.0f ns per step\n", on.ns_per_step,
-                off.ns_per_step);
-    std::printf("  heap:   %.0f bytes (%.1f allocs) vs %.0f bytes "
-                "(%.1f allocs) per step\n",
-                on.alloc_bytes_per_step, on.allocs_per_step,
-                off.alloc_bytes_per_step, off.allocs_per_step);
-    if (off.alloc_bytes_per_step > 0.0) {
-      std::printf("  alloc reduction: %.1f%%\n",
-                  100.0 * (1.0 - on.alloc_bytes_per_step /
-                                     off.alloc_bytes_per_step));
-    }
+  auto print_train = [](const char* what, const TrainStats& t) {
+    std::printf("\n%s:\n", what);
+    std::printf("  time:   %.0f ns per step\n", t.ns_per_step);
+    std::printf("  heap:   %.0f bytes (%.1f allocs) per step\n",
+                t.alloc_bytes_per_step, t.allocs_per_step);
   };
-  print_train("PPO update", ppo_on, ppo_off);
-  print_train("FedAvg round", fed_on, fed_off);
+  print_train("PPO update", ppo);
+  print_train("FedAvg round", fed);
 
-  write_json(out_path, smoke, reps, rows, ppo_on, ppo_off, fed_on, fed_off);
+  write_json(out_path, smoke, reps, rows, ppo, fed);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

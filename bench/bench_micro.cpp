@@ -102,10 +102,12 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   Matrix x = Matrix::random_gaussian(32, 64, rng);
   std::vector<std::size_t> labels(32);
   for (std::size_t i = 0; i < 32; ++i) labels[i] = i % 10;
+  Workspace ws;
+  LossResult loss;
   for (auto _ : state) {
     net.zero_grad();
-    auto loss = softmax_cross_entropy(net.forward(x), labels);
-    net.backward(loss.grad);
+    softmax_cross_entropy_into(net.forward_cached(x, ws), labels, loss);
+    net.backward_cached(loss.grad, ws);
     benchmark::DoNotOptimize(loss.value);
   }
 }

@@ -1,22 +1,17 @@
-// Perf/cost regression harness for the observability layer (ISSUE 5) and
-// the training hot path's ledger gates (ISSUE 8).
+// Perf/cost regression harness for the observability layer and the
+// ledger's hot-path cost.
 //
 // Measure mode (default) runs the same deterministic FlEnv trajectory four
 // times — telemetry off, telemetry on, telemetry+sync ledger, telemetry+
 // async ledger (the default config) — and reports ns per env step for
 // each, the ledger's bytes/records per round, and whether the ledger's
 // cost decomposition and fault-free predictions round-trip bit-exactly.
-// It then times full offline DRL training (ledger on, ~16 devices) twice:
-// once with the serial hot-path levers off (sync ledger, libm
-// activations, no kernel fusion — the "before" configuration) and once at
-// today's defaults. Two boolean gates are derived and enforced exactly by
-// compare mode: ledger_overhead_ok (async ledger hot-path overhead <= 4x
-// a plain step) and train_speedup_ok (ledger-on training at least
-// train_speedup_floor() times faster than the before configuration). A
-// third pair of legs times the flight recorder (telemetry off, recorder
+// It derives the boolean gate ledger_overhead_ok (async ledger hot-path
+// overhead <= 4x a plain step), enforced exactly by compare mode. A
+// second pair of legs times the flight recorder (telemetry off, recorder
 // force-off vs on) and derives recorder_overhead_ok (always-on ring write
 // <= 1.05x a recorder-free step). Results go to stdout and a JSON file
-// (schema fedra.bench.obs.v3, documented in EXPERIMENTS.md).
+// (schema fedra.bench.obs.v4, documented in EXPERIMENTS.md).
 //
 //   bench_obs [--smoke] [--reps N] [--rounds N] [--out PATH]
 //
@@ -43,10 +38,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/offline_trainer.hpp"
 #include "env/fl_env.hpp"
 #include "live/flight_recorder.hpp"
-#include "nn/fused.hpp"
 #include "obs/json_min.hpp"
 #include "obs/ledger.hpp"
 #include "sim/experiment_config.hpp"
@@ -112,9 +105,6 @@ struct ObsBenchResult {
   bool decomposition_exact = false;
   bool prediction_exact = false;
   std::size_t parse_errors = 0;
-  double train_ns_before = 0.0;  ///< sync ledger, libm act, no fusion
-  double train_ns_after = 0.0;   ///< today's defaults, ledger on
-  std::size_t train_steps = 0;
 };
 
 /// Times the ledger leg: `reps` runs of the fixed trajectory with the
@@ -152,90 +142,8 @@ double run_ledger_leg_ns(std::size_t rounds, int reps, bool async,
   return best_ns;
 }
 
-/// The end-to-end training scenario for the throughput gate: a mid-size
-/// federation (16 devices sharing 4 traces, the paper's pooled-trace
-/// setup) so ledger records carry real per-device tables, with episodes
-/// short enough that --smoke stays a smoke test.
-ExperimentConfig train_config() {
-  ExperimentConfig cfg = testbed_config();
-  cfg.num_devices = 16;
-  cfg.trace_pool = 4;
-  cfg.cost.lambda = 0.1;
-  return cfg;
-}
-
-/// The gate floor for train_speedup, graded by hw threads. Both legs run
-/// training serially, so the gap between them comes only from the levers
-/// run_training_ns toggles: fused kernels, fast activations and the async
-/// ledger (whose drain thread is the one piece that can use a second
-/// core). The 2.0 and 1.2 floors for multi-core runners predate that and
-/// sit above what those levers measure there; they stay until the
-/// baselines are re-recorded on a multi-core machine. A regression that
-/// re-libm's the activations or re-syncs the ledger flips the boolean
-/// anywhere, which is what the baseline diff is for. Both the floor and
-/// hw_threads are recorded in the JSON, so the baseline documents which
-/// regime it was measured in.
-double train_speedup_floor() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 4) return 2.0;
-  if (hw >= 2) return 1.2;
-  // On one core the serial levers buy ~1.2-1.5x here, but each smoke leg
-  // is ~14 ms and ambient noise on a shared box is ±10%; 0.9 still trips
-  // on any real regression (re-libm'd activations alone costs ~2x).
-  return 0.9;
-}
-
-/// ns per env step (best of `reps`) of full offline DRL training with the
-/// ledger recording every round. `levers_on` selects today's defaults
-/// (async ledger, fast activations, fused kernels); off reproduces the
-/// earlier hot path (synchronous ledger, libm activations, unfused
-/// kernels). Timing includes the final flush, so the async leg cannot
-/// hide unfinished drain work.
-double run_training_ns(bool levers_on, int reps, std::size_t episodes,
-                       std::size_t episode_length,
-                       const std::string& scratch_path,
-                       std::size_t* steps_out) {
-  set_fast_activations(levers_on);
-  set_fused_kernels(levers_on);
-  const ExperimentConfig cfg = train_config();
-  obs::LedgerConfig lcfg;
-  lcfg.path = scratch_path;
-  lcfg.run_id = levers_on ? "bench_obs_train_after" : "bench_obs_train_before";
-  lcfg.lambda = cfg.cost.lambda;
-  lcfg.async = levers_on;
-  double best_ns = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    if (!obs::RunLedger::enable(lcfg)) {
-      std::fprintf(stderr, "bench_obs: cannot write %s\n",
-                   scratch_path.c_str());
-      break;
-    }
-    FlEnvConfig env_cfg;
-    env_cfg.slot_seconds = cfg.slot_seconds;
-    env_cfg.history_slots = cfg.history_slots;
-    env_cfg.episode_length = episode_length;
-    TrainerConfig tcfg = recommended_trainer_config(episodes);
-    tcfg.buffer_capacity = 2 * episode_length;  // update every 2 episodes
-    OfflineTrainer trainer(FlEnv(build_simulator(cfg), env_cfg), tcfg, 7);
-    const auto t0 = Clock::now();
-    trainer.train();
-    obs::RunLedger::flush();
-    const double steps = static_cast<double>(episodes * episode_length);
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count() /
-        steps;
-    if (r == 0 || ns < best_ns) best_ns = ns;
-    if (steps_out != nullptr) *steps_out = episodes * episode_length;
-    obs::RunLedger::disable();
-  }
-  obs::RunLedger::disable();
-  set_fast_activations(true);
-  set_fused_kernels(true);
-  return best_ns;
-}
-
 ObsBenchResult measure(std::size_t rounds, int reps,
-                       const std::string& scratch_path, bool smoke) {
+                       const std::string& scratch_path) {
   ObsBenchResult out;
   out.rounds = rounds;
   out.num_devices = make_env(1).num_devices();
@@ -310,23 +218,6 @@ ObsBenchResult measure(std::size_t rounds, int reps,
   out.step_ns_ledger = run_ledger_leg_ns(rounds, ledger_reps, /*async=*/true,
                                          scratch_path, &records);
 
-  // Training throughput gate: before-vs-after the ISSUE 8 levers, best of
-  // five runs per leg so a stray scheduler hiccup cannot flip the verdict.
-  const std::size_t episodes = smoke ? 4 : 10;
-  const std::size_t episode_length = smoke ? 12 : 20;
-  // Interleave the legs (like the recorder legs above) so ambient load
-  // arriving mid-bench hits both sides instead of biasing one.
-  out.train_ns_before = 0.0;
-  out.train_ns_after = 0.0;
-  for (int r = 0; r < 5; ++r) {
-    const double before = run_training_ns(false, 1, episodes, episode_length,
-                                          scratch_path + ".train", nullptr);
-    const double after = run_training_ns(true, 1, episodes, episode_length,
-                                         scratch_path + ".train",
-                                         &out.train_steps);
-    if (r == 0 || before < out.train_ns_before) out.train_ns_before = before;
-    if (r == 0 || after < out.train_ns_after) out.train_ns_after = after;
-  }
   telemetry::Telemetry::disable();
 
   out.ledger_bytes_per_round = static_cast<double>(file_bytes(scratch_path)) /
@@ -367,13 +258,11 @@ void write_json(const std::string& path, bool smoke, int reps,
   }
   const double ledger_overhead =
       r.step_ns_plain > 0.0 ? r.step_ns_ledger / r.step_ns_plain : 0.0;
-  const double train_speedup =
-      r.train_ns_after > 0.0 ? r.train_ns_before / r.train_ns_after : 0.0;
   const double recorder_overhead =
       r.step_ns_recorder_off > 0.0
           ? 1.0 + r.recorder_record_ns / r.step_ns_recorder_off
           : 0.0;
-  os << "{\n  \"schema\": \"fedra.bench.obs.v3\",\n";
+  os << "{\n  \"schema\": \"fedra.bench.obs.v4\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"rounds\": " << r.rounds << ",\n";
@@ -409,14 +298,7 @@ void write_json(const std::string& path, bool smoke, int reps,
   os << "  \"prediction_exact\": " << (r.prediction_exact ? "true" : "false")
      << ",\n";
   os << "  \"parse_errors\": " << r.parse_errors << ",\n";
-  os << "  \"train_steps\": " << r.train_steps << ",\n";
-  os << "  \"hw_threads\": " << std::thread::hardware_concurrency() << ",\n";
-  os << "  \"train_ns_before\": " << r.train_ns_before << ",\n";
-  os << "  \"train_ns_after\": " << r.train_ns_after << ",\n";
-  os << "  \"train_speedup\": " << train_speedup << ",\n";
-  os << "  \"train_speedup_floor\": " << train_speedup_floor() << ",\n";
-  os << "  \"train_speedup_ok\": "
-     << (train_speedup >= train_speedup_floor() ? "true" : "false")
+  os << "  \"hw_threads\": " << std::thread::hardware_concurrency()
      << "\n}\n";
 }
 
@@ -615,7 +497,7 @@ int main(int argc, char** argv) {
     rounds = 20;
   }
   const std::string scratch = out_path + ".scratch.ledger.jsonl";
-  const ObsBenchResult r = measure(rounds, reps, scratch, smoke);
+  const ObsBenchResult r = measure(rounds, reps, scratch);
 
   std::printf("env step (%zu rounds, %zu devices, best of %d):\n", r.rounds,
               r.num_devices, reps);
@@ -648,30 +530,20 @@ int main(int argc, char** argv) {
               r.decomposition_exact ? "bit-exact" : "NOT EXACT",
               r.prediction_exact ? "bit-exact" : "NOT EXACT",
               r.parse_errors);
-  std::printf("training w/ ledger (%zu steps, 16 devices): %.0f ns/step "
-              "before, %.0f ns/step now — %.2fx (gate >= %.1fx at %u "
-              "hw threads)\n",
-              r.train_steps, r.train_ns_before, r.train_ns_after,
-              r.train_ns_after > 0.0 ? r.train_ns_before / r.train_ns_after
-                                     : 0.0,
-              train_speedup_floor(), std::thread::hardware_concurrency());
 
   write_json(out_path, smoke, reps, r);
   std::printf("wrote %s\n", out_path.c_str());
-  // The exit code enforces the ISSUE 8 acceptance gates directly, so the
-  // smoke ctest entry fails even before the baseline diff runs.
+  // The exit code enforces the gates directly, so the smoke ctest entry
+  // fails even before the baseline diff runs.
   const bool ledger_ok = r.step_ns_plain > 0.0 &&
                          r.step_ns_ledger <= 4.0 * r.step_ns_plain;
-  const bool train_ok =
-      r.train_ns_after > 0.0 &&
-      r.train_ns_before >= train_speedup_floor() * r.train_ns_after;
-  // ISSUE 10 gate: the always-on flight recorder must stay within 5% of a
+  // The always-on flight recorder must stay within 5% of a
   // recorder-free step (ring-write cost measured tight-loop, see measure()).
   const bool recorder_ok =
       r.step_ns_recorder_off > 0.0 &&
       r.recorder_record_ns <= 0.05 * r.step_ns_recorder_off;
   return r.decomposition_exact && r.prediction_exact && ledger_ok &&
-                 train_ok && recorder_ok
+                 recorder_ok
              ? 0
              : 1;
 }

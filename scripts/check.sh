@@ -21,9 +21,10 @@
 #      enforces bench_serve's batched-vs-sequential speedup floor and
 #      bit-exactness flag, bench_fleet's engine-vs-scalar-oracle
 #      bitwise pricing contract (50 → 1M devices, pools {1,2,8}),
-#      bench_gemm's reuse-not-slower gates, bench_obs's async-ledger
-#      overhead ceiling plus hardware-graded training-speedup floor,
-#      and bench_sweep's serial≡parallel bitwise-aggregate contract
+#      bench_gemm's zero-allocation PPO/FedAvg steady state (via the
+#      baselines' allocs_reuse = 0 bounds), bench_obs's
+#      async-ledger and flight-recorder overhead ceilings, and
+#      bench_sweep's serial≡parallel bitwise-aggregate contract
 #      plus hardware-graded sweep-speedup floor (the converted
 #      bench_multiseed / bench_ablate_tau / bench_ablate_lambda smokes
 #      assert the same serial≡parallel contract on their own grids),

@@ -69,7 +69,8 @@ double AsyncFedAvgServer::global_accuracy() {
   double correct_weighted = 0.0;
   double total = 0.0;
   for (auto& c : clients_) {
-    Matrix logits = global_model_.forward(c.data().features);
+    const Matrix& logits =
+        global_model_.forward_cached(c.data().features, eval_ws_);
     const double acc = accuracy(logits, c.data().labels);
     const auto d = static_cast<double>(c.num_samples());
     correct_weighted += d * acc;

@@ -52,6 +52,7 @@ class AsyncFedAvgServer {
  private:
   std::vector<FlClient> clients_;
   Mlp global_model_;
+  Workspace eval_ws_;  ///< global_accuracy's forward buffers
   std::vector<Matrix> global_params_;
   AsyncAggregationConfig config_;
   std::size_t version_ = 0;

@@ -1,29 +1,11 @@
 #include "nn/activations.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/fused.hpp"
 #include "tensor/ops.hpp"
 
 namespace fedra {
-
-// Legacy (allocating) entries copy the operand they need into a member
-// with capacity reuse, then run the same into-kernels the workspace path
-// uses — one implementation, bit-identical both ways.
-
-Matrix ReLU::forward(const Matrix& input) {
-  cached_input_.assign_from(input);
-  Matrix out;
-  forward_into(cached_input_, out);
-  return out;
-}
-
-Matrix ReLU::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
-}
 
 void ReLU::forward_into(const Matrix& input, Matrix& out) {
   input_ref_ = &input;
@@ -38,19 +20,6 @@ void ReLU::backward_into(const Matrix& grad_output, Matrix& grad_in) {
   FEDRA_EXPECTS(grad_output.same_shape(x));
   grad_in.resize_reuse(x.rows(), x.cols());
   relu_backward_map(grad_output.data(), x.data(), grad_in.data(), x.size());
-}
-
-Matrix LeakyReLU::forward(const Matrix& input) {
-  cached_input_.assign_from(input);
-  Matrix out;
-  forward_into(cached_input_, out);
-  return out;
-}
-
-Matrix LeakyReLU::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
 }
 
 void LeakyReLU::forward_into(const Matrix& input, Matrix& out) {
@@ -68,26 +37,9 @@ void LeakyReLU::backward_into(const Matrix& grad_output, Matrix& grad_in) {
                           grad_in.data(), x.size());
 }
 
-Matrix Tanh::forward(const Matrix& input) {
-  forward_into(input, cached_output_);
-  return cached_output_;
-}
-
-Matrix Tanh::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
-}
-
 void Tanh::forward_into(const Matrix& input, Matrix& out) {
   out.resize_reuse(input.rows(), input.cols());
-  if (fast_activations_enabled()) {
-    fast_tanh_map(input.data(), out.data(), input.size());
-  } else {
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      out[i] = std::tanh(input[i]);
-    }
-  }
+  fast_tanh_map(input.data(), out.data(), input.size());
   output_ref_ = &out;  // derivative reads the output, wherever it lives
 }
 
@@ -99,33 +51,9 @@ void Tanh::backward_into(const Matrix& grad_output, Matrix& grad_in) {
   tanh_backward_map(grad_output.data(), y.data(), grad_in.data(), y.size());
 }
 
-Matrix Sigmoid::forward(const Matrix& input) {
-  forward_into(input, cached_output_);
-  return cached_output_;
-}
-
-Matrix Sigmoid::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
-}
-
 void Sigmoid::forward_into(const Matrix& input, Matrix& out) {
   out.resize_reuse(input.rows(), input.cols());
-  if (fast_activations_enabled()) {
-    fast_sigmoid_map(input.data(), out.data(), input.size());
-  } else {
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      const double x = input[i];
-      // Split on sign to avoid overflow in exp.
-      if (x >= 0.0) {
-        out[i] = 1.0 / (1.0 + std::exp(-x));
-      } else {
-        const double e = std::exp(x);
-        out[i] = e / (1.0 + e);
-      }
-    }
-  }
+  fast_sigmoid_map(input.data(), out.data(), input.size());
   output_ref_ = &out;
 }
 
@@ -141,8 +69,7 @@ void Sigmoid::backward_into(const Matrix& grad_output, Matrix& grad_in) {
 void softmax_rows_into(const Matrix& logits, Matrix& out) {
   // No upfront copy: the shifted logits are written straight into `out`
   // (aliasing-safe — each element is read once before it is overwritten),
-  // then exponentiated in place and normalized. With fast_activations off
-  // this computes exactly the legacy copy-then-transform element sequence.
+  // then exponentiated in place and normalized.
   if (&out != &logits) out.resize_reuse(logits.rows(), logits.cols());
   const std::size_t cols = logits.cols();
   for (std::size_t i = 0; i < logits.rows(); ++i) {
@@ -150,11 +77,7 @@ void softmax_rows_into(const Matrix& logits, Matrix& out) {
     const double mx = *std::max_element(src.begin(), src.end());
     double* o = out.data() + i * cols;
     for (std::size_t j = 0; j < cols; ++j) o[j] = src[j] - mx;
-    if (fast_activations_enabled()) {
-      fast_exp_map(o, o, cols);
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) o[j] = std::exp(o[j]);
-    }
+    fast_exp_map(o, o, cols);
     double z = 0.0;
     for (std::size_t j = 0; j < cols; ++j) z += o[j];
     for (std::size_t j = 0; j < cols; ++j) o[j] /= z;
@@ -165,17 +88,6 @@ Matrix softmax_rows(const Matrix& logits) {
   Matrix out;
   softmax_rows_into(logits, out);
   return out;
-}
-
-Matrix Softmax::forward(const Matrix& input) {
-  forward_into(input, cached_output_);
-  return cached_output_;
-}
-
-Matrix Softmax::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
 }
 
 void Softmax::forward_into(const Matrix& input, Matrix& out) {

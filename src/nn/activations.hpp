@@ -1,6 +1,6 @@
-// Stateless activation layers. Each caches what its derivative needs —
-// on the workspace path that is a pointer into the caller's stable
-// buffers (zero copies); on the legacy path, a reused member copy.
+// Stateless activation layers. Each caches a pointer to what its
+// derivative needs (the input for the ReLU family, the output buffer for
+// Tanh/Sigmoid/Softmax) instead of copying it; see nn/layer.hpp.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -9,36 +9,28 @@ namespace fedra {
 
 class ReLU final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Matrix cached_input_;
   const Matrix* input_ref_ = nullptr;
 };
 
 class LeakyReLU final : public Layer {
  public:
   explicit LeakyReLU(double slope = 0.01) : slope_(slope) {}
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "LeakyReLU"; }
 
  private:
   double slope_;
-  Matrix cached_input_;
   const Matrix* input_ref_ = nullptr;
 };
 
 class Tanh final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "Tanh"; }
@@ -49,14 +41,11 @@ class Tanh final : public Layer {
   void bind_output(const Matrix& y) { output_ref_ = &y; }
 
  private:
-  Matrix cached_output_;
   const Matrix* output_ref_ = nullptr;
 };
 
 class Sigmoid final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "Sigmoid"; }
@@ -65,7 +54,6 @@ class Sigmoid final : public Layer {
   void bind_output(const Matrix& y) { output_ref_ = &y; }
 
  private:
-  Matrix cached_output_;
   const Matrix* output_ref_ = nullptr;
 };
 
@@ -73,14 +61,11 @@ class Sigmoid final : public Layer {
 /// exposed as a layer for inference-time probability outputs.
 class Softmax final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "Softmax"; }
 
  private:
-  Matrix cached_output_;
   const Matrix* output_ref_ = nullptr;
 };
 

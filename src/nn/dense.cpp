@@ -32,23 +32,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
   }
 }
 
-Matrix Dense::forward(const Matrix& input) {
-  FEDRA_EXPECTS(input.cols() == weight_.rows());
-  // Legacy (allocating) entry: the caller's input may die before
-  // backward, so keep a copy — but reuse cached_input_'s heap block
-  // instead of reallocating it every step.
-  cached_input_.assign_from(input);
-  Matrix out;
-  forward_into(cached_input_, out);
-  return out;
-}
-
-Matrix Dense::backward(const Matrix& grad_output) {
-  Matrix grad_in;
-  backward_into(grad_output, grad_in);
-  return grad_in;
-}
-
 void Dense::forward_into(const Matrix& input, Matrix& out) {
   FEDRA_EXPECTS(input.cols() == weight_.rows());
   input_ref_ = &input;  // caller keeps `input` alive until backward

@@ -17,8 +17,6 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
         Init init = Init::Xavier);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
 
@@ -51,14 +49,11 @@ class Dense final : public Layer {
   Matrix bias_;
   Matrix grad_weight_;
   Matrix grad_bias_;
-  // Workspace path caches a pointer to the (externally stable) input;
-  // the legacy path copies into cached_input_ (capacity reused) and
-  // points input_ref_ at it. Either way backward reads *input_ref_.
-  Matrix cached_input_;
+  // Pointer to the (externally stable) forward input; backward reads it.
   const Matrix* input_ref_ = nullptr;
   // Per-minibatch gradients land here, then accumulate into grad_*_ with
-  // a separate += so the summation order (and bits) match the legacy
-  // temp-then-add path.
+  // a separate +=, so an accumulated gradient is always grad + (this
+  // batch's gradient), summed in that order.
   Matrix gw_scratch_;
   Matrix gb_scratch_;
 };

@@ -1,6 +1,5 @@
 #include "nn/fused.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,9 +24,6 @@ namespace fedra {
 // into a wider-target function.
 
 namespace {
-
-std::atomic<bool> g_fast_activations{true};
-std::atomic<bool> g_fused_kernels{true};
 
 // ---------------------------------------------------------------------------
 // The shared saturating-exp operation DAG. All tiers execute, per element:
@@ -572,19 +568,6 @@ Fn select_tier(Fn scalar, Fn avx2, Fn avx512) {
 
 }  // namespace
 
-bool fast_activations_enabled() {
-  return g_fast_activations.load(std::memory_order_relaxed);
-}
-void set_fast_activations(bool enabled) {
-  g_fast_activations.store(enabled, std::memory_order_relaxed);
-}
-bool fused_kernels_enabled() {
-  return g_fused_kernels.load(std::memory_order_relaxed);
-}
-void set_fused_kernels(bool enabled) {
-  g_fused_kernels.store(enabled, std::memory_order_relaxed);
-}
-
 double fast_exp_reference(double x) {
   if (x != x) return x;
   return exp_core_scalar(x);
@@ -712,55 +695,20 @@ void sigmoid_backward_map(const double* g, const double* y, double* grad_in,
 
 namespace {
 
-/// Toggle-aware activation map: fast DAG when enabled, libm loop otherwise
-/// (the libm loops are verbatim Tanh/Sigmoid::forward_into semantics).
 void act_apply(FusedAct act, const double* x, double* out, std::size_t n) {
   if (act == FusedAct::Tanh) {
-    if (fast_activations_enabled()) {
-      fast_tanh_map(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
-    }
-    return;
-  }
-  if (fast_activations_enabled()) {
+    fast_tanh_map(x, out, n);
+  } else {
     fast_sigmoid_map(x, out, n);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = x[i];
-    if (v >= 0.0) {
-      out[i] = 1.0 / (1.0 + std::exp(-v));
-    } else {
-      const double e = std::exp(v);
-      out[i] = e / (1.0 + e);
-    }
   }
 }
 
 /// Scalar-only variant of act_apply for the *_reference fused passes.
 void act_apply_reference(FusedAct act, const double* x, double* out,
                          std::size_t n) {
-  if (act == FusedAct::Tanh) {
-    if (fast_activations_enabled()) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = fast_tanh_reference(x[i]);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(x[i]);
-    }
-    return;
-  }
-  if (fast_activations_enabled()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = fast_sigmoid_reference(x[i]);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) {
-    const double v = x[i];
-    if (v >= 0.0) {
-      out[i] = 1.0 / (1.0 + std::exp(-v));
-    } else {
-      const double e = std::exp(v);
-      out[i] = e / (1.0 + e);
-    }
+    out[i] = act == FusedAct::Tanh ? fast_tanh_reference(x[i])
+                                   : fast_sigmoid_reference(x[i]);
   }
 }
 

@@ -1,28 +1,24 @@
 // Fused / vectorized elementwise kernels for the NN training hot path.
 //
-// Two independent levers (both thread-safe, flip only between steps):
+//  * Transcendentals: tanh/sigmoid/softmax-exp are evaluated by a shared
+//    polynomial operation DAG with runtime AVX-512F / AVX2 / scalar
+//    dispatch. The three tiers execute the SAME per-element operation
+//    sequence (explicit mul-then-add, no FMA contraction), so results are
+//    bit-identical across tiers and across any batch composition. They
+//    are not bit-identical to libm (absolute error < ~1e-15, checked by
+//    tests/test_fused_kernels.cpp); the goldens are recorded with them.
 //
-//  * fast_activations (default ON): exp-based tanh/sigmoid/softmax-exp
-//    evaluated by a shared polynomial operation DAG with runtime
-//    AVX-512F / AVX2 / scalar dispatch. The three tiers execute the SAME
-//    per-element operation sequence (explicit mul-then-add, no FMA
-//    contraction), so results are bit-identical across tiers and across
-//    any batch composition — but NOT bit-identical to libm (absolute
-//    error < ~1e-15; goldens are recorded with this lever ON). Turning it
-//    OFF restores the libm (std::tanh / std::exp) paths — the honest
-//    "before" lever bench_gemm and bench_obs use.
+//  * Pass fusion: Sequential's cached passes run dense+bias+activation
+//    forward in one sweep, and fuse the dGrad·dAct derivative map with
+//    the bias-gradient column sum on backward. Fusion only regroups
+//    traversals, never the per-element arithmetic, so it is bit-identical
+//    to running the layers one by one (tests/test_workspace.cpp checks
+//    the cached passes against that per-layer loop; the *_reference
+//    oracles below pin each kernel).
 //
-//  * fused_kernels (default ON): pass fusion on the Sequential workspace
-//    path — dense+bias+activation forward in one sweep, and the
-//    dGrad·dAct derivative map fused with the bias-gradient column sum on
-//    backward. Fusion only regroups traversals, never the per-element
-//    arithmetic, so this lever is bit-identical ON vs OFF (enforced by
-//    tests/test_fused_kernels.cpp against the *_reference oracles and by
-//    the golden-trajectory fusion check).
-//
-// ReLU-family maps and the pure-arithmetic derivative maps are SIMD'd
-// unconditionally: they are bit-identical to the naive scalar loops by
-// construction (including NaN and signed-zero semantics).
+// ReLU-family maps and the pure-arithmetic derivative maps are SIMD'd with
+// results bit-identical to the naive scalar loops by construction
+// (including NaN and signed-zero semantics).
 #pragma once
 
 #include <cstddef>
@@ -30,11 +26,6 @@
 #include "tensor/matrix.hpp"
 
 namespace fedra {
-
-bool fast_activations_enabled();
-void set_fast_activations(bool enabled);
-bool fused_kernels_enabled();
-void set_fused_kernels(bool enabled);
 
 /// Activation kinds the pass-fusion engine understands. Only
 /// output-derivative activations qualify: their backward reads the
@@ -108,8 +99,7 @@ void sigmoid_backward_map_reference(const double* g, const double* y,
 /// the activation pass instead of mutating `pre` in place first.
 /// Bit-identical to add_row_broadcast + the activation's forward map
 /// (same two ops per element, in the same order). `bias` is 1 x cols;
-/// `out` must not alias `pre`. Honors fast_activations for the
-/// transcendental.
+/// `out` must not alias `pre`.
 void bias_act_into(const Matrix& pre, const Matrix& bias, FusedAct act,
                    Matrix& out);
 void bias_act_into_reference(const Matrix& pre, const Matrix& bias,

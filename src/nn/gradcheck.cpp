@@ -13,7 +13,7 @@ double relative_error(double analytic, double numeric) {
 }
 }  // namespace
 
-double max_param_grad_error(Layer& network,
+double max_param_grad_error(Module& network,
                             const std::function<double()>& loss_fn,
                             double epsilon) {
   double worst = 0.0;

@@ -14,12 +14,13 @@ namespace fedra {
 /// scalar loss for the network's current parameters).
 ///
 /// The caller is responsible for making loss_fn deterministic. Typical use:
-///   auto loss = [&] { return mse_loss(net.forward(x), y).value; };
+///   Workspace ws;
+///   auto loss = [&] { return mse_loss(net.forward_cached(x, ws), y).value; };
 ///   net.zero_grad();
-///   auto r = mse_loss(net.forward(x), y);
-///   net.backward(r.grad);
+///   auto r = mse_loss(net.forward_cached(x, ws), y);
+///   net.backward_cached(r.grad, ws);
 ///   double err = max_param_grad_error(net, loss);
-double max_param_grad_error(Layer& network,
+double max_param_grad_error(Module& network,
                             const std::function<double()>& loss_fn,
                             double epsilon = 1e-6);
 

@@ -1,11 +1,14 @@
 // Layer abstraction for the fedra neural-network library.
 //
 // Layers operate on batches: a (batch x features) Matrix flows forward, the
-// loss gradient flows backward. Each layer caches whatever it needs from
-// the forward pass; backward() must be called with the same batch that was
-// last forwarded. Parameter gradients ACCUMULATE across backward calls so
-// federated local training can average minibatches; call zero_grad()
-// between optimizer steps.
+// loss gradient flows backward, each pass writing into a caller-owned
+// buffer. A layer may cache a POINTER to what its backward needs (its
+// forward input, or the output buffer it wrote) instead of copying it, so
+// those buffers must stay valid and unmodified until the matching
+// backward_into completes; Sequential's cached passes over a Workspace
+// guarantee this by construction (nn/workspace.hpp). Parameter gradients
+// ACCUMULATE across backward calls so federated local training can average
+// minibatches; call zero_grad() between optimizer steps.
 #pragma once
 
 #include <memory>
@@ -16,36 +19,19 @@
 
 namespace fedra {
 
-class Layer {
+/// Anything with trainable parameters: a single Layer or a Sequential
+/// stack. Optimizers and the gradient checker only need this view.
+class Module {
  public:
-  virtual ~Layer() = default;
-
-  /// Forward pass on a batch (rows = samples).
-  virtual Matrix forward(const Matrix& input) = 0;
-
-  /// Backward pass: given dLoss/dOutput, accumulates parameter gradients
-  /// and returns dLoss/dInput.
-  virtual Matrix backward(const Matrix& grad_output) = 0;
-
-  /// Forward into a caller-owned buffer (capacity reused, never aliasing
-  /// `input`). Overrides may cache a POINTER to `input` instead of
-  /// copying, so the workspace contract applies: `input` must stay valid
-  /// and unmodified until the matching backward_into completes.
-  /// Sequential's cached passes guarantee this by construction. The
-  /// default routes through the allocating forward().
-  virtual void forward_into(const Matrix& input, Matrix& out) {
-    out = forward(input);
-  }
-
-  /// Backward into a caller-owned buffer (must not alias grad_output).
-  /// Same gradient accumulation semantics as backward(), bit-identical
-  /// results. The default routes through the allocating backward().
-  virtual void backward_into(const Matrix& grad_output, Matrix& grad_in) {
-    grad_in = backward(grad_output);
-  }
+  Module() = default;
+  Module(const Module&) = default;
+  Module& operator=(const Module&) = default;
+  Module(Module&&) = default;
+  Module& operator=(Module&&) = default;
+  virtual ~Module() = default;
 
   /// Trainable parameters (empty for stateless layers). Pointers remain
-  /// valid for the layer's lifetime.
+  /// valid for the module's lifetime.
   virtual std::vector<Matrix*> params() { return {}; }
 
   /// Gradients, aligned 1:1 with params().
@@ -56,6 +42,19 @@ class Layer {
   void zero_grad() {
     for (Matrix* g : grads()) g->set_zero();
   }
+};
+
+class Layer : public Module {
+ public:
+  /// Forward pass on a batch (rows = samples) into `out` (capacity reused,
+  /// never aliasing `input`). `input` must stay valid and unmodified until
+  /// the matching backward_into completes, and so must `out` for layers
+  /// whose derivative reads their output.
+  virtual void forward_into(const Matrix& input, Matrix& out) = 0;
+
+  /// Backward pass: given dLoss/dOutput, accumulates parameter gradients
+  /// and writes dLoss/dInput into `grad_in` (must not alias grad_output).
+  virtual void backward_into(const Matrix& grad_output, Matrix& grad_in) = 0;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

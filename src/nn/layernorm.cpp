@@ -16,12 +16,12 @@ LayerNorm::LayerNorm(std::size_t features, double epsilon)
   FEDRA_EXPECTS(epsilon > 0.0);
 }
 
-Matrix LayerNorm::forward(const Matrix& input) {
+void LayerNorm::forward_into(const Matrix& input, Matrix& out) {
   FEDRA_EXPECTS(input.cols() == gain_.cols());
   const std::size_t n = input.cols();
-  normalized_ = Matrix(input.rows(), n);
+  normalized_.resize_reuse(input.rows(), n);
   inv_std_.resize(input.rows());
-  Matrix out(input.rows(), n);
+  out.resize_reuse(input.rows(), n);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     auto row = input.row(r);
     double mean = 0.0;
@@ -38,14 +38,13 @@ Matrix LayerNorm::forward(const Matrix& input) {
       out(r, j) = gain_[j] * xhat + bias_[j];
     }
   }
-  return out;
 }
 
-Matrix LayerNorm::backward(const Matrix& grad_output) {
+void LayerNorm::backward_into(const Matrix& grad_output, Matrix& grad_in) {
   FEDRA_EXPECTS(grad_output.same_shape(normalized_));
   const std::size_t n = grad_output.cols();
   const double inv_n = 1.0 / static_cast<double>(n);
-  Matrix grad_input(grad_output.rows(), n);
+  grad_in.resize_reuse(grad_output.rows(), n);
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
     // dL/dxhat_j = g_j * gain_j; then the standard layer-norm backward:
     // dL/dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
@@ -62,11 +61,10 @@ Matrix LayerNorm::backward(const Matrix& grad_output) {
     mean_dx *= inv_n;
     for (std::size_t j = 0; j < n; ++j) {
       const double d = grad_output(r, j) * gain_[j];
-      grad_input(r, j) =
+      grad_in(r, j) =
           inv_std_[r] * (d - mean_d - normalized_(r, j) * mean_dx);
     }
   }
-  return grad_input;
 }
 
 }  // namespace fedra

@@ -12,8 +12,8 @@ class LayerNorm final : public Layer {
  public:
   explicit LayerNorm(std::size_t features, double epsilon = 1e-5);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void forward_into(const Matrix& input, Matrix& out) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::vector<Matrix*> params() override { return {&gain_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_gain_, &grad_bias_}; }
   std::string name() const override { return "LayerNorm"; }

@@ -1,6 +1,6 @@
 // Loss functions. Each returns the mean loss over the batch and exposes the
 // gradient with respect to the network output (already divided by batch
-// size, so backward() through the network yields mean gradients).
+// size, so a backward pass through the network yields mean gradients).
 #pragma once
 
 #include <cstddef>

@@ -43,30 +43,11 @@ void Sequential::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
 }
 
-Matrix Sequential::forward(const Matrix& input) {
-  Matrix x = input;
-  for (auto& l : layers_) x = l->forward(x);
-  return x;
-}
-
-Matrix Sequential::backward(const Matrix& grad_output) {
-  Matrix g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
-}
-
 const Matrix& Sequential::forward_cached(const Matrix& input, Workspace& ws) {
-  if (!workspace_reuse_enabled() || layers_.empty()) {
-    Matrix& out = ws.slot(layers_.empty() ? 0 : layers_.size() - 1);
-    out = forward(input);  // legacy allocating path (the "before" lever)
-    return out;
-  }
   const Matrix* cur = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     FusablePair pair;
-    if (fused_kernels_enabled() && i + 1 < layers_.size() &&
+    if (i + 1 < layers_.size() &&
         probe_fusable(*layers_[i], *layers_[i + 1], pair)) {
       // Fused dense+bias+activation: slot(i) receives the bias-free GEMM
       // (nothing reads it again — the activation derivative comes from the
@@ -94,17 +75,11 @@ const Matrix& Sequential::forward_cached(const Matrix& input, Workspace& ws) {
 
 const Matrix& Sequential::backward_cached(const Matrix& grad_output,
                                           Workspace& ws) {
-  if (!workspace_reuse_enabled() || layers_.empty()) {
-    Matrix& g = ws.grad(0);
-    g = backward(grad_output);
-    return g;
-  }
   const Matrix* cur = &grad_output;
   std::size_t pp = 0;
   for (std::size_t k = layers_.size(); k-- > 0;) {
     FusablePair pair;
-    if (fused_kernels_enabled() && k >= 1 &&
-        probe_fusable(*layers_[k - 1], *layers_[k], pair)) {
+    if (k >= 1 && probe_fusable(*layers_[k - 1], *layers_[k], pair)) {
       // Fused activation-derivative + bias-gradient column sum in one
       // sweep (y lives in slot(k) under the workspace contract), then the
       // two dense GEMMs. Buffer parity matches the unfused pair exactly:

@@ -15,15 +15,14 @@ namespace fedra {
 
 enum class Activation { ReLU, LeakyReLU, Tanh, Sigmoid, None };
 
-/// A stack of layers applied in order.
-class Sequential : public Layer {
+/// A stack of layers applied in order. It runs only over a caller-owned
+/// Workspace (nn/workspace.hpp), so it is a Module, not a Layer.
+class Sequential : public Module {
  public:
   Sequential() = default;
 
   void add(LayerPtr layer);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
   std::vector<Matrix*> params() override;
   std::vector<Matrix*> grads() override;
   std::string name() const override { return "Sequential"; }
@@ -32,8 +31,9 @@ class Sequential : public Layer {
   /// steady-state pass performs zero heap allocations. Returns the output
   /// buffer (valid until the next cached call on `ws`). `input` must stay
   /// valid and unmodified until backward_cached completes — layers cache
-  /// pointers into these buffers instead of copying. Bit-identical to
-  /// forward(); falls back to it when workspace reuse is globally off.
+  /// pointers into these buffers instead of copying. A Dense followed by
+  /// Tanh/Sigmoid runs as one fused pass (nn/fused.hpp), bit-identical to
+  /// calling each layer's forward_into in turn.
   const Matrix& forward_cached(const Matrix& input, Workspace& ws);
 
   /// Backward counterpart of forward_cached, alternating between the two

@@ -6,7 +6,7 @@
 
 namespace fedra {
 
-Optimizer::Optimizer(Layer& network)
+Optimizer::Optimizer(Module& network)
     : params_(network.params()), grads_(network.grads()) {
   FEDRA_EXPECTS(params_.size() == grads_.size());
 }
@@ -44,7 +44,7 @@ void check_sgd_args(double lr, double momentum) {
 }
 }  // namespace
 
-Sgd::Sgd(Layer& network, double lr, double momentum, double weight_decay)
+Sgd::Sgd(Module& network, double lr, double momentum, double weight_decay)
     : Optimizer(network),
       lr_(lr),
       momentum_(momentum),
@@ -102,7 +102,7 @@ void check_adam_args(double lr, double beta1, double beta2) {
 }
 }  // namespace
 
-Adam::Adam(Layer& network, double lr, double beta1, double beta2, double eps)
+Adam::Adam(Module& network, double lr, double beta1, double beta2, double eps)
     : Optimizer(network), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   check_adam_args(lr, beta1, beta2);
   m_.reserve(params_.size());

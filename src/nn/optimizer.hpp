@@ -24,9 +24,9 @@ class Optimizer {
   double clip_grad_norm(double max_norm);
 
  protected:
-  explicit Optimizer(Layer& network);
+  explicit Optimizer(Module& network);
   /// Binds explicit (param, grad) lists — for composite models that are
-  /// not a single Layer (e.g. a Gaussian policy's network + free log-std).
+  /// not a single Module (e.g. a Gaussian policy's network + free log-std).
   Optimizer(std::vector<Matrix*> params, std::vector<Matrix*> grads);
 
   std::vector<Matrix*> params_;
@@ -36,7 +36,7 @@ class Optimizer {
 /// SGD with optional momentum and decoupled weight decay.
 class Sgd final : public Optimizer {
  public:
-  Sgd(Layer& network, double lr, double momentum = 0.0,
+  Sgd(Module& network, double lr, double momentum = 0.0,
       double weight_decay = 0.0);
   Sgd(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
       double momentum = 0.0, double weight_decay = 0.0);
@@ -56,7 +56,7 @@ class Sgd final : public Optimizer {
 /// Adam (Kingma & Ba) with bias correction.
 class Adam final : public Optimizer {
  public:
-  Adam(Layer& network, double lr, double beta1 = 0.9, double beta2 = 0.999,
+  Adam(Module& network, double lr, double beta1 = 0.9, double beta2 = 0.999,
        double eps = 1e-8);
   Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads, double lr,
        double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);

@@ -10,28 +10,27 @@ Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
   FEDRA_EXPECTS(p >= 0.0 && p < 1.0);
 }
 
-Matrix Dropout::forward(const Matrix& input) {
+void Dropout::forward_into(const Matrix& input, Matrix& out) {
   if (!training_ || p_ == 0.0) {
-    mask_ = Matrix();  // marks "identity" for backward
-    return input;
+    mask_.release();  // marks "identity" for backward
+    out.assign_from(input);
+    return;
   }
   const double scale = 1.0 / (1.0 - p_);
-  mask_ = Matrix(input.rows(), input.cols());
-  Matrix out(input.rows(), input.cols());
+  mask_.resize_reuse(input.rows(), input.cols());
+  out.resize_reuse(input.rows(), input.cols());
   for (std::size_t i = 0; i < input.size(); ++i) {
     const double keep = rng_.bernoulli(p_) ? 0.0 : scale;
     mask_[i] = keep;
     out[i] = input[i] * keep;
   }
-  return out;
 }
 
-Matrix Dropout::backward(const Matrix& grad_output) {
-  if (mask_.empty()) return grad_output;  // identity pass-through
+void Dropout::backward_into(const Matrix& grad_output, Matrix& grad_in) {
+  grad_in.assign_from(grad_output);
+  if (mask_.empty()) return;  // identity pass-through
   FEDRA_EXPECTS(grad_output.same_shape(mask_));
-  Matrix g = grad_output;
-  g.hadamard_inplace(mask_);
-  return g;
+  grad_in.hadamard_inplace(mask_);
 }
 
 StepDecayLr::StepDecayLr(std::size_t interval, double factor)

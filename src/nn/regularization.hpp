@@ -20,8 +20,8 @@ class Dropout final : public Layer {
   /// explicitly so training runs stay reproducible).
   Dropout(double p, std::uint64_t seed);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void forward_into(const Matrix& input, Matrix& out) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
   std::string name() const override { return "Dropout"; }
 
   void set_training(bool training) { training_ = training; }

@@ -1,18 +1,20 @@
 // Reusable training workspace: named scratch Matrix slots with stable
 // addresses, so forward/backward passes re-run over the same preallocated
-// buffers instead of constructing fresh matrices every step.
+// buffers instead of constructing fresh matrices every step. It is the
+// only way to run a Sequential: Sequential::forward_cached/backward_cached
+// take one.
 //
 // Ownership rules (see DESIGN.md "Performance"):
 //   * The CALLER owns the Workspace; layers never allocate slots
 //     themselves. One workspace per (network, training loop) pair —
 //     slots are positional, so interleaving two networks through one
-//     workspace corrupts both.
+//     workspace corrupts both, and a second forward through it
+//     overwrites the first one's outputs.
 //   * Slot references are stable for the workspace's lifetime (deque
 //     storage), which is what lets layers cache a pointer to their
 //     forward input instead of deep-copying it.
-//   * An input passed to Layer::forward_into must stay valid and
-//     unmodified until the matching backward completes. Sequential's
-//     cached passes guarantee this by construction.
+//   * An input passed to forward_cached must stay valid and unmodified
+//     until the matching backward_cached completes.
 //   * Buffers are resized with capacity reuse: steady-state shapes
 //     oscillate between a few values, so after the first pass the heap
 //     is never touched again (tensor_alloc_stats() proves it).
@@ -24,14 +26,6 @@
 #include "tensor/matrix.hpp"
 
 namespace fedra {
-
-/// Global switch for the capacity-reuse training paths. On (default):
-/// Sequential::forward_cached/backward_cached run through workspace
-/// buffers. Off: they fall back to the allocating legacy path — the
-/// before/after lever bench_gemm uses to quantify the win from one
-/// binary. Thread-safe; flip only between steps, not mid-pass.
-bool workspace_reuse_enabled();
-void set_workspace_reuse(bool enabled);
 
 class Workspace {
  public:

@@ -81,18 +81,23 @@ UpdateStats A2cAgent::update(const RolloutBuffer& buffer, Rng& /*rng*/) {
   policy_.clamp_log_std();
 
   // ---- Critic: one TD fit ----
-  Matrix next_v = critic_.forward(next_states);
+  // The TD targets are read out of next_v before the V(s) forward, which
+  // reuses critic_ws_'s slots and would overwrite it.
+  const Matrix& next_v = critic_.forward_cached(next_states, critic_ws_);
+  std::vector<double> targets(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    targets[i] = rewards[i] + config_.gamma * next_v(i, 0);
+  }
   double value_loss = 0.0;
   critic_.zero_grad();
-  Matrix v = critic_.forward(states);
+  const Matrix& v = critic_.forward_cached(states, critic_ws_);
   Matrix grad_v(v.rows(), 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const double target = rewards[i] + config_.gamma * next_v(i, 0);
-    const double err = v(i, 0) - target;
+    const double err = v(i, 0) - targets[i];
     value_loss += err * err * inv_n;
     grad_v(i, 0) = 2.0 * err * inv_n;
   }
-  critic_.backward(grad_v);
+  critic_.backward_cached(grad_v, critic_ws_);
   critic_opt_.clip_grad_norm(config_.max_grad_norm);
   critic_opt_.step();
 

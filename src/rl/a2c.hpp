@@ -24,7 +24,7 @@ class A2cAgent {
 
   PolicySample act(const std::vector<double>& state, Rng& rng);
   /// Deterministic mean action, via GaussianPolicy's persistent inference
-  /// workspace (zero-alloc steady state, bit-identical to the legacy path).
+  /// workspace (zero-alloc steady state).
   std::vector<double> mean_action(const std::vector<double>& state);
   double value(const std::vector<double>& state);
 
@@ -38,6 +38,7 @@ class A2cAgent {
   Mlp critic_;
   Adam actor_opt_;
   Adam critic_opt_;
+  Workspace critic_ws_;        ///< batch buffers for the critic TD fit
   Workspace critic_infer_ws_;  ///< single-row V(s) inference buffers
   Matrix critic_infer_in_;     ///< persistent 1xS input row for value()
 };

@@ -80,9 +80,10 @@ std::vector<double> DdpgAgent::act_noisy(const std::vector<double>& state,
   return action;
 }
 
-Matrix DdpgAgent::concat(const Matrix& states, const Matrix& actions) const {
+void DdpgAgent::concat_into(const Matrix& states, const Matrix& actions,
+                            Matrix& joined) {
   FEDRA_EXPECTS(states.rows() == actions.rows());
-  Matrix joined(states.rows(), states.cols() + actions.cols());
+  joined.resize_reuse(states.rows(), states.cols() + actions.cols());
   for (std::size_t b = 0; b < states.rows(); ++b) {
     auto dst = joined.row(b);
     auto s = states.row(b);
@@ -91,7 +92,6 @@ Matrix DdpgAgent::concat(const Matrix& states, const Matrix& actions) const {
     std::copy(a.begin(), a.end(),
               dst.begin() + static_cast<std::ptrdiff_t>(states.cols()));
   }
-  return joined;
 }
 
 void DdpgAgent::soft_update(Sequential& target, Sequential& online) const {
@@ -145,15 +145,20 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
   FEDRA_EXPECTS(is_weights.empty() || is_weights.size() == n);
 
   // ---- Critic: fit Q(s,a) to r + gamma Q'(s', mu'(s')) ----
-  Matrix next_actions = target_actor_.forward(batch.next_states);
-  for (std::size_t i = 0; i < next_actions.size(); ++i) {
-    next_actions[i] =
-        std::clamp(next_actions[i], config_.action_floor, 1.0);
+  // The joined critic inputs live in members: the critic caches a pointer
+  // to its input until the matching backward.
+  next_actions_.assign_from(
+      target_actor_.forward_cached(batch.next_states, target_actor_ws_));
+  for (std::size_t i = 0; i < next_actions_.size(); ++i) {
+    next_actions_[i] =
+        std::clamp(next_actions_[i], config_.action_floor, 1.0);
   }
-  Matrix next_q = target_critic_.forward(concat(batch.next_states,
-                                                next_actions));
+  concat_into(batch.next_states, next_actions_, target_critic_in_);
+  const Matrix& next_q =
+      target_critic_.forward_cached(target_critic_in_, target_critic_ws_);
   critic_.zero_grad();
-  Matrix q = critic_.forward(concat(batch.states, batch.actions));
+  concat_into(batch.states, batch.actions, critic_in_);
+  const Matrix& q = critic_.forward_cached(critic_in_, critic_ws_);
   Matrix grad_q(n, 1);
   double critic_loss = 0.0;
   if (out_td_errors) out_td_errors->resize(n);
@@ -165,7 +170,7 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
     grad_q(b, 0) = 2.0 * w * err * inv_n;
     if (out_td_errors) (*out_td_errors)[b] = err;
   }
-  critic_.backward(grad_q);
+  critic_.backward_cached(grad_q, critic_ws_);
   critic_opt_.step();
   stats.critic_loss = critic_loss;
 
@@ -175,13 +180,14 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
   // actor's backward pass. Critic parameter grads accumulated during this
   // pass are discarded (zeroed before its next update).
   actor_.zero_grad();
-  Matrix mu = actor_.forward(batch.states);
+  const Matrix& mu = actor_.forward_cached(batch.states, actor_ws_);
   critic_.zero_grad();
-  Matrix q_mu = critic_.forward(concat(batch.states, mu));
+  concat_into(batch.states, mu, critic_in_);
+  const Matrix& q_mu = critic_.forward_cached(critic_in_, critic_ws_);
   double actor_obj = 0.0;
   for (std::size_t b = 0; b < n; ++b) actor_obj += q_mu(b, 0) * inv_n;
   Matrix grad_out(n, 1, -inv_n);  // d(-mean Q)/dQ
-  Matrix grad_input = critic_.backward(grad_out);
+  const Matrix& grad_input = critic_.backward_cached(grad_out, critic_ws_);
   // Slice the action columns of dL/d(input).
   Matrix grad_action(n, action_dim_);
   for (std::size_t b = 0; b < n; ++b) {
@@ -189,7 +195,7 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
       grad_action(b, j) = grad_input(b, state_dim_ + j);
     }
   }
-  actor_.backward(grad_action);
+  actor_.backward_cached(grad_action, actor_ws_);
   actor_opt_.step();
   critic_.zero_grad();  // drop the critic grads from the actor pass
   stats.actor_objective = actor_obj;

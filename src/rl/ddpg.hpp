@@ -48,8 +48,7 @@ class DdpgAgent {
   std::size_t action_dim() const { return action_dim_; }
 
   /// Deterministic action mu(s) in (action_floor, 1]^A. Runs through a
-  /// persistent inference workspace: zero heap traffic at steady state,
-  /// bit-identical to the legacy allocating path.
+  /// persistent inference workspace: zero heap traffic at steady state.
   std::vector<double> act(const std::vector<double>& state);
 
   /// mu(s) + Gaussian noise, clamped (training-time exploration).
@@ -66,7 +65,9 @@ class DdpgAgent {
                  const std::vector<double>& action);
 
  private:
-  Matrix concat(const Matrix& states, const Matrix& actions) const;
+  /// joined = [states | actions], row by row (capacity reused).
+  static void concat_into(const Matrix& states, const Matrix& actions,
+                          Matrix& joined);
   void soft_update(Sequential& target, Sequential& online) const;
   /// Core update on a minibatch; `is_weights`/`out_td_errors` support the
   /// prioritized path (empty weights = uniform).
@@ -85,6 +86,17 @@ class DdpgAgent {
   Adam critic_opt_;
   ReplayBuffer replay_;                 ///< used when !config.prioritized
   PrioritizedReplayBuffer per_replay_;  ///< used when config.prioritized
+
+  // Minibatch update buffers, one workspace per network. The critic
+  // inputs are members because the critic caches a pointer to them until
+  // the matching backward.
+  Workspace actor_ws_;
+  Workspace critic_ws_;
+  Workspace target_actor_ws_;
+  Workspace target_critic_ws_;
+  Matrix next_actions_;      ///< clamped mu'(s')
+  Matrix target_critic_in_;  ///< [s' | mu'(s')]
+  Matrix critic_in_;         ///< [s | a], then [s | mu(s)]
 
   // Single-row inference buffers (act / q_value), separate from the
   // batch update path so interleaved calls never disturb cached state.

@@ -59,8 +59,9 @@ std::size_t FactoredDqnAgent::level_of(double fraction) const {
 
 Matrix FactoredDqnAgent::q_values(const std::vector<double>& state) {
   FEDRA_EXPECTS(state.size() == state_dim_);
-  Matrix s = Matrix::row_vector(state);
-  Matrix out = online_.forward(s);
+  infer_in_.resize_reuse(1, state_dim_);
+  for (std::size_t j = 0; j < state_dim_; ++j) infer_in_(0, j) = state[j];
+  Matrix out = online_.forward_cached(infer_in_, infer_ws_);
   out.reshape(devices_, config_.levels);
   return out;
 }
@@ -115,9 +116,10 @@ DqnStats FactoredDqnAgent::update(Rng& rng) {
   const double inv = 1.0 / static_cast<double>(n * devices_);
 
   // Per-device bootstrapped targets from the target network.
-  Matrix next_q = target_.forward(batch.next_states);  // (n x devices*L)
+  const Matrix& next_q =
+      target_.forward_cached(batch.next_states, target_ws_);  // n x devices*L
   online_.zero_grad();
-  Matrix q = online_.forward(batch.states);
+  const Matrix& q = online_.forward_cached(batch.states, ws_);
   Matrix grad(n, devices_ * L);
   double loss = 0.0;
   for (std::size_t b = 0; b < n; ++b) {
@@ -134,7 +136,7 @@ DqnStats FactoredDqnAgent::update(Rng& rng) {
       grad(b, i * L + a) = 2.0 * err * inv;
     }
   }
-  online_.backward(grad);
+  online_.backward_cached(grad, ws_);
   opt_.step();
   stats.td_loss = loss;
 

@@ -84,6 +84,10 @@ class FactoredDqnAgent {
   Mlp online_;
   Mlp target_;
   Adam opt_;
+  Workspace ws_;         ///< online-net batch buffers for update()
+  Workspace target_ws_;  ///< target-net batch buffers for update()
+  Workspace infer_ws_;   ///< single-row buffers for q_values()
+  Matrix infer_in_;      ///< persistent 1xS input row for q_values()
   ReplayBuffer replay_;
   std::size_t env_steps_ = 0;
   std::size_t updates_ = 0;

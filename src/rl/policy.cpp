@@ -71,10 +71,15 @@ bool GaussianPolicy::log_sigma_in_range(const Matrix& raw, std::size_t b,
   return v > config_.min_log_std && v < config_.max_log_std;
 }
 
-PolicySample GaussianPolicy::act(const std::vector<double>& state, Rng& rng) {
+const Matrix& GaussianPolicy::forward_raw(const std::vector<double>& state) {
   FEDRA_EXPECTS(state.size() == state_dim_);
-  Matrix s = Matrix::row_vector(state);
-  Matrix raw = forward_raw(s);
+  infer_in_.resize_reuse(1, state_dim_);
+  for (std::size_t j = 0; j < state_dim_; ++j) infer_in_(0, j) = state[j];
+  return mean_net_.forward_cached(infer_in_, infer_ws_);
+}
+
+PolicySample GaussianPolicy::act(const std::vector<double>& state, Rng& rng) {
+  const Matrix& raw = forward_raw(state);
   PolicySample sample;
   sample.action.resize(action_dim_);
   sample.action_u.resize(action_dim_);
@@ -94,10 +99,7 @@ PolicySample GaussianPolicy::act(const std::vector<double>& state, Rng& rng) {
 
 std::vector<double> GaussianPolicy::mean_action(
     const std::vector<double>& state) {
-  FEDRA_EXPECTS(state.size() == state_dim_);
-  infer_in_.resize_reuse(1, state_dim_);
-  for (std::size_t j = 0; j < state_dim_; ++j) infer_in_(0, j) = state[j];
-  const Matrix& raw = mean_net_.forward_cached(infer_in_, infer_ws_);
+  const Matrix& raw = forward_raw(state);
   std::vector<double> action(action_dim_);
   for (std::size_t j = 0; j < action_dim_; ++j) {
     action[j] = sigmoid(raw(0, j));

@@ -109,10 +109,10 @@ class GaussianPolicy {
   Mlp& mean_net() { return mean_net_; }
 
  private:
-  /// Raw network output: A columns (mean) or 2A (mean + raw log-std).
-  Matrix forward_raw(const Matrix& states) {
-    return mean_net_.forward(states);
-  }
+  /// Raw network output for one state: A columns (mean) or 2A (mean +
+  /// raw log-std). Runs through infer_in_/infer_ws_, so the result is
+  /// valid until the next single-row pass.
+  const Matrix& forward_raw(const std::vector<double>& state);
   /// Clamped log-sigma of sample b, action j, given the raw net output.
   double log_sigma_at(const Matrix& raw, std::size_t b, std::size_t j) const;
   /// Whether the clamp is inactive (gradient passes) at (b, j).
@@ -126,10 +126,10 @@ class GaussianPolicy {
   Matrix log_std_;       ///< state-independent mode only
   Matrix grad_log_std_;
   Workspace ws_;         ///< activation/gradient buffers for batch passes
-  Workspace infer_ws_;   ///< single-row buffers for mean_action (kept
+  Workspace infer_ws_;   ///< single-row buffers for act/mean_action (kept
                          ///< separate so inference between training passes
                          ///< never invalidates cached_out_)
-  Matrix infer_in_;      ///< persistent 1xS input row for mean_action
+  Matrix infer_in_;      ///< persistent 1xS input row for forward_raw
   Workspace batch_infer_ws_;  ///< NxS buffers for mean_action_batch (own
                               ///< workspace so serving never disturbs the
                               ///< single-row or training buffers)

@@ -8,6 +8,7 @@
 #include "nn/gradcheck.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
@@ -20,10 +21,13 @@ double param_grad_error_through(Activation act, std::uint64_t seed) {
   Mlp net({3, 5, 2}, act, rng, act);
   Matrix x = Matrix::random_gaussian(4, 3, rng, 0.0, 0.8);
   Matrix target = Matrix::random_gaussian(4, 2, rng, 0.0, 0.8);
-  auto loss_fn = [&] { return mse_loss(net.forward(x), target).value; };
+  Workspace ws;
+  auto loss_fn = [&] {
+    return mse_loss(net.forward_cached(x, ws), target).value;
+  };
   net.zero_grad();
-  auto r = mse_loss(net.forward(x), target);
-  net.backward(r.grad);
+  auto r = mse_loss(net.forward_cached(x, ws), target);
+  net.backward_cached(r.grad, ws);
   return max_param_grad_error(net, loss_fn, 1e-6);
 }
 
@@ -33,7 +37,8 @@ TEST(Dense, ForwardShapeAndValue) {
   d.weight() = Matrix{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   d.bias() = Matrix{{0.5, 0.5, 0.5}};
   Matrix x{{1.0, 1.0}};
-  auto y = d.forward(x);
+  Matrix y;
+  d.forward_into(x, y);
   ASSERT_EQ(y.rows(), 1u);
   ASSERT_EQ(y.cols(), 3u);
   EXPECT_DOUBLE_EQ(y(0, 0), 5.5);
@@ -46,11 +51,13 @@ TEST(Dense, GradAccumulatesAcrossBackwardCalls) {
   Dense d(2, 2, rng);
   Matrix x{{1.0, 2.0}};
   Matrix g{{1.0, 1.0}};
-  d.forward(x);
-  d.backward(g);
+  Matrix y;
+  Matrix gx;
+  d.forward_into(x, y);
+  d.backward_into(g, gx);
   auto once = *d.grads()[0];
-  d.forward(x);
-  d.backward(g);
+  d.forward_into(x, y);
+  d.backward_into(g, gx);
   auto twice = *d.grads()[0];
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(twice[i], 2.0 * once[i], 1e-12);
@@ -77,11 +84,13 @@ TEST(Dense, GradCheck) {
 TEST(Activations, ReluForwardBackward) {
   ReLU relu;
   Matrix x{{-1.0, 0.0, 2.0}};
-  auto y = relu.forward(x);
+  Matrix y;
+  relu.forward_into(x, y);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 2), 2.0);
   Matrix g{{1.0, 1.0, 1.0}};
-  auto gx = relu.backward(g);
+  Matrix gx;
+  relu.backward_into(g, gx);
   EXPECT_DOUBLE_EQ(gx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(gx(0, 1), 0.0);  // derivative at 0 defined as 0
   EXPECT_DOUBLE_EQ(gx(0, 2), 1.0);
@@ -90,11 +99,13 @@ TEST(Activations, ReluForwardBackward) {
 TEST(Activations, LeakyReluSlope) {
   LeakyReLU lrelu(0.1);
   Matrix x{{-2.0, 3.0}};
-  auto y = lrelu.forward(x);
+  Matrix y;
+  lrelu.forward_into(x, y);
   EXPECT_DOUBLE_EQ(y(0, 0), -0.2);
   EXPECT_DOUBLE_EQ(y(0, 1), 3.0);
   Matrix g{{1.0, 1.0}};
-  auto gx = lrelu.backward(g);
+  Matrix gx;
+  lrelu.backward_into(g, gx);
   EXPECT_DOUBLE_EQ(gx(0, 0), 0.1);
   EXPECT_DOUBLE_EQ(gx(0, 1), 1.0);
 }
@@ -102,7 +113,8 @@ TEST(Activations, LeakyReluSlope) {
 TEST(Activations, TanhMatchesStd) {
   Tanh t;
   Matrix x{{-0.5, 0.0, 1.25}};
-  auto y = t.forward(x);
+  Matrix y;
+  t.forward_into(x, y);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(y(0, j), std::tanh(x(0, j)), 1e-15);
   }
@@ -111,7 +123,8 @@ TEST(Activations, TanhMatchesStd) {
 TEST(Activations, SigmoidRangeAndExtremes) {
   Sigmoid s;
   Matrix x{{-1000.0, 0.0, 1000.0}};
-  auto y = s.forward(x);
+  Matrix y;
+  s.forward_into(x, y);
   EXPECT_NEAR(y(0, 0), 0.0, 1e-12);
   EXPECT_DOUBLE_EQ(y(0, 1), 0.5);
   EXPECT_NEAR(y(0, 2), 1.0, 1e-12);
@@ -157,10 +170,13 @@ TEST(SoftmaxLayer, GradCheckThroughMse) {
   net.add(std::make_unique<Softmax>());
   Matrix x = Matrix::random_gaussian(5, 3, rng);
   Matrix target = Matrix::random_gaussian(5, 4, rng, 0.25, 0.1);
-  auto loss_fn = [&] { return mse_loss(net.forward(x), target).value; };
+  Workspace ws;
+  auto loss_fn = [&] {
+    return mse_loss(net.forward_cached(x, ws), target).value;
+  };
   net.zero_grad();
-  auto r = mse_loss(net.forward(x), target);
-  net.backward(r.grad);
+  auto r = mse_loss(net.forward_cached(x, ws), target);
+  net.backward_cached(r.grad, ws);
   EXPECT_LT(max_param_grad_error(net, loss_fn, 1e-6), 2e-5);
 }
 
@@ -171,11 +187,16 @@ TEST(InputGrad, DenseInputGradientMatchesNumeric) {
   Matrix target = Matrix::random_gaussian(2, 3, rng);
   auto loss_fn = [&](const Matrix& input) {
     Dense copy = d;  // avoid cache mutation effects
-    return mse_loss(copy.forward(input), target).value;
+    Matrix y;
+    copy.forward_into(input, y);
+    return mse_loss(y, target).value;
   };
   d.zero_grad();
-  auto r = mse_loss(d.forward(x), target);
-  Matrix gin = d.backward(r.grad);
+  Matrix y;
+  d.forward_into(x, y);
+  auto r = mse_loss(y, target);
+  Matrix gin;
+  d.backward_into(r.grad, gin);
   EXPECT_LT(max_input_grad_error(x, gin, loss_fn, 1e-6), 1e-5);
 }
 

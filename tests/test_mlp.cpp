@@ -6,10 +6,18 @@
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
 namespace {
+
+// Inference: one forward pass through a throwaway workspace, returning a
+// copy of the output.
+Matrix infer(Sequential& net, const Matrix& x) {
+  Workspace ws;
+  return net.forward_cached(x, ws);
+}
 
 TEST(Mlp, TopologyAndParamCount) {
   Rng rng(1);
@@ -24,7 +32,7 @@ TEST(Mlp, ForwardShape) {
   Rng rng(2);
   Mlp net({5, 7, 2}, Activation::Tanh, rng);
   Matrix x = Matrix::random_gaussian(11, 5, rng);
-  auto y = net.forward(x);
+  auto y = infer(net, x);
   EXPECT_EQ(y.rows(), 11u);
   EXPECT_EQ(y.cols(), 2u);
 }
@@ -35,7 +43,7 @@ TEST(Mlp, DeterministicBySeed) {
   Mlp nb({3, 4, 1}, Activation::Tanh, b);
   Rng xr(9);
   Matrix x = Matrix::random_gaussian(2, 3, xr);
-  EXPECT_EQ(na.forward(x), nb.forward(x));
+  EXPECT_EQ(infer(na, x), infer(nb, x));
 }
 
 TEST(Mlp, CopyParamsMakesNetsIdentical) {
@@ -44,9 +52,9 @@ TEST(Mlp, CopyParamsMakesNetsIdentical) {
   Mlp nb({3, 5, 2}, Activation::ReLU, b);
   Rng xr(3);
   Matrix x = Matrix::random_gaussian(4, 3, xr);
-  EXPECT_NE(na.forward(x), nb.forward(x));
+  EXPECT_NE(infer(na, x), infer(nb, x));
   nb.copy_params_from(na);
-  EXPECT_EQ(na.forward(x), nb.forward(x));
+  EXPECT_EQ(infer(na, x), infer(nb, x));
 }
 
 TEST(Mlp, ParamValuesRoundTrip) {
@@ -55,12 +63,12 @@ TEST(Mlp, ParamValuesRoundTrip) {
   auto snapshot = net.param_values();
   Rng xr(5);
   Matrix x = Matrix::random_gaussian(3, 2, xr);
-  auto before = net.forward(x);
+  auto before = infer(net, x);
   // Perturb, then restore.
   for (Matrix* p : net.params()) (*p) *= 0.5;
-  EXPECT_NE(net.forward(x), before);
+  EXPECT_NE(infer(net, x), before);
   net.set_param_values(snapshot);
-  EXPECT_EQ(net.forward(x), before);
+  EXPECT_EQ(infer(net, x), before);
 }
 
 TEST(Mlp, SaveLoadRoundTrip) {
@@ -72,7 +80,7 @@ TEST(Mlp, SaveLoadRoundTrip) {
   nb.load(path);
   Rng xr(8);
   Matrix x = Matrix::random_gaussian(5, 3, xr);
-  EXPECT_EQ(na.forward(x), nb.forward(x));
+  EXPECT_EQ(infer(na, x), infer(nb, x));
   std::remove(path.c_str());
 }
 
@@ -80,7 +88,7 @@ TEST(Mlp, OutputActivationApplied) {
   Rng rng(9);
   Mlp net({2, 4, 3}, Activation::ReLU, rng, Activation::Sigmoid);
   Matrix x = Matrix::random_gaussian(6, 2, rng, 0.0, 3.0);
-  auto y = net.forward(x);
+  auto y = infer(net, x);
   for (double v : y.flat()) {
     EXPECT_GT(v, 0.0);
     EXPECT_LT(v, 1.0);
@@ -94,15 +102,16 @@ TEST(Mlp, LearnsXor) {
   Matrix x{{0.0, 0.0}, {0.0, 1.0}, {1.0, 0.0}, {1.0, 1.0}};
   std::vector<std::size_t> labels{0, 1, 1, 0};
   double final_loss = 1e9;
+  Workspace ws;
   for (int epoch = 0; epoch < 500; ++epoch) {
     opt.zero_grad();
-    auto r = softmax_cross_entropy(net.forward(x), labels);
-    net.backward(r.grad);
+    auto r = softmax_cross_entropy(net.forward_cached(x, ws), labels);
+    net.backward_cached(r.grad, ws);
     opt.step();
     final_loss = r.value;
   }
   EXPECT_LT(final_loss, 0.05);
-  EXPECT_DOUBLE_EQ(accuracy(net.forward(x), labels), 1.0);
+  EXPECT_DOUBLE_EQ(accuracy(infer(net, x), labels), 1.0);
 }
 
 TEST(Mlp, LearnsLinearRegression) {
@@ -115,13 +124,14 @@ TEST(Mlp, LearnsLinearRegression) {
     y(i, 0) = 2.0 * x(i, 0) - x(i, 1) + 0.5 * x(i, 2) + 1.0;
   }
   Sgd opt(net, 0.1);
+  Workspace ws;
   for (int epoch = 0; epoch < 400; ++epoch) {
     opt.zero_grad();
-    auto r = mse_loss(net.forward(x), y);
-    net.backward(r.grad);
+    auto r = mse_loss(net.forward_cached(x, ws), y);
+    net.backward_cached(r.grad, ws);
     opt.step();
   }
-  EXPECT_LT(mse_loss(net.forward(x), y).value, 1e-4);
+  EXPECT_LT(mse_loss(infer(net, x), y).value, 1e-4);
 }
 
 TEST(MlpDeathTest, BadTopologyAborts) {

@@ -13,7 +13,6 @@
 #include "env/fl_env.hpp"
 #include "fault/fault_model.hpp"
 #include "fl/fedavg.hpp"
-#include "nn/workspace.hpp"
 #include "obs/attribution.hpp"
 #include "obs/json_min.hpp"
 #include "obs/ledger.hpp"
@@ -314,8 +313,6 @@ TEST(Ledger, CountsRecordsAndDisableIsIdempotent) {
 TEST(Obs, ZeroAllocationsWhenTelemetryOff) {
   ObsGuard guard;
   ASSERT_FALSE(telemetry::Telemetry::enabled());
-  const bool saved_reuse = workspace_reuse_enabled();
-  set_workspace_reuse(true);
 
   const ExperimentConfig cfg = testbed_config();
   FlSimulator sim = build_simulator(cfg);
@@ -339,7 +336,6 @@ TEST(Obs, ZeroAllocationsWhenTelemetryOff) {
     controller.observe(sim.step(freqs, StepOptions{}));
   }
   const TensorAllocStats after = tensor_alloc_stats();
-  set_workspace_reuse(saved_reuse);
 
   EXPECT_EQ(after.allocs, before.allocs);
   EXPECT_EQ(after.bytes, before.bytes);

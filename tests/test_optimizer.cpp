@@ -12,11 +12,9 @@ namespace fedra {
 namespace {
 
 // A single-parameter "network" for exact step arithmetic.
-class Scalar : public Layer {
+class Scalar : public Module {
  public:
   explicit Scalar(double v) : p_(1, 1, v), g_(1, 1) {}
-  Matrix forward(const Matrix& input) override { return input; }
-  Matrix backward(const Matrix& grad) override { return grad; }
   std::vector<Matrix*> params() override { return {&p_}; }
   std::vector<Matrix*> grads() override { return {&g_}; }
   std::string name() const override { return "Scalar"; }

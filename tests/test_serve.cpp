@@ -11,7 +11,6 @@
 
 #include "core/drl_controller.hpp"
 #include "core/offline_trainer.hpp"
-#include "nn/workspace.hpp"
 #include "serve/served_controller.hpp"
 #include "serve/session.hpp"
 #include "sim/experiment_config.hpp"
@@ -352,8 +351,6 @@ TEST(InferenceEngineAdmission, ShutdownRefusesNewWorkAndDrainsAdmitted) {
 }
 
 TEST(InferenceEngine, ZeroTensorAllocsInSteadyState) {
-  const bool reuse_was_on = workspace_reuse_enabled();
-  set_workspace_reuse(true);
   Rng init(8);
   GaussianPolicy policy(kStateDim, kActionDim, small_policy_config(), init);
   GaussianMeanPolicy adapter(policy);
@@ -372,7 +369,6 @@ TEST(InferenceEngine, ZeroTensorAllocsInSteadyState) {
   const auto after = tensor_alloc_stats();
   EXPECT_EQ(after.allocs, before.allocs);
   EXPECT_EQ(after.bytes, before.bytes);
-  set_workspace_reuse(reuse_was_on);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Workspace-path correctness: the cached (allocation-free) forward and
-// backward passes must be BIT-IDENTICAL to the legacy allocating paths —
+// Workspace-path correctness: Sequential's cached (allocation-free, pair-
+// fused) forward and backward passes must be BIT-IDENTICAL to a plain loop
+// of per-layer forward_into/backward_into calls over test-owned buffers —
 // same outputs, same input gradients, same accumulated parameter
 // gradients — for every layer kind, and a warm steady-state pass must
 // perform zero tracked heap allocations.
@@ -7,14 +8,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/workspace.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
@@ -53,86 +57,121 @@ Sequential make_zoo(std::uint64_t seed) {
   return net;
 }
 
-TEST(Workspace, CachedPassBitIdenticalToLegacy) {
-  Sequential legacy = make_zoo(7);
-  Sequential cached = make_zoo(7);  // same seed -> identical weights
-  Rng rng(11);
-  Workspace ws;
-  for (int step = 0; step < 3; ++step) {
-    const Matrix x = Matrix::random_gaussian(9, 6, rng);
-    const Matrix g = Matrix::random_gaussian(9, 5, rng);
+/// The oracle: every layer's forward_into/backward_into in turn, over
+/// buffers the test owns (one per layer, sized up front so the addresses
+/// the layers cache stay put). No fusion, no workspace.
+struct PerLayerPass {
+  explicit PerLayerPass(std::size_t layers) : outs(layers), grads(layers) {}
 
-    legacy.zero_grad();
-    const Matrix out_legacy = legacy.forward(x);
-    const Matrix gin_legacy = legacy.backward(g);
+  const Matrix& forward(Sequential& net, const Matrix& x) {
+    const Matrix* cur = &x;
+    for (std::size_t i = 0; i < net.num_layers(); ++i) {
+      net.layer(i).forward_into(*cur, outs[i]);
+      cur = &outs[i];
+    }
+    return *cur;
+  }
+
+  const Matrix& backward(Sequential& net, const Matrix& g) {
+    const Matrix* cur = &g;
+    for (std::size_t k = net.num_layers(); k-- > 0;) {
+      net.layer(k).backward_into(*cur, grads[k]);
+      cur = &grads[k];
+    }
+    return *cur;
+  }
+
+  std::vector<Matrix> outs;
+  std::vector<Matrix> grads;
+};
+
+/// Runs `steps` zero_grad/forward/backward rounds through two identically
+/// seeded nets — cached passes on one, the per-layer oracle on the other —
+/// and checks outputs, input gradients and parameter gradients bitwise.
+void expect_cached_matches_oracle(const std::function<Sequential()>& make,
+                                  std::size_t batch, std::size_t in,
+                                  std::size_t out, std::uint64_t seed,
+                                  int steps) {
+  Sequential cached = make();
+  Sequential oracle = make();
+  Workspace ws;
+  PerLayerPass pass(oracle.num_layers());
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const Matrix x = Matrix::random_gaussian(batch, in, rng);
+    const Matrix g = Matrix::random_gaussian(batch, out, rng);
 
     cached.zero_grad();
     const Matrix& out_cached = cached.forward_cached(x, ws);
-    const Matrix& gin_cached = cached.backward_cached(g, ws);
+    oracle.zero_grad();
+    const Matrix& out_oracle = pass.forward(oracle, x);
+    EXPECT_TRUE(bitwise_equal(out_cached, out_oracle)) << "step " << step;
 
-    EXPECT_TRUE(bitwise_equal(out_cached, out_legacy)) << "step " << step;
-    EXPECT_TRUE(bitwise_equal(gin_cached, gin_legacy)) << "step " << step;
-    auto gl = legacy.grads();
+    const Matrix& gin_cached = cached.backward_cached(g, ws);
+    const Matrix& gin_oracle = pass.backward(oracle, g);
+    EXPECT_TRUE(bitwise_equal(gin_cached, gin_oracle)) << "step " << step;
+
     auto gc = cached.grads();
-    ASSERT_EQ(gl.size(), gc.size());
-    for (std::size_t i = 0; i < gl.size(); ++i) {
-      EXPECT_TRUE(bitwise_equal(*gc[i], *gl[i]))
+    auto go = oracle.grads();
+    ASSERT_EQ(gc.size(), go.size());
+    for (std::size_t i = 0; i < gc.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(*gc[i], *go[i]))
           << "grad " << i << " step " << step;
     }
   }
 }
 
-TEST(Workspace, GradientAccumulationMatchesLegacy) {
-  // Parameter gradients accumulate across backward calls (federated
-  // minibatch averaging relies on it); the scratch-then-add workspace
-  // path must produce the same accumulated bits.
-  Sequential legacy = make_zoo(3);
-  Sequential cached = make_zoo(3);
-  Rng rng(5);
-  Workspace ws;
-  legacy.zero_grad();
-  cached.zero_grad();
-  for (int pass = 0; pass < 3; ++pass) {
-    const Matrix x = Matrix::random_gaussian(4, 6, rng);
-    const Matrix g = Matrix::random_gaussian(4, 5, rng);
-    legacy.forward(x);
-    legacy.backward(g);
-    cached.forward_cached(x, ws);
-    cached.backward_cached(g, ws);
-  }
-  auto gl = legacy.grads();
-  auto gc = cached.grads();
-  for (std::size_t i = 0; i < gl.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(*gc[i], *gl[i])) << "grad " << i;
+TEST(Workspace, CachedPassMatchesPerLayerOracle) {
+  // Every layer kind, ReLU/LeakyReLU/Softmax unfused, Tanh/Sigmoid fused
+  // with the Dense before them.
+  expect_cached_matches_oracle([] { return make_zoo(7); }, 9, 6, 5, 11, 3);
+
+  // Fused Dense+Tanh/Sigmoid pairs over prime and degenerate shapes that
+  // straddle the GEMM and SIMD tiles.
+  struct Shape {
+    std::size_t batch, in, hidden, out;
+  };
+  const Shape shapes[] = {
+      {1, 1, 1, 1}, {1, 3, 5, 2}, {7, 13, 11, 3}, {17, 8, 16, 4},
+      {3, 31, 29, 7},
+  };
+  for (Activation act : {Activation::Tanh, Activation::Sigmoid}) {
+    for (const Shape& sh : shapes) {
+      auto make = [&]() -> Sequential {
+        Rng rng(1234);
+        return Mlp({sh.in, sh.hidden, sh.out}, act, rng, act);
+      };
+      expect_cached_matches_oracle(make, sh.batch, sh.in, sh.out, 4321, 2);
+    }
   }
 }
 
-TEST(Workspace, ReuseToggleFallsBackBitIdentically) {
-  Sequential a = make_zoo(19);
-  Sequential b = make_zoo(19);
-  Rng rng(23);
-  const Matrix x = Matrix::random_gaussian(5, 6, rng);
-  const Matrix g = Matrix::random_gaussian(5, 5, rng);
-  Workspace ws_on;
-  Workspace ws_off;
-
-  ASSERT_TRUE(workspace_reuse_enabled());  // default is on
-  a.zero_grad();
-  const Matrix out_on = a.forward_cached(x, ws_on);
-  const Matrix gin_on = a.backward_cached(g, ws_on);
-
-  set_workspace_reuse(false);
-  b.zero_grad();
-  const Matrix out_off = b.forward_cached(x, ws_off);
-  const Matrix gin_off = b.backward_cached(g, ws_off);
-  set_workspace_reuse(true);
-
-  EXPECT_TRUE(bitwise_equal(out_off, out_on));
-  EXPECT_TRUE(bitwise_equal(gin_off, gin_on));
-  auto ga = a.grads();
-  auto gb = b.grads();
-  for (std::size_t i = 0; i < ga.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(*gb[i], *ga[i])) << "grad " << i;
+TEST(Workspace, TwoBackwardsAccumulateTwiceOnePass) {
+  // Parameter gradients accumulate across backward calls (federated
+  // minibatch averaging relies on it): two identical passes after a
+  // zero_grad must leave exactly twice the gradient of one.
+  Sequential once = make_zoo(3);
+  Sequential twice = make_zoo(3);
+  Rng rng(5);
+  const Matrix x = Matrix::random_gaussian(4, 6, rng);
+  const Matrix g = Matrix::random_gaussian(4, 5, rng);
+  Workspace ws_once;
+  Workspace ws_twice;
+  once.zero_grad();
+  once.forward_cached(x, ws_once);
+  once.backward_cached(g, ws_once);
+  twice.zero_grad();
+  for (int pass = 0; pass < 2; ++pass) {
+    twice.forward_cached(x, ws_twice);
+    twice.backward_cached(g, ws_twice);
+  }
+  auto g1 = once.grads();
+  auto g2 = twice.grads();
+  ASSERT_EQ(g1.size(), g2.size());
+  for (std::size_t i = 0; i < g1.size(); ++i) {
+    Matrix doubled = *g1[i];
+    doubled *= 2.0;
+    EXPECT_TRUE(bitwise_equal(*g2[i], doubled)) << "grad " << i;
   }
 }
 
@@ -162,8 +201,7 @@ TEST(Workspace, SteadyStatePassIsAllocationFree) {
 TEST(Workspace, DenseForwardIntoDoesNotCopyInput) {
   // The workspace contract lets Dense cache a pointer instead of deep-
   // copying its input: with warm buffers, forward_into + backward_into
-  // must not touch the tracked heap at all, whereas the legacy forward()
-  // copies the input into layer-owned storage.
+  // must not touch the tracked heap at all.
   Rng rng(31);
   Dense layer(64, 64, rng);
   const Matrix x = Matrix::random_gaussian(32, 64, rng);
@@ -178,17 +216,11 @@ TEST(Workspace, DenseForwardIntoDoesNotCopyInput) {
   const TensorAllocStats after = tensor_alloc_stats();
   EXPECT_EQ(after.bytes, before.bytes);
 
-  // Sanity: the pointer-cached path computes the same bits as legacy.
-  Rng rng2(31);
-  Dense fresh(64, 64, rng2);
-  fresh.zero_grad();
+  // Sanity: backward read the cached input pointer, so dW = x^T g.
   layer.zero_grad();
-  const Matrix out_legacy = fresh.forward(x);
-  const Matrix gin_legacy = fresh.backward(g);
   layer.forward_into(x, out);
   layer.backward_into(g, gin);
-  EXPECT_TRUE(bitwise_equal(out, out_legacy));
-  EXPECT_TRUE(bitwise_equal(gin, gin_legacy));
+  EXPECT_TRUE(bitwise_equal(*layer.grads()[0], matmul_at_b(x, g)));
 }
 
 TEST(Workspace, SlotAddressesAreStable) {
