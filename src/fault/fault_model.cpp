@@ -17,6 +17,18 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 
 double clamp_prob(double p) { return std::clamp(p, 0.0, 1.0); }
 
+/// The first uniform() of Rng(seed), in closed form: xoshiro256**'s first
+/// output reads only s[1], the second SplitMix64 word of the seed, so the
+/// other three state words need not be built.
+double first_uniform(std::uint64_t seed) {
+  std::uint64_t z = seed + 2 * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  const std::uint64_t s1 = (z ^ (z >> 31)) * 5;
+  const std::uint64_t out = ((s1 << 7) | (s1 >> 57)) * 9;
+  return static_cast<double>(out >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 bool FaultConfig::any_enabled() const {
@@ -96,19 +108,45 @@ void FaultModel::draw_block(std::size_t iteration, std::size_t begin,
   FEDRA_EXPECTS(now_crashed == nullptr || now_crashed->size() >= end);
   if (!enabled()) return;
   const std::uint64_t round_seed = mix(seed_, iteration);
+  // Loaded once: the compiler must assume a chain write below changes any
+  // of them, and it may indeed alias was_crashed.
+  const double crash_prob = config_.crash_prob;
+  const double rejoin_prob = config_.rejoin_prob;
+  const std::size_t was_end = std::min(end, was_crashed.size());
+  // The crash-chain step on the stream's first draw u (bernoulli(p) is
+  // u < p). Each index is read before its own (possibly aliased) write
+  // and never touched by another iteration.
+  const auto chain_step = [&](std::size_t i, double u) {
+    const bool was = i < was_end && was_crashed[i];
+    return was ? !(u < rejoin_prob) : u < crash_prob;
+  };
+  // A drawn device: its chain step, then its fault from the rest of the
+  // stream. Returns the new crash state.
+  const auto draw = [&](std::size_t i, std::uint64_t stream) {
+    Rng rng(stream);
+    const bool now = chain_step(i, rng.uniform());
+    out[i - begin] = draw_rest(rng, now);
+    return now;
+  };
+  const auto drawn = [participating](std::size_t i) {
+    return participating == nullptr || (*participating)[i];
+  };
+  if (now_crashed == nullptr) {
+    // A dry run leaves the chain alone: visit only the drawn devices.
+    for (std::size_t i = begin; i < end; ++i) {
+      if (drawn(i)) draw(i, mix(round_seed, i));
+    }
+    return;
+  }
+  // Every device steps its chain here, so this loop is kept apart from
+  // the dry run's: the extra branches cost a fifth of its time. A
+  // non-participant's fault is never read, so it only steps the chain, on
+  // the closed-form first uniform.
+  std::vector<bool>& chain = *now_crashed;
   for (std::size_t i = begin; i < end; ++i) {
-    const bool drawn = participating == nullptr || (*participating)[i];
-    if (!drawn && now_crashed == nullptr) continue;
-    // Read before the (possibly aliased) write below: each index is only
-    // ever touched by its own iteration.
-    const bool was = i < was_crashed.size() && was_crashed[i];
-    Rng rng(mix(round_seed, i));
-    // Crash chain first; the rest of the stream only matters to devices
-    // whose fault is read.
-    const bool now = was ? !rng.bernoulli(config_.rejoin_prob)
-                         : rng.bernoulli(config_.crash_prob);
-    if (now_crashed != nullptr) (*now_crashed)[i] = now;
-    if (drawn) out[i - begin] = draw_rest(rng, now);
+    const std::uint64_t stream = mix(round_seed, i);
+    chain[i] = drawn(i) ? draw(i, stream)
+                        : chain_step(i, first_uniform(stream));
   }
 }
 

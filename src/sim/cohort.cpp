@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -55,9 +56,16 @@ Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
   // Keys are uniform over 2^64, so about cut * n devices have a key at or
   // below cut * 2^64. When at least k do, the k smallest (key, id) pairs
   // are all among them: rank only those. Otherwise rank the whole fleet.
-  // nth_element keeps either ranking O(candidates) instead of a full sort.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ranked;
+  // Candidates are collected in id order; nth_element on a copy finds the
+  // k-th smallest pair, and one ordered scan keeps the pairs at or below
+  // it — exactly k of them (ids are unique), already sorted by id.
+  using Ranked = std::pair<std::uint64_t, std::size_t>;
+  std::vector<Ranked> ranked;
   if (cut < 1.0) {
+    // The candidate count is Binomial(n, cut): mean + 4 sd rarely regrows.
+    const double expected = cut * static_cast<double>(fleet_size);
+    ranked.reserve(static_cast<std::size_t>(
+        expected + 4.0 * std::sqrt(expected) + 64.0));
     const auto key_cut = static_cast<std::uint64_t>(std::ldexp(cut, 64));
     for (std::size_t i = 0; i < fleet_size; ++i) {
       const std::uint64_t key = cohort_key(seed, round, i);
@@ -70,10 +78,13 @@ Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
       ranked[i] = {cohort_key(seed, round, i), i};
     }
   }
-  std::nth_element(ranked.begin(), ranked.begin() + (k - 1), ranked.end());
-  cohort.indices.resize(k);
-  for (std::size_t i = 0; i < k; ++i) cohort.indices[i] = ranked[i].second;
-  std::sort(cohort.indices.begin(), cohort.indices.end());
+  std::vector<Ranked> order(ranked);
+  std::nth_element(order.begin(), order.begin() + (k - 1), order.end());
+  const Ranked kth = order[k - 1];
+  cohort.indices.reserve(k);
+  for (const Ranked& r : ranked) {
+    if (r <= kth) cohort.indices.push_back(r.second);
+  }
   return cohort;
 }
 

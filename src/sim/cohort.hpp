@@ -8,8 +8,11 @@
 // SplitMix64 key — a pure function of (seed, round, device_id), so the
 // cohort is independent of iteration order, device count elsewhere, and
 // platform, and two shards sampling the same round agree without
-// coordination. The k chosen devices are returned sorted by id, ready to
-// drive a StepOptions participation mask or an fl::FedAvg roster.
+// coordination. Only about 1.05 k candidates are ranked; they are kept in
+// id order, so the k chosen devices come out sorted by id without a sort,
+// ready to drive a StepOptions participation mask (which the round engine
+// prices at O(cohort) past one crash-chain step per device) or an
+// fl::FedAvg roster.
 #pragma once
 
 #include <cstddef>

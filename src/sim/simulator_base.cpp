@@ -61,6 +61,14 @@ void apply_timeline(std::span<const TimelinePhase> phases, double cut,
 /// Per-thread scratch columns for one pricing block (reused across blocks
 /// and rounds; capacity grows to kPricingBlock once and stays).
 struct BlockScratch {
+  std::vector<std::size_t> members;  // participants' block offsets
+  // The members' price_compute inputs, gathered (masked rounds only).
+  std::vector<double> cycles;
+  std::vector<double> bits;
+  std::vector<double> capacitance;
+  std::vector<double> max_freq;
+  std::vector<double> request;
+  // Priced columns, one slot per member.
   std::vector<double> freq;
   std::vector<double> tcmp;
   std::vector<double> ecmp;
@@ -72,6 +80,12 @@ struct BlockScratch {
 
   void ensure(std::size_t n) {
     if (freq.size() < n) {
+      members.resize(n);
+      cycles.resize(n);
+      bits.resize(n);
+      capacitance.resize(n);
+      max_freq.resize(n);
+      request.resize(n);
       freq.resize(n);
       tcmp.resize(n);
       ecmp.resize(n);
@@ -249,28 +263,57 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
     faults = s.faults.data();
   }
 
-  // Compute-side pricing for the whole block through the SIMD-dispatched
-  // kernel. Masked/crashed lanes are priced too and overwritten below —
-  // the kernel is pure, so the dead lanes cost cycles, not correctness.
+  // The block's members as block offsets (without a mask every lane is
+  // one), and their price_compute inputs: read in place when everyone
+  // takes part, else gathered so that the work below is O(members).
   const FleetView view(fleet_);
-  fleet::price_compute(bn, params_.tau, kMinFreqFraction,
-                       view.cycles_per_bit().data() + begin,
-                       view.dataset_bits().data() + begin,
-                       view.capacitance().data() + begin,
-                       view.max_freq_hz().data() + begin,
-                       freqs_hz.data() + begin, s.freq.data(), s.tcmp.data(),
-                       s.ecmp.data());
+  const double* cycles = view.cycles_per_bit().data() + begin;
+  const double* bits = view.dataset_bits().data() + begin;
+  const double* capacitance = view.capacitance().data() + begin;
+  const double* max_freq = view.max_freq_hz().data() + begin;
+  const double* request = freqs_hz.data() + begin;
+  std::size_t m = bn;
+  if (participating != nullptr) {
+    m = 0;
+    for (std::size_t k = 0; k < bn; ++k) {
+      s.members[m] = k;
+      m += (*participating)[begin + k] ? 1 : 0;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t k = s.members[j];
+      s.cycles[j] = cycles[k];
+      s.bits[j] = bits[k];
+      s.capacitance[j] = capacitance[k];
+      s.max_freq[j] = max_freq[k];
+      s.request[j] = request[k];
+    }
+    cycles = s.cycles.data();
+    bits = s.bits.data();
+    capacitance = s.capacitance.data();
+    max_freq = s.max_freq.data();
+    request = s.request.data();
+  }
+  const auto lane = [&](std::size_t j) {
+    return participating != nullptr ? s.members[j] : j;
+  };
 
-  // Collect the lanes that take the fault-free upload path and solve their
-  // trace integrals in lockstep batches (device order preserved).
+  // Compute-side pricing of the members through the SIMD-dispatched
+  // kernel. Every tier is a pure element-wise map, so gathered lanes get
+  // the same bits as in place; crashed members are priced too and
+  // overwritten below.
+  fleet::price_compute(m, params_.tau, kMinFreqFraction, cycles, bits,
+                       capacitance, max_freq, request, s.freq.data(),
+                       s.tcmp.data(), s.ecmp.data());
+
+  // Collect the members that take the fault-free upload path and solve
+  // their trace integrals in lockstep batches (device order preserved).
   s.solve_idx.clear();
   s.solve_start.clear();
-  for (std::size_t k = 0; k < bn; ++k) {
-    const std::size_t i = begin + k;
-    if (participating != nullptr && !(*participating)[i]) continue;
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t k = lane(j);
     if (faults != nullptr && faults[k].faulty()) continue;
-    s.solve_idx.push_back(i);
-    s.solve_start.push_back(start_time + s.tcmp[k]);
+    s.solve_idx.push_back(begin + k);
+    s.solve_start.push_back(start_time + s.tcmp[j]);
   }
   s.solve_end.resize(s.solve_idx.size());
   traces_.upload_finish_times(s.solve_idx.data(), s.solve_idx.size(),
@@ -290,18 +333,24 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
     }
   };
 
-  // Assembly pass: per-device branch structure and accumulation order
-  // identical to the legacy sequential engine.
+  // Non-members sit the round out: all fields zero, no barrier share.
+  // Only the per-device layouts have rows to write for them.
+  if (participating != nullptr && result.layout != OutcomeLayout::kSummary) {
+    DeviceOutcome sat_out;
+    sat_out.participated = false;
+    sat_out.completed = false;
+    for (std::size_t k = 0; k < bn; ++k) {
+      if (!(*participating)[begin + k]) store(begin + k, sat_out);
+    }
+  }
+
+  // Assembly pass over the members: per-device branch structure and
+  // accumulation order identical to the legacy sequential engine.
   std::size_t solve_pos = 0;
-  for (std::size_t k = 0; k < bn; ++k) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t k = lane(j);
     const std::size_t i = begin + k;
     DeviceOutcome out;
-    if (participating != nullptr && !(*participating)[i]) {
-      out.participated = false;  // all fields stay zero; no barrier share
-      out.completed = false;
-      store(i, out);
-      continue;
-    }
     ++totals.scheduled;
 
     const fault::DeviceFault* df = faults != nullptr ? &faults[k] : nullptr;
@@ -315,12 +364,12 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
       continue;
     }
 
-    out.freq_hz = s.freq[k];
+    out.freq_hz = s.freq[j];
 
     if (df == nullptr || !df->faulty()) {
       // Fault-free timeline from the precomputed columns — same values,
       // same operation order as the per-device scalar path.
-      out.compute_time = s.tcmp[k];
+      out.compute_time = s.tcmp[j];
       const double upload_start = s.solve_start[solve_pos];
       const double upload_end = s.solve_end[solve_pos];
       ++solve_pos;
@@ -330,7 +379,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
                               ? params_.model_bytes / out.comm_time
                               : traces_[i].bandwidth_at(upload_start);
 
-      out.compute_energy = s.ecmp[k];
+      out.compute_energy = s.ecmp[j];
       out.comm_energy = view.tx_power_w(i) * out.comm_time;
       out.energy = out.compute_energy + out.comm_energy;
 

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_model.hpp"
@@ -74,14 +76,17 @@ std::vector<double> make_freqs(const FleetState& fleet) {
   return freqs;
 }
 
-/// Scalar oracle for one fault-free full-participation round: per-device
-/// math through the *_reference kernels (the declared scalar oracle) and
-/// scalar trace solves, totals accumulated in the engine's fixed
-/// kPricingBlock structure (block partials in device order, combined in
-/// block order) so multi-block fleets compare bitwise too.
+/// Scalar oracle for one fault-free round: per-device math through the
+/// *_reference kernels (the declared scalar oracle) and scalar trace
+/// solves, totals accumulated in the engine's fixed kPricingBlock
+/// structure (block partials in device order, combined in block order) so
+/// multi-block fleets compare bitwise too. With a `mask`, devices outside
+/// it sit the round out: participated = completed = false, every other
+/// field zero.
 IterationResult oracle_round(const FleetState& fleet, const TraceTable& traces,
                              const CostParams& params,
-                             const std::vector<double>& freqs, double start) {
+                             const std::vector<double>& freqs, double start,
+                             const std::vector<bool>* mask = nullptr) {
   const std::size_t n = fleet.size();
   constexpr std::size_t kBlock = FlSimulator::kPricingBlock;
   IterationResult r;
@@ -110,6 +115,13 @@ IterationResult oracle_round(const FleetState& fleet, const TraceTable& traces,
     for (std::size_t k = 0; k < bn; ++k) {
       const std::size_t i = begin + k;
       DeviceOutcome& out = r.devices[i];
+      if (mask != nullptr && !(*mask)[i]) {
+        out.participated = false;
+        out.completed = false;
+        continue;
+      }
+      ++r.num_scheduled;
+      ++r.num_completed;
       out.freq_hz = freq[k];
       out.compute_time = tcmp[k];
       const double upload_start = start + tcmp[k];
@@ -128,14 +140,14 @@ IterationResult oracle_round(const FleetState& fleet, const TraceTable& traces,
       block_compute_energy += out.compute_energy;
       block_makespan = std::max(block_makespan, out.total_time);
     }
-    r.num_scheduled += bn;
-    r.num_completed += bn;
     r.total_energy += block_energy;
     r.total_compute_energy += block_compute_energy;
     makespan = std::max(makespan, block_makespan);
   }
   r.iteration_time = makespan;
-  for (auto& out : r.devices) out.idle_time = makespan - out.total_time;
+  for (auto& out : r.devices) {
+    if (out.participated) out.idle_time = makespan - out.total_time;
+  }
   r.cost = iteration_cost(makespan, r.total_energy, params);
   r.reward = iteration_reward(makespan, r.total_energy, params);
   return r;
@@ -201,6 +213,42 @@ TEST_P(FleetVsOracle, EngineMatchesScalarOracleAtEveryPoolSize) {
     opts.pool = &pool;
     const IterationResult got = sim.step(freqs, opts);
     expect_result_eq(got, expected);
+  }
+}
+
+// A 10% cohort against the masked oracle: members priced bit for bit,
+// non-members back with participated = completed = false and every
+// time/energy field (idle_time included) zero, in both per-device layouts.
+TEST_P(FleetVsOracle, CohortMatchesMaskedScalarOracle) {
+  const std::size_t n = GetParam();
+  const FleetState fleet = make_fleet_state(n, FleetModel{}, 1234);
+  const TraceTable traces = make_traces(n);
+  const CostParams params = fleet_params();
+  const auto freqs = make_freqs(fleet);
+  const std::vector<bool> mask =
+      sample_cohort(n, std::max<std::size_t>(1, n / 10), 5, 1).mask(n);
+
+  const IterationResult expected =
+      oracle_round(fleet, traces, params, freqs, 0.0, &mask);
+  const DeviceOutcome sat_out{.participated = false, .completed = false};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!mask[i]) expect_outcome_eq(expected.devices[i], sat_out);
+  }
+
+  for (const OutcomeLayout layout :
+       {OutcomeLayout::kRows, OutcomeLayout::kColumns}) {
+    for (std::size_t workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pool " << workers << " layout "
+                   << static_cast<int>(layout));
+      ThreadPool pool(workers);
+      FlSimulator sim(fleet, traces, params);
+      StepOptions opts;
+      opts.outcomes = layout;
+      opts.pool = &pool;
+      opts.participating = &mask;
+      expect_result_eq(sim.step(freqs, opts), expected);
+    }
   }
 }
 
@@ -543,16 +591,29 @@ TEST(FaultModelBatch, NonParticipantsOnlyStepTheCrashChain) {
   const std::size_t n = 200;
   std::vector<bool> mask(n);
   for (std::size_t i = 0; i < n; i += 3) mask[i] = true;
+  // Half the fleet starts down, so both the crash_prob and the
+  // rejoin_prob step of the chain are compared, in and out of the mask.
+  std::vector<bool> was(n);
+  for (std::size_t i = 0; i < n; i += 2) was[i] = true;
 
   RoundFaults full;
   full.devices.resize(n);
   std::vector<bool> full_chain(n);
-  model.draw_range(4, 0, n, {}, &full, &full_chain);
+  model.draw_range(4, 0, n, was, &full, &full_chain);
+  std::size_t rejoins = 0;
+  std::size_t crashes = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (was[i] && !full_chain[i]) ++rejoins;
+    if (!was[i] && full_chain[i]) ++crashes;
+  }
+  EXPECT_GT(rejoins, 0u);
+  EXPECT_GT(crashes, 0u);
 
+  // In place, as the simulator steps its chain.
   const DeviceFault untouched{.dropout_frac = -1.0};
   std::vector<DeviceFault> block(n, untouched);
-  std::vector<bool> chain(n);
-  model.draw_block(4, 0, n, {}, &mask, block.data(), &chain);
+  std::vector<bool> chain = was;
+  model.draw_block(4, 0, n, chain, &mask, block.data(), &chain);
   EXPECT_EQ(chain, full_chain);
   for (std::size_t i = 0; i < n; ++i) {
     expect_fault_eq(block[i], mask[i] ? full.devices[i] : untouched);
@@ -676,6 +737,42 @@ TEST(CohortSampling, CandidateFilterMatchesFullRanking) {
       // A cut almost nothing passes takes the full-ranking fallback.
       EXPECT_EQ(detail::sample_cohort_with_cut(n, k, 17, 2, 0.0).indices,
                 full.indices);
+    }
+  }
+}
+
+/// Test-side copy of the documented cohort key: SplitMix64 over the
+/// order-free (seed, round, id) combine.
+std::uint64_t oracle_cohort_key(std::uint64_t seed, std::uint64_t round,
+                                std::uint64_t id) {
+  const std::uint64_t a = seed ^ (round * 0x9e3779b97f4a7c15ULL);
+  std::uint64_t z = (a ^ (id + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2))) +
+                    0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+TEST(CohortSampling, MatchesFullSortOracle) {
+  const std::uint64_t seed = 23;
+  for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{4097},
+                        std::size_t{1} << 20}) {
+    for (std::size_t round : {0u, 1u, 7u}) {
+      // Rank the whole fleet by (key, id) with a full sort.
+      std::vector<std::pair<std::uint64_t, std::size_t>> ranked(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ranked[i] = {oracle_cohort_key(seed, round, i), i};
+      }
+      std::sort(ranked.begin(), ranked.end());
+      for (std::size_t k : {std::size_t{1}, n / 10, n - 1, n}) {
+        if (k == 0) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << "n " << n << " k " << k << " round " << round);
+        std::vector<std::size_t> expected(k);
+        for (std::size_t j = 0; j < k; ++j) expected[j] = ranked[j].second;
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(sample_cohort(n, k, seed, round).indices, expected);
+      }
     }
   }
 }
