@@ -32,7 +32,7 @@
 #      also compared one-way against the baselines: a holding gate must
 #      keep holding).
 #
-#   scripts/check.sh          # all four legs
+#   scripts/check.sh          # all five legs
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -10,7 +10,7 @@ namespace fedra {
 void ReLU::forward_into(const Matrix& input, Matrix& out) {
   input_ref_ = &input;
   out.resize_reuse(input.rows(), input.cols());
-  // SIMD map, bit-identical to `x > 0 ? x : 0` (incl. NaN / -0.0).
+  // `x > 0 ? x : 0`: NaN and -0.0 map to +0.0.
   relu_map(input.data(), out.data(), input.size());
 }
 

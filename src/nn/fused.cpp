@@ -13,20 +13,23 @@
 
 namespace fedra {
 
-// The dispatch discipline mirrors tensor/ops.cpp: the repo builds for
-// baseline x86-64, SIMD tiers are per-function target("avx2") /
-// target("avx512f") bodies selected once via __builtin_cpu_supports, and
-// every product that feeds an add carries an empty asm barrier so the
-// compiler cannot contract mul+add into FMA (one rounding instead of two
-// would silently split the tiers bitwise). SIMD bodies process only whole
-// vectors; the baseline-ISA wrapper runs the scalar reference over the
-// tail, so tail elements can never pick up contracted code by inlining
-// into a wider-target function.
+// Only fast_tanh_map has hand-written SIMD tiers: it is the one map a
+// benchmark workload spends real time in (the paper's nets are tanh MLPs).
+// Every other map here is a plain loop over the scalar arithmetic. The tanh
+// discipline mirrors tensor/ops.cpp: the repo builds for baseline x86-64,
+// the tiers are per-function target("avx2") / target("avx512f") bodies
+// selected once via __builtin_cpu_supports, and every product that feeds
+// an add carries an empty asm barrier so the compiler cannot contract
+// mul+add into FMA (one rounding instead of two would silently split the
+// tiers bitwise). SIMD bodies process only whole vectors; the baseline-ISA
+// wrapper runs the scalar reference over the tail, so tail elements can
+// never pick up contracted code by inlining into a wider-target function.
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// The shared saturating-exp operation DAG. All tiers execute, per element:
+// The shared saturating-exp operation DAG. Every tanh tier and the scalar
+// exp/sigmoid maps execute, per element:
 //   clamp -> x*log2(e) -> magic-number round-to-nearest -> two-term
 //   Cody-Waite reduction r = x - n*ln2 -> degree-12 Horner polynomial ->
 //   scale by 2^n in two halves (n1 = n>>1, n2 = n-n1) assembled from raw
@@ -102,76 +105,6 @@ inline double sigmoid_core_scalar(double x) {
   return x < 0.0 ? e / d : 1.0 / d;
 }
 
-// ---------------------------------------------------------------------------
-// Bulk kernels. Each returns how many leading elements it processed; the
-// dispatching wrapper finishes the remainder with the scalar reference.
-// ---------------------------------------------------------------------------
-
-using BulkFn = std::size_t (*)(const double*, double*, std::size_t);
-using Bulk2Fn = std::size_t (*)(const double*, const double*, double*,
-                                std::size_t);
-using BulkSlopeFn = std::size_t (*)(const double*, double, double*,
-                                    std::size_t);
-using Bulk2SlopeFn = std::size_t (*)(const double*, const double*, double,
-                                     double*, std::size_t);
-
-std::size_t exp_bulk_scalar(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fast_exp_reference(x[i]);
-  }
-  return n;
-}
-
-std::size_t tanh_bulk_scalar(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fast_tanh_reference(x[i]);
-  }
-  return n;
-}
-
-std::size_t sigmoid_bulk_scalar(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fast_sigmoid_reference(x[i]);
-  }
-  return n;
-}
-
-std::size_t relu_bulk_scalar(const double* x, double* out, std::size_t n) {
-  relu_map_reference(x, out, n);
-  return n;
-}
-
-std::size_t leaky_bulk_scalar(const double* x, double slope, double* out,
-                              std::size_t n) {
-  leaky_relu_map_reference(x, slope, out, n);
-  return n;
-}
-
-std::size_t relu_bwd_bulk_scalar(const double* g, const double* x,
-                                 double* grad_in, std::size_t n) {
-  relu_backward_map_reference(g, x, grad_in, n);
-  return n;
-}
-
-std::size_t leaky_bwd_bulk_scalar(const double* g, const double* x,
-                                  double slope, double* grad_in,
-                                  std::size_t n) {
-  leaky_relu_backward_map_reference(g, x, slope, grad_in, n);
-  return n;
-}
-
-std::size_t tanh_bwd_bulk_scalar(const double* g, const double* y,
-                                 double* grad_in, std::size_t n) {
-  tanh_backward_map_reference(g, y, grad_in, n);
-  return n;
-}
-
-std::size_t sigmoid_bwd_bulk_scalar(const double* g, const double* y,
-                                    double* grad_in, std::size_t n) {
-  sigmoid_backward_map_reference(g, y, grad_in, n);
-  return n;
-}
-
 #if FEDRA_FUSED_X86_SIMD
 
 // --- AVX2 tier (4 lanes) ---------------------------------------------------
@@ -207,19 +140,6 @@ __attribute__((target("avx2"))) inline __m256d exp_core_avx2(__m256d x) {
   return _mm256_mul_pd(_mm256_mul_pd(p, s1), s2);
 }
 
-__attribute__((target("avx2"))) std::size_t exp_bulk_avx2(const double* x,
-                                                          double* out,
-                                                          std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    __m256d e = exp_core_avx2(v);
-    e = _mm256_blendv_pd(e, v, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
-    _mm256_storeu_pd(out + i, e);
-  }
-  return i;
-}
-
 __attribute__((target("avx2"))) std::size_t tanh_bulk_avx2(const double* x,
                                                            double* out,
                                                            std::size_t n) {
@@ -236,115 +156,6 @@ __attribute__((target("avx2"))) std::size_t tanh_bulk_avx2(const double* x,
     t = _mm256_or_pd(t, _mm256_and_pd(v, sign_mask));
     t = _mm256_blendv_pd(t, v, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
     _mm256_storeu_pd(out + i, t);
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t sigmoid_bulk_avx2(
-    const double* x, double* out, std::size_t n) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    const __m256d a = _mm256_andnot_pd(sign_mask, v);
-    const __m256d e = exp_core_avx2(_mm256_xor_pd(a, sign_mask));
-    const __m256d d = _mm256_add_pd(one, e);
-    __m256d s = _mm256_blendv_pd(_mm256_div_pd(one, d), _mm256_div_pd(e, d),
-                                 _mm256_cmp_pd(v, zero, _CMP_LT_OQ));
-    s = _mm256_blendv_pd(s, v, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
-    _mm256_storeu_pd(out + i, s);
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t relu_bulk_avx2(const double* x,
-                                                           double* out,
-                                                           std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    // x > 0 -> x, else (incl. NaN and -0.0) -> +0.0: the scalar ternary.
-    _mm256_storeu_pd(out + i,
-                     _mm256_and_pd(v, _mm256_cmp_pd(v, zero, _CMP_GT_OQ)));
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t leaky_bulk_avx2(const double* x,
-                                                            double slope,
-                                                            double* out,
-                                                            std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sl = _mm256_set1_pd(slope);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
-    _mm256_storeu_pd(
-        out + i, _mm256_blendv_pd(_mm256_mul_pd(sl, v), v,
-                                  _mm256_cmp_pd(v, zero, _CMP_GT_OQ)));
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t relu_bwd_bulk_avx2(
-    const double* g, const double* x, double* grad_in, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d gv = _mm256_loadu_pd(g + i);
-    // x <= 0 -> 0, else (incl. NaN x) -> g: andnot of the LE mask.
-    _mm256_storeu_pd(
-        grad_in + i,
-        _mm256_andnot_pd(_mm256_cmp_pd(xv, zero, _CMP_LE_OQ), gv));
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t leaky_bwd_bulk_avx2(
-    const double* g, const double* x, double slope, double* grad_in,
-    std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sl = _mm256_set1_pd(slope);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d gv = _mm256_loadu_pd(g + i);
-    _mm256_storeu_pd(
-        grad_in + i,
-        _mm256_blendv_pd(gv, _mm256_mul_pd(sl, gv),
-                         _mm256_cmp_pd(xv, zero, _CMP_LE_OQ)));
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t tanh_bwd_bulk_avx2(
-    const double* g, const double* y, double* grad_in, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d yv = _mm256_loadu_pd(y + i);
-    __m256d t = _mm256_mul_pd(yv, yv);
-    __asm__("" : "+x"(t));  // keep 1 - y*y from contracting to FNMADD
-    _mm256_storeu_pd(grad_in + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(g + i),
-                                   _mm256_sub_pd(one, t)));
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) std::size_t sigmoid_bwd_bulk_avx2(
-    const double* g, const double* y, double* grad_in, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d yv = _mm256_loadu_pd(y + i);
-    const __m256d u = _mm256_mul_pd(yv, _mm256_sub_pd(one, yv));
-    _mm256_storeu_pd(grad_in + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(g + i), u));
   }
   return i;
 }
@@ -367,11 +178,6 @@ __attribute__((target("avx512f"))) inline __m512d or512(__m512d a,
                                                         __m512d b) {
   return _mm512_castsi512_pd(
       _mm512_or_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-}
-__attribute__((target("avx512f"))) inline __m512d xor512(__m512d a,
-                                                         __m512d b) {
-  return _mm512_castsi512_pd(
-      _mm512_xor_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
 }
 
 __attribute__((target("avx512f"))) inline __m512d exp_core_avx512(__m512d x) {
@@ -405,18 +211,6 @@ __attribute__((target("avx512f"))) inline __m512d exp_core_avx512(__m512d x) {
   return _mm512_mul_pd(_mm512_mul_pd(p, s1), s2);
 }
 
-__attribute__((target("avx512f"))) std::size_t exp_bulk_avx512(
-    const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(x + i);
-    __m512d e = exp_core_avx512(v);
-    e = _mm512_mask_mov_pd(e, _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q), v);
-    _mm512_storeu_pd(out + i, e);
-  }
-  return i;
-}
-
 __attribute__((target("avx512f"))) std::size_t tanh_bulk_avx512(
     const double* x, double* out, std::size_t n) {
   const __m512d sign_mask = _mm512_set1_pd(-0.0);
@@ -436,135 +230,21 @@ __attribute__((target("avx512f"))) std::size_t tanh_bulk_avx512(
   return i;
 }
 
-__attribute__((target("avx512f"))) std::size_t sigmoid_bulk_avx512(
-    const double* x, double* out, std::size_t n) {
-  const __m512d sign_mask = _mm512_set1_pd(-0.0);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(x + i);
-    const __m512d a = andnot512(sign_mask, v);
-    const __m512d e = exp_core_avx512(xor512(a, sign_mask));
-    const __m512d d = _mm512_add_pd(one, e);
-    __m512d s = _mm512_mask_mov_pd(_mm512_div_pd(one, d),
-                                   _mm512_cmp_pd_mask(v, zero, _CMP_LT_OQ),
-                                   _mm512_div_pd(e, d));
-    s = _mm512_mask_mov_pd(s, _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q), v);
-    _mm512_storeu_pd(out + i, s);
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t relu_bulk_avx512(
-    const double* x, double* out, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(x + i);
-    _mm512_storeu_pd(
-        out + i,
-        _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(v, zero, _CMP_GT_OQ), v));
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t leaky_bulk_avx512(
-    const double* x, double slope, double* out, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d sl = _mm512_set1_pd(slope);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(x + i);
-    _mm512_storeu_pd(
-        out + i,
-        _mm512_mask_mov_pd(_mm512_mul_pd(sl, v),
-                           _mm512_cmp_pd_mask(v, zero, _CMP_GT_OQ), v));
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t relu_bwd_bulk_avx512(
-    const double* g, const double* x, double* grad_in, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d xv = _mm512_loadu_pd(x + i);
-    const __m512d gv = _mm512_loadu_pd(g + i);
-    _mm512_storeu_pd(
-        grad_in + i,
-        _mm512_maskz_mov_pd(
-            _mm512_cmp_pd_mask(xv, zero, _CMP_NLE_UQ), gv));
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t leaky_bwd_bulk_avx512(
-    const double* g, const double* x, double slope, double* grad_in,
-    std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d sl = _mm512_set1_pd(slope);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d xv = _mm512_loadu_pd(x + i);
-    const __m512d gv = _mm512_loadu_pd(g + i);
-    _mm512_storeu_pd(
-        grad_in + i,
-        _mm512_mask_mov_pd(gv, _mm512_cmp_pd_mask(xv, zero, _CMP_LE_OQ),
-                           _mm512_mul_pd(sl, gv)));
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t tanh_bwd_bulk_avx512(
-    const double* g, const double* y, double* grad_in, std::size_t n) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d yv = _mm512_loadu_pd(y + i);
-    __m512d t = _mm512_mul_pd(yv, yv);
-    __asm__("" : "+v"(t));  // keep 1 - y*y from contracting to FNMADD
-    _mm512_storeu_pd(grad_in + i,
-                     _mm512_mul_pd(_mm512_loadu_pd(g + i),
-                                   _mm512_sub_pd(one, t)));
-  }
-  return i;
-}
-
-__attribute__((target("avx512f"))) std::size_t sigmoid_bwd_bulk_avx512(
-    const double* g, const double* y, double* grad_in, std::size_t n) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d yv = _mm512_loadu_pd(y + i);
-    const __m512d u = _mm512_mul_pd(yv, _mm512_sub_pd(one, yv));
-    _mm512_storeu_pd(grad_in + i,
-                     _mm512_mul_pd(_mm512_loadu_pd(g + i), u));
-  }
-  return i;
-}
-
 #endif  // FEDRA_FUSED_X86_SIMD
 
-template <typename Fn>
-Fn select_tier(Fn scalar, Fn avx2, Fn avx512) {
-#if FEDRA_FUSED_X86_SIMD
-  if (__builtin_cpu_supports("avx512f")) return avx512;
-  if (__builtin_cpu_supports("avx2")) return avx2;
-#else
-  (void)avx2;
-  (void)avx512;
-#endif
-  return scalar;
-}
+/// Bulk tanh body: processes a prefix of whole vectors and returns its
+/// length; fast_tanh_map finishes the rest with the scalar reference.
+using TanhBulkFn = std::size_t (*)(const double*, double*, std::size_t);
 
+std::size_t tanh_bulk_none(const double*, double*, std::size_t) { return 0; }
+
+TanhBulkFn select_tanh_bulk() {
 #if FEDRA_FUSED_X86_SIMD
-#define FEDRA_FUSED_SELECT(name) \
-  select_tier(&name##_scalar, &name##_avx2, &name##_avx512)
-#else
-#define FEDRA_FUSED_SELECT(name) \
-  select_tier(&name##_scalar, &name##_scalar, &name##_scalar)
+  if (__builtin_cpu_supports("avx512f")) return &tanh_bulk_avx512;
+  if (__builtin_cpu_supports("avx2")) return &tanh_bulk_avx2;
 #endif
+  return &tanh_bulk_none;
+}
 
 }  // namespace
 
@@ -584,109 +264,59 @@ double fast_sigmoid_reference(double x) {
 }
 
 void fast_exp_map(const double* x, double* out, std::size_t n) {
-  static const BulkFn bulk = FEDRA_FUSED_SELECT(exp_bulk);
-  for (std::size_t i = bulk(x, out, n); i < n; ++i) {
-    out[i] = fast_exp_reference(x[i]);
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = fast_exp_reference(x[i]);
 }
 
 void fast_tanh_map(const double* x, double* out, std::size_t n) {
-  static const BulkFn bulk = FEDRA_FUSED_SELECT(tanh_bulk);
+  static const TanhBulkFn bulk = select_tanh_bulk();
   for (std::size_t i = bulk(x, out, n); i < n; ++i) {
     out[i] = fast_tanh_reference(x[i]);
   }
 }
 
 void fast_sigmoid_map(const double* x, double* out, std::size_t n) {
-  static const BulkFn bulk = FEDRA_FUSED_SELECT(sigmoid_bulk);
-  for (std::size_t i = bulk(x, out, n); i < n; ++i) {
-    out[i] = fast_sigmoid_reference(x[i]);
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = fast_sigmoid_reference(x[i]);
 }
 
-void relu_map_reference(const double* x, double* out, std::size_t n) {
+void relu_map(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = x[i] > 0.0 ? x[i] : 0.0;
   }
 }
 
-void relu_map(const double* x, double* out, std::size_t n) {
-  static const BulkFn bulk = FEDRA_FUSED_SELECT(relu_bulk);
-  const std::size_t head = bulk(x, out, n);
-  relu_map_reference(x + head, out + head, n - head);
-}
-
-void leaky_relu_map_reference(const double* x, double slope, double* out,
-                              std::size_t n) {
+void leaky_relu_map(const double* x, double slope, double* out,
+                    std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = x[i] > 0.0 ? x[i] : slope * x[i];
   }
 }
 
-void leaky_relu_map(const double* x, double slope, double* out,
-                    std::size_t n) {
-  static const BulkSlopeFn bulk = FEDRA_FUSED_SELECT(leaky_bulk);
-  const std::size_t head = bulk(x, slope, out, n);
-  leaky_relu_map_reference(x + head, slope, out + head, n - head);
-}
-
-void relu_backward_map_reference(const double* g, const double* x,
-                                 double* grad_in, std::size_t n) {
+void relu_backward_map(const double* g, const double* x, double* grad_in,
+                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     grad_in[i] = x[i] <= 0.0 ? 0.0 : g[i];
   }
 }
 
-void relu_backward_map(const double* g, const double* x, double* grad_in,
-                       std::size_t n) {
-  static const Bulk2Fn bulk = FEDRA_FUSED_SELECT(relu_bwd_bulk);
-  const std::size_t head = bulk(g, x, grad_in, n);
-  relu_backward_map_reference(g + head, x + head, grad_in + head, n - head);
-}
-
-void leaky_relu_backward_map_reference(const double* g, const double* x,
-                                       double slope, double* grad_in,
-                                       std::size_t n) {
+void leaky_relu_backward_map(const double* g, const double* x, double slope,
+                             double* grad_in, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     grad_in[i] = x[i] <= 0.0 ? slope * g[i] : g[i];
   }
 }
 
-void leaky_relu_backward_map(const double* g, const double* x, double slope,
-                             double* grad_in, std::size_t n) {
-  static const Bulk2SlopeFn bulk = FEDRA_FUSED_SELECT(leaky_bwd_bulk);
-  const std::size_t head = bulk(g, x, slope, grad_in, n);
-  leaky_relu_backward_map_reference(g + head, x + head, slope,
-                                    grad_in + head, n - head);
-}
-
-void tanh_backward_map_reference(const double* g, const double* y,
-                                 double* grad_in, std::size_t n) {
+void tanh_backward_map(const double* g, const double* y, double* grad_in,
+                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     grad_in[i] = g[i] * (1.0 - y[i] * y[i]);
   }
 }
 
-void tanh_backward_map(const double* g, const double* y, double* grad_in,
-                       std::size_t n) {
-  static const Bulk2Fn bulk = FEDRA_FUSED_SELECT(tanh_bwd_bulk);
-  const std::size_t head = bulk(g, y, grad_in, n);
-  tanh_backward_map_reference(g + head, y + head, grad_in + head, n - head);
-}
-
-void sigmoid_backward_map_reference(const double* g, const double* y,
-                                    double* grad_in, std::size_t n) {
+void sigmoid_backward_map(const double* g, const double* y, double* grad_in,
+                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     grad_in[i] = g[i] * (y[i] * (1.0 - y[i]));
   }
-}
-
-void sigmoid_backward_map(const double* g, const double* y, double* grad_in,
-                          std::size_t n) {
-  static const Bulk2Fn bulk = FEDRA_FUSED_SELECT(sigmoid_bwd_bulk);
-  const std::size_t head = bulk(g, y, grad_in, n);
-  sigmoid_backward_map_reference(g + head, y + head, grad_in + head,
-                                 n - head);
 }
 
 // ---------------------------------------------------------------------------
@@ -703,7 +333,7 @@ void act_apply(FusedAct act, const double* x, double* out, std::size_t n) {
   }
 }
 
-/// Scalar-only variant of act_apply for the *_reference fused passes.
+/// Scalar-only variant of act_apply for bias_act_into_reference.
 void act_apply_reference(FusedAct act, const double* x, double* out,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -713,94 +343,26 @@ void act_apply_reference(FusedAct act, const double* x, double* out,
 }
 
 // Fused backward row kernels: dpre and the running column sum in one
-// sweep. Row-ascending accumulation into cs matches col_sum_into.
+// sweep, each element the same arithmetic as the activation's backward
+// map. Row-ascending accumulation into cs matches col_sum_into.
 
-std::size_t tanh_bwd_row_scalar(const double* g, const double* y, double* d,
-                                double* cs, std::size_t n) {
+void tanh_bwd_row(const double* g, const double* y, double* d, double* cs,
+                  std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     const double v = g[j] * (1.0 - y[j] * y[j]);
     d[j] = v;
     cs[j] += v;
   }
-  return n;
 }
 
-std::size_t sigmoid_bwd_row_scalar(const double* g, const double* y,
-                                   double* d, double* cs, std::size_t n) {
+void sigmoid_bwd_row(const double* g, const double* y, double* d, double* cs,
+                     std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     const double v = g[j] * (y[j] * (1.0 - y[j]));
     d[j] = v;
     cs[j] += v;
   }
-  return n;
 }
-
-#if FEDRA_FUSED_X86_SIMD
-
-__attribute__((target("avx2"))) std::size_t tanh_bwd_row_avx2(
-    const double* g, const double* y, double* d, double* cs, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d yv = _mm256_loadu_pd(y + j);
-    __m256d t = _mm256_mul_pd(yv, yv);
-    __asm__("" : "+x"(t));  // keep 1 - y*y from contracting to FNMADD
-    const __m256d v =
-        _mm256_mul_pd(_mm256_loadu_pd(g + j), _mm256_sub_pd(one, t));
-    _mm256_storeu_pd(d + j, v);
-    _mm256_storeu_pd(cs + j, _mm256_add_pd(_mm256_loadu_pd(cs + j), v));
-  }
-  return j;
-}
-
-__attribute__((target("avx2"))) std::size_t sigmoid_bwd_row_avx2(
-    const double* g, const double* y, double* d, double* cs, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d yv = _mm256_loadu_pd(y + j);
-    const __m256d u = _mm256_mul_pd(yv, _mm256_sub_pd(one, yv));
-    const __m256d v = _mm256_mul_pd(_mm256_loadu_pd(g + j), u);
-    _mm256_storeu_pd(d + j, v);
-    _mm256_storeu_pd(cs + j, _mm256_add_pd(_mm256_loadu_pd(cs + j), v));
-  }
-  return j;
-}
-
-__attribute__((target("avx512f"))) std::size_t tanh_bwd_row_avx512(
-    const double* g, const double* y, double* d, double* cs, std::size_t n) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d yv = _mm512_loadu_pd(y + j);
-    __m512d t = _mm512_mul_pd(yv, yv);
-    __asm__("" : "+v"(t));  // keep 1 - y*y from contracting to FNMADD
-    const __m512d v =
-        _mm512_mul_pd(_mm512_loadu_pd(g + j), _mm512_sub_pd(one, t));
-    _mm512_storeu_pd(d + j, v);
-    _mm512_storeu_pd(cs + j, _mm512_add_pd(_mm512_loadu_pd(cs + j), v));
-  }
-  return j;
-}
-
-__attribute__((target("avx512f"))) std::size_t sigmoid_bwd_row_avx512(
-    const double* g, const double* y, double* d, double* cs, std::size_t n) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d yv = _mm512_loadu_pd(y + j);
-    const __m512d u = _mm512_mul_pd(yv, _mm512_sub_pd(one, yv));
-    const __m512d v = _mm512_mul_pd(_mm512_loadu_pd(g + j), u);
-    _mm512_storeu_pd(d + j, v);
-    _mm512_storeu_pd(cs + j, _mm512_add_pd(_mm512_loadu_pd(cs + j), v));
-  }
-  return j;
-}
-
-#endif  // FEDRA_FUSED_X86_SIMD
-
-using RowAccumFn = std::size_t (*)(const double*, const double*, double*,
-                                   double*, std::size_t);
 
 }  // namespace
 
@@ -840,40 +402,12 @@ void act_backward_colsum_into(const Matrix& g, const Matrix& y, FusedAct act,
   dpre.resize_reuse(y.rows(), y.cols());
   colsum.resize_reuse(1, y.cols());
   colsum.set_zero();
-  static const RowAccumFn tanh_row = FEDRA_FUSED_SELECT(tanh_bwd_row);
-  static const RowAccumFn sigmoid_row = FEDRA_FUSED_SELECT(sigmoid_bwd_row);
-  const RowAccumFn bulk = act == FusedAct::Tanh ? tanh_row : sigmoid_row;
-  const auto tail = act == FusedAct::Tanh ? &tanh_bwd_row_scalar
-                                          : &sigmoid_bwd_row_scalar;
+  const auto row = act == FusedAct::Tanh ? &tanh_bwd_row : &sigmoid_bwd_row;
   const std::size_t cols = y.cols();
   double* cs = colsum.data();
   for (std::size_t i = 0; i < y.rows(); ++i) {
-    const double* gr = g.data() + i * cols;
-    const double* yr = y.data() + i * cols;
-    double* dr = dpre.data() + i * cols;
-    const std::size_t head = bulk(gr, yr, dr, cs, cols);
-    tail(gr + head, yr + head, dr + head, cs + head, cols - head);
-  }
-}
-
-void act_backward_colsum_into_reference(const Matrix& g, const Matrix& y,
-                                        FusedAct act, Matrix& dpre,
-                                        Matrix& colsum) {
-  FEDRA_EXPECTS(g.same_shape(y));
-  dpre.resize_reuse(y.rows(), y.cols());
-  colsum.resize_reuse(1, y.cols());
-  colsum.set_zero();
-  const std::size_t cols = y.cols();
-  double* cs = colsum.data();
-  for (std::size_t i = 0; i < y.rows(); ++i) {
-    const double* gr = g.data() + i * cols;
-    const double* yr = y.data() + i * cols;
-    double* dr = dpre.data() + i * cols;
-    if (act == FusedAct::Tanh) {
-      tanh_bwd_row_scalar(gr, yr, dr, cs, cols);
-    } else {
-      sigmoid_bwd_row_scalar(gr, yr, dr, cs, cols);
-    }
+    row(g.data() + i * cols, y.data() + i * cols, dpre.data() + i * cols, cs,
+        cols);
   }
 }
 

@@ -37,7 +37,7 @@ double predicted_cost(FleetView devices,
                          devices.tx_power_w().data(), est_comm_times.data(),
                          freqs_hz.data(), time.data(), energy_terms.data());
   // Sequential reductions in device order — bit-identical to the legacy
-  // per-device loop regardless of the SIMD tier above.
+  // per-device loop.
   double makespan = 0.0;
   double energy = 0.0;
   for (std::size_t i = 0; i < n; ++i) {

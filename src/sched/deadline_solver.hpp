@@ -16,7 +16,7 @@
 // they differ only in where t_hat_i comes from.
 //
 // The solver takes the fleet as a FleetView (SoA columns), so the inner
-// per-device maps run through the vectorized fleet kernels; the makespan
+// per-device maps run through the columnar fleet kernels; the makespan
 // and energy reductions stay sequential scalar sums, which keeps every
 // result bit-identical to the per-device legacy loop. Call sites holding
 // an AoS vector columnize once via FleetState and pass the view.

@@ -37,14 +37,15 @@ const char* simd_tier() {
   }
 }
 
-// ---- Scalar references -------------------------------------------------
+// ---- Scalar kernels ----------------------------------------------------
 //
 // Operation-for-operation the DeviceProfile member math: the clamp is
 // std::clamp(f, frac*max, max), t_cmp is ((tau*c)*D)/f, E_cmp is
 // ((((tau*alpha)*c)*D)*f)*f — matching compute_time()/compute_energy()
 // left-to-right evaluation so the columnar path is bit-exact against the
-// per-device AoS loop. These also serve as the tail handlers of the SIMD
-// dispatchers; they are compiled for the baseline ISA, so no contraction.
+// per-device AoS loop. price_compute_reference also serves as the tail
+// handler of the SIMD dispatcher. All three are compiled for the baseline
+// ISA, so no mul+add contracts into FMA.
 
 void price_compute_reference(std::size_t n, double tau,
                              double min_freq_fraction,
@@ -64,13 +65,10 @@ void price_compute_reference(std::size_t n, double tau,
   }
 }
 
-void deadline_freqs_reference(std::size_t n, double tau,
-                              double min_freq_fraction, double deadline,
-                              const double* cycles_per_bit,
-                              const double* dataset_bits,
-                              const double* max_freq_hz,
-                              const double* est_comm_times,
-                              double* freqs_out) {
+void deadline_freqs(std::size_t n, double tau, double min_freq_fraction,
+                    double deadline, const double* cycles_per_bit,
+                    const double* dataset_bits, const double* max_freq_hz,
+                    const double* est_comm_times, double* freqs_out) {
   for (std::size_t i = 0; i < n; ++i) {
     const double floor_hz = min_freq_fraction * max_freq_hz[i];
     const double budget = deadline - est_comm_times[i];
@@ -84,14 +82,11 @@ void deadline_freqs_reference(std::size_t n, double tau,
   }
 }
 
-void predicted_terms_reference(std::size_t n, double tau,
-                               const double* cycles_per_bit,
-                               const double* dataset_bits,
-                               const double* capacitance,
-                               const double* tx_power_w,
-                               const double* est_comm_times,
-                               const double* freqs_hz, double* time_out,
-                               double* energy_out) {
+void predicted_terms(std::size_t n, double tau, const double* cycles_per_bit,
+                     const double* dataset_bits, const double* capacitance,
+                     const double* tx_power_w, const double* est_comm_times,
+                     const double* freqs_hz, double* time_out,
+                     double* energy_out) {
   for (std::size_t i = 0; i < n; ++i) {
     const double tcmp = tau * cycles_per_bit[i] * dataset_bits[i] / freqs_hz[i];
     time_out[i] = tcmp + est_comm_times[i];
@@ -101,7 +96,7 @@ void predicted_terms_reference(std::size_t n, double tau,
   }
 }
 
-// ---- SIMD tiers --------------------------------------------------------
+// ---- price_compute SIMD tiers ------------------------------------------
 
 #if FEDRA_FLEET_X86_SIMD
 
@@ -111,7 +106,7 @@ void predicted_terms_reference(std::size_t n, double tau,
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-// Each kernel processes only whole vectors (n a multiple of the width);
+// Each tier processes only whole vectors (n a multiple of the width);
 // the dispatcher routes the remainder through the baseline-compiled scalar
 // reference so no tail arithmetic runs under a wider target attribute
 // (where the compiler could contract scalar mul+add into FMA).
@@ -173,114 +168,11 @@ __attribute__((target("avx512f"))) void price_compute_avx512(
   }
 }
 
-__attribute__((target("avx2"))) void deadline_freqs_avx2(
-    std::size_t n, double tau, double min_freq_fraction, double deadline,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* max_freq_hz, const double* est_comm_times,
-    double* freqs_out) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  const __m256d vfrac = _mm256_set1_pd(min_freq_fraction);
-  const __m256d vdl = _mm256_set1_pd(deadline);
-  const __m256d vzero = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d c = _mm256_loadu_pd(cycles_per_bit + i);
-    const __m256d d = _mm256_loadu_pd(dataset_bits + i);
-    const __m256d fmax = _mm256_loadu_pd(max_freq_hz + i);
-    const __m256d est = _mm256_loadu_pd(est_comm_times + i);
-    const __m256d budget = _mm256_sub_pd(vdl, est);
-    const __m256d cd = _mm256_mul_pd(_mm256_mul_pd(vtau, c), d);
-    const __m256d fdiv = _mm256_div_pd(cd, budget);
-    const __m256d infeasible = _mm256_cmp_pd(budget, vzero, _CMP_LE_OQ);
-    const __m256d f = _mm256_blendv_pd(fdiv, fmax, infeasible);
-    const __m256d floor_hz = _mm256_mul_pd(vfrac, fmax);
-    _mm256_storeu_pd(freqs_out + i,
-                     _mm256_min_pd(_mm256_max_pd(f, floor_hz), fmax));
-  }
-}
-
-__attribute__((target("avx512f"))) void deadline_freqs_avx512(
-    std::size_t n, double tau, double min_freq_fraction, double deadline,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* max_freq_hz, const double* est_comm_times,
-    double* freqs_out) {
-  const __m512d vtau = _mm512_set1_pd(tau);
-  const __m512d vfrac = _mm512_set1_pd(min_freq_fraction);
-  const __m512d vdl = _mm512_set1_pd(deadline);
-  const __m512d vzero = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m512d c = _mm512_loadu_pd(cycles_per_bit + i);
-    const __m512d d = _mm512_loadu_pd(dataset_bits + i);
-    const __m512d fmax = _mm512_loadu_pd(max_freq_hz + i);
-    const __m512d est = _mm512_loadu_pd(est_comm_times + i);
-    const __m512d budget = _mm512_sub_pd(vdl, est);
-    const __m512d cd = _mm512_mul_pd(_mm512_mul_pd(vtau, c), d);
-    const __m512d fdiv = _mm512_div_pd(cd, budget);
-    const __mmask8 infeasible =
-        _mm512_cmp_pd_mask(budget, vzero, _CMP_LE_OQ);
-    const __m512d f = _mm512_mask_blend_pd(infeasible, fdiv, fmax);
-    const __m512d floor_hz = _mm512_mul_pd(vfrac, fmax);
-    _mm512_storeu_pd(freqs_out + i,
-                     _mm512_min_pd(_mm512_max_pd(f, floor_hz), fmax));
-  }
-}
-
-__attribute__((target("avx2"))) void predicted_terms_avx2(
-    std::size_t n, double tau, const double* cycles_per_bit,
-    const double* dataset_bits, const double* capacitance,
-    const double* tx_power_w, const double* est_comm_times,
-    const double* freqs_hz, double* time_out, double* energy_out) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d c = _mm256_loadu_pd(cycles_per_bit + i);
-    const __m256d d = _mm256_loadu_pd(dataset_bits + i);
-    const __m256d cap = _mm256_loadu_pd(capacitance + i);
-    const __m256d tx = _mm256_loadu_pd(tx_power_w + i);
-    const __m256d est = _mm256_loadu_pd(est_comm_times + i);
-    const __m256d f = _mm256_loadu_pd(freqs_hz + i);
-    const __m256d cd = _mm256_mul_pd(_mm256_mul_pd(vtau, c), d);
-    const __m256d tcmp = _mm256_div_pd(cd, f);
-    _mm256_storeu_pd(time_out + i, _mm256_add_pd(tcmp, est));
-    const __m256d ce = _mm256_mul_pd(
-        _mm256_mul_pd(
-            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(vtau, cap), c), d), f),
-        f);
-    __m256d cme = _mm256_mul_pd(tx, est);
-    __asm__("" : "+x"(cme));  // keep mul/add unfused
-    _mm256_storeu_pd(energy_out + i, _mm256_add_pd(ce, cme));
-  }
-}
-
-__attribute__((target("avx512f"))) void predicted_terms_avx512(
-    std::size_t n, double tau, const double* cycles_per_bit,
-    const double* dataset_bits, const double* capacitance,
-    const double* tx_power_w, const double* est_comm_times,
-    const double* freqs_hz, double* time_out, double* energy_out) {
-  const __m512d vtau = _mm512_set1_pd(tau);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m512d c = _mm512_loadu_pd(cycles_per_bit + i);
-    const __m512d d = _mm512_loadu_pd(dataset_bits + i);
-    const __m512d cap = _mm512_loadu_pd(capacitance + i);
-    const __m512d tx = _mm512_loadu_pd(tx_power_w + i);
-    const __m512d est = _mm512_loadu_pd(est_comm_times + i);
-    const __m512d f = _mm512_loadu_pd(freqs_hz + i);
-    const __m512d cd = _mm512_mul_pd(_mm512_mul_pd(vtau, c), d);
-    const __m512d tcmp = _mm512_div_pd(cd, f);
-    _mm512_storeu_pd(time_out + i, _mm512_add_pd(tcmp, est));
-    const __m512d ce = _mm512_mul_pd(
-        _mm512_mul_pd(
-            _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(vtau, cap), c), d), f),
-        f);
-    __m512d cme = _mm512_mul_pd(tx, est);
-    __asm__("" : "+v"(cme));  // keep mul/add unfused
-    _mm512_storeu_pd(energy_out + i, _mm512_add_pd(ce, cme));
-  }
-}
-
 #pragma GCC diagnostic pop
 
 #endif  // FEDRA_FLEET_X86_SIMD
 
-// ---- Dispatchers -------------------------------------------------------
+// ---- Dispatcher --------------------------------------------------------
 
 void price_compute(std::size_t n, double tau, double min_freq_fraction,
                    const double* cycles_per_bit, const double* dataset_bits,
@@ -306,56 +198,6 @@ void price_compute(std::size_t n, double tau, double min_freq_fraction,
                           capacitance + head, max_freq_hz + head,
                           freqs_in + head, freq_hz + head,
                           compute_time + head, compute_energy + head);
-}
-
-void deadline_freqs(std::size_t n, double tau, double min_freq_fraction,
-                    double deadline, const double* cycles_per_bit,
-                    const double* dataset_bits, const double* max_freq_hz,
-                    const double* est_comm_times, double* freqs_out) {
-  std::size_t head = 0;
-#if FEDRA_FLEET_X86_SIMD
-  if (tier() == 2) {
-    head = n & ~std::size_t{7};
-    deadline_freqs_avx512(head, tau, min_freq_fraction, deadline,
-                          cycles_per_bit, dataset_bits, max_freq_hz,
-                          est_comm_times, freqs_out);
-  } else if (tier() == 1) {
-    head = n & ~std::size_t{3};
-    deadline_freqs_avx2(head, tau, min_freq_fraction, deadline,
-                        cycles_per_bit, dataset_bits, max_freq_hz,
-                        est_comm_times, freqs_out);
-  }
-#endif
-  deadline_freqs_reference(n - head, tau, min_freq_fraction, deadline,
-                           cycles_per_bit + head, dataset_bits + head,
-                           max_freq_hz + head, est_comm_times + head,
-                           freqs_out + head);
-}
-
-void predicted_terms(std::size_t n, double tau, const double* cycles_per_bit,
-                     const double* dataset_bits, const double* capacitance,
-                     const double* tx_power_w, const double* est_comm_times,
-                     const double* freqs_hz, double* time_out,
-                     double* energy_out) {
-  std::size_t head = 0;
-#if FEDRA_FLEET_X86_SIMD
-  if (tier() == 2) {
-    head = n & ~std::size_t{7};
-    predicted_terms_avx512(head, tau, cycles_per_bit, dataset_bits,
-                           capacitance, tx_power_w, est_comm_times, freqs_hz,
-                           time_out, energy_out);
-  } else if (tier() == 1) {
-    head = n & ~std::size_t{3};
-    predicted_terms_avx2(head, tau, cycles_per_bit, dataset_bits, capacitance,
-                         tx_power_w, est_comm_times, freqs_hz, time_out,
-                         energy_out);
-  }
-#endif
-  predicted_terms_reference(n - head, tau, cycles_per_bit + head,
-                            dataset_bits + head, capacitance + head,
-                            tx_power_w + head, est_comm_times + head,
-                            freqs_hz + head, time_out + head,
-                            energy_out + head);
 }
 
 }  // namespace fedra::fleet

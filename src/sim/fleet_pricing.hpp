@@ -1,15 +1,18 @@
-// Vectorized fleet pricing kernels — Eqs. (1)/(6) and the deadline-solver
-// per-device math evaluated across structure-of-arrays device columns.
+// Fleet pricing kernels — Eqs. (1)/(6) and the deadline-solver per-device
+// math evaluated across structure-of-arrays device columns.
 //
-// Same discipline as the PR 4 GEMM kernels (src/tensor/ops.cpp): each
-// entry point dispatches at runtime to an AVX-512F / AVX2 / scalar
-// implementation compiled via per-function target attributes, and every
-// tier is bit-identical to the scalar reference (`*_reference`), which is
-// the oracle the property tests and the fleet bench compare against. The
-// kernels are pure element-wise maps (no cross-lane reductions), so SIMD
-// width never touches summation order; the two places a multiply feeds an
-// add use the separate-mul-add + asm-barrier idiom so no tier contracts
-// into FMA (a fused a*b+c rounds once instead of twice).
+// price_compute runs on every device of a fleet round (up to 1M), so it is
+// the one kernel here with hand-written SIMD. Same discipline as the GEMM
+// kernels (src/tensor/ops.cpp): it dispatches at runtime to an AVX-512F /
+// AVX2 / scalar implementation compiled via per-function target
+// attributes, and every tier is bit-identical to price_compute_reference,
+// which the property tests and the fleet bench compare against. It is a
+// pure element-wise map (no cross-lane reductions), so SIMD width never
+// touches summation order.
+//
+// deadline_freqs and predicted_terms serve the deadline solver, which
+// prices a few dozen devices at a time; they are plain scalar loops
+// compiled for the baseline ISA (so no mul+add contracts into FMA).
 //
 // All functions take raw column pointers (length n) rather than spans so
 // tests can poison the padding beyond n and assert the kernels never read
@@ -42,18 +45,11 @@ void price_compute_reference(std::size_t n, double tau,
 /// Minimal feasible frequency per device to finish computing by `deadline`
 /// given estimated comm times: f = tau*c*D / (deadline - est), devices
 /// that cannot make it run at max, all clamped to [floor, max]. The
-/// vector path of sched's freqs_for_deadline.
+/// columnar body of sched's freqs_for_deadline.
 void deadline_freqs(std::size_t n, double tau, double min_freq_fraction,
                     double deadline, const double* cycles_per_bit,
                     const double* dataset_bits, const double* max_freq_hz,
                     const double* est_comm_times, double* freqs_out);
-void deadline_freqs_reference(std::size_t n, double tau,
-                              double min_freq_fraction, double deadline,
-                              const double* cycles_per_bit,
-                              const double* dataset_bits,
-                              const double* max_freq_hz,
-                              const double* est_comm_times,
-                              double* freqs_out);
 
 /// Predicted per-device completion time (t_cmp + est) and round energy
 /// (E_cmp + e*est) under estimated comm times — the per-device terms of
@@ -63,17 +59,9 @@ void predicted_terms(std::size_t n, double tau, const double* cycles_per_bit,
                      const double* tx_power_w, const double* est_comm_times,
                      const double* freqs_hz, double* time_out,
                      double* energy_out);
-void predicted_terms_reference(std::size_t n, double tau,
-                               const double* cycles_per_bit,
-                               const double* dataset_bits,
-                               const double* capacitance,
-                               const double* tx_power_w,
-                               const double* est_comm_times,
-                               const double* freqs_hz, double* time_out,
-                               double* energy_out);
 
-/// Widest tier this CPU dispatches to: "avx512f", "avx2", or "scalar"
-/// (bench reporting; tier choice never affects bits).
+/// Widest tier price_compute dispatches to on this CPU: "avx512f",
+/// "avx2", or "scalar" (bench reporting; tier choice never affects bits).
 const char* simd_tier();
 
 }  // namespace fedra::fleet
