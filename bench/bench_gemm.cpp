@@ -270,8 +270,8 @@ void write_json(const std::string& path, bool smoke, int reps,
        << (i + 1 < gemm.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  // The keys keep their historical "_reuse" suffix, so the baseline's
-  // allocs_reuse = 0 upper bounds keep gating allocation-free passes.
+  // The keys keep their historical "_reuse" suffix. The allocation-free
+  // steady state is pinned by test_ppo and test_fedavg, not by this file.
   auto train_obj = [&os](const char* key, const TrainStats& t, bool last) {
     os << "  \"" << key << "\": {\"ns_reuse\": " << t.ns_per_step
        << ", \"alloc_bytes_reuse\": " << t.alloc_bytes_per_step

@@ -1,46 +1,30 @@
-// Perf/cost regression harness for the observability layer and the
-// ledger's hot-path cost.
+// Perf/cost harness for the observability layer and the ledger's
+// hot-path cost.
 //
-// Measure mode (default) runs the same deterministic FlEnv trajectory four
-// times — telemetry off, telemetry on, telemetry+sync ledger, telemetry+
-// async ledger (the default config) — and reports ns per env step for
-// each, the ledger's bytes/records per round, and whether the ledger's
-// cost decomposition and fault-free predictions round-trip bit-exactly.
-// It derives the boolean gate ledger_overhead_ok (async ledger hot-path
-// overhead <= 4x a plain step), enforced exactly by compare mode. A
-// second pair of legs times the flight recorder (telemetry off, recorder
-// force-off vs on) and derives recorder_overhead_ok (always-on ring write
-// <= 1.05x a recorder-free step). Results go to stdout and a JSON file
+// It runs the same deterministic FlEnv trajectory four times — telemetry
+// off, telemetry on, telemetry+sync ledger, telemetry+async ledger (the
+// default config) — and reports ns per env step for each, the ledger's
+// bytes/records per round, and whether the ledger's cost decomposition and
+// fault-free predictions round-trip bit-exactly. It derives the boolean
+// gate ledger_overhead_ok (async ledger hot-path overhead <= 4x a plain
+// step). A second pair of legs times the flight recorder (telemetry off,
+// recorder force-off vs on) and derives recorder_overhead_ok (always-on
+// ring write <= 1.05x a recorder-free step). The exit code enforces both
+// gates and both exactness flags. Results go to stdout and a JSON file
 // (schema fedra.bench.obs.v4, documented in EXPERIMENTS.md).
 //
 //   bench_obs [--smoke] [--reps N] [--rounds N] [--out PATH]
-//
-// Compare mode diffs a fresh BENCH_*.json against a checked-in baseline
-// (bench/baselines/) and is what the `perf` ctest label runs. It works on
-// any fedra bench JSON (tensor or obs): keys are classified by name —
-// timing keys (ns/gflops/speedup/overhead/reduction) warn by default and
-// fail only under --strict-timing, allocation/size keys are upper-bounded
-// with --tol slack, everything else (schemas, shapes, counts, exactness
-// flags, and the "_ok" / reuse_not_slower boolean gates) must match
-// exactly.
-//
-//   bench_obs --compare FRESH.json BASELINE.json
-//             [--tol 0.1] [--timing-tol 0.5] [--strict-timing]
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "env/fl_env.hpp"
 #include "live/flight_recorder.hpp"
-#include "obs/json_min.hpp"
 #include "obs/ledger.hpp"
 #include "sim/experiment_config.hpp"
 #include "telemetry/telemetry.hpp"
@@ -49,10 +33,6 @@ namespace {
 
 using namespace fedra;
 using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// Measure mode
-// ---------------------------------------------------------------------------
 
 // One deterministic trajectory: fresh env from the testbed config, fixed
 // start time, fixed action, `rounds` steps. Identical across the three
@@ -156,17 +136,16 @@ ObsBenchResult measure(std::size_t rounds, int reps,
   live::set_flight_recorder_enabled(false);
   out.step_ns_plain = run_trajectory_ns(rounds, reps);
 
-  // Flight-recorder gate legs (ISSUE 10): telemetry stays off on both
-  // sides, so the on/off delta is exactly the per-step ring write
-  // (env.step's record_event: one clock read + a few relaxed stores).
-  // The on/off step timings are reported for the record (timing-classed,
-  // warn-only in compare mode): on a shared CI box their run-to-run noise
-  // (±10%) swamps the ~2% signal, so the <= 1.05x gate is instead derived
-  // from a tight-loop measurement of the ring write itself — 200k
-  // back-to-back record_event calls walk the ring exactly like production
-  // (one fresh slot per record) and time stably to the nanosecond.
-  // recorder_overhead = 1 + record_ns / recorder-free step ns, i.e. the
-  // on/off ratio with the numerator's noise removed.
+  // Flight-recorder gate legs: telemetry stays off on both sides, so the
+  // on/off delta is exactly the per-step ring write (env.step's
+  // record_event: one clock read + a few relaxed stores). The on/off step
+  // timings are reported for the record, not gated: on a shared CI box
+  // their run-to-run noise (±10%) swamps the ~2% signal, so the <= 1.05x
+  // gate is instead derived from a tight-loop measurement of the ring
+  // write itself — 200k back-to-back record_event calls walk the ring
+  // exactly like production (one fresh slot per record) and time stably
+  // to the nanosecond. recorder_overhead = 1 + record_ns / recorder-free
+  // step ns, i.e. the on/off ratio with the numerator's noise removed.
   const std::size_t rec_rounds = rounds * 10;
   const int rec_reps = std::max(reps, 5);
   run_trajectory_ns(rec_rounds, 1);  // warmup (cold caches, first faults)
@@ -302,194 +281,30 @@ void write_json(const std::string& path, bool smoke, int reps,
      << "\n}\n";
 }
 
-// ---------------------------------------------------------------------------
-// Compare mode
-// ---------------------------------------------------------------------------
-
-bool read_json_file(const std::string& path, obs::JsonValue& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_obs: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (!obs::parse_json(ss.str(), out)) {
-    std::fprintf(stderr, "bench_obs: %s is not valid JSON\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool contains(const std::string& key, const char* needle) {
-  return key.find(needle) != std::string::npos;
-}
-
-enum class KeyClass { kExact, kGate, kUpperBound, kTimingLower, kTimingHigher };
-
-// Name-based classification shared across all fedra bench schemas. Checked
-// in order: boolean gate keys first (pass/fail verdicts computed against
-// fixed thresholds at measure time — a gate that holds in the baseline
-// must keep holding, while a gate the baseline machine missed is free to
-// start passing), then throughput-style keys (higher is better), then
-// wall-clock keys, then allocation/size keys; everything else must match
-// exactly.
-KeyClass classify(const std::string& key) {
-  if ((key.size() >= 3 && key.compare(key.size() - 3, 3, "_ok") == 0) ||
-      contains(key, "not_slower")) {
-    return KeyClass::kGate;
-  }
-  if (contains(key, "gflops") || contains(key, "speedup") ||
-      contains(key, "reduction") || contains(key, "per_sec")) {
-    return KeyClass::kTimingHigher;
-  }
-  if (contains(key, "ns_") || contains(key, "_ns") ||
-      contains(key, "overhead") || contains(key, "_us")) {
-    return KeyClass::kTimingLower;
-  }
-  if (contains(key, "alloc") || contains(key, "bytes")) {
-    return KeyClass::kUpperBound;
-  }
-  return KeyClass::kExact;
-}
-
-int compare(const std::string& fresh_path, const std::string& base_path,
-            double tol, double timing_tol, bool strict_timing) {
-  obs::JsonValue fresh_v;
-  obs::JsonValue base_v;
-  if (!read_json_file(fresh_path, fresh_v) ||
-      !read_json_file(base_path, base_v)) {
-    return 2;
-  }
-
-  std::size_t failures = 0;
-  std::size_t warnings = 0;
-  std::size_t checked = 0;
-
-  const auto fresh_str = obs::flatten_strings(fresh_v);
-  for (const auto& [key, base] : obs::flatten_strings(base_v)) {
-    ++checked;
-    const auto it = fresh_str.find(key);
-    if (it == fresh_str.end()) {
-      std::printf("FAIL  %-40s missing in fresh run\n", key.c_str());
-      ++failures;
-    } else if (it->second != base) {
-      std::printf("FAIL  %-40s \"%s\" != baseline \"%s\"\n", key.c_str(),
-                  it->second.c_str(), base.c_str());
-      ++failures;
-    }
-  }
-
-  const auto fresh_num = obs::flatten_numbers(fresh_v);
-  for (const auto& [key, base] : obs::flatten_numbers(base_v)) {
-    ++checked;
-    const auto it = fresh_num.find(key);
-    if (it == fresh_num.end()) {
-      std::printf("FAIL  %-40s missing in fresh run\n", key.c_str());
-      ++failures;
-      continue;
-    }
-    const double fresh = it->second;
-    switch (classify(key)) {
-      case KeyClass::kExact:
-        if (!(std::abs(fresh - base) <= 1e-9)) {
-          std::printf("FAIL  %-40s %g != baseline %g\n", key.c_str(), fresh,
-                      base);
-          ++failures;
-        }
-        break;
-      case KeyClass::kGate:
-        if (fresh + 1e-9 < base) {
-          std::printf("FAIL  %-40s gate regressed: %g < baseline %g\n",
-                      key.c_str(), fresh, base);
-          ++failures;
-        }
-        break;
-      case KeyClass::kUpperBound:
-        if (!(fresh <= base * (1.0 + tol) + 1e-9)) {
-          std::printf("FAIL  %-40s %g exceeds baseline %g (+%.0f%% tol)\n",
-                      key.c_str(), fresh, base, tol * 100.0);
-          ++failures;
-        }
-        break;
-      case KeyClass::kTimingLower:
-        if (!(fresh <= base * (1.0 + timing_tol) + 1e-9)) {
-          std::printf("%s  %-40s %g slower than baseline %g (+%.0f%% tol)\n",
-                      strict_timing ? "FAIL" : "WARN", key.c_str(), fresh,
-                      base, timing_tol * 100.0);
-          strict_timing ? ++failures : ++warnings;
-        }
-        break;
-      case KeyClass::kTimingHigher:
-        if (!(fresh >= base * (1.0 - timing_tol) - 1e-9)) {
-          std::printf("%s  %-40s %g below baseline %g (-%.0f%% tol)\n",
-                      strict_timing ? "FAIL" : "WARN", key.c_str(), fresh,
-                      base, timing_tol * 100.0);
-          strict_timing ? ++failures : ++warnings;
-        }
-        break;
-    }
-  }
-
-  std::printf("bench_obs compare: %zu keys checked, %zu failed, %zu timing "
-              "warnings (%s vs %s)\n",
-              checked, failures, warnings, fresh_path.c_str(),
-              base_path.c_str());
-  return failures > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool do_compare = false;
-  bool strict_timing = false;
   int reps = 3;
   std::size_t rounds = 50;
-  double tol = 0.1;
-  double timing_tol = 0.5;
   std::string out_path = "BENCH_obs.json";
-  std::vector<std::string> positionals;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--compare") {
-      do_compare = true;
-    } else if (arg == "--strict-timing") {
-      strict_timing = true;
     } else if (arg == "--reps" && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
       if (reps < 1) reps = 1;
     } else if (arg == "--rounds" && i + 1 < argc) {
       rounds = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (rounds < 1) rounds = 1;
-    } else if (arg == "--tol" && i + 1 < argc) {
-      tol = std::atof(argv[++i]);
-    } else if (arg == "--timing-tol" && i + 1 < argc) {
-      timing_tol = std::atof(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg.rfind("--", 0) != 0) {
-      positionals.push_back(arg);
     } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_obs [--smoke] [--reps N] [--rounds N] [--out PATH]\n"
-          "       bench_obs --compare FRESH.json BASELINE.json\n"
-          "                 [--tol F] [--timing-tol F] [--strict-timing]\n");
+      std::fprintf(stderr, "usage: bench_obs [--smoke] [--reps N] "
+                           "[--rounds N] [--out PATH]\n");
       return 2;
     }
-  }
-
-  if (do_compare) {
-    if (positionals.size() != 2) {
-      std::fprintf(stderr,
-                   "bench_obs --compare needs exactly two JSON paths\n");
-      return 2;
-    }
-    return compare(positionals[0], positionals[1], tol, timing_tol,
-                   strict_timing);
   }
 
   if (smoke) {
@@ -533,8 +348,8 @@ int main(int argc, char** argv) {
 
   write_json(out_path, smoke, reps, r);
   std::printf("wrote %s\n", out_path.c_str());
-  // The exit code enforces the gates directly, so the smoke ctest entry
-  // fails even before the baseline diff runs.
+  // The exit code is the only enforcement of these gates: the smoke ctest
+  // entry fails when any of them misses.
   const bool ledger_ok = r.step_ns_plain > 0.0 &&
                          r.step_ns_ledger <= 4.0 * r.step_ns_plain;
   // The always-on flight recorder must stay within 5% of a

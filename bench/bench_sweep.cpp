@@ -21,8 +21,8 @@
 //     not meaningfully slower than serial" and the real contract is
 //     carried by the exactness gate.
 //
-// Timings are reported in microseconds (warn-only keys in the baseline
-// diff; machine noise must not gate correctness).
+// Timings are reported in microseconds and gate nothing (machine noise
+// must not gate correctness).
 //
 // Flags: --smoke (reps=2, smaller arms — the `perf` ctest label runs
 //        this), --reps N (default 3), --out PATH (default

@@ -16,21 +16,19 @@
 #      flight-recorder dump over real TCP, validate every payload
 #      (Prometheus line shapes + JSON parses), and verify clean
 #      double-stop shutdown;
-#   5. perf: smoke-run the perf harnesses and diff them against the
-#      checked-in bench/baselines/ snapshots (`-L perf`); this leg also
-#      enforces bench_serve's batched-vs-sequential speedup floor and
-#      bit-exactness flag, bench_fleet's engine-vs-scalar-oracle
-#      bitwise pricing contract (50 → 1M devices, pools {1,2,8}),
-#      bench_gemm's zero-allocation PPO/FedAvg steady state (via the
-#      baselines' allocs_reuse = 0 bounds), bench_obs's
-#      async-ledger and flight-recorder overhead ceilings, and
-#      bench_sweep's serial≡parallel bitwise-aggregate contract
-#      plus hardware-graded sweep-speedup floor (the converted
-#      bench_multiseed / bench_ablate_tau / bench_ablate_lambda smokes
-#      assert the same serial≡parallel contract on their own grids),
-#      via each bench's own exit code (gate booleans in the JSON are
-#      also compared one-way against the baselines: a holding gate must
-#      keep holding).
+#   5. perf: smoke-run the perf harnesses (`-L perf`); each gate lives
+#      in one bench's own exit code: bench_serve's batched-vs-sequential
+#      speedup floor and bit-exactness flag, bench_fleet's
+#      engine-vs-scalar-oracle bitwise pricing contract (50 → 1M
+#      devices, pools {1,2,8}), bench_obs's async-ledger and
+#      flight-recorder overhead ceilings and bit-exact ledger
+#      decomposition, and bench_sweep's serial≡parallel
+#      bitwise-aggregate contract plus hardware-graded sweep-speedup
+#      floor (the converted bench_multiseed / bench_ablate_tau /
+#      bench_ablate_lambda smokes assert the same serial≡parallel
+#      contract on their own grids). Nothing is diffed against stored
+#      snapshots; the deterministic gates (zero-allocation PPO/FedAvg
+#      steps, the ledger's size budget) are unit tests in leg 1.
 #
 #   scripts/check.sh          # all five legs
 #   scripts/check.sh --fast   # tier-1 only
@@ -66,7 +64,7 @@ ctest --test-dir build-tsan -L tsan --output-on-failure -j "$jobs"
 echo "== live: exporter smoke (build/tools/live_probe) =="
 ./build/tools/live_probe
 
-echo "== perf: smoke + baseline regression (build/) =="
+echo "== perf: smoke-bench gates (build/) =="
 ctest --test-dir build -L perf --output-on-failure
 
 echo "check.sh: all legs passed"

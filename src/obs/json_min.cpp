@@ -6,6 +6,8 @@
 namespace fedra::obs {
 namespace {
 
+constexpr int kMaxDepth = 64;  // nested arrays/objects
+
 struct Parser {
   const char* cur;
   const char* end;
@@ -89,34 +91,41 @@ struct Parser {
     return false;  // unterminated string
   }
 
-  bool parse_number(double& out) {
+  bool digits() {
     const char* start = cur;
-    if (cur != end && (*cur == '-' || *cur == '+')) ++cur;
-    // JSON forbids a leading zero on the integer part ("01"); "0", "0.5"
-    // and exponents like "1e01" stay legal.
-    if (cur + 1 < end && *cur == '0' &&
-        std::isdigit(static_cast<unsigned char>(cur[1]))) {
-      return false;
-    }
-    bool any_digit = false;
-    while (cur != end && (std::isdigit(static_cast<unsigned char>(*cur)) ||
-                          *cur == '.' || *cur == 'e' || *cur == 'E' ||
-                          *cur == '+' || *cur == '-')) {
-      if (std::isdigit(static_cast<unsigned char>(*cur))) any_digit = true;
-      ++cur;
-    }
-    if (!any_digit) return false;
-    std::string buf(start, cur);
-    char* parse_end = nullptr;
-    out = std::strtod(buf.c_str(), &parse_end);
-    return parse_end == buf.c_str() + buf.size();
+    while (cur != end && std::isdigit(static_cast<unsigned char>(*cur))) ++cur;
+    return cur != start;
   }
 
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. The grammar
+  // is checked here; strtod only converts the span it accepted.
+  bool parse_number(double& out) {
+    const char* start = cur;
+    consume('-');
+    if (consume('0')) {
+      if (cur != end && std::isdigit(static_cast<unsigned char>(*cur))) {
+        return false;  // a leading zero ("01")
+      }
+    } else if (!digits()) {
+      return false;
+    }
+    if (consume('.') && !digits()) return false;
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return false;
+    }
+    const std::string buf(start, cur);
+    out = std::strtod(buf.c_str(), nullptr);
+    return true;
+  }
+
+  // `depth` counts the containers enclosing this value.
   bool parse_value(JsonValue& out, int depth) {
-    if (depth > 64) return false;  // bound recursion on hostile input
     skip_ws();
     if (cur == end) return false;
     char c = *cur;
+    // Bound recursion on hostile input.
+    if ((c == '{' || c == '[') && depth == kMaxDepth) return false;
     if (c == '{') {
       ++cur;
       out.kind = JsonValue::Kind::kObject;
@@ -175,36 +184,6 @@ struct Parser {
   }
 };
 
-void flatten_impl(const JsonValue& value, const std::string& prefix,
-                  std::map<std::string, double>* numbers,
-                  std::map<std::string, std::string>* strings) {
-  switch (value.kind) {
-    case JsonValue::Kind::kNumber:
-      if (numbers) (*numbers)[prefix] = value.number;
-      break;
-    case JsonValue::Kind::kBool:
-      if (numbers) (*numbers)[prefix] = value.boolean ? 1.0 : 0.0;
-      break;
-    case JsonValue::Kind::kString:
-      if (strings) (*strings)[prefix] = value.str;
-      break;
-    case JsonValue::Kind::kArray:
-      for (std::size_t i = 0; i < value.array.size(); ++i) {
-        flatten_impl(value.array[i],
-                     prefix + "[" + std::to_string(i) + "]", numbers, strings);
-      }
-      break;
-    case JsonValue::Kind::kObject:
-      for (const auto& [key, child] : value.members) {
-        flatten_impl(child, prefix.empty() ? key : prefix + "." + key,
-                     numbers, strings);
-      }
-      break;
-    case JsonValue::Kind::kNull:
-      break;
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -238,18 +217,6 @@ bool parse_json(std::string_view text, JsonValue& out) {
   if (!p.parse_value(out, 0)) return false;
   p.skip_ws();
   return p.cur == p.end;
-}
-
-std::map<std::string, double> flatten_numbers(const JsonValue& value) {
-  std::map<std::string, double> out;
-  flatten_impl(value, "", &out, nullptr);
-  return out;
-}
-
-std::map<std::string, std::string> flatten_strings(const JsonValue& value) {
-  std::map<std::string, std::string> out;
-  flatten_impl(value, "", nullptr, &out);
-  return out;
 }
 
 }  // namespace fedra::obs

@@ -2,17 +2,19 @@
 
 // Minimal recursive-descent JSON parser for the observability layer.
 //
-// The run ledger and the bench regression harness both need to read JSON that
-// fedra itself wrote (one object per JSONL line, or a whole BENCH_*.json
-// file).  The repo has no external dependencies, so this is a small,
-// self-contained value parser: strict enough to reject torn lines from a
-// crashed run, tolerant of arbitrary key order and unknown fields.
+// The run ledger reader, the report tools and live_probe all read JSON that
+// fedra itself wrote (one object per JSONL line, or one HTTP payload).  The
+// repo has no external dependencies, so this is a small, self-contained
+// value parser: strict enough to reject torn lines from a crashed run,
+// tolerant of arbitrary key order and unknown fields.
 //
-// Numbers are parsed with strtod, so a double printed with "%.17g" by the
-// writer round-trips bit-exactly -- the ledger tests rely on this.
+// Numbers follow the RFC 8259 grammar (no leading '+', no bare '.5' or
+// '1.', no leading zeros) and are converted with strtod, so a double
+// printed with "%.17g" by the writer round-trips bit-exactly -- the ledger
+// tests rely on this.  Arrays and objects may nest at most 64 deep; deeper
+// input is rejected rather than recursed into.
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,13 +62,5 @@ class JsonValue {
 /// trailing garbage rejected).  Returns false on any syntax error; `out` is
 /// unspecified on failure.
 bool parse_json(std::string_view text, JsonValue& out);
-
-/// Flatten every numeric leaf of `value` into dotted/bracketed key paths
-/// ("gemm[2].gflops": 4.2).  Booleans flatten as 0/1; strings, nulls and
-/// empty containers are skipped.  Used by the bench compare mode.
-std::map<std::string, double> flatten_numbers(const JsonValue& value);
-
-/// Flatten every string leaf the same way ("schema": "fedra.bench.tensor.v1").
-std::map<std::string, std::string> flatten_strings(const JsonValue& value);
 
 }  // namespace fedra::obs

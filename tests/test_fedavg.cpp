@@ -166,6 +166,32 @@ TEST(FedAvg, ParallelAndSerialPoolsAgree) {
   EXPECT_DOUBLE_EQ(m1.global_accuracy, m4.global_accuracy);
 }
 
+TEST(FedAvg, RoundIsTensorAllocationFree) {
+  // A full round on a two-worker pool (local training on every client,
+  // evaluation, aggregation): once one round has sized the workspaces,
+  // later rounds must not touch the tensor heap.
+  Rng rng(9);
+  Dataset data = make_gaussian_mixture(512, 16, 4, rng);
+  auto shards = split_iid(data, 4, rng);
+  ModelSpec spec;
+  spec.sizes = {16, 32, 4};
+  std::vector<FlClient> clients;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    clients.emplace_back(std::move(shards[i]), spec, 100 + i);
+  }
+  FedAvgServer server(std::move(clients), spec, 5);
+  LocalTrainConfig ltc;
+  ltc.tau = 0.25;
+  ThreadPool pool(2);
+
+  server.run_round(ltc, pool);
+  const TensorAllocStats before = tensor_alloc_stats();
+  for (int i = 0; i < 4; ++i) server.run_round(ltc, pool);
+  const TensorAllocStats after = tensor_alloc_stats();
+  EXPECT_EQ(after.allocs, before.allocs);
+  EXPECT_EQ(after.bytes, before.bytes);
+}
+
 TEST(FedAvgPartial, ReweightsOverDeliveredSubset) {
   // Eq. (8) restricted to arrivals: with client 1's update lost in
   // transit, the new global model is the D_n-weighted average of updates

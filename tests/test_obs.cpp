@@ -122,6 +122,12 @@ TEST(JsonMin, ParsesValuesAndRejectsGarbage) {
   EXPECT_FALSE(obs::parse_json("{\"a\":01}", v));      // bad number
   EXPECT_FALSE(obs::parse_json("", v));
   EXPECT_FALSE(obs::parse_json("{\"a\":\"\x01\"}", v)); // raw control char
+  // RFC 8259 number grammar: no '+' sign, no bare fraction or dot.
+  for (const char* number : {"+1", ".5", "1.", "-.5"}) {
+    EXPECT_FALSE(obs::parse_json(number, v)) << number;
+    EXPECT_FALSE(obs::parse_json(std::string("[") + number + "]", v))
+        << number;
+  }
 }
 
 TEST(JsonMin, DoublesRoundTripBitExact) {
@@ -134,20 +140,6 @@ TEST(JsonMin, DoublesRoundTripBitExact) {
     ASSERT_TRUE(obs::parse_json(buf, v));
     EXPECT_EQ(v.get_number("x"), expect) << buf;
   }
-}
-
-TEST(JsonMin, FlattensNestedPaths) {
-  obs::JsonValue v;
-  ASSERT_TRUE(obs::parse_json(
-      R"({"schema":"s.v1","a":{"b":2},"rows":[{"x":1},{"x":3}],"ok":true})",
-      v));
-  const auto nums = obs::flatten_numbers(v);
-  EXPECT_EQ(nums.at("a.b"), 2.0);
-  EXPECT_EQ(nums.at("rows[0].x"), 1.0);
-  EXPECT_EQ(nums.at("rows[1].x"), 3.0);
-  EXPECT_EQ(nums.at("ok"), 1.0);  // booleans flatten as 0/1
-  const auto strs = obs::flatten_strings(v);
-  EXPECT_EQ(strs.at("schema"), "s.v1");
 }
 
 // ---------------------------------------------------------------------------
@@ -424,6 +416,30 @@ TEST(Obs, FiftyRoundLedgerDecomposesBitExactly) {
     EXPECT_DOUBLE_EQ(a.cum_cost, cum);
   }
   EXPECT_DOUBLE_EQ(attr.total_cost, cum);
+}
+
+// Size budget on the 20-round testbed trajectory bench_obs times: two
+// records per round (round + decision), no torn lines, and at most 2218
+// bytes per round, header included (2016.75 measured when the budget was
+// set, plus 10% slack). A new ledger field or record type fails here.
+TEST(Obs, TwentyRoundLedgerStaysWithinBudget) {
+  ObsGuard guard;
+  const std::string path = temp_path("run20.ledger.jsonl");
+  const std::size_t kRounds = 20;
+  run_env_with_ledger(path, kRounds, /*with_faults=*/false);
+
+  obs::Ledger ledger;
+  std::string error;
+  ASSERT_TRUE(obs::read_ledger_file(path, ledger, &error)) << error;
+  EXPECT_EQ(ledger.parse_errors, 0u);
+  EXPECT_EQ(ledger.rounds.size() + ledger.decisions.size() +
+                ledger.fl_rounds.size() + ledger.unknown_records,
+            2 * kRounds);
+
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const double bytes_per_round =
+      static_cast<double>(in.tellg()) / static_cast<double>(kRounds);
+  EXPECT_LE(bytes_per_round, 2218.0);
 }
 
 TEST(Obs, FaultyRunRecordsFailures) {

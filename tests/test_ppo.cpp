@@ -240,6 +240,46 @@ TEST(Ppo, ActIsTensorAllocationFree) {
   EXPECT_EQ(after.bytes, before.bytes);
 }
 
+TEST(Ppo, UpdateIsTensorAllocationFree) {
+  // A full update (every epoch and minibatch, actor and critic) on the
+  // testbed-sized nets: once one update has sized the workspaces, later
+  // updates must not touch the tensor heap.
+  const std::size_t state_dim = 27;  // 3 devices x 9 state features
+  const std::size_t action_dim = 3;
+  PolicyConfig pcfg;
+  PpoConfig cfg;
+  cfg.update_epochs = 4;
+  cfg.minibatch_size = 64;
+  PpoAgent agent(state_dim, action_dim, pcfg, cfg, 17);
+
+  RolloutBuffer buffer(256);
+  Rng env_rng(23);
+  std::vector<double> state(state_dim);
+  while (!buffer.full()) {
+    Transition t;
+    for (auto& s : state) s = env_rng.uniform();
+    t.state = state;
+    for (auto& s : state) s = env_rng.uniform();
+    t.next_state = state;
+    auto sample = agent.act(t.state, env_rng);
+    t.action_u = sample.action_u;
+    t.log_prob = sample.log_prob;
+    t.reward = env_rng.uniform() - 0.5;
+    t.value = agent.value(t.state);
+    t.next_value = agent.value(t.next_state);
+    t.episode_end = buffer.size() % 40 == 39;
+    buffer.push(std::move(t));
+  }
+
+  Rng update_rng(31);
+  agent.update(buffer, update_rng);
+  const TensorAllocStats before = tensor_alloc_stats();
+  for (int i = 0; i < 4; ++i) agent.update(buffer, update_rng);
+  const TensorAllocStats after = tensor_alloc_stats();
+  EXPECT_EQ(after.allocs, before.allocs);
+  EXPECT_EQ(after.bytes, before.bytes);
+}
+
 // Bitwise pin: a mismatch prints the actual value as a hex-float literal.
 void expect_bits(double actual, double pinned) {
   std::ostringstream os;

@@ -26,9 +26,12 @@ namespace {
 
 // Aggregates the span lines of a telemetry JSONL into per-name phase rows.
 // Non-span and unparseable lines are ignored — the ledger is the source of
-// truth here; the telemetry file only adds the phase table.
-std::vector<fedra::obs::PhaseRow> read_phases(const std::string& path) {
+// truth here; the telemetry file only adds the phase table. Returns false
+// when the file cannot be opened.
+bool read_phases(const std::string& path,
+                 std::vector<fedra::obs::PhaseRow>& out) {
   std::ifstream in(path);
+  if (!in) return false;
   std::map<std::string, fedra::obs::PhaseRow> agg;
   std::string line;
   while (std::getline(in, line)) {
@@ -44,10 +47,10 @@ std::vector<fedra::obs::PhaseRow> read_phases(const std::string& path) {
     row.total_us += dur;
     if (dur > row.max_us) row.max_us = dur;
   }
-  std::vector<fedra::obs::PhaseRow> out;
+  out.clear();
   out.reserve(agg.size());
   for (auto& [name, row] : agg) out.push_back(std::move(row));
-  return out;
+  return true;
 }
 
 }  // namespace
@@ -81,7 +84,12 @@ int main(int argc, char** argv) {
   options.title = args.get(
       "title", ledger.run_id.empty() ? "fedra run report" : ledger.run_id);
   options.source_path = ledger_path;
-  if (!telemetry_path.empty()) options.phases = read_phases(telemetry_path);
+  if (!telemetry_path.empty() &&
+      !read_phases(telemetry_path, options.phases)) {
+    std::fprintf(stderr, "fedra_report: cannot open %s\n",
+                 telemetry_path.c_str());
+    return 1;
+  }
 
   const fedra::obs::RunAttribution attribution =
       fedra::obs::attribute(ledger);

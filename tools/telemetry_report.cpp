@@ -4,12 +4,11 @@
 //
 //   telemetry_report <run.jsonl> [--top N] [--no-metrics] [--strict]
 //
-// The JSONL is produced by fedra itself (telemetry/sinks.cpp), so the
-// parser is a deliberately small line-oriented key extractor, not a
-// general JSON parser. Truncated or interleaved lines (torn writes from
-// a crashed or concurrent run) are skipped and counted; the report still
-// renders from whatever parsed. `--strict` turns any skipped line into a
-// nonzero exit for CI use.
+// Each line is parsed with the shared JSON reader (obs::parse_json).
+// Truncated or interleaved lines (torn writes from a crashed or concurrent
+// run) and lines without a string "type" and "name" are skipped and
+// counted; the report still renders from whatever parsed. `--strict` turns
+// any skipped line into a nonzero exit for CI use.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -17,103 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_min.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/argparse.hpp"
 
 namespace {
-
-// Extracts the raw token following `"key":` in a single-line JSON object.
-// Returns false when the key is absent.
-bool extract_token(const std::string& line, const std::string& key,
-                   std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  if (start >= line.size()) return false;
-  if (line[start] == '"') {
-    ++start;
-    std::string value;
-    for (std::size_t i = start; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        value += line[i + 1];
-        ++i;
-        continue;
-      }
-      if (line[i] == '"') break;
-      value += line[i];
-    }
-    out = value;
-    return true;
-  }
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ']') {
-    ++end;
-  }
-  out = line.substr(start, end - start);
-  return true;
-}
-
-bool extract_double(const std::string& line, const std::string& key,
-                    double& out) {
-  std::string token;
-  if (!extract_token(line, key, token)) return false;
-  try {
-    out = std::stod(token);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-// Extracts a flat numeric array following `"key":[...]`. Histogram lines
-// carry the raw geometric buckets as "bounds" and "bucket_counts"; the
-// percentile table below re-derives quantiles from them so the report
-// works on logs that predate the precomputed p50/p90/p99 fields.
-bool extract_array(const std::string& line, const std::string& key,
-                   std::vector<double>& out) {
-  const std::string needle = "\"" + key + "\":[";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  const auto end = line.find(']', i);
-  if (end == std::string::npos) return false;
-  out.clear();
-  while (i < end) {
-    std::size_t next = line.find(',', i);
-    if (next == std::string::npos || next > end) next = end;
-    try {
-      out.push_back(std::stod(line.substr(i, next - i)));
-    } catch (...) {
-      return false;
-    }
-    i = next + 1;
-  }
-  return true;
-}
-
-// Mirror of HistogramSnapshot::percentile: linear interpolation inside
-// the first bucket whose cumulative count reaches the target, clamped to
-// the observed extrema.
-double bucket_percentile(double q, double count, double min, double max,
-                         const std::vector<double>& bounds,
-                         const std::vector<double>& counts) {
-  if (count <= 0.0 || counts.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  const double target = q / 100.0 * count;
-  double seen = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] <= 0.0) continue;
-    const double lo_seen = seen;
-    seen += counts[i];
-    if (seen < target) continue;
-    const double lo = i == 0 ? min : bounds[i - 1];
-    const double hi = i < bounds.size() ? std::min(bounds[i], max) : max;
-    const double frac = (target - lo_seen) / counts[i];
-    return std::clamp(lo + frac * (hi - lo), min, max);
-  }
-  return max;
-}
 
 struct PhaseAgg {
   std::uint64_t count = 0;
@@ -121,19 +28,25 @@ struct PhaseAgg {
   double max_us = 0.0;
 };
 
+// A histogram line: its buckets rebuilt as a snapshot (name, bounds,
+// counts, count, min, max) plus the fields the writer precomputed.
 struct HistRow {
-  std::string name;
-  double count = 0.0;
+  fedra::telemetry::HistogramSnapshot snap;
   double mean = 0.0;
-  double min = 0.0;
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-  double max = 0.0;
-  bool has_exact = false;  // line carried precomputed p50/p90/p99 fields
-  std::vector<double> bounds;
-  std::vector<double> bucket_counts;
 };
+
+// The numbers of a flat array member; empty when absent.
+std::vector<double> number_array(const fedra::obs::JsonValue& line,
+                                 const char* key) {
+  std::vector<double> out;
+  const fedra::obs::JsonValue* array = line.find(key);
+  if (array == nullptr || !array->is_array()) return out;
+  for (const auto& v : array->array) out.push_back(v.number_or(0.0));
+  return out;
+}
 
 }  // namespace
 
@@ -170,63 +83,66 @@ int main(int argc, char** argv) {
     if (line.empty()) continue;
     // A sink line is exactly one JSON object. A torn write (crashed run,
     // interleaved appends) loses the tail or splices two objects; both
-    // fail this shape check and are skipped instead of feeding the key
-    // extractor garbage.
-    if (line.front() != '{' || line.back() != '}' ||
-        line.find('{', 1) != std::string::npos) {
+    // fail the parse and are skipped.
+    fedra::obs::JsonValue v;
+    if (!fedra::obs::parse_json(line, v) || !v.is_object()) {
       ++bad_lines;
       continue;
     }
-    std::string type;
-    if (!extract_token(line, "type", type)) {
+    const fedra::obs::JsonValue* type_v = v.find("type");
+    const fedra::obs::JsonValue* name_v = v.find("name");
+    if (type_v == nullptr || !type_v->is_string() || name_v == nullptr ||
+        !name_v->is_string()) {
       ++bad_lines;
       continue;
     }
-    std::string name;
-    if (!extract_token(line, "name", name)) {
-      ++bad_lines;
-      continue;
-    }
+    const std::string& type = type_v->str;
+    const std::string& name = name_v->str;
     if (type == "span") {
-      double dur = 0.0;
-      if (!extract_double(line, "dur_us", dur)) {
+      const fedra::obs::JsonValue* dur_v = v.find("dur_us");
+      if (dur_v == nullptr || !dur_v->is_number()) {
         ++bad_lines;
         continue;
       }
+      const double dur = dur_v->number;
       auto& agg = phases[name];
       ++agg.count;
       agg.total_us += dur;
       agg.max_us = std::max(agg.max_us, dur);
     } else if (type == "counter") {
-      double v = 0.0;
-      extract_double(line, "value", v);
-      counters.emplace_back(name, v);
+      counters.emplace_back(name, v.get_number("value"));
     } else if (type == "gauge") {
-      double v = 0.0;
-      extract_double(line, "value", v);
-      gauges.emplace_back(name, v);
+      gauges.emplace_back(name, v.get_number("value"));
     } else if (type == "histogram") {
+      // Counts are written as integers; clamping keeps a hostile value
+      // from overflowing the conversion.
+      auto to_count = [](double c) {
+        return static_cast<std::uint64_t>(std::clamp(c, 0.0, 1e18));
+      };
       HistRow row;
-      row.name = name;
-      extract_double(line, "count", row.count);
-      extract_double(line, "mean", row.mean);
-      extract_double(line, "min", row.min);
-      row.has_exact = extract_double(line, "p50", row.p50);
-      extract_double(line, "p90", row.p90);
-      extract_double(line, "p99", row.p99);
-      extract_double(line, "max", row.max);
-      extract_array(line, "bounds", row.bounds);
-      extract_array(line, "bucket_counts", row.bucket_counts);
+      row.snap.name = name;
+      row.snap.count = to_count(v.get_number("count"));
+      row.snap.min = v.get_number("min");
+      row.snap.max = v.get_number("max");
+      row.snap.bounds = number_array(v, "bounds");
+      for (double c : number_array(v, "bucket_counts")) {
+        row.snap.counts.push_back(to_count(c));
+      }
+      // One more count than bounds (the overflow bucket), or no buckets.
+      if (!row.snap.counts.empty() &&
+          row.snap.counts.size() != row.snap.bounds.size() + 1) {
+        ++bad_lines;
+        continue;
+      }
+      row.mean = v.get_number("mean");
       // Older logs without the precomputed quantile fields: estimate
       // from the geometric buckets instead of printing zeros.
-      if (!row.has_exact && !row.bucket_counts.empty()) {
-        row.p50 = bucket_percentile(50.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
-        row.p90 = bucket_percentile(90.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
-        row.p99 = bucket_percentile(99.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
-      }
+      const fedra::obs::JsonValue* p50 = v.find("p50");
+      const bool estimate = (p50 == nullptr || !p50->is_number()) &&
+                            !row.snap.counts.empty();
+      row.p50 = estimate ? row.snap.percentile(50.0) : v.get_number("p50");
+      row.p90 = estimate ? row.snap.percentile(90.0) : v.get_number("p90");
+      row.p99 = estimate ? row.snap.percentile(99.0) : v.get_number("p99");
       histograms.push_back(std::move(row));
     } else {
       ++bad_lines;
@@ -380,34 +296,27 @@ int main(int argc, char** argv) {
                   "mean", "p50", "p90", "p99", "max");
       for (const auto& h : histograms) {
         std::printf("%-28s %10.0f %12.4g %12.4g %12.4g %12.4g %12.4g\n",
-                    h.name.c_str(), h.count, h.mean, h.p50, h.p90, h.p99,
-                    h.max);
+                    h.snap.name.c_str(), static_cast<double>(h.snap.count),
+                    h.mean, h.p50, h.p90, h.p99, h.snap.max);
       }
       // Bucket-estimated percentile table: re-derives every quantile from
-      // the raw geometric buckets (the same interpolation the snapshot
-      // uses), so the two tables agreeing is a cross-check that the
-      // serialized buckets are self-consistent with the precomputed
-      // fields — and the only quantile source for logs lacking them.
+      // the raw geometric buckets with the snapshot's own interpolation, so
+      // the two tables agreeing is a cross-check that the serialized
+      // buckets are self-consistent with the precomputed fields — and the
+      // only quantile source for logs lacking them.
       bool header = false;
       for (const auto& h : histograms) {
-        if (h.bucket_counts.empty()) continue;
+        if (h.snap.counts.empty()) continue;
         if (!header) {
           std::printf("\n== percentiles (bucket-estimated) ==\n");
           std::printf("%-28s %10s %12s %12s %12s %12s\n", "name", "buckets",
                       "p50", "p90", "p99", "p99.9");
           header = true;
         }
-        std::printf(
-            "%-28s %10zu %12.4g %12.4g %12.4g %12.4g\n", h.name.c_str(),
-            h.bucket_counts.size(),
-            bucket_percentile(50.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(90.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(99.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(99.9, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts));
+        std::printf("%-28s %10zu %12.4g %12.4g %12.4g %12.4g\n",
+                    h.snap.name.c_str(), h.snap.counts.size(),
+                    h.snap.percentile(50.0), h.snap.percentile(90.0),
+                    h.snap.percentile(99.0), h.snap.percentile(99.9));
       }
     }
     bool counters_header = false;
