@@ -141,7 +141,7 @@ struct SizeRow {
   double price_us_pool1 = 0.0;
   double price_us_pool2 = 0.0;
   double price_us_pool8 = 0.0;
-  double columns_us_pool8 = 0.0;
+  double rows_us_pool8 = 0.0;
   bool exact = true;
 };
 
@@ -195,18 +195,19 @@ SizeRow run_size(std::size_t n, int reps) {
     }
   }
 
-  // Columnar per-device storage at the widest pool (the layout a
-  // fleet-scale caller that still wants outcomes would pick).
+  // Per-device rows at the widest pool (what a fleet-scale caller that
+  // still wants outcomes pays for them).
   {
     ThreadPool pool(8);
     opts.pool = &pool;
-    opts.outcomes = OutcomeLayout::kColumns;
+    opts.outcomes = OutcomeLayout::kRows;
     RoundTotals got;
-    row.columns_us_pool8 = best_of_us(
+    row.rows_us_pool8 = best_of_us(
         reps, [&] { got = totals_of(sim.preview(freqs, opts)); });
     if (!(got == expected)) {
       row.exact = false;
-      std::fprintf(stderr, "bench_fleet: columnar mismatch at n=%zu\n", n);
+      std::fprintf(stderr, "bench_fleet: per-device rows mismatch at n=%zu\n",
+                   n);
     }
   }
   return row;
@@ -220,7 +221,7 @@ void write_json(const std::string& path, bool smoke, int reps,
     return;
   }
   os << "{\n";
-  os << "  \"schema\": \"fedra.bench.fleet.v1\",\n";
+  os << "  \"schema\": \"fedra.bench.fleet.v2\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"pricing_exact\": " << (all_exact ? "true" : "false") << ",\n";
@@ -231,7 +232,7 @@ void write_json(const std::string& path, bool smoke, int reps,
        << ", \"price_us_pool1\": " << r.price_us_pool1
        << ", \"price_us_pool2\": " << r.price_us_pool2
        << ", \"price_us_pool8\": " << r.price_us_pool8
-       << ", \"columns_us_pool8\": " << r.columns_us_pool8
+       << ", \"rows_us_pool8\": " << r.rows_us_pool8
        << ", \"exact\": " << (r.exact ? "true" : "false") << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -265,7 +266,7 @@ int main(int argc, char** argv) {
   std::printf("fleet pricing scaling curve (simd tier: %s)\n",
               fleet::simd_tier());
   std::printf("%10s %14s %14s %14s %14s %14s  %s\n", "devices", "oracle_us",
-              "pool1_us", "pool2_us", "pool8_us", "columns_us", "exact");
+              "pool1_us", "pool2_us", "pool8_us", "rows_us", "exact");
 
   std::vector<SizeRow> rows;
   bool all_exact = true;
@@ -273,7 +274,7 @@ int main(int argc, char** argv) {
     const SizeRow row = run_size(n, reps);
     std::printf("%10zu %14.1f %14.1f %14.1f %14.1f %14.1f  %s\n", row.n,
                 row.oracle_us, row.price_us_pool1, row.price_us_pool2,
-                row.price_us_pool8, row.columns_us_pool8,
+                row.price_us_pool8, row.rows_us_pool8,
                 row.exact ? "yes" : "NO");
     all_exact = all_exact && row.exact;
     rows.push_back(row);

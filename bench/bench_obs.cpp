@@ -1,17 +1,17 @@
 // Perf/cost harness for the observability layer and the ledger's
 // hot-path cost.
 //
-// It runs the same deterministic FlEnv trajectory four times — telemetry
-// off, telemetry on, telemetry+sync ledger, telemetry+async ledger (the
-// default config) — and reports ns per env step for each, the ledger's
+// It runs the same deterministic FlEnv trajectory three times — telemetry
+// off, telemetry on, telemetry+ledger — and reports ns per env step for
+// each, the ledger's
 // bytes/records per round, and whether the ledger's cost decomposition and
 // fault-free predictions round-trip bit-exactly. It derives the boolean
-// gate ledger_overhead_ok (async ledger hot-path overhead <= 4x a plain
+// gate ledger_overhead_ok (ledger hot-path overhead <= 4x a plain
 // step). A second pair of legs times the flight recorder (telemetry off,
 // recorder force-off vs on) and derives recorder_overhead_ok (always-on
 // ring write <= 1.05x a recorder-free step). The exit code enforces both
 // gates and both exactness flags. Results go to stdout and a JSON file
-// (schema fedra.bench.obs.v4, documented in EXPERIMENTS.md).
+// (schema fedra.bench.obs.v5, documented in EXPERIMENTS.md).
 //
 //   bench_obs [--smoke] [--reps N] [--rounds N] [--out PATH]
 #include <algorithm>
@@ -75,8 +75,7 @@ struct ObsBenchResult {
   std::size_t num_devices = 0;
   double step_ns_plain = 0.0;
   double step_ns_telemetry = 0.0;
-  double step_ns_ledger_sync = 0.0;
-  double step_ns_ledger = 0.0;  ///< async writer, the default config
+  double step_ns_ledger = 0.0;
   double step_ns_recorder_off = 0.0;  ///< flight recorder force-disabled
   double step_ns_recorder_on = 0.0;   ///< flight recorder on (the default)
   double recorder_record_ns = 0.0;    ///< one ring write, tight-loop timed
@@ -88,16 +87,15 @@ struct ObsBenchResult {
 };
 
 /// Times the ledger leg: `reps` runs of the fixed trajectory with the
-/// ledger enabled (sync or async), best rep wins. The last rep's file is
-/// the one later inspected (all reps write identical records).
-double run_ledger_leg_ns(std::size_t rounds, int reps, bool async,
+/// ledger enabled, best rep wins. The last rep's file is the one later
+/// inspected (all reps write identical records).
+double run_ledger_leg_ns(std::size_t rounds, int reps,
                          const std::string& scratch_path,
-                         std::uint64_t* records_out) {
+                         std::uint64_t& records_out) {
   obs::LedgerConfig lcfg;
   lcfg.path = scratch_path;
   lcfg.run_id = "bench_obs";
   lcfg.lambda = testbed_config().cost.lambda;
-  lcfg.async = async;
   double best_ns = 0.0;
   const std::vector<double> action(make_env(1).action_dim(), 0.7);
   for (int r = 0; r < reps; ++r) {
@@ -114,9 +112,7 @@ double run_ledger_leg_ns(std::size_t rounds, int reps, bool async,
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count() /
         static_cast<double>(rounds);
     if (r == 0 || ns < best_ns) best_ns = ns;
-    if (records_out != nullptr) {
-      *records_out = obs::RunLedger::records_written();
-    }
+    records_out = obs::RunLedger::records_written();
     obs::RunLedger::disable();
   }
   return best_ns;
@@ -183,19 +179,13 @@ ObsBenchResult measure(std::size_t rounds, int reps,
   telemetry::Telemetry::enable({});
   out.step_ns_telemetry = run_trajectory_ns(rounds, reps);
 
-  // Legs 3+4: telemetry + ledger, synchronous then asynchronous. The
-  // async leg runs last so the inspected file comes from the default
-  // configuration (both produce byte-identical JSONL, which test_obs and
-  // test_async_ledger already pin down).
-  // Best of >= 3 reps even in smoke mode: each rep is microseconds, and
-  // the ledger_overhead_ok gate should not flip on one noisy run.
+  // Leg 3: telemetry + ledger. Best of >= 3 reps even in smoke mode: each
+  // rep is microseconds, and the ledger_overhead_ok gate should not flip
+  // on one noisy run.
   const int ledger_reps = std::max(reps, 3);
   std::uint64_t records = 0;
-  out.step_ns_ledger_sync = run_ledger_leg_ns(rounds, ledger_reps,
-                                              /*async=*/false, scratch_path,
-                                              nullptr);
-  out.step_ns_ledger = run_ledger_leg_ns(rounds, ledger_reps, /*async=*/true,
-                                         scratch_path, &records);
+  out.step_ns_ledger =
+      run_ledger_leg_ns(rounds, ledger_reps, scratch_path, records);
 
   telemetry::Telemetry::disable();
 
@@ -241,21 +231,16 @@ void write_json(const std::string& path, bool smoke, int reps,
       r.step_ns_recorder_off > 0.0
           ? 1.0 + r.recorder_record_ns / r.step_ns_recorder_off
           : 0.0;
-  os << "{\n  \"schema\": \"fedra.bench.obs.v4\",\n";
+  os << "{\n  \"schema\": \"fedra.bench.obs.v5\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"rounds\": " << r.rounds << ",\n";
   os << "  \"num_devices\": " << r.num_devices << ",\n";
   os << "  \"step_ns_plain\": " << r.step_ns_plain << ",\n";
   os << "  \"step_ns_telemetry\": " << r.step_ns_telemetry << ",\n";
-  os << "  \"step_ns_ledger_sync\": " << r.step_ns_ledger_sync << ",\n";
   os << "  \"step_ns_ledger\": " << r.step_ns_ledger << ",\n";
   os << "  \"telemetry_overhead\": "
      << (r.step_ns_plain > 0.0 ? r.step_ns_telemetry / r.step_ns_plain : 0.0)
-     << ",\n";
-  os << "  \"ledger_overhead_sync\": "
-     << (r.step_ns_plain > 0.0 ? r.step_ns_ledger_sync / r.step_ns_plain
-                               : 0.0)
      << ",\n";
   os << "  \"ledger_overhead\": " << ledger_overhead << ",\n";
   os << "  \"ledger_overhead_ok\": "
@@ -321,11 +306,7 @@ int main(int argc, char** argv) {
               r.step_ns_telemetry,
               r.step_ns_plain > 0.0 ? r.step_ns_telemetry / r.step_ns_plain
                                     : 0.0);
-  std::printf("  ledger (sync):     %10.0f ns/step (%.2fx)\n",
-              r.step_ns_ledger_sync,
-              r.step_ns_plain > 0.0 ? r.step_ns_ledger_sync / r.step_ns_plain
-                                    : 0.0);
-  std::printf("  ledger (async):    %10.0f ns/step (%.2fx, gate <= 4x)\n",
+  std::printf("  ledger:            %10.0f ns/step (%.2fx, gate <= 4x)\n",
               r.step_ns_ledger,
               r.step_ns_plain > 0.0 ? r.step_ns_ledger / r.step_ns_plain
                                     : 0.0);

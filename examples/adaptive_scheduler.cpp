@@ -86,7 +86,7 @@ int main() {
       auto freqs = roster[c]->decide(sims[c]);
       auto r = sims[c].step(freqs, {});
       roster[c]->observe(r);
-      row.frac[c] = r.outcome(0).freq_hz / sims[c].fleet().max_freq_hz(0);
+      row.frac[c] = r.devices[0].freq_hz / sims[c].fleet().max_freq_hz(0);
       row.cost[c] = r.cost;
     }
     std::printf("%-9.1f | %7.2f %8.2f %8.2f | %7.2f %8.2f %8.2f\n", row.t,

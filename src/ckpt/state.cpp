@@ -261,13 +261,9 @@ void save_iteration_result(ByteWriter& out, const IterationResult& r) {
   out.put_u64(r.num_timeouts);
   out.put_u64(r.num_upload_failures);
   out.put_u64(r.total_retries);
-  // Serializes through the layout-agnostic accessor: columnar results are
-  // materialized row by row, so the on-disk format is layout-independent
-  // (a reloaded result always comes back in row layout).
-  const std::size_t slots = r.has_device_outcomes() ? r.num_device_slots() : 0;
-  out.put_u64(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    const DeviceOutcome d = r.outcome(i);
+  // One record per stored row; a summary result writes a count of zero.
+  out.put_u64(r.devices.size());
+  for (const DeviceOutcome& d : r.devices) {
     out.put_bool(d.participated);
     out.put_bool(d.completed);
     out.put_u8(static_cast<std::uint8_t>(d.failure));
@@ -369,7 +365,7 @@ void load_env(ByteReader in, FlEnv& env) {
     IterationResult last;
     if (has_result) {
       last = load_iteration_result(in);
-      if (last.num_device_slots() != env.num_devices()) {
+      if (last.devices.size() != env.num_devices()) {
         throw_mismatch("last-result device count does not match the env");
       }
     }

@@ -35,10 +35,7 @@ EvalSeries fold_eval_series(std::string policy,
     series.compute_energies.push_back(r.total_compute_energy);
     series.total_energies.push_back(r.total_energy);
     double idle = 0.0;
-    if (r.has_device_outcomes()) {
-      for (std::size_t i = 0; i < r.num_device_slots(); ++i)
-        idle += r.outcome(i).idle_time;
-    }
+    for (const DeviceOutcome& d : r.devices) idle += d.idle_time;
     series.idle_times.push_back(idle);
     series.failed_devices.push_back(r.num_failed());
   }

@@ -23,17 +23,16 @@ DeviceTotals accumulate_device_totals(
     const std::vector<IterationResult>& results) {
   DeviceTotals totals;
   if (results.empty()) return totals;
-  FEDRA_EXPECTS(results.front().has_device_outcomes());
-  const std::size_t n = results.front().num_device_slots();
+  const std::size_t n = results.front().devices.size();
+  FEDRA_EXPECTS(n > 0);
   totals.energy.assign(n, 0.0);
   totals.compute_energy.assign(n, 0.0);
   totals.idle_time.assign(n, 0.0);
   totals.busy_time.assign(n, 0.0);
   for (const auto& r : results) {
-    FEDRA_EXPECTS(r.has_device_outcomes());
-    FEDRA_EXPECTS(r.num_device_slots() == n);
+    FEDRA_EXPECTS(r.devices.size() == n);
     for (std::size_t i = 0; i < n; ++i) {
-      const DeviceOutcome d = r.outcome(i);
+      const DeviceOutcome& d = r.devices[i];
       totals.energy[i] += d.energy;
       totals.compute_energy[i] += d.compute_energy;
       totals.idle_time[i] += d.idle_time;

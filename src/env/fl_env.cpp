@@ -21,8 +21,7 @@ std::vector<double> bandwidth_history_state(
     double bandwidth_ref, const IterationResult* last_result) {
   FEDRA_EXPECTS(bandwidth_ref > 0.0);
   if (last_result != nullptr) {
-    FEDRA_EXPECTS(last_result->has_device_outcomes());
-    FEDRA_EXPECTS(last_result->num_device_slots() == sim.num_devices());
+    FEDRA_EXPECTS(last_result->devices.size() == sim.num_devices());
   }
   const auto now_slot =
       static_cast<long long>(std::floor(now / config.slot_seconds));
@@ -51,7 +50,7 @@ std::vector<double> bandwidth_history_state(
       double delivered = 1.0;
       double retry_load = 0.0;
       if (last_result != nullptr) {
-        const DeviceOutcome d = last_result->outcome(i);
+        const DeviceOutcome& d = last_result->devices[i];
         if (d.participated) {
           delivered = d.completed ? 1.0 : 0.0;
           retry_load = std::min(1.0, static_cast<double>(d.retries) / 3.0);
@@ -169,8 +168,7 @@ StepResult FlEnv::step(const std::vector<double>& action) {
 void FlEnv::restore_episode(std::size_t steps_in_episode, bool has_result,
                             IterationResult last_result) {
   FEDRA_EXPECTS(!has_result ||
-                (last_result.has_device_outcomes() &&
-                 last_result.num_device_slots() == sim_.num_devices()));
+                last_result.devices.size() == sim_.num_devices());
   steps_in_episode_ = steps_in_episode;
   has_result_ = has_result;
   last_result_ = std::move(last_result);

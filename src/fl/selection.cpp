@@ -65,10 +65,9 @@ std::vector<bool> DeadlineSelector::select(const SimulatorBase& sim) {
 }
 
 void DeadlineSelector::observe(const IterationResult& result) {
-  FEDRA_EXPECTS(result.has_device_outcomes());
-  FEDRA_EXPECTS(result.num_device_slots() == est_bandwidth_.size());
-  for (std::size_t i = 0; i < result.num_device_slots(); ++i) {
-    const DeviceOutcome d = result.outcome(i);
+  FEDRA_EXPECTS(result.devices.size() == est_bandwidth_.size());
+  for (std::size_t i = 0; i < result.devices.size(); ++i) {
+    const DeviceOutcome& d = result.devices[i];
     if (d.participated && d.avg_bandwidth > 0.0) {
       est_bandwidth_[i] = d.avg_bandwidth;
     }

@@ -10,9 +10,9 @@
 //    complete frames, so the drainer always sees a whole number of
 //    records — no torn frames inside the ring (torn LINES can still occur
 //    if the process dies mid-write; the reader already tolerates those).
-//  * the drained output is byte-identical to the synchronous writer: the
-//    drainer decodes back to the record structs and runs the very same
-//    *_record_json formatters.
+//  * each drained line is byte-identical to formatting the record on the
+//    producer thread: the drainer decodes back to the record structs and
+//    runs the very same *_record_json formatters.
 //  * wait_drained() returns only after every accepted frame has been
 //    handed to the sink, which is what gives RunLedger::flush() and
 //    disable() their flush-at-exit ordering.

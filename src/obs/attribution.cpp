@@ -1,5 +1,6 @@
 #include "obs/attribution.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fedra::obs {
@@ -20,7 +21,7 @@ RunAttribution attribute(const Ledger& ledger) {
   std::size_t max_device = 0;
   for (const RoundRecord& round : ledger.rounds) {
     for (const DeviceRoundRecord& d : round.devices) {
-      if (d.device + 1 > max_device) max_device = d.device + 1;
+      max_device = std::max(max_device, std::size_t{d.device} + 1);
     }
   }
   run.devices.resize(max_device);

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -19,8 +20,7 @@ namespace {
 using telemetry::json_escape;
 
 /// Shortest round-trip form (std::to_chars): strtod recovers the exact
-/// bits, like the old "%.17g", at roughly a tenth of the formatting cost —
-/// double formatting dominated the synchronous ledger's step overhead.
+/// bits, like "%.17g", at roughly a tenth of the formatting cost.
 std::string fmt_double(double v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
@@ -72,12 +72,11 @@ void append_array(std::string& out, const char* key,
 // writers racing with process teardown never touch a dead object. While
 // the async writer exists, its drainer thread is the only writer of `out`
 // (the header was written before the drainer started); the mutex covers
-// the synchronous mode and enable/disable/flush transitions.
+// the enable/disable/flush transitions.
 struct LedgerState {
   std::mutex mutex;
   LedgerConfig config;
   std::ofstream out;
-  std::atomic<std::uint64_t> records{0};
   std::unique_ptr<AsyncLedgerWriter> writer;
   std::atomic<bool> status_registered{false};  ///< /statusz source, once
 };
@@ -85,14 +84,6 @@ struct LedgerState {
 LedgerState& state() {
   static LedgerState* s = new LedgerState();
   return *s;
-}
-
-void write_line(const std::string& line) {
-  LedgerState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (!s.out.is_open()) return;
-  s.out << line << '\n';
-  s.records.fetch_add(1, std::memory_order_relaxed);
 }
 
 void count_drop() {
@@ -152,7 +143,6 @@ bool RunLedger::enable(const LedgerConfig& config) {
     return false;
   }
   s.config = config;
-  s.records.store(0, std::memory_order_relaxed);
   std::string header = "{";
   append_kv(header, "type", std::string("header"));
   header += ',';
@@ -163,15 +153,13 @@ bool RunLedger::enable(const LedgerConfig& config) {
   append_kv(header, "lambda", config.lambda);
   header += '}';
   s.out << header << '\n';
-  if (config.async) {
-    // The sink runs on the drainer thread; it takes the state mutex per
-    // line so it cannot interleave with flush()/disable() stream access.
-    s.writer = std::make_unique<AsyncLedgerWriter>(
-        config.ring_bytes, [&s](const std::string& line) {
-          std::lock_guard<std::mutex> sink_lock(s.mutex);
-          if (s.out.is_open()) s.out << line << '\n';
-        });
-  }
+  // The sink runs on the drainer thread; it takes the state mutex per line
+  // so it cannot interleave with flush()/disable() stream access.
+  s.writer = std::make_unique<AsyncLedgerWriter>(
+      config.ring_bytes, [&s](const std::string& line) {
+        std::lock_guard<std::mutex> sink_lock(s.mutex);
+        if (s.out.is_open()) s.out << line << '\n';
+      });
   enabled_flag().store(true, std::memory_order_relaxed);
   if (!s.status_registered.exchange(true, std::memory_order_acq_rel)) {
     // Registered once and never unregistered: the state it reads is the
@@ -219,8 +207,7 @@ const LedgerConfig& RunLedger::config() { return state().config; }
 
 std::uint64_t RunLedger::records_written() {
   LedgerState& s = state();
-  const std::uint64_t sync = s.records.load(std::memory_order_relaxed);
-  return s.writer != nullptr ? sync + s.writer->accepted() : sync;
+  return s.writer != nullptr ? s.writer->accepted() : 0;
 }
 
 std::uint64_t RunLedger::dropped_records() {
@@ -228,8 +215,8 @@ std::uint64_t RunLedger::dropped_records() {
   return s.writer != nullptr ? s.writer->dropped() : 0;
 }
 
-// In async mode the state mutex guards only the writer-pointer check and
-// the (non-blocking) enqueue — it is contended just once per drained line,
+// The state mutex guards only the writer-pointer check and the
+// (non-blocking) enqueue — it is contended just once per drained line,
 // never for the duration of disk I/O, so recording stays wait-free in the
 // practical sense the 4x-overhead gate measures.
 
@@ -237,42 +224,24 @@ void RunLedger::record_round(const RoundRecord& record) {
   if (!enabled()) return;
   if (consume_suppressed()) return;
   LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_round(record)) count_drop();
-      return;
-    }
-  }
-  write_line(round_record_json(record));
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (s.writer != nullptr && !s.writer->enqueue_round(record)) count_drop();
 }
 
 void RunLedger::record_decision(const DecisionRecord& record) {
   if (!enabled()) return;
   if (consume_suppressed()) return;
   LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_decision(record)) count_drop();
-      return;
-    }
-  }
-  write_line(decision_record_json(record));
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (s.writer != nullptr && !s.writer->enqueue_decision(record)) count_drop();
 }
 
 void RunLedger::record_fl_round(const FlRoundRecord& record) {
   if (!enabled()) return;
   if (consume_suppressed()) return;
   LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_fl_round(record)) count_drop();
-      return;
-    }
-  }
-  write_line(fl_round_record_json(record));
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (s.writer != nullptr && !s.writer->enqueue_fl_round(record)) count_drop();
 }
 
 std::string round_record_json(const RoundRecord& r) {
@@ -411,13 +380,23 @@ std::vector<double> to_double_vector(const JsonValue* v) {
   return out;
 }
 
+/// A non-negative count or id. Negative and NaN read as 0; values past
+/// the range of size_t (including +inf) saturate instead of hitting the
+/// undefined out-of-range conversion.
 std::size_t get_index(const JsonValue& obj, const char* key) {
-  double v = obj.get_number(key, 0.0);
-  return v > 0.0 ? static_cast<std::size_t>(v) : 0;
+  const double v = obj.get_number(key, 0.0);
+  constexpr double kPastMax =
+      static_cast<double>(std::numeric_limits<std::size_t>::max()) + 1.0;
+  if (!(v > 0.0)) return 0;
+  if (v >= kPastMax) return std::numeric_limits<std::size_t>::max();
+  return static_cast<std::size_t>(v);
 }
 
-RoundRecord parse_round(const JsonValue& obj) {
-  RoundRecord r;
+/// Parses a round line into `r`. False when a device row names an id that
+/// is not below the line's own device count: the writer always emits
+/// id == row index, so such a line is corrupt, and consumers index
+/// per-device tables by id.
+bool parse_round(const JsonValue& obj, RoundRecord& r) {
   r.round = get_index(obj, "round");
   r.source = obj.get_string("source", "sim");
   r.start_time = obj.get_number("start_time");
@@ -440,8 +419,10 @@ RoundRecord parse_round(const JsonValue& obj) {
     r.devices.reserve(devices->array.size());
     for (const JsonValue& dv : devices->array) {
       if (!dv.is_object()) continue;
+      const std::size_t id = get_index(dv, "id");
+      if (id >= devices->array.size()) return false;
       DeviceRoundRecord d;
-      d.device = static_cast<std::uint32_t>(get_index(dv, "id"));
+      d.device = static_cast<std::uint32_t>(id);
       d.participated = dv.get_bool("participated");
       d.completed = dv.get_bool("completed");
       d.failure = dv.get_string("failure", "none");
@@ -457,7 +438,7 @@ RoundRecord parse_round(const JsonValue& obj) {
       r.devices.push_back(std::move(d));
     }
   }
-  return r;
+  return true;
 }
 
 DecisionRecord parse_decision(const JsonValue& obj) {
@@ -515,7 +496,12 @@ Ledger read_ledger(std::istream& in) {
       ledger.run_id = value.get_string("run_id");
       ledger.lambda = value.get_number("lambda");
     } else if (type == "round") {
-      ledger.rounds.push_back(parse_round(value));
+      RoundRecord round;
+      if (parse_round(value, round)) {
+        ledger.rounds.push_back(std::move(round));
+      } else {
+        ++ledger.parse_errors;
+      }
     } else if (type == "decision") {
       ledger.decisions.push_back(parse_decision(value));
     } else if (type == "fl_round") {

@@ -27,14 +27,13 @@
 // per-round decomposition sums bit-exactly to the simulator's reported
 // T^k + lambda*Sigma E.
 //
-// Writing mode: by default (LedgerConfig::async) the hot thread only
-// serializes each record into a binary frame pushed into a bounded ring
-// (src/obs/async_writer.hpp); a background drainer formats the JSONL.
-// Overflowing frames are dropped whole and counted (dropped_records() +
-// the obs.ledger.dropped telemetry counter) — recording never blocks the
-// simulation. flush()/disable() wait for the drainer, so after either the
-// file is byte-identical to what the synchronous writer would have
-// produced. Set async=false for the strictly synchronous legacy behavior.
+// Writing: the hot thread only serializes each record into a binary frame
+// pushed into a bounded ring (src/obs/async_writer.hpp); a background
+// drainer formats the JSONL. Overflowing frames are dropped whole and
+// counted (dropped_records() + the obs.ledger.dropped telemetry counter) —
+// recording never blocks the simulation. flush()/disable() wait for the
+// drainer, so after either the file holds the header followed by exactly
+// the *_record_json() line of every accepted record, in record order.
 #pragma once
 
 #include <atomic>
@@ -132,16 +131,14 @@ struct LedgerConfig {
   /// round must not write a million JSON objects per line); the remainder
   /// is counted in RoundRecord::devices_omitted. 0 = no per-device rows.
   std::size_t max_device_rows = 1024;
-  /// Hand records to a background drainer thread through a bounded binary
-  /// ring instead of formatting JSON on the recording thread. Overflow
-  /// drops (counted), never blocks.
-  bool async = true;
-  /// Ring capacity in bytes (rounded up to a power of two, min 4 KiB).
+  /// Capacity in bytes of the binary ring that hands records to the
+  /// background drainer (rounded up to a power of two, min 4 KiB).
+  /// Overflow drops whole records (counted), never blocks.
   std::size_t ring_bytes = 1 << 20;
 };
 
 /// Process-global ledger sink, modeled on telemetry::Telemetry: one
-/// relaxed atomic load when off, mutex-serialized file appends when on.
+/// relaxed atomic load when off, a non-blocking ring enqueue when on.
 /// Writers (simulator, env, controller, FedAvg) never construct record
 /// objects unless both Telemetry and the ledger are enabled.
 class RunLedger {
@@ -153,17 +150,15 @@ class RunLedger {
   /// Opens `config.path` (truncating) and writes the header line.
   /// Returns false (and stays disabled) if the file cannot be opened.
   static bool enable(const LedgerConfig& config);
-  /// Drains the async writer (if any), flushes and closes the file.
-  /// Idempotent.
+  /// Drains the writer, flushes and closes the file. Idempotent.
   static void disable();
-  /// Async mode: waits until every accepted record reached the file, then
-  /// flushes it. Sync mode: flushes the stream.
+  /// Waits until every accepted record reached the file, then flushes it.
   static void flush();
   static const LedgerConfig& config();
-  /// Records accepted since enable() (header excluded). In async mode an
-  /// accepted record is guaranteed to reach the file by the next flush().
+  /// Records accepted since enable() (header excluded). An accepted record
+  /// is guaranteed to reach the file by the next flush().
   static std::uint64_t records_written();
-  /// Records dropped by the async ring since enable() (0 in sync mode).
+  /// Records dropped by the full ring since enable().
   static std::uint64_t dropped_records();
 
   static void record_round(const RoundRecord& record);
@@ -209,8 +204,9 @@ struct Ledger {
   std::size_t unknown_records = 0; ///< well-formed lines of unknown type
 };
 
-/// Parses a ledger stream.  Bad lines (torn writes, garbage) are skipped
-/// and counted in `parse_errors`; unknown record types are counted in
+/// Parses a ledger stream.  Bad lines (torn writes, garbage, a round whose
+/// device id is not below its own device count) are skipped and counted
+/// in `parse_errors`; unknown record types are counted in
 /// `unknown_records` for forward compatibility.  Never throws.
 Ledger read_ledger(std::istream& in);
 

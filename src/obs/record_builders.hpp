@@ -31,9 +31,8 @@ inline const char* device_failure_name(DeviceFailure failure) {
 /// cost is computed as iteration_time + lambda * total_energy with no
 /// fused contraction, so time_term + energy_term == cost bit-for-bit.
 ///
-/// Per-device rows are read through the layout-agnostic outcome()
-/// accessor (rows and columnar results serialize identically) and capped
-/// at `max_device_rows`; rows past the cap — and every row of a
+/// Per-device rows are copied from IterationResult::devices and capped at
+/// `max_device_rows`; rows past the cap — and every scheduled device of a
 /// summary-only result — are counted in RoundRecord::devices_omitted
 /// instead of being materialized.
 inline RoundRecord make_round_record(std::size_t round,
@@ -58,17 +57,17 @@ inline RoundRecord make_round_record(std::size_t round,
   r.num_timeouts = result.num_timeouts;
   r.num_upload_failures = result.num_upload_failures;
   r.total_retries = result.total_retries;
-  if (!result.has_device_outcomes()) {
+  if (result.devices.empty()) {
     // Summary layout: the per-device rows were never stored.
     r.devices_omitted = result.num_scheduled;
     return r;
   }
-  const std::size_t slots = result.num_device_slots();
+  const std::size_t slots = result.devices.size();
   const std::size_t rows = std::min(slots, max_device_rows);
   r.devices_omitted = slots - rows;
   r.devices.reserve(rows);
   for (std::size_t i = 0; i < rows; ++i) {
-    const DeviceOutcome out = result.outcome(i);
+    const DeviceOutcome& out = result.devices[i];
     DeviceRoundRecord d;
     d.device = static_cast<std::uint32_t>(i);
     d.participated = out.participated;

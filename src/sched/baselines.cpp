@@ -60,10 +60,9 @@ std::vector<double> HeuristicController::decide(const SimulatorBase& sim) {
 }
 
 void HeuristicController::observe(const IterationResult& result) {
-  FEDRA_EXPECTS(result.has_device_outcomes());
-  FEDRA_EXPECTS(result.num_device_slots() == last_bandwidths_.size());
-  for (std::size_t i = 0; i < result.num_device_slots(); ++i) {
-    const double bw = result.outcome(i).avg_bandwidth;
+  FEDRA_EXPECTS(result.devices.size() == last_bandwidths_.size());
+  for (std::size_t i = 0; i < result.devices.size(); ++i) {
+    const double bw = result.devices[i].avg_bandwidth;
     if (bw > 0.0) last_bandwidths_[i] = bw;
   }
 }

@@ -143,11 +143,11 @@ std::vector<double> PredictiveController::decide(const SimulatorBase& sim) {
 }
 
 void PredictiveController::observe(const IterationResult& result) {
-  FEDRA_EXPECTS(result.has_device_outcomes());
+  FEDRA_EXPECTS(!result.devices.empty());
   std::vector<double> realized;
-  realized.reserve(result.num_device_slots());
-  for (std::size_t i = 0; i < result.num_device_slots(); ++i) {
-    realized.push_back(result.outcome(i).avg_bandwidth);
+  realized.reserve(result.devices.size());
+  for (const DeviceOutcome& d : result.devices) {
+    realized.push_back(d.avg_bandwidth);
   }
   predictor_->observe(realized);
 }

@@ -14,101 +14,6 @@ double iteration_reward(double iteration_time, double total_energy,
   return -iteration_cost(iteration_time, total_energy, params);
 }
 
-void DeviceOutcomeColumns::resize(std::size_t n) {
-  // New slots match a default-constructed DeviceOutcome (participated and
-  // completed true, everything else zero).
-  participated.resize(n, 1);
-  completed.resize(n, 1);
-  failure.resize(n, 0);
-  retries.resize(n, 0);
-  freq_hz.resize(n, 0.0);
-  compute_time.resize(n, 0.0);
-  comm_time.resize(n, 0.0);
-  total_time.resize(n, 0.0);
-  idle_time.resize(n, 0.0);
-  compute_energy.resize(n, 0.0);
-  comm_energy.resize(n, 0.0);
-  energy.resize(n, 0.0);
-  avg_bandwidth.resize(n, 0.0);
-}
-
-void DeviceOutcomeColumns::clear() {
-  participated.clear();
-  completed.clear();
-  failure.clear();
-  retries.clear();
-  freq_hz.clear();
-  compute_time.clear();
-  comm_time.clear();
-  total_time.clear();
-  idle_time.clear();
-  compute_energy.clear();
-  comm_energy.clear();
-  energy.clear();
-  avg_bandwidth.clear();
-}
-
-DeviceOutcome DeviceOutcomeColumns::row(std::size_t i) const {
-  FEDRA_EXPECTS(i < size());
-  DeviceOutcome out;
-  out.participated = participated[i] != 0;
-  out.completed = completed[i] != 0;
-  out.failure = static_cast<DeviceFailure>(failure[i]);
-  out.retries = retries[i];
-  out.freq_hz = freq_hz[i];
-  out.compute_time = compute_time[i];
-  out.comm_time = comm_time[i];
-  out.total_time = total_time[i];
-  out.idle_time = idle_time[i];
-  out.compute_energy = compute_energy[i];
-  out.comm_energy = comm_energy[i];
-  out.energy = energy[i];
-  out.avg_bandwidth = avg_bandwidth[i];
-  return out;
-}
-
-void DeviceOutcomeColumns::set_row(std::size_t i, const DeviceOutcome& out) {
-  FEDRA_EXPECTS(i < size());
-  participated[i] = out.participated ? 1 : 0;
-  completed[i] = out.completed ? 1 : 0;
-  failure[i] = static_cast<std::uint8_t>(out.failure);
-  retries[i] = static_cast<std::uint32_t>(out.retries);
-  freq_hz[i] = out.freq_hz;
-  compute_time[i] = out.compute_time;
-  comm_time[i] = out.comm_time;
-  total_time[i] = out.total_time;
-  idle_time[i] = out.idle_time;
-  compute_energy[i] = out.compute_energy;
-  comm_energy[i] = out.comm_energy;
-  energy[i] = out.energy;
-  avg_bandwidth[i] = out.avg_bandwidth;
-}
-
-DeviceOutcome IterationResult::outcome(std::size_t i) const {
-  FEDRA_EXPECTS(has_device_outcomes());
-  if (layout == OutcomeLayout::kColumns) return columns.row(i);
-  FEDRA_EXPECTS(i < devices.size());
-  return devices[i];
-}
-
-std::vector<std::size_t> IterationResult::completed_indices() const {
-  FEDRA_EXPECTS(has_device_outcomes());
-  std::vector<std::size_t> idx;
-  idx.reserve(num_completed);
-  if (layout == OutcomeLayout::kColumns) {
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      if (columns.participated[i] != 0 && columns.completed[i] != 0) {
-        idx.push_back(i);
-      }
-    }
-    return idx;
-  }
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].participated && devices[i].completed) idx.push_back(i);
-  }
-  return idx;
-}
-
 double total_cost(const std::vector<IterationResult>& results) {
   double acc = 0.0;
   for (const auto& r : results) acc += r.cost;

@@ -30,16 +30,12 @@ enum class DeviceFailure : std::uint8_t {
   kUpload,   ///< every upload attempt failed (retries exhausted)
 };
 
-/// How a round's per-device outcomes are materialized in IterationResult.
-/// Row structs are convenient at testbed scale; a 1M-device round must not
-/// allocate a million 13-field structs per step, so the engine can emit
-/// columns (SoA) or aggregates only.
+/// Whether a round stores its per-device outcomes. Row structs are what
+/// every controller, selector and report reads; a 1M-device round that
+/// needs only the aggregates can skip them.
 enum class OutcomeLayout : std::uint8_t {
-  /// Rows for fleets up to the columnar threshold, columns beyond.
-  kAuto = 0,
-  kRows,     ///< IterationResult::devices (one DeviceOutcome per device)
-  kColumns,  ///< IterationResult::columns (one vector per field)
-  kSummary,  ///< aggregates only; no per-device outcome storage
+  kRows = 0,  ///< IterationResult::devices (one DeviceOutcome per device)
+  kSummary,   ///< aggregates only; IterationResult::devices stays empty
 };
 
 /// Outcome of one device in one federated iteration.
@@ -65,35 +61,6 @@ struct DeviceOutcome {
   double avg_bandwidth = 0.0; ///< B_i^k — realized mean upload speed (Eq. 3)
 };
 
-/// Columnar (structure-of-arrays) per-device outcomes: the same fields as
-/// DeviceOutcome, one contiguous vector per field. At fleet scale this is
-/// what the round engine writes — 13 column stores instead of a million
-/// struct constructions.
-struct DeviceOutcomeColumns {
-  std::vector<std::uint8_t> participated;
-  std::vector<std::uint8_t> completed;
-  std::vector<std::uint8_t> failure;  ///< DeviceFailure values
-  std::vector<std::uint32_t> retries;
-  std::vector<double> freq_hz;
-  std::vector<double> compute_time;
-  std::vector<double> comm_time;
-  std::vector<double> total_time;
-  std::vector<double> idle_time;
-  std::vector<double> compute_energy;
-  std::vector<double> comm_energy;
-  std::vector<double> energy;
-  std::vector<double> avg_bandwidth;
-
-  std::size_t size() const { return freq_hz.size(); }
-  bool empty() const { return freq_hz.empty(); }
-  void resize(std::size_t n);
-  void clear();
-
-  /// Materializes device i as a row.
-  DeviceOutcome row(std::size_t i) const;
-  void set_row(std::size_t i, const DeviceOutcome& out);
-};
-
 /// Outcome of one full synchronized iteration.
 struct IterationResult {
   double start_time = 0.0;      ///< t^k
@@ -102,10 +69,9 @@ struct IterationResult {
   double total_compute_energy = 0.0;
   double cost = 0.0;            ///< T^k + lambda * sum_i E_i (Eq. 9 summand)
   double reward = 0.0;          ///< -cost (Eq. 13)
-  /// Which outcome container below is populated (never kAuto here).
-  OutcomeLayout layout = OutcomeLayout::kRows;
-  std::vector<DeviceOutcome> devices;  ///< populated when layout == kRows
-  DeviceOutcomeColumns columns;        ///< populated when layout == kColumns
+  /// One outcome per device; empty when the round ran with
+  /// OutcomeLayout::kSummary.
+  std::vector<DeviceOutcome> devices;
 
   // Fault/straggler accounting (all zero on a clean full round).
   std::size_t num_scheduled = 0;  ///< participating devices
@@ -116,26 +82,11 @@ struct IterationResult {
   std::size_t num_upload_failures = 0;  ///< retries exhausted
   std::size_t total_retries = 0;
 
-  /// Per-device outcome slots stored (0 in summary layout).
-  std::size_t num_device_slots() const {
-    return layout == OutcomeLayout::kColumns ? columns.size()
-                                             : devices.size();
-  }
-  /// True unless the round ran in summary layout.
-  bool has_device_outcomes() const {
-    return layout != OutcomeLayout::kSummary;
-  }
-  /// Device i's outcome regardless of layout (rows or columns).
-  DeviceOutcome outcome(std::size_t i) const;
-
   /// Scheduled devices whose update was lost.
   std::size_t num_failed() const { return num_scheduled - num_completed; }
   /// True when at least one scheduled update went missing (the rounds
   /// FedAvg must partially aggregate).
   bool partial() const { return num_completed < num_scheduled; }
-  /// Indices of devices whose update arrived (FedAvg's delivered roster).
-  /// Requires per-device outcomes (rows or columns layout).
-  std::vector<std::size_t> completed_indices() const;
 };
 
 /// Eq. (9) single-iteration cost.

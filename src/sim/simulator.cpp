@@ -56,8 +56,7 @@ void record_iteration(const IterationResult& result) {
   m.iterations.add();
   m.iter_time_s.record(result.iteration_time);
   m.iter_energy_j.record(result.total_energy);
-  for (std::size_t i = 0; i < result.num_device_slots(); ++i) {
-    const DeviceOutcome out = result.outcome(i);
+  for (const DeviceOutcome& out : result.devices) {
     if (!out.participated) continue;
     m.compute_time_s.record(out.compute_time);
     m.comm_time_s.record(out.comm_time);

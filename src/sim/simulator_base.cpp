@@ -320,27 +320,20 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
                               s.solve_start.data(), params_.model_bytes,
                               s.solve_end.data());
 
-  const auto store = [&result](std::size_t i, const DeviceOutcome& out) {
-    switch (result.layout) {
-      case OutcomeLayout::kRows:
-        result.devices[i] = out;
-        break;
-      case OutcomeLayout::kColumns:
-        result.columns.set_row(i, out);
-        break;
-      default:
-        break;  // kSummary: aggregates only
-    }
+  // Per-device rows, or nullptr when the round stores aggregates only.
+  DeviceOutcome* const rows =
+      result.devices.empty() ? nullptr : result.devices.data();
+  const auto store = [rows](std::size_t i, const DeviceOutcome& out) {
+    if (rows != nullptr) rows[i] = out;
   };
 
   // Non-members sit the round out: all fields zero, no barrier share.
-  // Only the per-device layouts have rows to write for them.
-  if (participating != nullptr && result.layout != OutcomeLayout::kSummary) {
+  if (participating != nullptr && rows != nullptr) {
     DeviceOutcome sat_out;
     sat_out.participated = false;
     sat_out.completed = false;
     for (std::size_t k = 0; k < bn; ++k) {
-      if (!(*participating)[begin + k]) store(begin + k, sat_out);
+      if (!(*participating)[begin + k]) rows[begin + k] = sat_out;
     }
   }
 
@@ -444,17 +437,7 @@ IterationResult SimulatorBase::compute_round(
 
   IterationResult result;
   result.start_time = start_time;
-  OutcomeLayout layout = options.outcomes;
-  if (layout == OutcomeLayout::kAuto) {
-    layout = n <= kColumnarThreshold ? OutcomeLayout::kRows
-                                     : OutcomeLayout::kColumns;
-  }
-  result.layout = layout;
-  if (layout == OutcomeLayout::kRows) {
-    result.devices.resize(n);
-  } else if (layout == OutcomeLayout::kColumns) {
-    result.columns.resize(n);
-  }
+  if (options.outcomes == OutcomeLayout::kRows) result.devices.resize(n);
 
   // Price in fixed blocks. Boundaries depend only on n, blocks write
   // disjoint slots and their own totals, and partials combine in block
@@ -494,20 +477,10 @@ IterationResult SimulatorBase::compute_round(
 
   result.iteration_time = makespan;
   // Second pass: idle time needs the round makespan.
-  if (layout == OutcomeLayout::kRows) {
-    for (auto& out : result.devices) {
-      out.idle_time = barrier_idle && out.participated && out.completed
-                          ? makespan - out.total_time
-                          : 0.0;
-    }
-  } else if (layout == OutcomeLayout::kColumns) {
-    auto& c = result.columns;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c.idle_time[i] =
-          barrier_idle && c.participated[i] != 0 && c.completed[i] != 0
-              ? makespan - c.total_time[i]
-              : 0.0;
-    }
+  for (auto& out : result.devices) {
+    out.idle_time = barrier_idle && out.participated && out.completed
+                        ? makespan - out.total_time
+                        : 0.0;
   }
   result.cost = iteration_cost(makespan, result.total_energy, params_);
   result.reward = iteration_reward(makespan, result.total_energy, params_);

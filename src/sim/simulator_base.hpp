@@ -101,8 +101,6 @@ class SimulatorBase {
   /// sequential within a block and across block partials in block order,
   /// so every pool size produces identical bits.
   static constexpr std::size_t kPricingBlock = 4096;
-  /// kAuto outcome layout: rows up to this many devices, columns beyond.
-  static constexpr std::size_t kColumnarThreshold = 4096;
 
  protected:
   SimulatorBase(std::vector<DeviceProfile> devices,

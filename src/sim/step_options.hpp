@@ -11,9 +11,9 @@
 //   sim.step(freqs, {.fault_model = &faults});             // churn injection
 //   sim.preview(freqs, StepOptions::dry_run(t));           // no state change
 //
-// Fleet-scale knobs ride in the same bag: `outcomes` picks how per-device
-// results are materialized (rows / columns / summary) and `pool` supplies
-// the thread pool the blocked round engine shards across.
+// Fleet-scale knobs ride in the same bag: `outcomes` picks whether per-device
+// rows are stored (rows / summary) and `pool` supplies the thread pool the
+// blocked round engine shards across.
 #pragma once
 
 #include <optional>
@@ -54,12 +54,12 @@ struct StepOptions {
   /// (what preview(freqs, start_time) used to do).
   std::optional<double> dry_run_at;
 
-  /// How the result stores per-device outcomes. kAuto keeps the familiar
-  /// row structs up to the engine's columnar threshold and switches to
-  /// columns beyond it; kSummary skips per-device storage entirely (the
-  /// cheapest way to price a million-device round). Aggregates, cost and
-  /// reward are bit-identical across layouts.
-  OutcomeLayout outcomes = OutcomeLayout::kAuto;
+  /// Whether the result stores per-device outcomes. kRows fills
+  /// IterationResult::devices with one row per device; kSummary skips
+  /// per-device storage entirely (the cheapest way to price a
+  /// million-device round). Aggregates, cost and reward are bit-identical
+  /// across both.
+  OutcomeLayout outcomes = OutcomeLayout::kRows;
 
   /// Thread pool the round engine shards device blocks across (results
   /// are bit-identical for every pool size, including 1). nullptr = the

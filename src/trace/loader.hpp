@@ -8,6 +8,7 @@
 // 1e6 when the file stores MB/s).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "trace/bandwidth_trace.hpp"
@@ -19,8 +20,16 @@ struct TraceLoadOptions {
   double scale = 1.0;  ///< multiply every bandwidth value by this
 };
 
-/// Loads one trace. Throws std::runtime_error on unreadable or malformed
-/// files (non-numeric cells after the optional header, <1 sample, ...).
+/// Longest trace a timestamped file may resample to (2^24 samples, 128 MiB
+/// of doubles): a wider time span is rejected instead of allocated.
+inline constexpr std::size_t kMaxTraceSamples = std::size_t{1} << 24;
+
+/// Loads one trace. Throws std::invalid_argument for a non-positive or
+/// non-finite dt/scale, and std::runtime_error naming the file and row on
+/// unreadable or malformed files: non-numeric cells after the optional
+/// header, a negative or non-finite bandwidth (after `scale`), a
+/// non-finite or non-increasing timestamp, a resample grid over
+/// kMaxTraceSamples, or a trace that is all zeros.
 BandwidthTrace load_trace_csv(const std::string& path,
                               const TraceLoadOptions& options = {});
 

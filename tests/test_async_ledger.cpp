@@ -2,8 +2,8 @@
 // (obs/async_writer.hpp): codec round-trips under fuzzed records, a
 // concurrent multi-producer + drainer hammer, forced ring overflow with
 // observable drop counters, flush-at-exit ordering, and the headline
-// contract — the async-drained JSONL is BYTE-identical to what the
-// synchronous writer produces for the same record stream.
+// contract — the drained JSONL is BYTE-identical to the header plus the
+// *_record_json lines of the same record stream.
 #include "obs/async_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -292,10 +292,10 @@ TEST(AsyncLedger, StopDrainsBeforeJoining) {
   EXPECT_EQ(lines.size(), 50u);
 }
 
-// Headline contract through the PUBLIC RunLedger facade: the same record
-// stream written once with async=true and once with async=false must
-// produce byte-identical files.
-TEST(AsyncLedger, AsyncFileBitwiseEqualsSyncFile) {
+// Headline contract through the PUBLIC RunLedger facade: the drained file
+// must equal, byte for byte, the header line followed by the
+// *_record_json() formatting of every record in the order it was recorded.
+TEST(AsyncLedger, AsyncFileBitwiseEqualsRecordFormatters) {
   LedgerGuard guard;
   Rng record_rng(606);
   std::vector<RoundRecord> rounds;
@@ -307,45 +307,40 @@ TEST(AsyncLedger, AsyncFileBitwiseEqualsSyncFile) {
     fl_rounds.push_back(fuzz_fl_round(record_rng));
   }
 
-  auto write_all = [&](bool async, const std::string& path) {
-    LedgerConfig cfg;
-    cfg.path = path;
-    cfg.run_id = "bitwise-test";
-    cfg.lambda = 0.5;
-    cfg.async = async;
-    cfg.ring_bytes = 1 << 20;  // ample: nothing may drop
-    ASSERT_TRUE(RunLedger::enable(cfg));
-    for (int i = 0; i < 40; ++i) {
-      RunLedger::record_round(rounds[static_cast<std::size_t>(i)]);
-      RunLedger::record_decision(decisions[static_cast<std::size_t>(i)]);
-      RunLedger::record_fl_round(fl_rounds[static_cast<std::size_t>(i)]);
-    }
-    RunLedger::flush();
-    EXPECT_EQ(RunLedger::records_written(), 120u);
-    EXPECT_EQ(RunLedger::dropped_records(), 0u);
-    RunLedger::disable();
-  };
+  const std::string path = temp_path("ledger_async.jsonl");
+  LedgerConfig cfg;
+  cfg.path = path;
+  cfg.run_id = "bitwise-test";
+  cfg.lambda = 0.5;
+  cfg.ring_bytes = 1 << 20;  // ample: nothing may drop
+  ASSERT_TRUE(RunLedger::enable(cfg));
+  std::string expected = std::string("{\"type\":\"header\",\"schema\":\"") +
+                         kLedgerSchema +
+                         "\",\"run_id\":\"bitwise-test\",\"lambda\":0.5}\n";
+  for (std::size_t i = 0; i < 40; ++i) {
+    RunLedger::record_round(rounds[i]);
+    RunLedger::record_decision(decisions[i]);
+    RunLedger::record_fl_round(fl_rounds[i]);
+    expected += round_record_json(rounds[i]) + '\n';
+    expected += decision_record_json(decisions[i]) + '\n';
+    expected += fl_round_record_json(fl_rounds[i]) + '\n';
+  }
+  RunLedger::flush();
+  EXPECT_EQ(RunLedger::records_written(), 120u);
+  EXPECT_EQ(RunLedger::dropped_records(), 0u);
+  RunLedger::disable();
 
-  const std::string async_path = temp_path("ledger_async.jsonl");
-  const std::string sync_path = temp_path("ledger_sync.jsonl");
-  write_all(true, async_path);
-  write_all(false, sync_path);
+  EXPECT_EQ(slurp(path), expected);
 
-  const std::string async_bytes = slurp(async_path);
-  const std::string sync_bytes = slurp(sync_path);
-  ASSERT_FALSE(async_bytes.empty());
-  EXPECT_EQ(async_bytes, sync_bytes);
-
-  // And the reader parses the async file cleanly.
+  // And the reader parses the file cleanly.
   Ledger parsed;
-  ASSERT_TRUE(read_ledger_file(async_path, parsed));
+  ASSERT_TRUE(read_ledger_file(path, parsed));
   EXPECT_EQ(parsed.rounds.size(), 40u);
   EXPECT_EQ(parsed.decisions.size(), 40u);
   EXPECT_EQ(parsed.fl_rounds.size(), 40u);
   EXPECT_EQ(parsed.parse_errors, 0u);
 
-  std::remove(async_path.c_str());
-  std::remove(sync_path.c_str());
+  std::remove(path.c_str());
 }
 
 // Overflow through the facade: a tiny ring must surface drops via
@@ -357,7 +352,6 @@ TEST(AsyncLedger, FacadeOverflowIsCountedAndFileStaysWellFormed) {
   LedgerConfig cfg;
   cfg.path = path;
   cfg.run_id = "overflow-test";
-  cfg.async = true;
   cfg.ring_bytes = 4096;  // min ring: force congestion
   ASSERT_TRUE(RunLedger::enable(cfg));
 

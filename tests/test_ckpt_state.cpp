@@ -285,9 +285,9 @@ TEST(CkptState, IterationResultRoundTripsAllFields) {
     EXPECT_EQ(back.devices[i].failure, r.devices[i].failure);
     EXPECT_EQ(back.devices[i].retries, r.devices[i].retries);
     EXPECT_EQ(back.devices[i].freq_hz, r.devices[i].freq_hz);
+    EXPECT_EQ(back.devices[i].participated, r.devices[i].participated);
     EXPECT_EQ(back.devices[i].avg_bandwidth, r.devices[i].avg_bandwidth);
   }
-  EXPECT_EQ(back.completed_indices(), r.completed_indices());
 }
 
 TEST(CkptState, IterationResultRejectsBadFailureEnum) {

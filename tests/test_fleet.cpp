@@ -91,7 +91,6 @@ IterationResult oracle_round(const FleetState& fleet, const TraceTable& traces,
   constexpr std::size_t kBlock = FlSimulator::kPricingBlock;
   IterationResult r;
   r.start_time = start;
-  r.layout = OutcomeLayout::kRows;
   r.devices.resize(n);
 
   const std::size_t nblocks = (n + kBlock - 1) / kBlock;
@@ -183,9 +182,9 @@ void expect_result_eq(const IterationResult& a, const IterationResult& b) {
   EXPECT_EQ(a.num_timeouts, b.num_timeouts);
   EXPECT_EQ(a.num_upload_failures, b.num_upload_failures);
   EXPECT_EQ(a.total_retries, b.total_retries);
-  ASSERT_EQ(a.num_device_slots(), b.num_device_slots());
-  for (std::size_t i = 0; i < a.num_device_slots(); ++i) {
-    expect_outcome_eq(a.outcome(i), b.outcome(i));
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t i = 0; i < a.devices.size(); ++i) {
+    expect_outcome_eq(a.devices[i], b.devices[i]);
   }
 }
 
@@ -218,7 +217,7 @@ TEST_P(FleetVsOracle, EngineMatchesScalarOracleAtEveryPoolSize) {
 
 // A 10% cohort against the masked oracle: members priced bit for bit,
 // non-members back with participated = completed = false and every
-// time/energy field (idle_time included) zero, in both per-device layouts.
+// time/energy field (idle_time included) zero.
 TEST_P(FleetVsOracle, CohortMatchesMaskedScalarOracle) {
   const std::size_t n = GetParam();
   const FleetState fleet = make_fleet_state(n, FleetModel{}, 1234);
@@ -235,25 +234,19 @@ TEST_P(FleetVsOracle, CohortMatchesMaskedScalarOracle) {
     if (!mask[i]) expect_outcome_eq(expected.devices[i], sat_out);
   }
 
-  for (const OutcomeLayout layout :
-       {OutcomeLayout::kRows, OutcomeLayout::kColumns}) {
-    for (std::size_t workers : {1u, 2u, 8u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "pool " << workers << " layout "
-                   << static_cast<int>(layout));
-      ThreadPool pool(workers);
-      FlSimulator sim(fleet, traces, params);
-      StepOptions opts;
-      opts.outcomes = layout;
-      opts.pool = &pool;
-      opts.participating = &mask;
-      expect_result_eq(sim.step(freqs, opts), expected);
-    }
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "pool " << workers);
+    ThreadPool pool(workers);
+    FlSimulator sim(fleet, traces, params);
+    StepOptions opts;
+    opts.pool = &pool;
+    opts.participating = &mask;
+    expect_result_eq(sim.step(freqs, opts), expected);
   }
 }
 
-// 65537 = 16 full blocks + 1 straggler device crosses both the columnar
-// threshold and multiple 4096-device block boundaries.
+// 65537 = 16 full blocks + 1 straggler device crosses multiple
+// 4096-device block boundaries.
 INSTANTIATE_TEST_SUITE_P(FleetSizes, FleetVsOracle,
                          ::testing::Values(3u, 50u, 1000u, 65537u));
 
@@ -276,7 +269,6 @@ TEST(FleetEngine, PoolSizeInvariantUnderFaultsAndDeadline) {
     FlSimulator sim(fleet, traces, fleet_params());
     FaultModel fm(fcfg, 99);
     StepOptions opts;
-    opts.outcomes = OutcomeLayout::kColumns;
     opts.pool = &pool;
     opts.deadline = 12.0;
     opts.fault_model = &fm;
@@ -294,28 +286,21 @@ TEST(FleetEngine, LayoutsAgreeBitwise) {
   const TraceTable traces = make_traces(n);
   const auto freqs = make_freqs(fleet);
 
-  IterationResult results[3];
-  const OutcomeLayout layouts[3] = {OutcomeLayout::kRows,
-                                    OutcomeLayout::kColumns,
+  IterationResult results[2];
+  const OutcomeLayout layouts[2] = {OutcomeLayout::kRows,
                                     OutcomeLayout::kSummary};
-  for (int v = 0; v < 3; ++v) {
+  for (int v = 0; v < 2; ++v) {
     FlSimulator sim(fleet, traces, fleet_params());
     StepOptions opts;
     opts.outcomes = layouts[v];
     results[v] = sim.step(freqs, opts);
   }
-  // Rows vs columns: identical per-device outcomes.
-  expect_result_eq(results[0], results[1]);
-  // Summary: no per-device slots, identical aggregates.
-  EXPECT_FALSE(results[2].has_device_outcomes());
-  EXPECT_EQ(results[2].num_device_slots(), 0u);
-  EXPECT_EQ(results[2].iteration_time, results[0].iteration_time);
-  EXPECT_EQ(results[2].total_energy, results[0].total_energy);
-  EXPECT_EQ(results[2].total_compute_energy,
-            results[0].total_compute_energy);
-  EXPECT_EQ(results[2].cost, results[0].cost);
-  EXPECT_EQ(results[2].reward, results[0].reward);
-  EXPECT_EQ(results[2].num_completed, results[0].num_completed);
+  // Rows: one outcome per device. Summary: none, identical aggregates.
+  EXPECT_EQ(results[0].devices.size(), n);
+  EXPECT_TRUE(results[1].devices.empty());
+  IterationResult rows_only = results[0];
+  rows_only.devices.clear();
+  expect_result_eq(results[1], rows_only);
 }
 
 TEST(FleetEngine, LegacyAndFleetConstructionAgree) {
@@ -528,7 +513,6 @@ void expect_block_draws_match_assignment(bool cohort) {
     for (std::size_t k = 0; k < 5; ++k) {
       const std::vector<bool> mask = sample_cohort(n, n / 10, 9, k).mask(n);
       StepOptions opts;
-      opts.outcomes = OutcomeLayout::kColumns;
       opts.pool = &pool;
       opts.deadline = 40.0;
       if (cohort) opts.participating = &mask;
@@ -777,7 +761,7 @@ TEST(CohortSampling, CohortStepPricesOnlyMembers) {
   const IterationResult r = sim.step(freqs, StepOptions::with_participants(mask));
   EXPECT_EQ(r.num_scheduled, cohort.size());
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(r.outcome(i).participated, static_cast<bool>(mask[i]));
+    EXPECT_EQ(r.devices[i].participated, static_cast<bool>(mask[i]));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 namespace fedra {
@@ -22,6 +23,20 @@ class TempCsv {
  private:
   std::string path_;
 };
+
+/// Loads `f` expecting a std::runtime_error whose message names the file
+/// and contains `detail` (a row label such as "row 3", or a reason).
+void expect_load_error(const TempCsv& f, const std::string& detail,
+                       const TraceLoadOptions& options = {}) {
+  try {
+    load_trace_csv(f.path(), options);
+    ADD_FAILURE() << "loaded " << f.path();
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(f.path()), std::string::npos) << what;
+    EXPECT_NE(what.find(detail), std::string::npos) << what;
+  }
+}
 
 TEST(Loader, SingleColumnNoHeader) {
   TempCsv f("t1.csv", "100\n200\n300\n");
@@ -94,11 +109,66 @@ TEST(Loader, BadOptionsThrow) {
   TraceLoadOptions bad_scale;
   bad_scale.scale = -1.0;
   EXPECT_THROW(load_trace_csv(f.path(), bad_scale), std::invalid_argument);
+  // NaN fails no `<= 0` test, so it needs its own rejection.
+  TraceLoadOptions nan_dt;
+  nan_dt.dt = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(load_trace_csv(f.path(), nan_dt), std::invalid_argument);
+  TraceLoadOptions nan_scale;
+  nan_scale.scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(load_trace_csv(f.path(), nan_scale), std::invalid_argument);
 }
 
 TEST(Loader, MalformedTimestampRowThrows) {
   TempCsv f("t10.csv", "0,10\n1,\n");
   EXPECT_THROW(load_trace_csv(f.path()), std::runtime_error);
+}
+
+TEST(Loader, NegativeBandwidthThrowsNamingRow) {
+  TempCsv single("t12.csv", "100\n-5\n300\n");
+  expect_load_error(single, "row 2");
+  TempCsv stamped("t13.csv", "time,bw\n0,10\n1,20\n2,-5\n");
+  expect_load_error(stamped, "row 4");
+}
+
+TEST(Loader, NonFiniteBandwidthThrowsNamingRow) {
+  TempCsv nan_cell("t14.csv", "100\nnan\n");
+  expect_load_error(nan_cell, "row 2");
+  TempCsv inf_cell("t15.csv", "0,10\n1,inf\n2,30\n");
+  expect_load_error(inf_cell, "row 2");
+  // Finite in the file, infinite once scaled.
+  TempCsv big("t16.csv", "1e300\n2\n");
+  TraceLoadOptions opt;
+  opt.scale = 1e10;
+  expect_load_error(big, "row 1", opt);
+  // Every sample finite, but their integral is not.
+  TempCsv volume("t23.csv", "1.7e308\n1.7e308\n");
+  expect_load_error(volume, "overflows");
+}
+
+TEST(Loader, AllZeroTraceThrows) {
+  TempCsv single("t17.csv", "0\n0\n0\n");
+  expect_load_error(single, "all-zero");
+  // Non-zero values that the resample grid never samples still leave an
+  // all-zero trace.
+  TempCsv stamped("t18.csv", "0,0\n1,5\n");
+  expect_load_error(stamped, "all-zero");
+}
+
+TEST(Loader, NonFiniteTimestampThrowsNamingRow) {
+  TempCsv f("t19.csv", "0,10\n1,20\ninf,30\n");
+  expect_load_error(f, "row 3");
+  TempCsv g("t20.csv", "nan,10\n1,20\n");
+  expect_load_error(g, "row 1");
+}
+
+TEST(Loader, OversizedResampleGridThrows) {
+  // 1e10 s at dt = 1 would be an 80 GB vector.
+  TempCsv f("t21.csv", "0,10\n1e10,20\n");
+  expect_load_error(f, "row 2");
+  // One cell past the cap is already refused.
+  TempCsv edge("t22.csv",
+               "0,10\n" + std::to_string(kMaxTraceSamples + 1) + ",20\n");
+  expect_load_error(edge, "row 2");
 }
 
 TEST(Loader, LoadedTraceSupportsUploadQueries) {

@@ -160,6 +160,13 @@ TEST(Ledger, RecordsRoundTripBitExact) {
   r.num_completed = 2;
   r.num_dropouts = 1;
   r.total_retries = 4;
+  // Ids are row indices (the reader rejects an id past the row count), so
+  // device 2 rides behind two default rows.
+  for (std::uint32_t id = 0; id < 2; ++id) {
+    obs::DeviceRoundRecord row;
+    row.device = id;
+    r.devices.push_back(row);
+  }
   obs::DeviceRoundRecord d;
   d.device = 2;
   d.participated = true;
@@ -219,8 +226,8 @@ TEST(Ledger, RecordsRoundTripBitExact) {
   EXPECT_EQ(pr.num_completed, r.num_completed);
   EXPECT_EQ(pr.num_dropouts, r.num_dropouts);
   EXPECT_EQ(pr.total_retries, r.total_retries);
-  ASSERT_EQ(pr.devices.size(), 1u);
-  const obs::DeviceRoundRecord& pd = pr.devices[0];
+  ASSERT_EQ(pr.devices.size(), 3u);
+  const obs::DeviceRoundRecord& pd = pr.devices[2];
   EXPECT_EQ(pd.device, d.device);
   EXPECT_EQ(pd.participated, d.participated);
   EXPECT_EQ(pd.completed, d.completed);
@@ -268,6 +275,45 @@ TEST(Ledger, ReaderSkipsTornAndUnknownLines) {
   EXPECT_EQ(ledger.parse_errors, 2u);
   EXPECT_EQ(ledger.unknown_records, 1u);
   EXPECT_EQ(ledger.lambda, 0.5);
+}
+
+TEST(Ledger, ReaderRejectsDeviceIdsPastTheRowCount) {
+  // make_round_record writes id == row index; any id at or past the
+  // line's own row count is corrupt. 4294967295 used to wrap the
+  // attribution's table size to 0 and write out of bounds.
+  obs::RoundRecord r;
+  r.round = 0;
+  for (std::uint32_t id = 0; id < 3; ++id) {
+    obs::DeviceRoundRecord d;
+    d.device = id;
+    d.participated = true;
+    d.compute_time = 1.0 + id;
+    r.devices.push_back(d);
+  }
+  const std::string good = obs::round_record_json(r);
+  auto with_id = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos);
+    return line.replace(at, from.size(), to);
+  };
+  std::istringstream in(
+      good + "\n" + with_id("\"id\":1,", "\"id\":4294967295,") + "\n" +
+      with_id("\"id\":2,", "\"id\":3,") + "\n" +
+      with_id("\"id\":1,", "\"id\":1e300,") + "\n" +
+      with_id("\"id\":2,", "\"id\":-2,") + "\n");
+  const obs::Ledger ledger = obs::read_ledger(in);
+  // Negative ids read as 0, which is in range.
+  EXPECT_EQ(ledger.parse_errors, 3u);
+  ASSERT_EQ(ledger.rounds.size(), 2u);
+  for (const auto& round : ledger.rounds) {
+    for (const auto& d : round.devices) {
+      EXPECT_LT(d.device, round.devices.size());
+    }
+  }
+  const obs::RunAttribution run = obs::attribute(ledger);
+  EXPECT_EQ(run.devices.size(), 3u);
+  EXPECT_EQ(run.rounds.size(), 2u);
 }
 
 TEST(Ledger, EnableFailsOnUnwritablePath) {

@@ -76,11 +76,11 @@ TEST_P(SimProperties, FrequenciesAlwaysClamped) {
   Rng rng(GetParam() ^ 0x1234ULL);
   for (int k = 0; k < 10; ++k) {
     auto r = sim.step(random_freqs(sim, rng), {});
-    for (std::size_t i = 0; i < r.num_device_slots(); ++i) {
+    for (std::size_t i = 0; i < r.devices.size(); ++i) {
       const double max_hz = sim.fleet().max_freq_hz(i);
-      EXPECT_GE(r.outcome(i).freq_hz,
+      EXPECT_GE(r.devices[i].freq_hz,
                 FlSimulator::kMinFreqFraction * max_hz - 1e-9);
-      EXPECT_LE(r.outcome(i).freq_hz, max_hz + 1e-9);
+      EXPECT_LE(r.devices[i].freq_hz, max_hz + 1e-9);
     }
   }
 }

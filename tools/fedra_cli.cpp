@@ -103,7 +103,16 @@ int cmd_traces(const ArgParser& args) {
   if (args.has("fit")) {
     const auto path = args.require("fit");
     auto trace = load_trace_csv(path);
-    auto fit = fit_trace_model(trace);
+    const FitOptions fit_options;
+    if (trace.num_samples() < 2 * fit_options.regimes) {
+      std::fprintf(stderr,
+                   "fedra_cli traces: %s has %zu samples; --fit needs at "
+                   "least %zu\n",
+                   path.c_str(), trace.num_samples(),
+                   2 * fit_options.regimes);
+      return 1;
+    }
+    auto fit = fit_trace_model(trace, fit_options);
     std::printf("fit of %s (%zu samples @ %.1f s):\n", path.c_str(),
                 trace.num_samples(), trace.resolution());
     std::printf("  regimes (bytes/s):");
