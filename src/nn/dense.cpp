@@ -40,15 +40,14 @@ void Dense::forward_into(const Matrix& input, Matrix& out) {
 }
 
 void Dense::backward_into(const Matrix& grad_output, Matrix& grad_in) {
-  FEDRA_EXPECTS(input_ref_ != nullptr);
-  const Matrix& x = *input_ref_;
-  FEDRA_EXPECTS(grad_output.rows() == x.rows());
-  FEDRA_EXPECTS(grad_output.cols() == weight_.cols());
-  matmul_at_b_into(x, grad_output, gw_scratch_);
-  grad_weight_ += gw_scratch_;
+  backward_params(grad_output);
+  input_grad_into(grad_output, grad_in);
+}
+
+void Dense::backward_params(const Matrix& grad_output) {
+  accumulate_weight_grad(grad_output);
   col_sum_into(grad_output, gb_scratch_);
   grad_bias_ += gb_scratch_;
-  matmul_a_bt_into(grad_output, weight_, grad_in);
 }
 
 void Dense::forward_gemm_into(const Matrix& input, Matrix& pre) {
@@ -57,13 +56,16 @@ void Dense::forward_gemm_into(const Matrix& input, Matrix& pre) {
   matmul_into(input, weight_, pre);
 }
 
-void Dense::backward_gemms_into(const Matrix& grad_pre, Matrix& grad_in) {
+void Dense::accumulate_weight_grad(const Matrix& grad_pre) {
   FEDRA_EXPECTS(input_ref_ != nullptr);
   const Matrix& x = *input_ref_;
   FEDRA_EXPECTS(grad_pre.rows() == x.rows());
   FEDRA_EXPECTS(grad_pre.cols() == weight_.cols());
   matmul_at_b_into(x, grad_pre, gw_scratch_);
   grad_weight_ += gw_scratch_;
+}
+
+void Dense::input_grad_into(const Matrix& grad_pre, Matrix& grad_in) const {
   matmul_a_bt_into(grad_pre, weight_, grad_in);
 }
 

@@ -20,6 +20,10 @@ class Dense final : public Layer {
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_in) override;
 
+  /// backward_into without dLoss/dInput: accumulates dW and db only. A
+  /// network's bottom layer runs this when nobody reads the input gradient.
+  void backward_params(const Matrix& grad_output);
+
   std::vector<Matrix*> params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_weight_, &grad_bias_}; }
   std::string name() const override { return "Dense"; }
@@ -36,11 +40,13 @@ class Dense final : public Layer {
   // Forward split: GEMM only, bias folded into the activation pass by the
   // caller. `pre` = x W (NO bias); input pointer cached as usual.
   void forward_gemm_into(const Matrix& input, Matrix& pre);
-  // Backward split for a caller-computed dLoss/dPre: accumulates dW and
-  // writes dX. The bias gradient goes through bias_grad_scratch() +
-  // accumulate_bias_grad() (filled by the fused dAct·colsum pass), keeping
-  // the accumulate-into-scratch-then-add order of backward_into.
-  void backward_gemms_into(const Matrix& grad_pre, Matrix& grad_in);
+  // Backward split for a caller-computed dLoss/dPre: accumulate_weight_grad
+  // adds dW, input_grad_into writes dX (skipped when nobody reads it). The
+  // bias gradient goes through bias_grad_scratch() + accumulate_bias_grad()
+  // (filled by the fused dAct·colsum pass), keeping the
+  // accumulate-into-scratch-then-add order of backward_into.
+  void accumulate_weight_grad(const Matrix& grad_pre);
+  void input_grad_into(const Matrix& grad_pre, Matrix& grad_in) const;
   Matrix& bias_grad_scratch() { return gb_scratch_; }
   void accumulate_bias_grad() { grad_bias_ += gb_scratch_; }
 

@@ -73,8 +73,17 @@ const Matrix& Sequential::forward_cached(const Matrix& input, Workspace& ws) {
   return *cur;
 }
 
-const Matrix& Sequential::backward_cached(const Matrix& grad_output,
-                                          Workspace& ws) {
+void Sequential::backward_cached(const Matrix& grad_output, Workspace& ws) {
+  backward_pass(grad_output, ws, false);
+}
+
+const Matrix& Sequential::backward_cached_with_input_grad(
+    const Matrix& grad_output, Workspace& ws) {
+  return *backward_pass(grad_output, ws, true);
+}
+
+const Matrix* Sequential::backward_pass(const Matrix& grad_output,
+                                        Workspace& ws, bool input_grad) {
   const Matrix* cur = &grad_output;
   std::size_t pp = 0;
   for (std::size_t k = layers_.size(); k-- > 0;) {
@@ -89,18 +98,26 @@ const Matrix& Sequential::backward_cached(const Matrix& grad_output,
       act_backward_colsum_into(*cur, ws.slot(k), pair.act, dpre,
                                pair.dense->bias_grad_scratch());
       pair.dense->accumulate_bias_grad();
+      pair.dense->accumulate_weight_grad(dpre);
+      if (k == 1 && !input_grad) return nullptr;
       Matrix& gin = ws.grad(pp ^ 1);
-      pair.dense->backward_gemms_into(dpre, gin);
+      pair.dense->input_grad_into(dpre, gin);
       cur = &gin;  // pp flips twice across the pair — net unchanged
       --k;
       continue;
+    }
+    if (k == 0 && !input_grad) {
+      if (auto* dense = dynamic_cast<Dense*>(layers_[0].get())) {
+        dense->backward_params(*cur);
+        return nullptr;
+      }
     }
     Matrix& gin = ws.grad(pp);
     layers_[k]->backward_into(*cur, gin);  // reads *cur, writes the other
     cur = &gin;
     pp ^= 1;
   }
-  return *cur;
+  return input_grad ? cur : nullptr;
 }
 
 std::vector<Matrix*> Sequential::params() {

@@ -38,8 +38,15 @@ class Sequential : public Module {
 
   /// Backward counterpart of forward_cached, alternating between the two
   /// ws.grad ping-pong buffers. `grad_output` must not alias them.
-  /// Returns dLoss/dInput (valid until the next cached call on `ws`).
-  const Matrix& backward_cached(const Matrix& grad_output, Workspace& ws);
+  /// Accumulates every parameter gradient but not dLoss/dInput: a bottom
+  /// Dense skips its input GEMM, which no training loop reads.
+  void backward_cached(const Matrix& grad_output, Workspace& ws);
+
+  /// backward_cached that also forms dLoss/dInput and returns it (valid
+  /// until the next cached call on `ws`), for callers that chain the
+  /// gradient into another network.
+  const Matrix& backward_cached_with_input_grad(const Matrix& grad_output,
+                                                Workspace& ws);
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i);
@@ -60,6 +67,11 @@ class Sequential : public Module {
   void load(const std::string& path);
 
  private:
+  /// The shared backward; returns dLoss/dInput, or nullptr when
+  /// `input_grad` is false (nothing then writes it).
+  const Matrix* backward_pass(const Matrix& grad_output, Workspace& ws,
+                              bool input_grad);
+
   std::vector<LayerPtr> layers_;
 };
 

@@ -187,7 +187,8 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
   double actor_obj = 0.0;
   for (std::size_t b = 0; b < n; ++b) actor_obj += q_mu(b, 0) * inv_n;
   Matrix grad_out(n, 1, -inv_n);  // d(-mean Q)/dQ
-  const Matrix& grad_input = critic_.backward_cached(grad_out, critic_ws_);
+  const Matrix& grad_input =
+      critic_.backward_cached_with_input_grad(grad_out, critic_ws_);
   // Slice the action columns of dL/d(input).
   Matrix grad_action(n, action_dim_);
   for (std::size_t b = 0; b < n; ++b) {

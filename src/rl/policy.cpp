@@ -120,7 +120,32 @@ void GaussianPolicy::mean_action_batch(const Matrix& states, Matrix& actions) {
 
 std::vector<double> GaussianPolicy::log_probs(const Matrix& states,
                                               const Matrix& actions_u) {
-  return forward_log_probs(states, actions_u);
+  std::vector<double> logps;
+  log_probs(states, actions_u, std::max<std::size_t>(states.rows(), 1),
+            logps);
+  return logps;
+}
+
+void GaussianPolicy::log_probs(const Matrix& states, const Matrix& actions_u,
+                               std::size_t block_rows,
+                               std::vector<double>& out) {
+  FEDRA_EXPECTS(block_rows > 0);
+  FEDRA_EXPECTS(states.cols() == state_dim_);
+  FEDRA_EXPECTS(actions_u.cols() == action_dim_);
+  FEDRA_EXPECTS(states.rows() == actions_u.rows());
+  const std::size_t n = states.rows();
+  out.resize(n);
+  double entropy_acc = 0.0;
+  for (std::size_t lo = 0; lo < n; lo += block_rows) {
+    const std::size_t hi = std::min(lo + block_rows, n);
+    block_in_.resize_reuse(hi - lo, state_dim_);
+    std::copy(states.data() + lo * state_dim_, states.data() + hi * state_dim_,
+              block_in_.data());
+    fill_log_probs(mean_net_.forward_cached(block_in_, ws_), actions_u, lo,
+                   out, entropy_acc);
+  }
+  cached_out_ = nullptr;  // the last block is not a batch to backward
+  last_entropy_ = n > 0 ? entropy_acc / static_cast<double>(n) : 0.0;
 }
 
 std::vector<double> GaussianPolicy::forward_log_probs(
@@ -140,20 +165,26 @@ void GaussianPolicy::forward_log_probs(const Matrix& states,
   cached_out_ = &raw;
   out.resize(states.rows());
   double entropy_acc = 0.0;
-  for (std::size_t b = 0; b < states.rows(); ++b) {
+  fill_log_probs(raw, actions_u, 0, out, entropy_acc);
+  last_entropy_ = states.rows() > 0
+                      ? entropy_acc / static_cast<double>(states.rows())
+                      : 0.0;
+}
+
+void GaussianPolicy::fill_log_probs(const Matrix& raw, const Matrix& actions_u,
+                                    std::size_t row0, std::vector<double>& out,
+                                    double& entropy_acc) const {
+  for (std::size_t b = 0; b < raw.rows(); ++b) {
     double logp = 0.0;
     for (std::size_t j = 0; j < action_dim_; ++j) {
       const double ls = log_sigma_at(raw, b, j);
       const double sd = std::exp(ls);
-      const double z = (actions_u(b, j) - raw(b, j)) / sd;
+      const double z = (actions_u(row0 + b, j) - raw(b, j)) / sd;
       logp += -0.5 * z * z - ls - 0.5 * kLog2Pi;
       entropy_acc += ls + 0.5 * (kLog2Pi + 1.0);
     }
-    out[b] = logp;
+    out[row0 + b] = logp;
   }
-  last_entropy_ = states.rows() > 0
-                      ? entropy_acc / static_cast<double>(states.rows())
-                      : 0.0;
 }
 
 void GaussianPolicy::backward_log_probs(const Matrix& states,

@@ -67,6 +67,14 @@ class GaussianPolicy {
   /// log pi(u|s) for a batch, WITHOUT caching for backward (evaluation).
   std::vector<double> log_probs(const Matrix& states, const Matrix& actions_u);
 
+  /// Capacity-reusing form that runs the network over blocks of at most
+  /// `block_rows` rows, so a full-buffer pass never grows the training
+  /// workspace past a minibatch. Rows are independent in every layer, so
+  /// the values and the following entropy() (the mean over ALL rows) are
+  /// bit-identical to one unblocked pass. No backward may follow.
+  void log_probs(const Matrix& states, const Matrix& actions_u,
+                 std::size_t block_rows, std::vector<double>& out);
+
   /// Forward pass that caches activations; returns per-row log pi(u|s).
   /// Must be followed by backward_log_probs on the same batch, and
   /// `states` must stay valid/unmodified until then (the network caches
@@ -118,6 +126,11 @@ class GaussianPolicy {
   /// Whether the clamp is inactive (gradient passes) at (b, j).
   bool log_sigma_in_range(const Matrix& raw, std::size_t b,
                           std::size_t j) const;
+  /// Writes log pi(u|s) of rows [row0, row0 + raw.rows()) into `out`,
+  /// adding each row's entropy terms to `entropy_acc` in row order.
+  void fill_log_probs(const Matrix& raw, const Matrix& actions_u,
+                      std::size_t row0, std::vector<double>& out,
+                      double& entropy_acc) const;
 
   std::size_t state_dim_;
   std::size_t action_dim_;
@@ -130,6 +143,7 @@ class GaussianPolicy {
                          ///< separate so inference between training passes
                          ///< never invalidates cached_out_)
   Matrix infer_in_;      ///< persistent 1xS input row for forward_raw
+  Matrix block_in_;      ///< row block of a blocked log_probs pass
   Workspace batch_infer_ws_;  ///< NxS buffers for mean_action_batch (own
                               ///< workspace so serving never disturbs the
                               ///< single-row or training buffers)

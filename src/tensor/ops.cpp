@@ -190,8 +190,12 @@ void gemm_blocked_impl(std::size_t m, std::size_t kdim, std::size_t p,
                        const double* a, std::size_t a_rs, std::size_t a_cs,
                        const double* b, std::size_t ldb, BPack mode,
                        double* c, std::size_t ldc) {
+  // Sized to the largest block this product packs (the first one), not to
+  // kKC x kNC: a 64 x 64 B operand needs 32 KB, not 256 KB, on every
+  // thread that runs a GEMM.
   thread_local std::vector<double> pack_buf;  // plain heap: not a tensor
-  if (pack_buf.size() < kKC * kNC) pack_buf.resize(kKC * kNC);
+  const std::size_t pack_size = std::min(kKC, kdim) * std::min(kNC, p);
+  if (pack_buf.size() < pack_size) pack_buf.resize(pack_size);
   for (std::size_t k0 = 0; k0 < kdim; k0 += kKC) {
     const std::size_t kc = std::min(kKC, kdim - k0);
     for (std::size_t j0 = 0; j0 < p; j0 += kNC) {

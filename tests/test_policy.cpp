@@ -277,6 +277,32 @@ TEST(PolicySds, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Policy, BlockedLogProbsMatchOnePass) {
+  // The blocked pass (PPO's post-update KL pass) must reproduce one
+  // unblocked pass bit for bit: per-row log-probs and, for
+  // state-dependent sigma, the entropy mean over all rows.
+  for (bool sds : {false, true}) {
+    PolicyConfig cfg;
+    cfg.hidden = {8};
+    cfg.state_dependent_std = sds;
+    Rng init(41);
+    GaussianPolicy p(3, 2, cfg, init);
+    Rng rng(42);
+    const Matrix states = Matrix::random_gaussian(10, 3, rng);
+    const Matrix actions = Matrix::random_gaussian(10, 2, rng, 0.0, 0.7);
+    std::vector<double> whole;
+    p.log_probs(states, actions, states.rows(), whole);
+    const double whole_entropy = p.entropy();
+    for (std::size_t block : {1, 3, 4, 9, 64}) {
+      std::vector<double> blocked;
+      p.log_probs(states, actions, block, blocked);
+      EXPECT_EQ(blocked, whole) << "sds " << sds << " block " << block;
+      EXPECT_EQ(p.entropy(), whole_entropy)
+          << "sds " << sds << " block " << block;
+    }
+  }
+}
+
 TEST(Policy, SamplingRespectsStd) {
   auto p = make_policy(2, 1, 18);
   Rng rng(19);

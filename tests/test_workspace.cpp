@@ -85,16 +85,19 @@ struct PerLayerPass {
   std::vector<Matrix> grads;
 };
 
-/// Runs `steps` zero_grad/forward/backward rounds through two identically
-/// seeded nets — cached passes on one, the per-layer oracle on the other —
-/// and checks outputs, input gradients and parameter gradients bitwise.
+/// Runs `steps` zero_grad/forward/backward rounds through three identically
+/// seeded nets — cached passes with and without the input gradient on two,
+/// the per-layer oracle on the third — and checks outputs, input gradients
+/// and parameter gradients bitwise.
 void expect_cached_matches_oracle(const std::function<Sequential()>& make,
                                   std::size_t batch, std::size_t in,
                                   std::size_t out, std::uint64_t seed,
                                   int steps) {
   Sequential cached = make();
+  Sequential skipping = make();
   Sequential oracle = make();
   Workspace ws;
+  Workspace skipping_ws;
   PerLayerPass pass(oracle.num_layers());
   Rng rng(seed);
   for (int step = 0; step < steps; ++step) {
@@ -107,16 +110,24 @@ void expect_cached_matches_oracle(const std::function<Sequential()>& make,
     const Matrix& out_oracle = pass.forward(oracle, x);
     EXPECT_TRUE(bitwise_equal(out_cached, out_oracle)) << "step " << step;
 
-    const Matrix& gin_cached = cached.backward_cached(g, ws);
+    const Matrix& gin_cached = cached.backward_cached_with_input_grad(g, ws);
     const Matrix& gin_oracle = pass.backward(oracle, g);
     EXPECT_TRUE(bitwise_equal(gin_cached, gin_oracle)) << "step " << step;
 
+    skipping.zero_grad();
+    skipping.forward_cached(x, skipping_ws);
+    skipping.backward_cached(g, skipping_ws);
+
     auto gc = cached.grads();
+    auto gs = skipping.grads();
     auto go = oracle.grads();
     ASSERT_EQ(gc.size(), go.size());
+    ASSERT_EQ(gs.size(), go.size());
     for (std::size_t i = 0; i < gc.size(); ++i) {
       EXPECT_TRUE(bitwise_equal(*gc[i], *go[i]))
           << "grad " << i << " step " << step;
+      EXPECT_TRUE(bitwise_equal(*gs[i], *go[i]))
+          << "grad " << i << " step " << step << " without input grad";
     }
   }
 }
@@ -144,6 +155,13 @@ TEST(Workspace, CachedPassMatchesPerLayerOracle) {
       expect_cached_matches_oracle(make, sh.batch, sh.in, sh.out, 4321, 2);
     }
   }
+
+  // A lone Dense: the bottom layer is unfused and is also the top one.
+  auto make_linear = []() -> Sequential {
+    Rng rng(77);
+    return Mlp({7, 3}, Activation::None, rng);
+  };
+  expect_cached_matches_oracle(make_linear, 5, 7, 3, 78, 2);
 }
 
 TEST(Workspace, TwoBackwardsAccumulateTwiceOnePass) {
@@ -299,8 +317,10 @@ TEST(Workspace, PoisonedPaddingDoesNotLeak) {
   const Matrix& fresh_out = fresh_net.forward_cached(input, fresh_ws);
   EXPECT_TRUE(bitwise_equal(warm_out, fresh_out)) << "forward output";
 
-  const Matrix& warm_gin = warm_net.backward_cached(grad_out, warm_ws);
-  const Matrix& fresh_gin = fresh_net.backward_cached(grad_out, fresh_ws);
+  const Matrix& warm_gin =
+      warm_net.backward_cached_with_input_grad(grad_out, warm_ws);
+  const Matrix& fresh_gin =
+      fresh_net.backward_cached_with_input_grad(grad_out, fresh_ws);
   EXPECT_TRUE(bitwise_equal(warm_gin, fresh_gin)) << "input gradient";
 
   auto wg = warm_net.grads();
