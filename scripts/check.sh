@@ -9,8 +9,8 @@
 #      threading tests — run under ASan/UBSan here);
 #   3. tsan: thread-sanitizer build, `tsan`-labeled suites — the
 #      concurrency-heavy tests (work-stealing scheduler, sweep engine,
-#      serving stack, fleet pricing pools, async ledger, telemetry)
-#      race-checked under TSan;
+#      serving stack, fleet pricing pools, async ledger, telemetry,
+#      PPO update) race-checked under TSan;
 #   4. live: start the embedded observability exporter in-process
 #      (tools/live_probe), fetch /metrics, /healthz, /statusz and the
 #      flight-recorder dump over real TCP, validate every payload
