@@ -319,7 +319,13 @@ int main(int argc, char** argv) {
                                  {256, 256, 256},
                                  {512, 512, 512},
                                  {64, 27, 64},     // policy-net shapes
-                                 {32, 16, 32}};    // FL client shapes
+                                 {32, 16, 32},     // FL client shapes
+                                 {1, 27, 64},      // batch-1 PPO forward
+                                 {1, 64, 64},
+                                 {1, 64, 3},
+                                 {1, 450, 64},
+                                 {64, 64, 3},      // PPO heads, minibatch
+                                 {64, 64, 1}};
   std::printf("%-12s %5s %5s %5s  %12s %15s %8s\n", "op", "m", "k", "n",
               "seed GF/s", "blocked GF/s", "speedup");
   for (const auto& s : shapes) {

@@ -82,20 +82,6 @@ void BM_GemmABt(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmABt)->Arg(64)->Arg(256);
 
-void BM_GemmParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  auto a = Matrix::random_gaussian(n, n, rng);
-  auto b = Matrix::random_gaussian(n, n, rng);
-  ThreadPool pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul_parallel(a, b, pool));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * n *
-                          n);
-}
-BENCHMARK(BM_GemmParallel)->Arg(128)->Arg(256);
-
 void BM_MlpForwardBackward(benchmark::State& state) {
   Rng rng(2);
   Mlp net({64, 128, 128, 10}, Activation::ReLU, rng);

@@ -1,5 +1,5 @@
-// Matrix kernels: blocked/parallel GEMM, transposed products, elementwise
-// maps, broadcast helpers and reductions.
+// Matrix kernels: blocked GEMM, transposed products, elementwise maps,
+// broadcast helpers and reductions.
 //
 // GEMM kernels are cache-blocked and register-tiled but BIT-EXACT with the
 // naive triple loop: every output element accumulates its k terms in
@@ -9,25 +9,19 @@
 //
 // `_into` variants write into a caller-owned output, reusing its heap
 // block when capacity suffices — the allocation-free path the nn/
-// workspaces build on. Parallel variants split work across the thread
-// pool by output rows, so chunks write disjoint memory (no synchronization
-// needed inside a kernel — CP.2/CP.3) and any row partition produces
-// bit-identical output.
+// workspaces build on. A row of C depends only on its own row of A (or
+// column, for A^T*B) and all of B, so any row partition of a product
+// produces bit-identical output.
 #pragma once
 
 #include <functional>
 
 #include "tensor/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedra {
 
 /// C = A * B.
 Matrix matmul(const Matrix& a, const Matrix& b);
-
-/// C = A * B using the given pool (rows of C parallelized; bit-identical
-/// to the serial kernel for every pool size).
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool);
 
 /// C = A^T * B without materializing A^T.
 Matrix matmul_at_b(const Matrix& a, const Matrix& b);
@@ -38,15 +32,8 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 // Allocation-free variants: `c` is re-dimensioned with capacity reuse and
 // fully overwritten. `c` must not alias `a` or `b`.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
-void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& c,
-                          ThreadPool& pool);
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// C = A * B into `c`, routed through the global pool when the product is
-/// large enough to amortize fork/join. Output is bit-identical to the
-/// serial kernel regardless of pool size (row-partitioned work).
-void matmul_auto_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 // Reference kernels: the naive ascending-k triple loops the blocked
 // kernels must match bit-for-bit (including NaN/inf propagation — no

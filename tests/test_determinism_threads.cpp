@@ -78,39 +78,6 @@ TEST(ThreadDeterminism, PartialRoundIsPoolSizeInvariant) {
   }
 }
 
-TEST(ThreadDeterminism, ParallelMatmulMatchesSerial) {
-  Rng rng(3);
-  const Matrix a = Matrix::random_gaussian(37, 19, rng);
-  const Matrix b = Matrix::random_gaussian(19, 23, rng);
-  const Matrix serial = matmul(a, b);
-  for (std::size_t threads : kPoolSizes) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(matmul_parallel(a, b, pool), serial)
-        << "pool size " << threads;
-  }
-}
-
-TEST(ThreadDeterminism, ParallelMatmulAboveThresholdMatchesSerial) {
-  // Shapes large enough to actually cross the parallelization threshold
-  // (the 37x19x23 case above stays serial): the row-partitioned blocked
-  // kernel must stay bit-identical across pool sizes, including splits
-  // that cut through the register-tile height.
-  Rng rng(11);
-  const struct {
-    std::size_t m, k, n;
-  } shapes[] = {{128, 96, 80}, {77, 64, 131}, {256, 64, 64}};
-  for (const auto& s : shapes) {
-    const Matrix a = Matrix::random_gaussian(s.m, s.k, rng);
-    const Matrix b = Matrix::random_gaussian(s.k, s.n, rng);
-    const Matrix serial = matmul(a, b);
-    for (std::size_t threads : kPoolSizes) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(matmul_parallel(a, b, pool), serial)
-          << s.m << "x" << s.k << "x" << s.n << " pool size " << threads;
-    }
-  }
-}
-
 TEST(ThreadDeterminism, PpoUpdateIsRunToRunDeterministic) {
   // One FedAvg-style experiment episode + one PPO update, repeated. The
   // update runs the actor's epochs as a task on global_pool(), but each

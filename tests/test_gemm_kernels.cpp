@@ -1,9 +1,9 @@
-// Property tests for the blocked/parallel GEMM kernels: BITWISE equality
-// against the naive ascending-k reference loops, over shapes chosen to
-// straddle every tiling boundary (register tiles, the KC/NC cache blocks,
-// the parallel threshold) and over operands containing NaN/inf/subnormals
-// (operator== would pass NaN mismatches silently, so elements are compared
-// through their bit patterns).
+// Property tests for the blocked GEMM kernels: BITWISE equality against
+// the naive ascending-k reference loops, over shapes chosen to straddle
+// every tiling boundary (register tiles, the direct path for products
+// with no full tile, the KC/NC cache blocks) and over operands containing
+// NaN/inf/subnormals (operator== would pass NaN mismatches silently, so
+// elements are compared through their bit patterns).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,7 +14,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedra {
 namespace {
@@ -61,6 +60,12 @@ const std::vector<Shape> kShapes = {
     {33, 129, 31},              // k straddles the KC=128 block
     {17, 23, 257},              // n straddles the NC=256 block
     {129, 129, 129},            // everything straddles something
+    // Either side of the direct-path rule (m < MR or n < NR, for the
+    // 8x8, 4x8 and 4x4 tiers), with the PPO head and batch-1 shapes.
+    {7, 27, 64},  {8, 27, 7},   {8, 27, 8},    {3, 27, 8},
+    {4, 27, 4},   {64, 64, 3},  {64, 64, 1},
+    {1, 450, 50},               // batch-1 scale actor; k crosses KC
+    {3, 129, 67},
 };
 
 Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
@@ -146,27 +151,6 @@ TEST(GemmKernels, NonFiniteOperandsPropagateIdentically) {
   }
 }
 
-TEST(GemmKernels, ParallelBitwiseMatchesReferenceAcrossPoolSizes) {
-  Rng rng(105);
-  // Shapes both below and above the parallel threshold, with poisoned
-  // operands: the row partition must never change a single bit.
-  const std::vector<Shape> shapes = {
-      {1, 1, 1}, {9, 9, 9}, {65, 64, 63}, {128, 96, 80}, {257, 33, 129}};
-  for (const auto& s : shapes) {
-    Matrix a = random_matrix(s.m, s.k, rng);
-    Matrix b = random_matrix(s.k, s.n, rng);
-    poison(a, rng);
-    poison(b, rng);
-    const Matrix expected = matmul_reference(a, b);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-      ThreadPool pool(threads);
-      EXPECT_TRUE(bitwise_equal(matmul_parallel(a, b, pool), expected))
-          << s.m << "x" << s.k << "x" << s.n << " pool " << threads;
-    }
-  }
-}
-
 TEST(GemmKernels, IntoVariantsReuseCapacity) {
   Rng rng(106);
   const Matrix big_a = random_matrix(64, 48, rng);
@@ -198,19 +182,6 @@ TEST(GemmKernels, IntoVariantsReuseCapacity) {
   EXPECT_TRUE(bitwise_equal(c, matmul_at_b_reference(big_a, tall_b)));
   matmul_a_bt_into(big_a, bt, c);
   EXPECT_TRUE(bitwise_equal(c, matmul_a_bt_reference(big_a, bt)));
-}
-
-TEST(GemmKernels, AutoIntoMatchesReference) {
-  Rng rng(107);
-  // One shape under the parallel threshold, one over it.
-  for (const auto& s : std::vector<Shape>{{9, 9, 9}, {128, 96, 80}}) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    Matrix c;
-    matmul_auto_into(a, b, c);
-    EXPECT_TRUE(bitwise_equal(c, matmul_reference(a, b)))
-        << s.m << "x" << s.k << "x" << s.n;
-  }
 }
 
 TEST(GemmKernels, ColSumIntoMatchesColSum) {

@@ -53,7 +53,9 @@ void expect_batch_matches_sequential(GaussianPolicy& policy,
                                      std::uint64_t state_seed) {
   Rng rng(state_seed);
   Matrix actions;
-  for (std::size_t batch : {1u, 2u, 7u, 64u}) {
+  // Batches 1-7 take the GEMM's unpacked direct path (fewer rows than a
+  // register tile); 64 runs the hidden layers through packed tiles.
+  for (std::size_t batch : {1u, 2u, 3u, 7u, 64u}) {
     Matrix states(batch, policy.state_dim());
     std::vector<std::vector<double>> rows(batch);
     for (std::size_t b = 0; b < batch; ++b) {
@@ -98,7 +100,7 @@ TEST(BatchPolicy, PpoAgentBatchBitIdenticalToSequential) {
   PpoMeanPolicy adapter(agent);
   Rng rng(300);
   Matrix actions;
-  for (std::size_t batch : {1u, 2u, 7u, 64u}) {
+  for (std::size_t batch : {1u, 2u, 3u, 7u, 64u}) {
     Matrix states(batch, kStateDim);
     std::vector<std::vector<double>> rows(batch);
     for (std::size_t b = 0; b < batch; ++b) {
