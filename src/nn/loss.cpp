@@ -50,29 +50,6 @@ void softmax_cross_entropy_into(const Matrix& logits,
   r.value = acc * inv_batch;
 }
 
-LossResult huber_loss(const Matrix& pred, const Matrix& target,
-                      double delta) {
-  FEDRA_EXPECTS(pred.same_shape(target));
-  FEDRA_EXPECTS(pred.rows() > 0);
-  FEDRA_EXPECTS(delta > 0.0);
-  LossResult r;
-  r.grad = Matrix(pred.rows(), pred.cols());
-  const double scale = 1.0 / static_cast<double>(pred.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double d = pred[i] - target[i];
-    if (std::abs(d) <= delta) {
-      acc += 0.5 * d * d;
-      r.grad[i] = d * scale;
-    } else {
-      acc += delta * (std::abs(d) - 0.5 * delta);
-      r.grad[i] = (d > 0.0 ? delta : -delta) * scale;
-    }
-  }
-  r.value = acc * scale;
-  return r;
-}
-
 double accuracy(const Matrix& logits, const std::vector<std::size_t>& labels) {
   FEDRA_EXPECTS(logits.rows() == labels.size());
   if (labels.empty()) return 0.0;

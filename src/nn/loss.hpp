@@ -29,12 +29,6 @@ void softmax_cross_entropy_into(const Matrix& logits,
                                 const std::vector<std::size_t>& labels,
                                 LossResult& r);
 
-/// Huber (smooth-L1) loss: quadratic within |err| <= delta, linear
-/// outside. The robust choice for value-function regression where TD
-/// targets carry outliers.
-LossResult huber_loss(const Matrix& pred, const Matrix& target,
-                      double delta = 1.0);
-
 /// Classification accuracy of logits against labels.
 double accuracy(const Matrix& logits, const std::vector<std::size_t>& labels);
 

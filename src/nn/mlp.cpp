@@ -74,16 +74,6 @@ const Matrix& Sequential::forward_cached(const Matrix& input, Workspace& ws) {
 }
 
 void Sequential::backward_cached(const Matrix& grad_output, Workspace& ws) {
-  backward_pass(grad_output, ws, false);
-}
-
-const Matrix& Sequential::backward_cached_with_input_grad(
-    const Matrix& grad_output, Workspace& ws) {
-  return *backward_pass(grad_output, ws, true);
-}
-
-const Matrix* Sequential::backward_pass(const Matrix& grad_output,
-                                        Workspace& ws, bool input_grad) {
   const Matrix* cur = &grad_output;
   std::size_t pp = 0;
   for (std::size_t k = layers_.size(); k-- > 0;) {
@@ -99,17 +89,17 @@ const Matrix* Sequential::backward_pass(const Matrix& grad_output,
                                pair.dense->bias_grad_scratch());
       pair.dense->accumulate_bias_grad();
       pair.dense->accumulate_weight_grad(dpre);
-      if (k == 1 && !input_grad) return nullptr;
+      if (k == 1) return;
       Matrix& gin = ws.grad(pp ^ 1);
       pair.dense->input_grad_into(dpre, gin);
       cur = &gin;  // pp flips twice across the pair — net unchanged
       --k;
       continue;
     }
-    if (k == 0 && !input_grad) {
+    if (k == 0) {
       if (auto* dense = dynamic_cast<Dense*>(layers_[0].get())) {
         dense->backward_params(*cur);
-        return nullptr;
+        return;
       }
     }
     Matrix& gin = ws.grad(pp);
@@ -117,7 +107,6 @@ const Matrix* Sequential::backward_pass(const Matrix& grad_output,
     cur = &gin;
     pp ^= 1;
   }
-  return input_grad ? cur : nullptr;
 }
 
 std::vector<Matrix*> Sequential::params() {

@@ -42,12 +42,6 @@ class Sequential : public Module {
   /// Dense skips its input GEMM, which no training loop reads.
   void backward_cached(const Matrix& grad_output, Workspace& ws);
 
-  /// backward_cached that also forms dLoss/dInput and returns it (valid
-  /// until the next cached call on `ws`), for callers that chain the
-  /// gradient into another network.
-  const Matrix& backward_cached_with_input_grad(const Matrix& grad_output,
-                                                Workspace& ws);
-
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i);
 
@@ -67,11 +61,6 @@ class Sequential : public Module {
   void load(const std::string& path);
 
  private:
-  /// The shared backward; returns dLoss/dInput, or nullptr when
-  /// `input_grad` is false (nothing then writes it).
-  const Matrix* backward_pass(const Matrix& grad_output, Workspace& ws,
-                              bool input_grad);
-
   std::vector<LayerPtr> layers_;
 };
 

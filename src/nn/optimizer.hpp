@@ -43,9 +43,6 @@ class Sgd final : public Optimizer {
 
   void step() override;
 
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
  private:
   double lr_;
   double momentum_;
@@ -62,9 +59,6 @@ class Adam final : public Optimizer {
        double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
   void step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
 
   // Optimizer state, exposed for checkpointing (fedra::ckpt). Bias
   // correction depends on the step counter, so a bit-exact resume must

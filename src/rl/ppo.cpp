@@ -238,7 +238,6 @@ double PpoAgent::fit_critic(const Permutations& perms,
                             const std::vector<double>& rewards) {
   const std::size_t n = next_states_.rows();
   const std::size_t mb = config_.minibatch_size;
-  const double delta = config_.critic_huber_delta;
   td_target_.resize(n);
   double value_loss_acc = 0.0;
   for (const auto& perm : perms) {
@@ -264,7 +263,7 @@ double PpoAgent::fit_critic(const Permutations& perms,
       const double inv_b = 1.0 / static_cast<double>(idx.size());
       gather_rows_into(states_, idx, critic_mb_states_);
 
-      // TD residual fit (squared or Huber).
+      // Squared TD residual fit.
       tel::ScopedTimer timer(tel::Telemetry::enabled()
                                  ? ppo_metrics().critic_step_us
                                  : tel::Histogram{});
@@ -274,13 +273,8 @@ double PpoAgent::fit_critic(const Permutations& perms,
       grad_v_.resize_reuse(v.rows(), 1);  // every entry assigned below
       for (std::size_t b = 0; b < idx.size(); ++b) {
         const double err = v(b, 0) - td_target_[idx[b]];
-        if (delta > 0.0 && std::abs(err) > delta) {
-          mb_value_loss += delta * (std::abs(err) - 0.5 * delta) * inv_b;
-          grad_v_(b, 0) = (err > 0.0 ? delta : -delta) * inv_b;
-        } else {
-          mb_value_loss += err * err * inv_b;
-          grad_v_(b, 0) = 2.0 * err * inv_b;
-        }
+        mb_value_loss += err * err * inv_b;
+        grad_v_(b, 0) = 2.0 * err * inv_b;
       }
       critic_.backward_cached(grad_v_, critic_ws_);
       critic_opt_.clip_grad_norm(config_.max_grad_norm);

@@ -31,10 +31,6 @@ struct PpoConfig {
   double max_grad_norm = 0.5;
   std::vector<std::size_t> critic_hidden = {64, 64};
   Activation critic_activation = Activation::Tanh;
-  /// Huber (smooth-L1) critic loss instead of squared TD error: linear
-  /// tails cap the gradient of outlier targets (long straggler
-  /// iterations produce heavy-tailed rewards). 0 disables.
-  double critic_huber_delta = 0.0;
 };
 
 struct UpdateStats {

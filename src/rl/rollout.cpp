@@ -18,24 +18,6 @@ void RolloutBuffer::push(Transition t) {
   transitions_.push_back(std::move(t));
 }
 
-Matrix RolloutBuffer::states_matrix() const {
-  Matrix m;
-  states_matrix_into(m);
-  return m;
-}
-
-Matrix RolloutBuffer::next_states_matrix() const {
-  Matrix m;
-  next_states_matrix_into(m);
-  return m;
-}
-
-Matrix RolloutBuffer::actions_matrix() const {
-  Matrix m;
-  actions_matrix_into(m);
-  return m;
-}
-
 void RolloutBuffer::states_matrix_into(Matrix& m) const {
   FEDRA_EXPECTS(!transitions_.empty());
   const std::size_t dim = transitions_.front().state.size();

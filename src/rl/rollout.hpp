@@ -43,14 +43,9 @@ class RolloutBuffer {
   }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  /// All states stacked as a (size x state_dim) batch.
-  Matrix states_matrix() const;
-  /// All next states stacked as (size x state_dim).
-  Matrix next_states_matrix() const;
-  /// All pre-squash actions stacked as (size x action_dim).
-  Matrix actions_matrix() const;
-  // Capacity-reusing variants for hot update loops (same values, no
-  // fresh allocation once `m` has warmed up).
+  /// Stack all states, next states or pre-squash actions as one
+  /// (size x dim) batch in `m`, reusing its capacity: no fresh allocation
+  /// once `m` has warmed up.
   void states_matrix_into(Matrix& m) const;
   void next_states_matrix_into(Matrix& m) const;
   void actions_matrix_into(Matrix& m) const;

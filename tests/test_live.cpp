@@ -2,8 +2,13 @@
 // propagation across the scheduler and the serve engine, the always-on
 // flight recorder (ring wrap accounting, JSON/text dumps, the crash
 // handler, zero-alloc steady state), the /statusz source registry, and
-// the embedded HTTP exporter under concurrent scrape + mutation load.
+// the embedded HTTP exporter under concurrent scrape + mutation load and
+// under mutated request bytes.
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -533,6 +538,89 @@ TEST(LiveServer, RejectsMalformedAndUnknownRequests) {
   server.stop();
   server.stop();  // idempotent
   EXPECT_FALSE(server.running());
+}
+
+/// Sends `request` verbatim on one loopback connection, half-closes the
+/// write side (so a request with no terminator ends at EOF instead of
+/// waiting out the server's receive timeout), and returns every byte the
+/// server sent back before closing.
+std::string raw_exchange(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "<socket failed>";
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return "<connect failed>";
+  }
+  std::size_t off = 0;
+  while (off < request.size()) {
+    const ::ssize_t n = ::send(fd, request.data() + off, request.size() - off,
+                               MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may close before reading it all
+    off += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[4096];
+  for (;;) {
+    const ::ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
+/// A reply is acceptable when it is empty (the server dropped the
+/// connection) or opens with a status line the exporter can send for a
+/// GET that is not stale: 200, 400, 404 or 405.
+bool acceptable_reply(const std::string& reply) {
+  if (reply.empty()) return true;
+  const std::string prefix = "HTTP/1.1 ";
+  if (reply.compare(0, prefix.size(), prefix) != 0) return false;
+  const std::string code = reply.substr(prefix.size(), 4);
+  return code == "200 " || code == "400 " || code == "404 " || code == "405 ";
+}
+
+// Every single-bit flip and every truncation of one valid request, plus
+// one request line longer than the server's 8 KiB read cap, one
+// connection at a time: each reply is empty or a well-formed status line,
+// and the server still answers /healthz afterwards.
+TEST(LiveServer, MutatedRequestsGetWellFormedReplies) {
+  live::LiveServer server{live::LiveConfig{}};
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+  const std::string valid = "GET /healthz?x=1 HTTP/1.1\r\n\r\n";
+
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = valid;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      inputs.push_back(std::move(flipped));
+    }
+  }
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    inputs.push_back(valid.substr(0, len));
+  }
+  inputs.push_back("GET /" + std::string(9 * 1024, 'a') +
+                   " HTTP/1.1\r\n\r\n");
+
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const std::string reply = raw_exchange(port, inputs[k]);
+    EXPECT_TRUE(acceptable_reply(reply))
+        << "input " << k << " got: " << reply.substr(0, 64);
+  }
+
+  const auto health = live::http_get("127.0.0.1", port, "/healthz");
+  EXPECT_EQ(health.status, 200);
+  server.stop();
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "core/offline_trainer.hpp"
-#include "rl/a2c.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -185,50 +184,6 @@ TEST(Ppo, StateDependentStdSolvesBandit) {
   EXPECT_NEAR(agent.mean_action(env.state)[0], env.target, 0.1);
 }
 
-TEST(Ppo, HuberCriticAlsoSolvesBandit) {
-  PolicyConfig pcfg;
-  pcfg.hidden = {16};
-  PpoConfig cfg = fast_ppo();
-  cfg.critic_huber_delta = 0.5;
-  PpoAgent agent(2, 1, pcfg, cfg, 21);
-  Bandit env;
-  Rng rng(22);
-  for (int round = 0; round < 60; ++round) {
-    auto buffer = collect(env, agent, 128, rng);
-    auto stats = agent.update(buffer, rng);
-    EXPECT_TRUE(std::isfinite(stats.value_loss));
-  }
-  EXPECT_NEAR(agent.mean_action(env.state)[0], env.target, 0.1);
-}
-
-TEST(A2c, AlsoSolvesBanditButIsUsable) {
-  PolicyConfig pcfg;
-  pcfg.hidden = {16};
-  PpoConfig cfg = fast_ppo();
-  cfg.actor_lr = 1e-2;
-  A2cAgent agent(2, 1, pcfg, cfg, 15);
-  Bandit env;
-  Rng rng(16);
-  for (int round = 0; round < 150; ++round) {
-    RolloutBuffer buffer(128);
-    for (int i = 0; i < 128; ++i) {
-      auto s = agent.act(env.state, rng);
-      Transition t;
-      t.state = env.state;
-      t.next_state = env.state;
-      t.action_u = s.action_u;
-      t.log_prob = s.log_prob;
-      t.reward = env.reward(s.action[0]);
-      t.value = agent.value(env.state);
-      t.next_value = t.value;
-      t.episode_end = true;
-      buffer.push(std::move(t));
-    }
-    agent.update(buffer, rng);
-  }
-  EXPECT_NEAR(agent.mean_action(env.state)[0], env.target, 0.15);
-}
-
 TEST(Ppo, ActIsTensorAllocationFree) {
   // The rollout hot path: once the inference buffers have warmed up, a
   // stochastic act() must not touch the tensor heap.
@@ -291,62 +246,17 @@ void expect_bits(double actual, double pinned) {
   EXPECT_EQ(actual, pinned) << "actual " << os.str();
 }
 
-TEST(A2c, SeededUpdatesArePinned) {
-  // Three updates on a bootstrapped (gamma > 0) task whose next states
-  // differ from the states, so both critic forwards of the update matter.
-  PolicyConfig pcfg;
-  pcfg.hidden = {16};
-  PpoConfig cfg = fast_ppo();
-  cfg.gamma = 0.9;
-  A2cAgent agent(2, 1, pcfg, cfg, 31);
-  Rng rng(32);
-  auto state_at = [](int i) {
-    return std::vector<double>{std::sin(0.7 * i), std::cos(0.3 * i)};
-  };
-  const PolicySample first = agent.act(state_at(0), rng);
-  expect_bits(first.action[0], 0x1.3579b339a633dp-1);
-  expect_bits(first.log_prob, -0x1.5f0083aac1709p+0);
-  const double pinned[3][2] = {{-0x1.2aee6c93351dfp-4, 0x1.0d077679fcabap-8},
-                               {0x1.6899c3964be7cp-4, 0x1.3542f2464c6d3p-4},
-                               {-0x1.662d064d67675p-3, 0x1.ade32984d7ab7p-7}};
-  for (int u = 0; u < 3; ++u) {
-    RolloutBuffer buffer(32);
-    for (int i = 0; i < 32; ++i) {
-      const auto s = state_at(i);
-      const auto next = state_at(i + 1);
-      auto a = agent.act(s, rng);
-      Transition t;
-      t.state = s;
-      t.next_state = next;
-      t.action_u = a.action_u;
-      t.log_prob = a.log_prob;
-      const double d = a.action[0] - 0.5 - 0.2 * s[0];
-      t.reward = -d * d;
-      t.value = agent.value(s);
-      t.next_value = agent.value(next);
-      t.episode_end = (i % 8 == 7);
-      buffer.push(std::move(t));
-    }
-    const UpdateStats stats = agent.update(buffer, rng);
-    expect_bits(stats.policy_loss, pinned[u][0]);
-    expect_bits(stats.value_loss, pinned[u][1]);
-  }
-}
-
 // Three PPO updates on testbed-shaped nets (27 -> 64 -> 64 -> 3 actor and
 // critic, recommended_trainer_config().ppo: 10 epochs of 64-row
 // minibatches over a 512-transition buffer). Each row of `pinned` holds
 // one update's policy_loss, value_loss, approx_kl, clip_fraction, then
 // parameter entries: actor W0(0,0), actor output bias[0], log_std[0],
 // critic W0(0,0) and critic output bias.
-void expect_pinned_ppo_updates(double huber_delta,
-                               const double (&pinned)[3][9]) {
+void expect_pinned_ppo_updates(const double (&pinned)[3][9]) {
   const std::size_t state_dim = 27;
   const std::size_t action_dim = 3;
   const TrainerConfig tc = recommended_trainer_config();
-  PpoConfig cfg = tc.ppo;
-  cfg.critic_huber_delta = huber_delta;
-  PpoAgent agent(state_dim, action_dim, tc.policy, cfg, 41);
+  PpoAgent agent(state_dim, action_dim, tc.policy, tc.ppo, 41);
   Rng rng(42);
   auto state_at = [&](int i) {
     std::vector<double> s(state_dim);
@@ -410,18 +320,7 @@ TEST(Ppo, SeededUpdatesArePinned) {
       {-0x1.c4dc254ca50d2p-4, 0x1.d881b29391d33p-5, 0x1.8b25dc4121264p-4,
        0x1.2566666666666p-1, 0x1.ca334775a4c09p-4, -0x1.5138beac1fc0cp-9,
        -0x1.3e44b0c7e44b3p+0, 0x1.dc60362d2fd1fp-5, -0x1.7db38e37f9f16p-5}};
-  expect_pinned_ppo_updates(0.0, squared);
-  const double huber[3][9] = {
-      {-0x1.12d381f09846p-4, 0x1.aa462486a2513p-4, 0x1.2990d94ac21e6p-3,
-       0x1.d166666666666p-2, 0x1.c6d3a03927e5cp-4, 0x1.c6a304336194p-18,
-       -0x1.353e4656e4db6p+0, 0x1.0f9266d61e148p-4, -0x1.953405d1c301fp-5},
-      {-0x1.4224f2371393ap-4, 0x1.4f90158cfc5f3p-5, 0x1.65f8d0ee311efp-3,
-       0x1.0b8p-1, 0x1.c211e603c4b4p-4, -0x1.3b4d1c9ff03f3p-10,
-       -0x1.37bed47bc2883p+0, 0x1.dd086c8730c94p-5, -0x1.7e043f82a2c7ap-5},
-      {-0x1.a317bfb1a1946p-4, 0x1.fccb99c3d05c6p-6, 0x1.9b8d3c2d4bbafp-4,
-       0x1.0a8p-1, 0x1.c80bfd007f4dp-4, -0x1.a4c392c09910cp-17,
-       -0x1.3c83985752963p+0, 0x1.df0c58f07ca0bp-5, -0x1.649194b8c00afp-5}};
-  expect_pinned_ppo_updates(0.25, huber);
+  expect_pinned_ppo_updates(squared);
 }
 
 /// A buffer whose states vary from row to row (unlike `collect`), so
@@ -539,7 +438,11 @@ TEST(Ppo, StateDependentEntropyIsTheFullBufferMeanAfterTheUpdate) {
   Rng rng(62);
   const RolloutBuffer buffer = varied_buffer(agent, 100, rng);
   const UpdateStats stats = agent.update(buffer, rng);
-  agent.policy().log_probs(buffer.states_matrix(), buffer.actions_matrix());
+  Matrix states;
+  Matrix actions;
+  buffer.states_matrix_into(states);
+  buffer.actions_matrix_into(actions);
+  agent.policy().log_probs(states, actions);
   EXPECT_EQ(stats.entropy, agent.policy().entropy());
   EXPECT_EQ(stats.total_loss, stats.policy_loss + stats.value_loss -
                                   fast_ppo().entropy_coef * stats.entropy);
@@ -561,12 +464,13 @@ TEST(RolloutBuffer, MatrixViewsMatchTransitions) {
   }
   EXPECT_EQ(buffer.size(), 3u);
   EXPECT_FALSE(buffer.full());
-  auto states = buffer.states_matrix();
-  EXPECT_DOUBLE_EQ(states(2, 0), 2.0);
-  auto next_states = buffer.next_states_matrix();
-  EXPECT_DOUBLE_EQ(next_states(2, 0), 3.0);
-  auto actions = buffer.actions_matrix();
-  EXPECT_DOUBLE_EQ(actions(1, 0), -1.0);
+  Matrix m;
+  buffer.states_matrix_into(m);
+  EXPECT_DOUBLE_EQ(m(2, 0), 2.0);
+  buffer.next_states_matrix_into(m);
+  EXPECT_DOUBLE_EQ(m(2, 0), 3.0);
+  buffer.actions_matrix_into(m);
+  EXPECT_DOUBLE_EQ(m(1, 0), -1.0);
   EXPECT_DOUBLE_EQ(buffer.rewards()[2], 4.0);
   auto ends = buffer.episode_ends();
   EXPECT_FALSE(ends[0]);
