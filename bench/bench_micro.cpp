@@ -3,7 +3,7 @@
 // policy inference.
 //
 // Pass `--telemetry-out <prefix>` to emit `<prefix>.jsonl` +
-// `<prefix>.trace.json` for tools/telemetry_report; without the flag
+// `<prefix>.trace.json` for `fedra_report phases`; without the flag
 // telemetry stays disabled and every instrumented call site is a no-op,
 // so the numbers here double as the regression check for that claim.
 #include <benchmark/benchmark.h>

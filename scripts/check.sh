@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# One-command verification, the same five legs a PR must pass:
+# One-command verification, the same four legs a PR must pass:
 #
-#   1. tier-1: default configure + build + full ctest;
+#   1. tier-1: default configure + build + full ctest (including the
+#      `live_probe` test: it starts the embedded observability exporter
+#      in-process, fetches /metrics, /healthz, /statusz and the
+#      flight-recorder dump over real TCP, validates every payload and
+#      verifies clean double-stop shutdown);
 #   2. sanitize: address,undefined build, `sanitize`-labeled suites
 #      (`-L sanitize` regex-matches the combined sanitize_ckpt /
 #      sanitize_serve / sanitize_tsan labels, so the checkpoint and
@@ -10,13 +14,8 @@
 #   3. tsan: thread-sanitizer build, `tsan`-labeled suites — the
 #      concurrency-heavy tests (work-stealing scheduler, sweep engine,
 #      serving stack, fleet pricing pools, async ledger, telemetry,
-#      PPO update) race-checked under TSan;
-#   4. live: start the embedded observability exporter in-process
-#      (tools/live_probe), fetch /metrics, /healthz, /statusz and the
-#      flight-recorder dump over real TCP, validate every payload
-#      (Prometheus line shapes + JSON parses), and verify clean
-#      double-stop shutdown;
-#   5. perf: smoke-run the perf harnesses (`-L perf`); each gate lives
+#      PPO update, live_probe) race-checked under TSan;
+#   4. perf: smoke-run the perf harnesses (`-L perf`); each gate lives
 #      in one bench's own exit code: bench_serve's batched-vs-sequential
 #      speedup floor and bit-exactness flag, bench_fleet's
 #      engine-vs-scalar-oracle bitwise pricing contract (50 → 1M
@@ -30,7 +29,7 @@
 #      snapshots; the deterministic gates (zero-allocation PPO/FedAvg
 #      steps, the ledger's size budget) are unit tests in leg 1.
 #
-#   scripts/check.sh          # all five legs
+#   scripts/check.sh          # all four legs
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,9 +59,6 @@ cmake -B build-tsan -S . -DFEDRA_SANITIZE=thread \
       -DFEDRA_BUILD_BENCH=OFF -DFEDRA_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan -L tsan --output-on-failure -j "$jobs"
-
-echo "== live: exporter smoke (build/tools/live_probe) =="
-./build/tools/live_probe
 
 echo "== perf: smoke-bench gates (build/) =="
 ctest --test-dir build -L perf --output-on-failure

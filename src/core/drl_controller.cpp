@@ -40,11 +40,7 @@ std::vector<double> DrlController::decide(const SimulatorBase& sim) {
       // the realized outcome. The prediction is a fault-free preview so
       // the gap to the realized cost isolates fault-driven cost.
       pending_.valid = true;
-      if (obs::RunLedger::config().log_state) {
-        pending_.state = state;
-      } else {
-        pending_.state.clear();
-      }
+      pending_.state = state;
       pending_.freqs_hz = freqs;
       const IterationResult predicted = sim.preview(freqs, StepOptions{});
       pending_.predicted_time = predicted.iteration_time;

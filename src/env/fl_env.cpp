@@ -130,7 +130,7 @@ StepResult FlEnv::step(const std::vector<double>& action) {
   if (ledger_on) {
     decision.round = sim_.iteration();
     decision.source = "env";
-    if (obs::RunLedger::config().log_state) decision.state = observe();
+    decision.state = observe();
     decision.action = action;
     StepOptions predict_options = options;
     predict_options.fault_model = nullptr;  // predict the fault-free round

@@ -1,11 +1,12 @@
 #include "live/flight_recorder.hpp"
 
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "obs/json_min.hpp"
 
 namespace fedra::live {
 
@@ -169,7 +170,6 @@ void dump_flight_recorder(int fd) {
 }
 
 void append_flight_recorder_json(std::string& out) {
-  char buf[256];
   out += '[';
   bool first = true;
   for (FlightRing* r = detail::g_flight_rings.load(std::memory_order_acquire);
@@ -180,21 +180,20 @@ void append_flight_recorder_json(std::string& out) {
       if (!read_slot(r->slots[i & (kFlightRingSlots - 1)], i, c)) continue;
       if (!first) out += ',';
       first = false;
-      // Names are instrumentation string literals (no quotes/control
-      // bytes), so they embed without escaping.
-      std::snprintf(
-          buf, sizeof(buf),
-          "{\"tid\":%u,\"seq\":%llu,\"kind\":\"%s\",\"name\":\"%s\","
-          "\"t_us\":%.3f,\"dur_us\":%.3f,\"trace_id\":\"0x%llx\","
-          "\"span_id\":\"0x%llx\",\"arg\":%llu}",
-          r->tid, static_cast<unsigned long long>(i),
-          c.kind == static_cast<std::uint32_t>(FlightKind::kSpan) ? "span"
-                                                                  : "event",
-          c.name != nullptr ? c.name : "",
-          c.t_us, c.dur_us, static_cast<unsigned long long>(c.trace_id),
-          static_cast<unsigned long long>(c.span_id),
-          static_cast<unsigned long long>(c.arg));
-      out += buf;
+      obs::JsonObject o(out);
+      o.u64("tid", r->tid)
+          .u64("seq", i)
+          .str("kind",
+               c.kind == static_cast<std::uint32_t>(FlightKind::kSpan)
+                   ? "span"
+                   : "event")
+          .str("name", c.name != nullptr ? c.name : "")
+          .num("t_us", c.t_us)
+          .num("dur_us", c.dur_us)
+          .hex("trace_id", c.trace_id)
+          .hex("span_id", c.span_id)
+          .u64("arg", c.arg);
+      o.close();
     }
   }
   out += ']';

@@ -15,9 +15,8 @@
 // (that is the point of a black box) and is bit-invisible to training —
 // it only ever observes timestamps and string-literal pointers.
 //
-// Header-only hot path (inline variables) so telemetry and the thread
-// pool can record without linking fedra_live; the dump/handler machinery
-// lives in flight_recorder.cpp inside the fedra_live library.
+// The hot path is header-only (inline variables) so record sites inline;
+// the dump/handler machinery lives in flight_recorder.cpp.
 #pragma once
 
 #include <atomic>
@@ -26,12 +25,7 @@
 #include <string>
 
 #include "live/trace_context.hpp"
-
-namespace fedra::telemetry {
-// Defined in telemetry/span.cpp (fedra_telemetry, which fedra_live links).
-double now_us();
-std::uint32_t current_thread_id();
-}  // namespace fedra::telemetry
+#include "telemetry/span.hpp"
 
 namespace fedra::live {
 

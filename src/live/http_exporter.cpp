@@ -1,6 +1,5 @@
 #include "live/http_exporter.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -13,22 +12,23 @@
 
 #include "live/flight_recorder.hpp"
 #include "live/status.hpp"
+#include "obs/json_min.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fedra::live {
 
 namespace {
 
+/// Threads that accept and serve connections. Scrapes are rare and cheap;
+/// two cover a scraper plus a human curl without queueing.
+constexpr int kAcceptThreads = 2;
+
 std::string http_response(int status, const char* reason,
                           const char* content_type, const std::string& body) {
-  std::string out;
-  out.reserve(body.size() + 128);
-  char head[160];
-  std::snprintf(head, sizeof(head),
-                "HTTP/1.1 %d %s\r\nContent-Type: %s\r\n"
-                "Content-Length: %zu\r\nConnection: close\r\n\r\n",
-                status, reason, content_type, body.size());
-  out += head;
+  std::string out = "HTTP/1.1 " + std::to_string(status) + ' ' + reason +
+                    "\r\nContent-Type: " + content_type +
+                    "\r\nContent-Length: " + std::to_string(body.size()) +
+                    "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
 }
@@ -50,24 +50,9 @@ bool read_request(int fd, std::string& out) {
   return true;
 }
 
-void append_json_number(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6f", key, v);
-  out += buf;
-}
-
-void append_json_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
 }  // namespace
 
-LiveServer::LiveServer(LiveConfig config) : config_(config) {
-  if (config_.accept_threads < 1) config_.accept_threads = 1;
-}
+LiveServer::LiveServer(LiveConfig config) : config_(config) {}
 
 LiveServer::~LiveServer() { stop(); }
 
@@ -100,8 +85,8 @@ bool LiveServer::start() {
   listen_fd_.store(fd, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   detail::g_live_servers.fetch_add(1, std::memory_order_relaxed);
-  acceptors_.reserve(static_cast<std::size_t>(config_.accept_threads));
-  for (int i = 0; i < config_.accept_threads; ++i) {
+  acceptors_.reserve(kAcceptThreads);
+  for (int i = 0; i < kAcceptThreads; ++i) {
     acceptors_.emplace_back([this] { accept_loop(); });
   }
   return true;
@@ -175,7 +160,7 @@ void LiveServer::handle_connection(int fd) {
 std::string LiveServer::respond(const std::string& target) {
   scrapes_.fetch_add(1, std::memory_order_relaxed);
   // Mirror into the registry so scrape counts appear in flushed JSONL
-  // runs (telemetry_report's `== live ==` section) and in /metrics.
+  // runs (`fedra_report phases`' `== live ==` section) and in /metrics.
   static telemetry::Counter scrape_counter =
       telemetry::Telemetry::metrics().counter("live.http.scrapes");
   scrape_counter.add();
@@ -199,15 +184,13 @@ std::string LiveServer::respond(const std::string& target) {
     const double age = watchdog_age_s();
     const bool stale = config_.watchdog_stale_s > 0.0 && age >= 0.0 &&
                        age > config_.watchdog_stale_s;
-    std::string body = "{";
-    body += stale ? "\"status\":\"stale\"," : "\"status\":\"ok\",";
-    append_json_number(body, "uptime_s",
-                       (telemetry::now_us() - start_us_) / 1e6);
-    body += ',';
-    append_json_number(body, "watchdog_age_s", age);
-    body += ',';
-    append_json_number(body, "watchdog_stale_s", config_.watchdog_stale_s);
-    body += "}";
+    std::string body;
+    obs::JsonObject o(body);
+    o.str("status", stale ? "stale" : "ok")
+        .num("uptime_s", (telemetry::now_us() - start_us_) / 1e6)
+        .num("watchdog_age_s", age)
+        .num("watchdog_stale_s", config_.watchdog_stale_s);
+    o.close();
     return stale ? http_response(503, "Service Unavailable",
                                  "application/json", body)
                  : http_response(200, "OK", "application/json", body);
@@ -216,36 +199,29 @@ std::string LiveServer::respond(const std::string& target) {
   if (path == "/statusz") {
     const FlightRecorderStats rec = flight_recorder_stats();
     const auto [arms_total, arms_done] = sweep_progress();
-    std::string body = "{";
-    append_json_u64(body, "scrapes",
-                    scrapes_.load(std::memory_order_relaxed));
-    body += ',';
-    append_json_number(body, "uptime_s",
-                       (telemetry::now_us() - start_us_) / 1e6);
-    body += ',';
-    append_json_number(body, "watchdog_age_s", watchdog_age_s());
-    body += ",\"telemetry_enabled\":";
-    body += telemetry::Telemetry::enabled() ? "true" : "false";
-    body += ",\"recorder\":{\"enabled\":";
-    body += flight_recorder_enabled() ? "true" : "false";
-    body += ',';
-    append_json_u64(body, "threads", rec.threads);
-    body += ',';
-    append_json_u64(body, "records", rec.records);
-    body += ',';
-    append_json_u64(body, "dropped", rec.dropped);
-    body += "},\"sweep\":{";
-    append_json_u64(body, "arms_total", arms_total);
-    body += ',';
-    append_json_u64(body, "arms_done", arms_done);
-    body += "},\"sources\":{";
-    collect_status_json(body);
-    body += '}';
+    std::string body;
+    obs::JsonObject o(body);
+    o.u64("scrapes", scrapes_.load(std::memory_order_relaxed))
+        .num("uptime_s", (telemetry::now_us() - start_us_) / 1e6)
+        .num("watchdog_age_s", watchdog_age_s())
+        .flag("telemetry_enabled", telemetry::Telemetry::enabled());
+    obs::JsonObject recorder(o.member("recorder"));
+    recorder.flag("enabled", flight_recorder_enabled())
+        .u64("threads", rec.threads)
+        .u64("records", rec.records)
+        .u64("dropped", rec.dropped);
+    recorder.close();
+    obs::JsonObject sweep(o.member("sweep"));
+    sweep.u64("arms_total", arms_total).u64("arms_done", arms_done);
+    sweep.close();
+    std::string& sources = o.member("sources");
+    sources += '{';
+    collect_status_json(sources);
+    sources += '}';
     if (query.find("recorder=1") != std::string::npos) {
-      body += ",\"flight_recorder\":";
-      append_flight_recorder_json(body);
+      append_flight_recorder_json(o.member("flight_recorder"));
     }
-    body += '}';
+    o.close();
     return http_response(200, "OK", "application/json", body);
   }
 

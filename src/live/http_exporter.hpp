@@ -1,9 +1,9 @@
 // Embedded HTTP exporter: the scrape surface of the live plane.
 //
 // LiveServer is a deliberately tiny blocking HTTP/1.1 server on POSIX
-// sockets — one listener socket on 127.0.0.1, a small pool of accept
-// threads, Connection: close on every response, no third-party
-// libraries. It serves exactly three endpoints:
+// sockets — one listener socket on 127.0.0.1, two accept threads,
+// Connection: close on every response, no third-party libraries. It
+// serves exactly three endpoints:
 //
 //   GET /metrics   Prometheus text exposition of the telemetry metrics
 //                  registry (write_prometheus over one MetricsSnapshot).
@@ -31,9 +31,6 @@ namespace fedra::live {
 struct LiveConfig {
   /// TCP port to bind on 127.0.0.1. 0 = ephemeral (read back via port()).
   int port = 0;
-  /// Accept/serve threads. Scrapes are rare and cheap; 2 covers a scraper
-  /// plus a human curl without queueing.
-  int accept_threads = 2;
   /// /healthz turns 503 when the last watchdog_kick() is older than this
   /// (seconds). 0 = staleness never fails health. Never-kicked is healthy
   /// (the process may simply not have progress loops instrumented).

@@ -6,8 +6,7 @@
 // state: the thread pool registers its scheduler counters, the serve
 // engine its queue/shed/deadline stats, the run ledger its drop counts.
 // Registration is construction-time work (mutex + vector) — never on a
-// hot path — and header-only (inline function-local static) so the
-// registrants need no link edge to fedra_live.
+// hot path.
 //
 // The watchdog is one relaxed atomic timestamp: long-running loops call
 // watchdog_kick() once per unit of progress (serve batch, sweep arm);
@@ -24,9 +23,8 @@
 #include <utility>
 #include <vector>
 
-namespace fedra::telemetry {
-double now_us();  // telemetry/span.cpp
-}  // namespace fedra::telemetry
+#include "obs/json_min.hpp"
+#include "telemetry/span.hpp"
 
 namespace fedra::live {
 
@@ -105,7 +103,7 @@ inline void collect_status_json(std::string& out) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += e.name;  // names are code-chosen identifiers; no escaping needed
+    obs::json_append_escaped(out, e.name);
     out += "\":";
     e.fn(out);
   }

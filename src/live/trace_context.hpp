@@ -10,10 +10,9 @@
 // per-arm root. telemetry::TraceSpan reads and pushes this context, which
 // is what turns the flat Chrome-trace output into a causal tree.
 //
-// Everything here is header-only (C++17 inline variables) so the bottom
-// telemetry/util layers can use it without a link-time dependency on
-// fedra_live. Cost when nothing is tracing: the context is {0, 0} and
-// capture/restore is six word copies — no atomics, no branches.
+// Everything here is header-only (C++17 inline variables). Cost when
+// nothing is tracing: the context is {0, 0} and capture/restore is six
+// word copies — no atomics, no branches.
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,6 @@
 #include "obs/json_min.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cctype>
 
@@ -217,6 +218,46 @@ bool parse_json(std::string_view text, JsonValue& out) {
   if (!p.parse_value(out, 0)) return false;
   p.skip_ws();
   return p.cur == p.end;
+}
+
+void json_append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += "0123456789abcdef"[(c >> 4) & 0xF];
+          out += "0123456789abcdef"[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+void json_append_double(std::string& out, double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+void json_append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+void json_append_hex(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v, 16);
+  out += "\"0x";
+  out.append(buf, res.ptr);
+  out += '"';
 }
 
 }  // namespace fedra::obs

@@ -1,72 +1,18 @@
 #include "obs/ledger.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "live/status.hpp"
 #include "obs/async_writer.hpp"
 #include "obs/json_min.hpp"
-#include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fedra::obs {
 namespace {
-
-using telemetry::json_escape;
-
-/// Shortest round-trip form (std::to_chars): strtod recovers the exact
-/// bits, like "%.17g", at roughly a tenth of the formatting cost.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return {buf, res.ptr};
-}
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += fmt_double(v);
-}
-
-void append_kv(std::string& out, const char* key, std::size_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, const std::string& v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += json_escape(v);
-  out += '"';
-}
-
-void append_kv(std::string& out, const char* key, bool v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-void append_array(std::string& out, const char* key,
-                  const std::vector<double>& values) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += fmt_double(values[i]);
-  }
-  out += ']';
-}
 
 // Like Telemetry's GlobalState: heap-allocated and never destroyed so
 // writers racing with process teardown never touch a dead object. While
@@ -143,15 +89,13 @@ bool RunLedger::enable(const LedgerConfig& config) {
     return false;
   }
   s.config = config;
-  std::string header = "{";
-  append_kv(header, "type", std::string("header"));
-  header += ',';
-  append_kv(header, "schema", std::string(kLedgerSchema));
-  header += ',';
-  append_kv(header, "run_id", config.run_id);
-  header += ',';
-  append_kv(header, "lambda", config.lambda);
-  header += '}';
+  std::string header;
+  JsonObject h(header);
+  h.str("type", "header")
+      .str("schema", kLedgerSchema)
+      .str("run_id", config.run_id)
+      .num("lambda", config.lambda);
+  h.close();
   s.out << header << '\n';
   // The sink runs on the drainer thread; it takes the state mutex per line
   // so it cannot interleave with flush()/disable() stream access.
@@ -165,19 +109,12 @@ bool RunLedger::enable(const LedgerConfig& config) {
     // Registered once and never unregistered: the state it reads is the
     // immortal LedgerState, so the callback can outlive any one run.
     live::register_status_source("ledger", [](std::string& out) {
-      out += '{';
-      append_kv(out, "enabled", RunLedger::enabled());
-      out += ',';
-      append_kv(out, "records_written",
-                static_cast<std::size_t>(RunLedger::records_written()));
-      out += ',';
-      append_kv(out, "dropped",
-                static_cast<std::size_t>(RunLedger::dropped_records()));
-      out += ',';
-      append_kv(out, "suppressed",
-                static_cast<std::size_t>(
-                    ScopedLedgerSuppression::suppressed_records()));
-      out += '}';
+      JsonObject o(out);
+      o.flag("enabled", RunLedger::enabled())
+          .u64("records_written", RunLedger::records_written())
+          .u64("dropped", RunLedger::dropped_records())
+          .u64("suppressed", ScopedLedgerSuppression::suppressed_records());
+      o.close();
     });
   }
   return true;
@@ -245,125 +182,81 @@ void RunLedger::record_fl_round(const FlRoundRecord& record) {
 }
 
 std::string round_record_json(const RoundRecord& r) {
-  std::string out = "{";
-  append_kv(out, "type", std::string("round"));
-  out += ',';
-  append_kv(out, "round", r.round);
-  out += ',';
-  append_kv(out, "source", r.source);
-  out += ',';
-  append_kv(out, "start_time", r.start_time);
-  out += ',';
-  append_kv(out, "iteration_time", r.iteration_time);
-  out += ',';
-  append_kv(out, "total_energy", r.total_energy);
-  out += ',';
-  append_kv(out, "time_term", r.time_term);
-  out += ',';
-  append_kv(out, "energy_term", r.energy_term);
-  out += ',';
-  append_kv(out, "cost", r.cost);
-  out += ',';
-  append_kv(out, "reward", r.reward);
-  out += ',';
-  append_kv(out, "scheduled", r.num_scheduled);
-  out += ',';
-  append_kv(out, "completed", r.num_completed);
-  out += ',';
-  append_kv(out, "crashes", r.num_crashes);
-  out += ',';
-  append_kv(out, "dropouts", r.num_dropouts);
-  out += ',';
-  append_kv(out, "timeouts", r.num_timeouts);
-  out += ',';
-  append_kv(out, "upload_failures", r.num_upload_failures);
-  out += ',';
-  append_kv(out, "retries", r.total_retries);
-  if (r.devices_omitted > 0) {
-    out += ',';
-    append_kv(out, "devices_omitted", r.devices_omitted);
-  }
-  out += ",\"devices\":[";
+  std::string out;
+  JsonObject o(out);
+  o.str("type", "round")
+      .u64("round", r.round)
+      .str("source", r.source)
+      .num("start_time", r.start_time)
+      .num("iteration_time", r.iteration_time)
+      .num("total_energy", r.total_energy)
+      .num("time_term", r.time_term)
+      .num("energy_term", r.energy_term)
+      .num("cost", r.cost)
+      .num("reward", r.reward)
+      .u64("scheduled", r.num_scheduled)
+      .u64("completed", r.num_completed)
+      .u64("crashes", r.num_crashes)
+      .u64("dropouts", r.num_dropouts)
+      .u64("timeouts", r.num_timeouts)
+      .u64("upload_failures", r.num_upload_failures)
+      .u64("retries", r.total_retries);
+  if (r.devices_omitted > 0) o.u64("devices_omitted", r.devices_omitted);
+  o.member("devices") += '[';
   for (std::size_t i = 0; i < r.devices.size(); ++i) {
     const DeviceRoundRecord& d = r.devices[i];
     if (i > 0) out += ',';
-    out += '{';
-    append_kv(out, "id", static_cast<std::size_t>(d.device));
-    out += ',';
-    append_kv(out, "participated", d.participated);
-    out += ',';
-    append_kv(out, "completed", d.completed);
-    out += ',';
-    append_kv(out, "failure", d.failure);
-    out += ',';
-    append_kv(out, "retries", static_cast<std::size_t>(d.retries));
-    out += ',';
-    append_kv(out, "freq_hz", d.freq_hz);
-    out += ',';
-    append_kv(out, "t_cmp", d.compute_time);
-    out += ',';
-    append_kv(out, "t_com", d.comm_time);
-    out += ',';
-    append_kv(out, "t_idle", d.idle_time);
-    out += ',';
-    append_kv(out, "e_cmp", d.compute_energy);
-    out += ',';
-    append_kv(out, "e_com", d.comm_energy);
-    out += ',';
-    append_kv(out, "e", d.energy);
-    out += ',';
-    append_kv(out, "bw", d.avg_bandwidth);
-    out += '}';
+    JsonObject row(out);
+    row.u64("id", d.device)
+        .flag("participated", d.participated)
+        .flag("completed", d.completed)
+        .str("failure", d.failure)
+        .u64("retries", d.retries)
+        .num("freq_hz", d.freq_hz)
+        .num("t_cmp", d.compute_time)
+        .num("t_com", d.comm_time)
+        .num("t_idle", d.idle_time)
+        .num("e_cmp", d.compute_energy)
+        .num("e_com", d.comm_energy)
+        .num("e", d.energy)
+        .num("bw", d.avg_bandwidth);
+    row.close();
   }
-  out += "]}";
+  out += ']';
+  o.close();
   return out;
 }
 
 std::string decision_record_json(const DecisionRecord& r) {
-  std::string out = "{";
-  append_kv(out, "type", std::string("decision"));
-  out += ',';
-  append_kv(out, "round", r.round);
-  out += ',';
-  append_kv(out, "source", r.source);
-  out += ',';
-  append_kv(out, "pred_time", r.predicted_time);
-  out += ',';
-  append_kv(out, "pred_energy", r.predicted_energy);
-  out += ',';
-  append_kv(out, "pred_cost", r.predicted_cost);
-  out += ',';
-  append_kv(out, "real_time", r.realized_time);
-  out += ',';
-  append_kv(out, "real_energy", r.realized_energy);
-  out += ',';
-  append_kv(out, "real_cost", r.realized_cost);
-  out += ',';
-  append_kv(out, "reward", r.reward);
-  out += ',';
-  append_array(out, "action", r.action);
-  out += ',';
-  append_array(out, "state", r.state);
-  out += '}';
+  std::string out;
+  JsonObject o(out);
+  o.str("type", "decision")
+      .u64("round", r.round)
+      .str("source", r.source)
+      .num("pred_time", r.predicted_time)
+      .num("pred_energy", r.predicted_energy)
+      .num("pred_cost", r.predicted_cost)
+      .num("real_time", r.realized_time)
+      .num("real_energy", r.realized_energy)
+      .num("real_cost", r.realized_cost)
+      .num("reward", r.reward)
+      .nums("action", r.action)
+      .nums("state", r.state);
+  o.close();
   return out;
 }
 
 std::string fl_round_record_json(const FlRoundRecord& r) {
-  std::string out = "{";
-  append_kv(out, "type", std::string("fl_round"));
-  out += ',';
-  append_kv(out, "round", r.round);
-  out += ',';
-  append_kv(out, "loss", r.global_loss);
-  out += ',';
-  append_kv(out, "accuracy", r.global_accuracy);
-  out += ',';
-  append_kv(out, "mean_client_loss", r.mean_client_loss);
-  out += ',';
-  append_kv(out, "participants", r.num_participants);
-  out += ',';
-  append_kv(out, "delivered", r.num_delivered);
-  out += '}';
+  std::string out;
+  JsonObject o(out);
+  o.str("type", "fl_round")
+      .u64("round", r.round)
+      .num("loss", r.global_loss)
+      .num("accuracy", r.global_accuracy)
+      .num("mean_client_loss", r.mean_client_loss)
+      .u64("participants", r.num_participants)
+      .u64("delivered", r.num_delivered);
+  o.close();
   return out;
 }
 

@@ -47,6 +47,11 @@ namespace fedra::obs {
 
 inline constexpr const char* kLedgerSchema = "fedra.ledger.v1";
 
+/// Per-device rows recorded per round before summarizing (a 10^6-device
+/// round must not write a million JSON objects per line); the remainder is
+/// counted in RoundRecord::devices_omitted.
+inline constexpr std::size_t kMaxDeviceRows = 1024;
+
 /// Per-device slice of one round record.  Field names mirror
 /// sim::DeviceOutcome; `failure` is the lowercase enum name ("none",
 /// "crash", "dropout", "timeout", "upload").
@@ -88,7 +93,7 @@ struct RoundRecord {
   std::size_t total_retries = 0;
   std::vector<DeviceRoundRecord> devices;
   /// Per-device rows NOT recorded (fleet-scale rounds summarize: the
-  /// builder caps rows at LedgerConfig::max_device_rows, and summary-layout
+  /// builder caps rows at kMaxDeviceRows, and summary-layout
   /// results carry no per-device outcomes at all).
   std::size_t devices_omitted = 0;
 };
@@ -109,7 +114,7 @@ struct DecisionRecord {
   double realized_cost = 0.0;
   double reward = 0.0;          ///< learner-visible reward for this step
   std::vector<double> action;   ///< as issued (env: fractions; ctl: Hz)
-  std::vector<double> state;    ///< observed state (empty if log_state off)
+  std::vector<double> state;    ///< observed state
 };
 
 /// One FedAvg aggregation round.
@@ -126,11 +131,6 @@ struct LedgerConfig {
   std::string path;      ///< JSONL output path (truncated on enable)
   std::string run_id;    ///< free-form run identifier for the header
   double lambda = 0.0;   ///< cost weight, recorded in the header
-  bool log_state = true; ///< include observed state vectors in decisions
-  /// Per-device rows recorded per round before summarizing (a 10^6-device
-  /// round must not write a million JSON objects per line); the remainder
-  /// is counted in RoundRecord::devices_omitted. 0 = no per-device rows.
-  std::size_t max_device_rows = 1024;
   /// Capacity in bytes of the binary ring that hands records to the
   /// background drainer (rounded up to a power of two, min 4 KiB).
   /// Overflow drops whole records (counted), never blocks.

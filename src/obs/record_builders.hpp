@@ -32,14 +32,13 @@ inline const char* device_failure_name(DeviceFailure failure) {
 /// fused contraction, so time_term + energy_term == cost bit-for-bit.
 ///
 /// Per-device rows are copied from IterationResult::devices and capped at
-/// `max_device_rows`; rows past the cap — and every scheduled device of a
+/// kMaxDeviceRows; rows past the cap — and every scheduled device of a
 /// summary-only result — are counted in RoundRecord::devices_omitted
 /// instead of being materialized.
 inline RoundRecord make_round_record(std::size_t round,
                                      const IterationResult& result,
                                      const CostParams& params,
-                                     const char* source,
-                                     std::size_t max_device_rows = 1024) {
+                                     const char* source) {
   RoundRecord r;
   r.round = round;
   r.source = source;
@@ -63,7 +62,7 @@ inline RoundRecord make_round_record(std::size_t round,
     return r;
   }
   const std::size_t slots = result.devices.size();
-  const std::size_t rows = std::min(slots, max_device_rows);
+  const std::size_t rows = std::min(slots, kMaxDeviceRows);
   r.devices_omitted = slots - rows;
   r.devices.reserve(rows);
   for (std::size_t i = 0; i < rows; ++i) {

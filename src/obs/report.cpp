@@ -767,9 +767,14 @@ std::string render_report_html(const Ledger& ledger,
     out += "</tbody></table></section>\n";
   }
 
-  if (!options.phases.empty()) {
+  if (!options.phases.empty() || options.telemetry_skipped > 0) {
     open_card(out, "Telemetry phases",
               "aggregated trace spans from the telemetry JSONL");
+    if (options.telemetry_skipped > 0) {
+      out += "<p class=\"note\">\xe2\x9a\xa0 " +
+             std::to_string(options.telemetry_skipped) +
+             " unparseable telemetry line(s) skipped.</p>";
+    }
     out +=
         "<table><thead><tr><th>span</th><th>count</th><th>total ms</th>"
         "<th>mean \xc2\xb5s</th><th>max \xc2\xb5s</th></tr></thead><tbody>";

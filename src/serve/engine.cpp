@@ -1,9 +1,9 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "live/status.hpp"
+#include "obs/json_min.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/contracts.hpp"
 
@@ -76,21 +76,17 @@ InferenceEngine::InferenceEngine(BatchPolicy& policy, ServeConfig config)
           s = stats_;
           depth = queue_.size();
         }
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"queue_depth\":%zu,\"admitted\":%llu,\"served\":%llu,"
-            "\"shed\":%llu,\"expired\":%llu,\"rejected\":%llu,"
-            "\"batches\":%llu,\"max_batch_rows\":%zu,"
-            "\"max_queue_depth\":%zu}",
-            depth, static_cast<unsigned long long>(s.admitted),
-            static_cast<unsigned long long>(s.served),
-            static_cast<unsigned long long>(s.shed),
-            static_cast<unsigned long long>(s.expired),
-            static_cast<unsigned long long>(s.rejected),
-            static_cast<unsigned long long>(s.batches), s.max_batch_rows,
-            s.max_queue_depth);
-        out += buf;
+        obs::JsonObject o(out);
+        o.u64("queue_depth", depth)
+            .u64("admitted", s.admitted)
+            .u64("served", s.served)
+            .u64("shed", s.shed)
+            .u64("expired", s.expired)
+            .u64("rejected", s.rejected)
+            .u64("batches", s.batches)
+            .u64("max_batch_rows", s.max_batch_rows)
+            .u64("max_queue_depth", s.max_queue_depth);
+        o.close();
       });
   batcher_ = std::thread([this] { batcher_loop(); });
 }

@@ -62,11 +62,7 @@ std::vector<double> ServedDrlController::decide(const SimulatorBase& sim) {
   FEDRA_TELEMETRY_IF {
     if (obs::RunLedger::enabled()) {
       pending_.valid = true;
-      if (obs::RunLedger::config().log_state) {
-        pending_.state = state;
-      } else {
-        pending_.state.clear();
-      }
+      pending_.state = state;
       pending_.freqs_hz = freqs;
       const IterationResult predicted = sim.preview(freqs, StepOptions{});
       pending_.predicted_time = predicted.iteration_time;

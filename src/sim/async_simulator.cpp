@@ -37,8 +37,7 @@ IterationResult AsyncFlSimulator::step(const std::vector<double>& freqs_hz,
   FEDRA_TELEMETRY_IF {
     if (obs::RunLedger::enabled()) {
       obs::RunLedger::record_round(
-          obs::make_round_record(iteration_ - 1, result, params(), "async",
-                                 obs::RunLedger::config().max_device_rows));
+          obs::make_round_record(iteration_ - 1, result, params(), "async"));
     }
   }
   return result;

@@ -97,8 +97,7 @@ IterationResult FlSimulator::step(const std::vector<double>& freqs_hz,
     record_iteration(result);
     if (obs::RunLedger::enabled()) {
       obs::RunLedger::record_round(
-          obs::make_round_record(iteration_ - 1, result, params(), "sim",
-                                 obs::RunLedger::config().max_device_rows));
+          obs::make_round_record(iteration_ - 1, result, params(), "sim"));
     }
   }
   return result;

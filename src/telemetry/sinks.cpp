@@ -1,145 +1,121 @@
 #include "telemetry/sinks.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
-#include <sstream>
+#include "obs/json_min.hpp"
 
 namespace fedra::telemetry {
 
 namespace {
 
+using obs::JsonObject;
+
 std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  obs::json_append_double(out, v);
+  return out;
 }
 
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-struct SpanAgg {
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
-};
-
-std::map<std::string, SpanAgg> aggregate_spans(
-    const std::vector<SpanRecord>& spans) {
-  std::map<std::string, SpanAgg> agg;
-  for (const auto& s : spans) {
-    auto& a = agg[s.name];
-    if (a.count == 0) {
-      a.min_us = s.dur_us;
-      a.max_us = s.dur_us;
-    } else {
-      a.min_us = std::min(a.min_us, s.dur_us);
-      a.max_us = std::max(a.max_us, s.dur_us);
-    }
-    ++a.count;
-    a.total_us += s.dur_us;
-  }
-  return agg;
+/// Writes the JSON assembled so far to `os` and empties the buffer, so a
+/// flush holds one record in memory, not the whole file.
+void drain(std::ostream& os, std::string& out) {
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+  out.clear();
 }
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_jsonl(std::ostream& os, const MetricsSnapshot& metrics,
                  const std::vector<SpanRecord>& spans) {
+  std::string out;
   for (const auto& [name, value] : metrics.counters) {
-    os << "{\"type\":\"counter\",\"name\":\"" << json_escape(name)
-       << "\",\"value\":" << value << "}\n";
+    JsonObject o(out);
+    o.str("type", "counter").str("name", name).u64("value", value);
+    o.close();
+    out += '\n';
+    drain(os, out);
   }
   for (const auto& [name, value] : metrics.gauges) {
-    os << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name)
-       << "\",\"value\":" << fmt_double(value) << "}\n";
+    JsonObject o(out);
+    o.str("type", "gauge").str("name", name).num("value", value);
+    o.close();
+    out += '\n';
+    drain(os, out);
   }
   for (const auto& h : metrics.histograms) {
-    os << "{\"type\":\"histogram\",\"name\":\"" << json_escape(h.name)
-       << "\",\"count\":" << h.count << ",\"sum\":" << fmt_double(h.sum)
-       << ",\"min\":" << fmt_double(h.min)
-       << ",\"max\":" << fmt_double(h.max)
-       << ",\"mean\":" << fmt_double(h.mean())
-       << ",\"p50\":" << fmt_double(h.percentile(50.0))
-       << ",\"p90\":" << fmt_double(h.percentile(90.0))
-       << ",\"p99\":" << fmt_double(h.percentile(99.0)) << ",\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) os << ',';
-      os << fmt_double(h.bounds[i]);
-    }
-    os << "],\"bucket_counts\":[";
+    JsonObject o(out);
+    o.str("type", "histogram")
+        .str("name", h.name)
+        .u64("count", h.count)
+        .num("sum", h.sum)
+        .num("min", h.min)
+        .num("max", h.max)
+        .num("mean", h.mean())
+        .num("p50", h.percentile(50.0))
+        .num("p90", h.percentile(90.0))
+        .num("p99", h.percentile(99.0))
+        .nums("bounds", h.bounds);
+    o.member("bucket_counts") += '[';
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i > 0) os << ',';
-      os << h.counts[i];
+      if (i > 0) out += ',';
+      obs::json_append_u64(out, h.counts[i]);
     }
-    os << "]}\n";
+    out += ']';
+    o.close();
+    out += '\n';
+    drain(os, out);
   }
   for (const auto& s : spans) {
-    os << "{\"type\":\"span\",\"name\":\"" << json_escape(s.name)
-       << "\",\"ts_us\":" << fmt_double(s.start_us)
-       << ",\"dur_us\":" << fmt_double(s.dur_us) << ",\"tid\":" << s.tid;
+    JsonObject o(out);
+    o.str("type", "span")
+        .str("name", s.name)
+        .num("ts_us", s.start_us)
+        .num("dur_us", s.dur_us)
+        .u64("tid", s.tid);
     if (s.trace_id != 0) {
-      // Hex strings, not numbers: full-width 64-bit ids do not survive a
-      // double-precision JSON number parse.
-      os << ",\"trace_id\":\"" << fmt_hex64(s.trace_id) << "\",\"span_id\":\""
-         << fmt_hex64(s.span_id) << "\",\"parent_span_id\":\""
-         << fmt_hex64(s.parent_span_id) << '"';
+      o.hex("trace_id", s.trace_id)
+          .hex("span_id", s.span_id)
+          .hex("parent_span_id", s.parent_span_id);
     }
-    os << "}\n";
+    o.close();
+    out += '\n';
+    drain(os, out);
   }
 }
 
 void write_chrome_trace(std::ostream& os,
                         const std::vector<SpanRecord>& spans) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  std::string out;
+  JsonObject doc(out);
+  doc.str("displayTimeUnit", "ms");
+  doc.member("traceEvents") += '[';
   bool first = true;
   for (const auto& s : spans) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(s.name)
-       << "\",\"cat\":\"fedra\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
-       << ",\"ts\":" << fmt_double(s.start_us)
-       << ",\"dur\":" << fmt_double(s.dur_us);
+    JsonObject e(out);
+    e.str("name", s.name)
+        .str("cat", "fedra")
+        .str("ph", "X")
+        .u64("pid", 1)
+        .u64("tid", s.tid)
+        .num("ts", s.start_us)
+        .num("dur", s.dur_us);
     if (s.trace_id != 0) {
       // The causal annotations: every span of one serve request / sweep
       // arm carries the same trace id even when rows complete on the
       // batcher thread and the client blocked elsewhere.
-      os << ",\"args\":{\"trace_id\":\"" << fmt_hex64(s.trace_id)
-         << "\",\"span_id\":\"" << fmt_hex64(s.span_id)
-         << "\",\"parent_span_id\":\"" << fmt_hex64(s.parent_span_id)
-         << "\"}";
+      JsonObject args(e.member("args"));
+      args.hex("trace_id", s.trace_id)
+          .hex("span_id", s.span_id)
+          .hex("parent_span_id", s.parent_span_id);
+      args.close();
     }
-    os << "}";
+    e.close();
+    drain(os, out);
   }
-  os << "]}\n";
+  out += ']';
+  doc.close();
+  out += '\n';
+  drain(os, out);
 }
 
 std::string prometheus_escape_help(const std::string& text) {
@@ -203,63 +179,6 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& metrics) {
     os << n << "_sum " << fmt_double(h.sum) << '\n';
     os << n << "_count " << h.count << '\n';
   }
-}
-
-std::string format_text_summary(const MetricsSnapshot& metrics,
-                                const std::vector<SpanRecord>& spans) {
-  std::ostringstream out;
-  char line[256];
-
-  if (!metrics.counters.empty()) {
-    out << "== counters ==\n";
-    for (const auto& [name, value] : metrics.counters) {
-      std::snprintf(line, sizeof(line), "  %-32s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-      out << line;
-    }
-  }
-  if (!metrics.gauges.empty()) {
-    out << "== gauges ==\n";
-    for (const auto& [name, value] : metrics.gauges) {
-      std::snprintf(line, sizeof(line), "  %-32s %.6g\n", name.c_str(),
-                    value);
-      out << line;
-    }
-  }
-  if (!metrics.histograms.empty()) {
-    out << "== histograms ==\n";
-    std::snprintf(line, sizeof(line), "  %-32s %10s %12s %12s %12s %12s\n",
-                  "name", "count", "mean", "p50", "p99", "max");
-    out << line;
-    for (const auto& h : metrics.histograms) {
-      std::snprintf(line, sizeof(line),
-                    "  %-32s %10llu %12.3f %12.3f %12.3f %12.3f\n",
-                    h.name.c_str(),
-                    static_cast<unsigned long long>(h.count), h.mean(),
-                    h.percentile(50.0), h.percentile(99.0), h.max);
-      out << line;
-    }
-  }
-  const auto agg = aggregate_spans(spans);
-  if (!agg.empty()) {
-    double grand_total = 0.0;
-    for (const auto& [name, a] : agg) grand_total += a.total_us;
-    out << "== spans ==\n";
-    std::snprintf(line, sizeof(line),
-                  "  %-24s %8s %12s %12s %12s %7s\n", "phase", "count",
-                  "total_ms", "mean_ms", "max_ms", "share");
-    out << line;
-    for (const auto& [name, a] : agg) {
-      std::snprintf(
-          line, sizeof(line),
-          "  %-24s %8llu %12.3f %12.3f %12.3f %6.1f%%\n", name.c_str(),
-          static_cast<unsigned long long>(a.count), a.total_us / 1e3,
-          a.total_us / 1e3 / static_cast<double>(a.count), a.max_us / 1e3,
-          grand_total > 0.0 ? 100.0 * a.total_us / grand_total : 0.0);
-      out << line;
-    }
-  }
-  return out.str();
 }
 
 }  // namespace fedra::telemetry

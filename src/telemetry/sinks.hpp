@@ -1,16 +1,15 @@
-// Pluggable telemetry exporters. All three consume the same immutable
-// snapshot types (MetricsSnapshot + a vector of SpanRecords), so sinks
-// never touch live atomics and a flush is a consistent-enough point-in-
-// time view.
+// Telemetry exporters. All three consume the same immutable snapshot
+// types (MetricsSnapshot + a vector of SpanRecords), so sinks never touch
+// live atomics and a flush is a consistent-enough point-in-time view.
+// Numbers are written with the obs JSON writer's shortest round-trip
+// form, so every reader recovers the recorded doubles bit-exactly.
 //
 //   - write_jsonl: one JSON object per line — counters, gauges,
 //     histograms (with bucket arrays and percentile estimates), then one
-//     line per span. This is the machine-readable format
-//     tools/telemetry_report consumes.
+//     line per span. obs::read_telemetry_log reads it back
+//     (`fedra_report phases`, the phase card of `fedra_report html`).
 //   - write_chrome_trace: the Chrome trace-event format ("X" complete
 //     events); load the file at chrome://tracing or ui.perfetto.dev.
-//   - format_text_summary: fixed-width human-readable dump used by
-//     Telemetry::summary().
 //   - write_prometheus: Prometheus text exposition format 0.0.4 —
 //     `# HELP`/`# TYPE` headers per metric, counters/gauges as single
 //     samples, histograms as cumulative `_bucket{le=...}` series plus
@@ -33,9 +32,6 @@ void write_jsonl(std::ostream& os, const MetricsSnapshot& metrics,
 void write_chrome_trace(std::ostream& os,
                         const std::vector<SpanRecord>& spans);
 
-std::string format_text_summary(const MetricsSnapshot& metrics,
-                                const std::vector<SpanRecord>& spans);
-
 /// Prometheus text exposition (scrape) format. Spans are not exported —
 /// every TraceSpan already feeds a duration histogram of the same name.
 void write_prometheus(std::ostream& os, const MetricsSnapshot& metrics);
@@ -47,8 +43,5 @@ std::string prometheus_sanitize(const std::string& name);
 
 /// Escapes `\` and newline for Prometheus `# HELP` text.
 std::string prometheus_escape_help(const std::string& text);
-
-/// Escapes `"` `\` and control characters for embedding in JSON strings.
-std::string json_escape(const std::string& s);
 
 }  // namespace fedra::telemetry

@@ -43,12 +43,15 @@ struct SpanRecord {
   std::uint64_t parent_span_id = 0;
 };
 
+/// Spans the process-wide buffer keeps before it counts drops.
+inline constexpr std::size_t kSpanCapacity = 1 << 16;
+
 /// Bounded MPMC span sink: a mutex-protected vector that stops growing at
 /// capacity and counts what it drops. Coarse-grained spans arrive at Hz,
 /// not MHz, so a mutex is the right tool (CP.2: keep it simple).
 class SpanBuffer {
  public:
-  explicit SpanBuffer(std::size_t capacity = 1 << 16)
+  explicit SpanBuffer(std::size_t capacity = kSpanCapacity)
       : capacity_(capacity) {}
 
   void push(const SpanRecord& record);

@@ -61,12 +61,7 @@ void Telemetry::enable(const TelemetryConfig& config) {
   {
     std::lock_guard lock(s.mutex);
     s.config = config;
-    // The span buffer is re-created only while empty or when capacity
-    // changes; live TraceSpan objects hold no buffer pointers, so a swap
-    // between iterations is safe.
-    if (!s.spans || s.spans->capacity() != config.span_capacity) {
-      s.spans = std::make_unique<SpanBuffer>(config.span_capacity);
-    }
+    if (!s.spans) s.spans = std::make_unique<SpanBuffer>();
     const bool wants_files =
         !config.jsonl_path.empty() || !config.chrome_trace_path.empty();
     if (wants_files && !s.atexit_registered) {
@@ -98,14 +93,6 @@ void Telemetry::flush() {
     std::ofstream os(s.config.chrome_trace_path, std::ios::trunc);
     if (os) write_chrome_trace(os, span_snap);
   }
-}
-
-std::string Telemetry::summary() {
-  auto& s = state();
-  std::lock_guard lock(s.mutex);
-  return format_text_summary(
-      metrics().snapshot(),
-      s.spans ? s.spans->snapshot() : std::vector<SpanRecord>{});
 }
 
 void Telemetry::reset() {

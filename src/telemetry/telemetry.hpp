@@ -35,7 +35,6 @@ namespace fedra::telemetry {
 struct TelemetryConfig {
   std::string jsonl_path;         ///< "" = keep metrics in memory only
   std::string chrome_trace_path;  ///< "" = no chrome trace export
-  std::size_t span_capacity = 1 << 16;
 };
 
 class Telemetry {
@@ -58,9 +57,6 @@ class Telemetry {
   /// whichever paths are configured). Safe to call repeatedly; each call
   /// rewrites the files from the current state.
   static void flush();
-
-  /// Human-readable dump of all metrics and a per-span-name breakdown.
-  static std::string summary();
 
   /// Clears metric values and the span buffer (handles stay valid).
   static void reset();

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <string>
 
 #include "live/status.hpp"
+#include "obs/json_min.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fedra {
@@ -226,15 +226,12 @@ ThreadPool::ThreadPool(std::size_t threads) {
   // destructor (before joining) makes dangling-`this` impossible.
   live_status_id_ = live::register_status_source(
       "pool", [this](std::string& out) {
-        char buf[192];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"threads\":%zu,\"pending\":%zu,\"steals\":%llu,"
-            "\"idle_wakeups\":%llu}",
-            size(), pending(),
-            static_cast<unsigned long long>(steal_count()),
-            static_cast<unsigned long long>(idle_wakeups()));
-        out += buf;
+        obs::JsonObject o(out);
+        o.u64("threads", size())
+            .u64("pending", pending())
+            .u64("steals", steal_count())
+            .u64("idle_wakeups", idle_wakeups());
+        o.close();
       });
 }
 

@@ -530,6 +530,37 @@ TEST(LiveServer, StatusSourcesAppearInStatusz) {
   live::unregister_status_source(id);
 }
 
+TEST(LiveServer, RecorderDumpKeepsExactTimestamps) {
+  // A timestamp with more digits than a fixed three-decimal format keeps:
+  // the /statusz?recorder=1 slot must carry the recorded bits.
+  live::set_flight_recorder_enabled(true);
+  const double t_us = 1234.5678901234567;
+  const double dur_us = 0.1;
+  live::record_flight("live_test.exact_t", t_us, dur_us,
+                      live::FlightKind::kSpan, 4242);
+  live::LiveServer server{live::LiveConfig{}};
+  ASSERT_TRUE(server.start());
+  const auto r =
+      live::http_get("127.0.0.1", server.port(), "/statusz?recorder=1");
+  server.stop();
+  ASSERT_EQ(r.status, 200);
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::parse_json(r.body, v));
+  const obs::JsonValue* dump = v.find("flight_recorder");
+  ASSERT_NE(dump, nullptr);
+  bool found = false;
+  for (const auto& slot : dump->array) {
+    if (slot.get_string("name") != "live_test.exact_t" ||
+        slot.get_number("arg") != 4242.0) {
+      continue;
+    }
+    found = true;
+    EXPECT_EQ(slot.get_number("t_us"), t_us);
+    EXPECT_EQ(slot.get_number("dur_us"), dur_us);
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(LiveServer, RejectsMalformedAndUnknownRequests) {
   live::LiveServer server{live::LiveConfig{}};
   ASSERT_TRUE(server.start());

@@ -16,6 +16,7 @@
 #include "obs/attribution.hpp"
 #include "obs/json_min.hpp"
 #include "obs/ledger.hpp"
+#include "obs/record_builders.hpp"
 #include "obs/report.hpp"
 #include "sim/experiment_config.hpp"
 #include "telemetry/telemetry.hpp"
@@ -314,6 +315,31 @@ TEST(Ledger, ReaderRejectsDeviceIdsPastTheRowCount) {
   const obs::RunAttribution run = obs::attribute(ledger);
   EXPECT_EQ(run.devices.size(), 3u);
   EXPECT_EQ(run.rounds.size(), 2u);
+}
+
+TEST(Ledger, RoundRecordCapsDeviceRowsAt1024) {
+  // A 2000-device round keeps the first kMaxDeviceRows per-device rows and
+  // counts the rest, through a write/read cycle.
+  IterationResult result;
+  result.num_scheduled = 2000;
+  result.devices.resize(2000);
+  for (std::size_t i = 0; i < result.devices.size(); ++i) {
+    result.devices[i].participated = true;
+    result.devices[i].compute_time = static_cast<double>(i);
+  }
+  const obs::RoundRecord r =
+      obs::make_round_record(7, result, CostParams{}, "sim");
+  EXPECT_EQ(r.devices.size(), 1024u);
+  EXPECT_EQ(r.devices_omitted, 976u);
+  EXPECT_EQ(r.devices.back().device, 1023u);
+  EXPECT_EQ(r.devices.back().compute_time, 1023.0);
+
+  std::istringstream in(obs::round_record_json(r) + "\n");
+  const obs::Ledger ledger = obs::read_ledger(in);
+  ASSERT_EQ(ledger.rounds.size(), 1u);
+  EXPECT_EQ(ledger.rounds[0].devices.size(), 1024u);
+  EXPECT_EQ(ledger.rounds[0].devices_omitted, 976u);
+  EXPECT_EQ(ledger.parse_errors, 0u);
 }
 
 TEST(Ledger, EnableFailsOnUnwritablePath) {

@@ -2,11 +2,14 @@
 // disabled-mode no-op guarantees, and sink round-trips.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "obs/json_min.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -31,6 +34,22 @@ std::string read_file(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// Doubles written by a sink must parse back to the very same bits.
+void expect_same_bits(double parsed, double recorded) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+            std::bit_cast<std::uint64_t>(recorded))
+      << parsed << " vs " << recorded;
+}
+
+// The one span named `name` in the in-memory buffer.
+SpanRecord recorded_span(const char* name) {
+  for (const SpanRecord& r : Telemetry::spans().snapshot()) {
+    if (std::string(r.name) == name) return r;
+  }
+  ADD_FAILURE() << "no span " << name;
+  return {};
 }
 
 TEST_F(TelemetryTest, CounterAccumulatesAndIsIdempotentlyNamed) {
@@ -204,13 +223,19 @@ TEST_F(TelemetryTest, JsonlSinkRoundTrip) {
 
   Telemetry::metrics().counter("rt.counter").add(3);
   Telemetry::metrics().gauge("rt.gauge").set(1.25);
+  Telemetry::metrics().gauge("rt.tenth").set(0.1);
   Telemetry::metrics()
       .histogram("rt.hist", std::vector<double>{1.0, 2.0})
       .record(1.5);
   { FEDRA_TRACE_SPAN("rt_phase"); }
   Telemetry::flush();
+  const SpanRecord span = recorded_span("rt_phase");
 
   const std::string content = read_file(path);
+  // Shortest round-trip form: 0.1 is written as "0.1", not
+  // "0.10000000000000001", and still parses back to the same bits.
+  EXPECT_NE(content.find("\"name\":\"rt.tenth\",\"value\":0.1}"),
+            std::string::npos);
   EXPECT_NE(content.find("{\"type\":\"counter\",\"name\":\"rt.counter\","
                          "\"value\":3}"),
             std::string::npos);
@@ -225,13 +250,29 @@ TEST_F(TelemetryTest, JsonlSinkRoundTrip) {
   std::istringstream lines(content);
   std::string line;
   std::size_t n = 0;
+  bool saw_tenth = false;
+  bool saw_span = false;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
     ++n;
+    obs::JsonValue v;
+    ASSERT_TRUE(obs::parse_json(line, v)) << line;
+    if (v.get_string("name") == "rt.tenth") {
+      expect_same_bits(v.get_number("value"), 0.1);
+      saw_tenth = true;
+    }
+    if (v.get_string("name") == "rt_phase" &&
+        v.get_string("type") == "span") {
+      expect_same_bits(v.get_number("ts_us"), span.start_us);
+      expect_same_bits(v.get_number("dur_us"), span.dur_us);
+      saw_span = true;
+    }
   }
   EXPECT_GE(n, 4u);
+  EXPECT_TRUE(saw_tenth);
+  EXPECT_TRUE(saw_span);
   std::remove(path.c_str());
 }
 
@@ -245,8 +286,19 @@ TEST_F(TelemetryTest, ChromeTraceSinkRoundTrip) {
   { FEDRA_TRACE_SPAN("chrome_phase"); }
   { FEDRA_TRACE_SPAN("chrome_phase"); }
   Telemetry::flush();
+  const std::vector<SpanRecord> spans = Telemetry::spans().snapshot();
 
   const std::string content = read_file(path);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::parse_json(content, doc));
+  const obs::JsonValue* trace_events = doc.find("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  ASSERT_EQ(trace_events->array.size(), spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const obs::JsonValue& e = trace_events->array[i];
+    expect_same_bits(e.get_number("ts"), spans[i].start_us);
+    expect_same_bits(e.get_number("dur"), spans[i].dur_us);
+  }
   EXPECT_NE(content.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(content.find("\"ph\":\"X\""), std::string::npos);
   std::size_t events = 0;
@@ -267,18 +319,14 @@ TEST_F(TelemetryTest, ChromeTraceSinkRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST_F(TelemetryTest, SummaryListsPhasesAndMetrics) {
-  Telemetry::metrics().counter("sum.counter").add(5);
-  { FEDRA_TRACE_SPAN("sum_phase"); }
-  const std::string text = Telemetry::summary();
-  EXPECT_NE(text.find("sum.counter"), std::string::npos);
-  EXPECT_NE(text.find("sum_phase"), std::string::npos);
-  EXPECT_NE(text.find("share"), std::string::npos);
-}
-
 TEST_F(TelemetryTest, JsonEscapeHandlesQuotesAndControlChars) {
-  EXPECT_EQ(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  auto escape = [](std::string_view s) {
+    std::string out;
+    obs::json_append_escaped(out, s);
+    return out;
+  };
+  EXPECT_EQ(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+  EXPECT_EQ(escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST_F(TelemetryTest, ExponentialBoundsAreGeometricAndSorted) {

@@ -11,8 +11,8 @@
 //   /statusz?recorder=1 JSON whose flight_recorder array holds the
 //                       seeded event
 //
-// Exits 0 only when every check passes; scripts/check.sh runs this as its
-// live-plane leg, so a broken exporter fails CI before any test does.
+// Exits 0 only when every check passes; ctest runs it as the `live_probe`
+// test in the default, sanitize and tsan suites.
 #include <cstdio>
 #include <string>
 
