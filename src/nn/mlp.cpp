@@ -3,7 +3,6 @@
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/fused.hpp"
-#include "tensor/serialize.hpp"
 
 namespace fedra {
 
@@ -159,14 +158,6 @@ void Sequential::set_param_values(const std::vector<Matrix>& values) {
     FEDRA_EXPECTS(ps[i]->same_shape(values[i]));
     *ps[i] = values[i];
   }
-}
-
-void Sequential::save(const std::string& path) {
-  save_matrices(path, param_values());
-}
-
-void Sequential::load(const std::string& path) {
-  set_param_values(load_matrices(path));
 }
 
 namespace {

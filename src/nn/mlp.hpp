@@ -57,9 +57,6 @@ class Sequential : public Module {
   /// Restores a snapshot produced by param_values().
   void set_param_values(const std::vector<Matrix>& values);
 
-  void save(const std::string& path);
-  void load(const std::string& path);
-
  private:
   std::vector<LayerPtr> layers_;
 };

@@ -1,5 +1,6 @@
 #include "obs/ledger.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -25,6 +26,7 @@ struct LedgerState {
   std::ofstream out;
   std::unique_ptr<AsyncLedgerWriter> writer;
   std::atomic<bool> status_registered{false};  ///< /statusz source, once
+  bool atexit_registered = false;              ///< disable() at exit, once
 };
 
 LedgerState& state() {
@@ -89,6 +91,12 @@ bool RunLedger::enable(const LedgerConfig& config) {
     return false;
   }
   s.config = config;
+  if (!s.atexit_registered) {
+    // Drains the ring at exit, as Telemetry flushes its sinks: records
+    // still queued when main returns would otherwise be lost.
+    std::atexit(RunLedger::disable);
+    s.atexit_registered = true;
+  }
   std::string header;
   JsonObject h(header);
   h.str("type", "header")

@@ -6,19 +6,17 @@
 
 namespace fedra {
 
-GaeResult compute_gae(const std::vector<double>& rewards,
-                      const std::vector<double>& values,
-                      const std::vector<double>& next_values,
-                      const std::vector<bool>& episode_ends, double gamma,
-                      double lambda) {
+std::vector<double> compute_gae(const std::vector<double>& rewards,
+                                const std::vector<double>& values,
+                                const std::vector<double>& next_values,
+                                const std::vector<bool>& episode_ends,
+                                double gamma, double lambda) {
   const std::size_t n = rewards.size();
   FEDRA_EXPECTS(values.size() == n && next_values.size() == n &&
                 episode_ends.size() == n);
   FEDRA_EXPECTS(gamma >= 0.0 && gamma <= 1.0);
   FEDRA_EXPECTS(lambda >= 0.0 && lambda <= 1.0);
-  GaeResult r;
-  r.advantages.resize(n);
-  r.returns.resize(n);
+  std::vector<double> advantages(n);
   double gae = 0.0;
   for (std::size_t idx = n; idx-- > 0;) {
     // Truncation bootstraps: delta always uses V(s').
@@ -26,10 +24,9 @@ GaeResult compute_gae(const std::vector<double>& rewards,
         rewards[idx] + gamma * next_values[idx] - values[idx];
     if (episode_ends[idx]) gae = 0.0;  // do not smear credit across episodes
     gae = delta + gamma * lambda * gae;
-    r.advantages[idx] = gae;
-    r.returns[idx] = gae + values[idx];
+    advantages[idx] = gae;
   }
-  return r;
+  return advantages;
 }
 
 void normalize_advantages(std::vector<double>& advantages) {

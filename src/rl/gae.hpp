@@ -8,16 +8,12 @@
 
 namespace fedra {
 
-struct GaeResult {
-  std::vector<double> advantages;
-  std::vector<double> returns;  ///< advantage + V(s): critic regression aid
-};
-
-GaeResult compute_gae(const std::vector<double>& rewards,
-                      const std::vector<double>& values,
-                      const std::vector<double>& next_values,
-                      const std::vector<bool>& episode_ends, double gamma,
-                      double lambda);
+/// Per-step advantages; adding V(s_t) gives the lambda-return.
+std::vector<double> compute_gae(const std::vector<double>& rewards,
+                                const std::vector<double>& values,
+                                const std::vector<double>& next_values,
+                                const std::vector<bool>& episode_ends,
+                                double gamma, double lambda);
 
 /// Normalizes advantages to zero mean / unit std in place (no-op for
 /// fewer than two elements or ~zero variance).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/serialize.hpp"
 #include "util/contracts.hpp"
 
 namespace fedra {
@@ -118,14 +117,6 @@ void GaussianPolicy::mean_action_batch(const Matrix& states, Matrix& actions) {
   }
 }
 
-std::vector<double> GaussianPolicy::log_probs(const Matrix& states,
-                                              const Matrix& actions_u) {
-  std::vector<double> logps;
-  log_probs(states, actions_u, std::max<std::size_t>(states.rows(), 1),
-            logps);
-  return logps;
-}
-
 void GaussianPolicy::log_probs(const Matrix& states, const Matrix& actions_u,
                                std::size_t block_rows,
                                std::vector<double>& out) {
@@ -146,13 +137,6 @@ void GaussianPolicy::log_probs(const Matrix& states, const Matrix& actions_u,
   }
   cached_out_ = nullptr;  // the last block is not a batch to backward
   last_entropy_ = n > 0 ? entropy_acc / static_cast<double>(n) : 0.0;
-}
-
-std::vector<double> GaussianPolicy::forward_log_probs(
-    const Matrix& states, const Matrix& actions_u) {
-  std::vector<double> logps;
-  forward_log_probs(states, actions_u, logps);
-  return logps;
 }
 
 void GaussianPolicy::forward_log_probs(const Matrix& states,
@@ -272,22 +256,6 @@ void GaussianPolicy::copy_params_from(GaussianPolicy& other) {
   for (std::size_t i = 0; i < dst.size(); ++i) {
     FEDRA_EXPECTS(dst[i]->same_shape(*src[i]));
     *dst[i] = *src[i];
-  }
-}
-
-void GaussianPolicy::save(const std::string& path) {
-  std::vector<Matrix> values;
-  for (Matrix* p : params()) values.push_back(*p);
-  save_matrices(path, values);
-}
-
-void GaussianPolicy::load(const std::string& path) {
-  auto values = load_matrices(path);
-  auto ps = params();
-  FEDRA_EXPECTS(values.size() == ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    FEDRA_EXPECTS(ps[i]->same_shape(values[i]));
-    *ps[i] = values[i];
   }
 }
 

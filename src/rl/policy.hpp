@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -64,25 +63,19 @@ class GaussianPolicy {
   /// thread-safe: callers (the serve engine's batcher) must serialize.
   void mean_action_batch(const Matrix& states, Matrix& actions);
 
-  /// log pi(u|s) for a batch, WITHOUT caching for backward (evaluation).
-  std::vector<double> log_probs(const Matrix& states, const Matrix& actions_u);
-
-  /// Capacity-reusing form that runs the network over blocks of at most
-  /// `block_rows` rows, so a full-buffer pass never grows the training
-  /// workspace past a minibatch. Rows are independent in every layer, so
-  /// the values and the following entropy() (the mean over ALL rows) are
-  /// bit-identical to one unblocked pass. No backward may follow.
+  /// log pi(u|s) for a batch into `out`, WITHOUT caching for backward
+  /// (evaluation). Runs the network over blocks of at most `block_rows`
+  /// rows, so a full-buffer pass never grows the training workspace past a
+  /// minibatch. Rows are independent in every layer, so the values and the
+  /// following entropy() (the mean over ALL rows) are bit-identical to one
+  /// unblocked pass. No backward may follow.
   void log_probs(const Matrix& states, const Matrix& actions_u,
                  std::size_t block_rows, std::vector<double>& out);
 
-  /// Forward pass that caches activations; returns per-row log pi(u|s).
-  /// Must be followed by backward_log_probs on the same batch, and
-  /// `states` must stay valid/unmodified until then (the network caches
-  /// pointers, not copies).
-  std::vector<double> forward_log_probs(const Matrix& states,
-                                        const Matrix& actions_u);
-
-  /// Capacity-reusing overload: writes the log-probs into `out`.
+  /// Forward pass that caches activations; writes per-row log pi(u|s)
+  /// into `out`. Must be followed by backward_log_probs on the same batch,
+  /// and `states` must stay valid/unmodified until then (the network
+  /// caches pointers, not copies).
   void forward_log_probs(const Matrix& states, const Matrix& actions_u,
                          std::vector<double>& out);
 
@@ -110,8 +103,6 @@ class GaussianPolicy {
   void clamp_log_std();
 
   void copy_params_from(GaussianPolicy& other);
-  void save(const std::string& path);
-  void load(const std::string& path);
 
   const Matrix& log_std() const { return log_std_; }
   Mlp& mean_net() { return mean_net_; }

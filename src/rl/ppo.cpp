@@ -124,10 +124,10 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
   const std::vector<double> rewards = buffer.rewards();
 
   // Advantages from the collection-time value estimates (standard GAE).
-  GaeResult gae =
+  std::vector<double> advantages =
       compute_gae(rewards, buffer.values(), buffer.next_values(),
                   buffer.episode_ends(), config_.gamma, config_.gae_lambda);
-  normalize_advantages(gae.advantages);
+  normalize_advantages(advantages);
 
   // Both sides walk the same minibatches. `rng` feeds nothing else in an
   // update, so drawing every epoch's permutation up front leaves its
@@ -146,7 +146,7 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
   ActorSums actor;
   TaskGroup actor_side(global_pool());
   actor_side.run(
-      [&] { actor = train_actor(perms, gae.advantages, logp_old); });
+      [&] { actor = train_actor(perms, advantages, logp_old); });
   const double value_loss_acc = fit_critic(perms, rewards);
   actor_side.wait();
 
@@ -283,17 +283,6 @@ double PpoAgent::fit_critic(const Permutations& perms,
     }
   }
   return value_loss_acc;
-}
-
-void PpoAgent::save(const std::string& prefix) {
-  policy_.save(prefix + ".actor");
-  critic_.save(prefix + ".critic");
-}
-
-void PpoAgent::load(const std::string& prefix) {
-  policy_.load(prefix + ".actor");
-  critic_.load(prefix + ".critic");
-  policy_old_.copy_params_from(policy_);
 }
 
 }  // namespace fedra

@@ -81,9 +81,6 @@ class PpoAgent {
   Adam& actor_optimizer() { return actor_opt_; }
   Adam& critic_optimizer() { return critic_opt_; }
 
-  void save(const std::string& prefix);
-  void load(const std::string& prefix);
-
  private:
   using Permutations = std::vector<std::vector<std::size_t>>;
 

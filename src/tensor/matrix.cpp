@@ -64,12 +64,6 @@ void Matrix::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-void Matrix::reshape(std::size_t rows, std::size_t cols) {
-  FEDRA_EXPECTS(rows * cols == data_.size());
-  rows_ = rows;
-  cols_ = cols;
-}
-
 void Matrix::resize_reuse(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);  // no-op on the heap once capacity covers it
   rows_ = rows;

@@ -141,9 +141,6 @@ class Matrix {
   void fill(double value);
   void set_zero() { fill(0.0); }
 
-  /// Reshape in place; total element count must be preserved.
-  void reshape(std::size_t rows, std::size_t cols);
-
   /// Re-dimension to rows x cols, reusing the existing heap block whenever
   /// its capacity suffices (the workspace idiom: shapes oscillate between
   /// a few steady-state values, so after warm-up this never allocates).

@@ -2,19 +2,16 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 namespace fedra {
 
 namespace {
 constexpr char kMagic[4] = {'F', 'M', 'A', 'T'};
 
-// Dimension sanity caps shared by the stream and buffer readers. Each axis
-// is capped BEFORE the product is formed, so the element-count check can
-// never be bypassed by multiplication overflow (1e9 * 1e9 < 2^63).
+// Dimension sanity caps for get_matrix. Each axis is capped BEFORE the
+// product is formed, so the element-count check can never be bypassed by
+// multiplication overflow (1e9 * 1e9 < 2^63).
 constexpr std::uint64_t kMaxAxis = 1000000000ULL;
 constexpr std::uint64_t kMaxElements = 1000000000ULL;
 
@@ -23,68 +20,7 @@ void check_dims(std::uint64_t rows, std::uint64_t cols) {
     throw SerializeError("matrix header implausibly large");
   }
 }
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(buf, 8);
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  char buf[8];
-  in.read(buf, 8);
-  if (!in) throw SerializeError("matrix stream truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  }
-  return v;
-}
 }  // namespace
-
-void write_matrix(std::ostream& out, const Matrix& m) {
-  out.write(kMagic, sizeof(kMagic));
-  write_u64(out, m.rows());
-  write_u64(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(double)));
-  if (!out) throw SerializeError("matrix write failed");
-}
-
-Matrix read_matrix(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw SerializeError("bad matrix magic");
-  }
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  check_dims(rows, cols);
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(double)));
-  if (!in) throw SerializeError("matrix data truncated");
-  return m;
-}
-
-void save_matrices(const std::string& path, const std::vector<Matrix>& ms) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw SerializeError("cannot open for writing: " + path);
-  write_u64(out, ms.size());
-  for (const auto& m : ms) write_matrix(out, m);
-}
-
-std::vector<Matrix> load_matrices(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SerializeError("cannot open for reading: " + path);
-  const std::uint64_t n = read_u64(in);
-  if (n > 1000000ULL) throw SerializeError("matrix count implausible");
-  std::vector<Matrix> ms;
-  ms.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) ms.push_back(read_matrix(in));
-  return ms;
-}
 
 // --- ByteWriter -----------------------------------------------------------
 

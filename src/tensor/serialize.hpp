@@ -1,25 +1,16 @@
-// Binary (de)serialization for model checkpointing.
+// Bounds-checked byte-buffer codec under the fedra::ckpt section format,
+// the one on-disk format for model and training state. ByteWriter appends
+// little-endian primitives to an in-memory buffer; ByteReader walks one
+// and throws SerializeError on any overrun or malformed framing instead
+// of reading past the end.
 //
-// Two layers live here:
-//
-//   - the original stream API (write_matrix / read_matrix /
-//     save_matrices / load_matrices): a small magic header, dimensions as
-//     u64 little-endian, then raw doubles;
-//   - a bounds-checked byte-buffer codec (ByteWriter / ByteReader) used by
-//     the fedra::ckpt section format. ByteWriter appends primitives to an
-//     in-memory buffer; ByteReader walks one and throws SerializeError on
-//     any overrun or malformed framing instead of reading past the end.
-//
-// Matrices use the SAME framing in both layers (magic "FMAT", u64 rows,
-// u64 cols, raw doubles little-endian), so a section payload written with
-// ByteWriter::put_matrix is byte-identical to write_matrix's stream
-// output. Doubles are written as raw IEEE-754 bits — NaN payloads,
+// A matrix is framed as magic "FMAT", u64 rows, u64 cols, then the raw
+// doubles. Doubles are written as raw IEEE-754 bits — NaN payloads,
 // signed zeros, subnormals and infinities all round-trip exactly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -29,27 +20,12 @@
 
 namespace fedra {
 
-/// Thrown on malformed or truncated serialized input (and I/O failures in
-/// the stream layer). A subtype of std::runtime_error, so existing
-/// catch sites keep working.
+/// Thrown on malformed or truncated serialized input. A subtype of
+/// std::runtime_error, so existing catch sites keep working.
 class SerializeError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// Writes one matrix to a binary stream. Throws SerializeError on I/O
-/// failure.
-void write_matrix(std::ostream& out, const Matrix& m);
-
-/// Reads one matrix written by write_matrix. Throws SerializeError on
-/// malformed input.
-Matrix read_matrix(std::istream& in);
-
-/// Saves a sequence of matrices (e.g. all parameters of a model) to a file.
-void save_matrices(const std::string& path, const std::vector<Matrix>& ms);
-
-/// Loads a sequence of matrices saved by save_matrices.
-std::vector<Matrix> load_matrices(const std::string& path);
 
 /// Appends little-endian primitives to an in-memory buffer. Containers are
 /// length-prefixed so ByteReader can validate before allocating.
@@ -71,7 +47,7 @@ class ByteWriter {
   void put_u64s(const std::vector<std::uint64_t>& xs);
   /// u64 count + one byte per element.
   void put_bools(const std::vector<bool>& xs);
-  /// Stream-compatible matrix framing (see file comment).
+  /// "FMAT" framing (see file comment).
   void put_matrix(const Matrix& m);
 
   const std::string& bytes() const { return buf_; }

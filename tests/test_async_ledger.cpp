@@ -1,7 +1,8 @@
 // Stress/fuzz wall for the asynchronous ledger writer
 // (obs/async_writer.hpp): codec round-trips under fuzzed records, a
 // concurrent multi-producer + drainer hammer, forced ring overflow with
-// observable drop counters, flush-at-exit ordering, and the headline
+// observable drop counters, flush-at-exit ordering (also of a process
+// that exits with records still queued), and the headline
 // contract — the drained JSONL is BYTE-identical to the header plus the
 // *_record_json lines of the same record stream.
 #include "obs/async_writer.hpp"
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -371,6 +373,39 @@ TEST(AsyncLedger, FacadeOverflowIsCountedAndFileStaysWellFormed) {
   Ledger parsed;
   ASSERT_TRUE(read_ledger_file(path, parsed));
   EXPECT_EQ(parsed.decisions.size(), static_cast<std::size_t>(written));
+  EXPECT_EQ(parsed.parse_errors, 0u);
+  std::remove(path.c_str());
+}
+
+// A process that exits while records are still queued loses none of
+// them: the first enable() registers an exit-time disable() that drains
+// the ring and closes the file.
+TEST(AsyncLedger, ExitDrainsEveryQueuedRecord) {
+  const std::string path = temp_path("ledger_exit.jsonl");
+  std::remove(path.c_str());
+  constexpr std::size_t kRounds = 300;
+  EXPECT_EXIT(
+      {
+        LedgerConfig cfg;
+        cfg.path = path;
+        cfg.run_id = "exit-test";
+        cfg.ring_bytes = 1 << 22;  // ample: nothing may drop
+        if (!RunLedger::enable(cfg)) std::exit(3);
+        Rng rng(808);
+        for (std::size_t i = 0; i < kRounds; ++i) {
+          RoundRecord r = fuzz_round(rng);
+          r.round = i;
+          RunLedger::record_round(r);
+        }
+        std::exit(RunLedger::dropped_records() == 0 ? 0 : 4);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  Ledger parsed;
+  ASSERT_TRUE(read_ledger_file(path, parsed));
+  EXPECT_EQ(parsed.schema, kLedgerSchema);
+  EXPECT_EQ(parsed.run_id, "exit-test");
+  EXPECT_EQ(parsed.rounds.size(), kRounds);
   EXPECT_EQ(parsed.parse_errors, 0u);
   std::remove(path.c_str());
 }

@@ -358,5 +358,22 @@ TEST(CkptState, EnvRejectsMismatchedTarget) {
             Errc::kStateMismatch);
 }
 
+// The agent's checkpoint sections carry the whole model: an agent built
+// from another seed acts and values bit for bit like the saved one.
+TEST(Ppo, SaveLoadRoundTrip) {
+  PolicyConfig pcfg;
+  PpoAgent a(2, 1, pcfg, PpoConfig{}, 13);
+  PpoAgent b(2, 1, pcfg, PpoConfig{}, 14);
+  const std::vector<double> state{0.5, 0.5};
+  EXPECT_NE(a.mean_action(state), b.mean_action(state));
+  Writer out;
+  save_ppo_agent(out, a);
+  load_ppo_agent(Reader::from_bytes(out.encode()), b);
+  EXPECT_EQ(a.mean_action(state), b.mean_action(state));
+  EXPECT_EQ(b.behavior_policy().mean_action(state),
+            a.behavior_policy().mean_action(state));
+  EXPECT_EQ(a.value(state), b.value(state));
+}
+
 }  // namespace
 }  // namespace fedra::ckpt

@@ -8,11 +8,10 @@ namespace fedra {
 namespace {
 
 TEST(Gae, SingleStepIsTdResidual) {
-  auto r = compute_gae({1.0}, {0.5}, {2.0}, {true}, 0.9, 0.95);
+  auto adv = compute_gae({1.0}, {0.5}, {2.0}, {true}, 0.9, 0.95);
   // delta = 1 + 0.9*2 - 0.5 = 2.3.
-  ASSERT_EQ(r.advantages.size(), 1u);
-  EXPECT_NEAR(r.advantages[0], 2.3, 1e-12);
-  EXPECT_NEAR(r.returns[0], 2.3 + 0.5, 1e-12);
+  ASSERT_EQ(adv.size(), 1u);
+  EXPECT_NEAR(adv[0], 2.3, 1e-12);
 }
 
 TEST(Gae, LambdaZeroIsOneStepTd) {
@@ -20,10 +19,10 @@ TEST(Gae, LambdaZeroIsOneStepTd) {
   std::vector<double> values{0.1, 0.2, 0.3};
   std::vector<double> next_values{0.2, 0.3, 0.4};
   std::vector<bool> ends{false, false, true};
-  auto r = compute_gae(rewards, values, next_values, ends, 0.9, 0.0);
+  auto adv = compute_gae(rewards, values, next_values, ends, 0.9, 0.0);
   for (std::size_t i = 0; i < 3; ++i) {
     const double delta = rewards[i] + 0.9 * next_values[i] - values[i];
-    EXPECT_NEAR(r.advantages[i], delta, 1e-12);
+    EXPECT_NEAR(adv[i], delta, 1e-12);
   }
 }
 
@@ -35,14 +34,14 @@ TEST(Gae, LambdaOneTelescopesToDiscountedSum) {
   std::vector<double> next_values{0.1, -0.2, 0.0};
   std::vector<bool> ends{false, false, true};
   const double gamma = 0.8;
-  auto r = compute_gae(rewards, values, next_values, ends, gamma, 1.0);
+  auto adv = compute_gae(rewards, values, next_values, ends, gamma, 1.0);
   std::vector<double> delta(3);
   for (std::size_t i = 0; i < 3; ++i) {
     delta[i] = rewards[i] + gamma * next_values[i] - values[i];
   }
-  EXPECT_NEAR(r.advantages[2], delta[2], 1e-12);
-  EXPECT_NEAR(r.advantages[1], delta[1] + gamma * delta[2], 1e-12);
-  EXPECT_NEAR(r.advantages[0],
+  EXPECT_NEAR(adv[2], delta[2], 1e-12);
+  EXPECT_NEAR(adv[1], delta[1] + gamma * delta[2], 1e-12);
+  EXPECT_NEAR(adv[0],
               delta[0] + gamma * delta[1] + gamma * gamma * delta[2], 1e-12);
 }
 
@@ -53,10 +52,10 @@ TEST(Gae, EpisodeBoundaryCutsCredit) {
   std::vector<double> values{0.0, 0.0};
   std::vector<double> next_values{0.5, 0.5};
   std::vector<bool> ends{true, true};
-  auto r = compute_gae(rewards, values, next_values, ends, 0.9, 0.95);
+  auto adv = compute_gae(rewards, values, next_values, ends, 0.9, 0.95);
   // Each advantage is its own delta only.
-  EXPECT_NEAR(r.advantages[0], 1.0 + 0.9 * 0.5, 1e-12);
-  EXPECT_NEAR(r.advantages[1], 100.0 + 0.9 * 0.5, 1e-12);
+  EXPECT_NEAR(adv[0], 1.0 + 0.9 * 0.5, 1e-12);
+  EXPECT_NEAR(adv[1], 100.0 + 0.9 * 0.5, 1e-12);
 }
 
 TEST(Gae, TruncationStillBootstraps) {
@@ -65,18 +64,26 @@ TEST(Gae, TruncationStillBootstraps) {
   std::vector<double> values{0.0};
   std::vector<double> next_values{10.0};
   std::vector<bool> ends{true};
-  auto r = compute_gae(rewards, values, next_values, ends, 0.5, 0.9);
-  EXPECT_NEAR(r.advantages[0], 5.0, 1e-12);
+  auto adv = compute_gae(rewards, values, next_values, ends, 0.5, 0.9);
+  EXPECT_NEAR(adv[0], 5.0, 1e-12);
 }
 
 TEST(Gae, ReturnsEqualAdvantagePlusValue) {
+  // adv_t + V(s_t) is the lambda-return, which recurses backwards as
+  //   G_t = r_t + gamma * ((1 - lambda) V(s') + lambda G_{t+1})
+  // within an episode and as r_t + gamma V(s') at its end.
   std::vector<double> rewards{1.0, 2.0, 3.0, 4.0};
   std::vector<double> values{0.5, 1.5, 2.5, 3.5};
   std::vector<double> next_values{1.5, 2.5, 3.5, 0.0};
   std::vector<bool> ends{false, true, false, true};
-  auto r = compute_gae(rewards, values, next_values, ends, 0.95, 0.9);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(r.returns[i], r.advantages[i] + values[i], 1e-12);
+  const double gamma = 0.95, lambda = 0.9;
+  auto adv = compute_gae(rewards, values, next_values, ends, gamma, lambda);
+  double g = 0.0;
+  for (std::size_t i = 4; i-- > 0;) {
+    g = ends[i] ? rewards[i] + gamma * next_values[i]
+                : rewards[i] + gamma * ((1.0 - lambda) * next_values[i] +
+                                        lambda * g);
+    EXPECT_NEAR(adv[i] + values[i], g, 1e-12);
   }
 }
 
@@ -88,8 +95,8 @@ TEST(Gae, PerfectCriticGivesZeroAdvantage) {
   std::vector<double> values{1.0 + gamma + gamma * gamma, 1.0 + gamma, 1.0};
   std::vector<double> next_values{1.0 + gamma, 1.0, 0.0};
   std::vector<bool> ends{false, false, true};
-  auto r = compute_gae(rewards, values, next_values, ends, gamma, 0.95);
-  for (double a : r.advantages) EXPECT_NEAR(a, 0.0, 1e-12);
+  auto adv = compute_gae(rewards, values, next_values, ends, gamma, 0.95);
+  for (double a : adv) EXPECT_NEAR(a, 0.0, 1e-12);
 }
 
 TEST(NormalizeAdvantages, ZeroMeanUnitStd) {

@@ -108,14 +108,6 @@ TEST(Matrix, HadamardInPlace) {
   EXPECT_DOUBLE_EQ(a(0, 1), 15.0);
 }
 
-TEST(Matrix, Reshape) {
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  m.reshape(3, 2);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);  // row-major data preserved
-}
-
 TEST(Matrix, SameShape) {
   Matrix a(2, 3), b(2, 3), c(3, 2);
   EXPECT_TRUE(a.same_shape(b));

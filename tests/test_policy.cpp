@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "nn/optimizer.hpp"
+#include "tensor/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
@@ -19,6 +19,16 @@ GaussianPolicy make_policy(std::size_t sdim = 4, std::size_t adim = 2,
   cfg.hidden = {8};
   Rng rng(seed);
   return GaussianPolicy(sdim, adim, cfg, rng);
+}
+
+// Writes every parameter of `from` in the checkpoint's matrix framing and
+// reads them into `to`: params() must carry all the policy's state.
+void round_trip_params(GaussianPolicy& from, GaussianPolicy& to) {
+  ByteWriter w;
+  for (Matrix* p : from.params()) w.put_matrix(*p);
+  ByteReader r(w.bytes());
+  for (Matrix* p : to.params()) *p = r.get_matrix();
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Policy, ActionIsSigmoidOfPreSquash) {
@@ -44,7 +54,8 @@ TEST(Policy, LogProbMatchesGaussianFormula) {
   Matrix actions(1, 2);
   actions(0, 0) = s.action_u[0];
   actions(0, 1) = s.action_u[1];
-  auto logps = p.log_probs(states, actions);
+  std::vector<double> logps;
+  p.log_probs(states, actions, 1, logps);
   EXPECT_NEAR(logps[0], s.log_prob, 1e-10);
 }
 
@@ -57,8 +68,10 @@ TEST(Policy, LogProbPeaksAtMean) {
   const double u_mean = std::log(mean_a[0] / (1.0 - mean_a[0]));
   Matrix at_mean(1, 1, u_mean);
   Matrix off_mean(1, 1, u_mean + 1.0);
-  EXPECT_GT(p.log_probs(states, at_mean)[0],
-            p.log_probs(states, off_mean)[0]);
+  std::vector<double> at, off;
+  p.log_probs(states, at_mean, 1, at);
+  p.log_probs(states, off_mean, 1, off);
+  EXPECT_GT(at[0], off[0]);
 }
 
 TEST(Policy, MeanActionDeterministic) {
@@ -88,15 +101,16 @@ TEST(Policy, BackwardLogProbsMatchesNumericGradient) {
     Matrix actions = Matrix::random_gaussian(batch, 2, rng, 0.0, 0.7);
     std::vector<double> coeff{0.5, -1.0, 2.0, 0.1, -0.3};
 
+    std::vector<double> logps;
     auto objective = [&] {
-      auto logps = p.log_probs(states, actions);
+      p.log_probs(states, actions, batch, logps);
       double acc = 0.0;
       for (std::size_t b = 0; b < batch; ++b) acc += coeff[b] * logps[b];
       return acc - entropy_coeff * p.entropy();
     };
 
     p.zero_grad();
-    p.forward_log_probs(states, actions);
+    p.forward_log_probs(states, actions, logps);
     p.backward_log_probs(states, actions, coeff, entropy_coeff);
 
     auto params = p.params();
@@ -149,14 +163,11 @@ TEST(Policy, CopyParamsMakesPoliciesAgree) {
 }
 
 TEST(Policy, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "fedra_policy.bin";
   auto a = make_policy(3, 2, 15);
   auto b = make_policy(3, 2, 16);
-  a.save(path);
-  b.load(path);
+  round_trip_params(a, b);
   std::vector<double> state{1.0, 2.0, 3.0};
   EXPECT_EQ(a.mean_action(state), b.mean_action(state));
-  std::remove(path.c_str());
 }
 
 TEST(Policy, TrainableTowardTarget) {
@@ -169,9 +180,10 @@ TEST(Policy, TrainableTowardTarget) {
   const double before_mean =
       std::log(p.mean_action({0.5, 0.5})[0] /
                (1.0 - p.mean_action({0.5, 0.5})[0]));
+  std::vector<double> logps;
   for (int it = 0; it < 200; ++it) {
     p.zero_grad();
-    p.forward_log_probs(states, target_u);
+    p.forward_log_probs(states, target_u, logps);
     p.backward_log_probs(states, target_u, {-1.0});  // maximize logp
     opt.step();
     p.clamp_log_std();
@@ -232,15 +244,16 @@ TEST(PolicySds, BackwardMatchesNumericGradientWithEntropy) {
   std::vector<double> coeff{0.5, -1.0, 2.0, 0.1};
   const double entropy_coeff = 0.3;
 
+  std::vector<double> logps;
   auto objective = [&] {
-    auto logps = p.log_probs(states, actions);
+    p.log_probs(states, actions, batch, logps);
     double acc = 0.0;
     for (std::size_t b = 0; b < batch; ++b) acc += coeff[b] * logps[b];
     return acc - entropy_coeff * p.entropy();
   };
 
   p.zero_grad();
-  p.forward_log_probs(states, actions);
+  p.forward_log_probs(states, actions, logps);
   p.backward_log_probs(states, actions, coeff, entropy_coeff);
 
   auto params = p.params();
@@ -267,14 +280,11 @@ TEST(PolicySds, BackwardMatchesNumericGradientWithEntropy) {
 }
 
 TEST(PolicySds, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "fedra_sds_policy.bin";
   auto a = make_sds_policy(3, 2, 36);
   auto b = make_sds_policy(3, 2, 37);
-  a.save(path);
-  b.load(path);
+  round_trip_params(a, b);
   std::vector<double> state{1.0, 2.0, 3.0};
   EXPECT_EQ(a.mean_action(state), b.mean_action(state));
-  std::remove(path.c_str());
 }
 
 TEST(Policy, BlockedLogProbsMatchOnePass) {

@@ -2,100 +2,44 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
 namespace fedra {
 namespace {
 
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(Serialize, StreamRoundTrip) {
-  Rng rng(1);
-  auto m = Matrix::random_gaussian(5, 7, rng);
-  std::stringstream ss;
-  write_matrix(ss, m);
-  auto back = read_matrix(ss);
-  EXPECT_EQ(back, m);
-}
+// --- Matrix framing: "FMAT", u64 rows, u64 cols, raw doubles -------------
 
 TEST(Serialize, EmptyDimsRoundTrip) {
-  Matrix m(0, 0);
-  std::stringstream ss;
-  write_matrix(ss, m);
-  auto back = read_matrix(ss);
+  ByteWriter w;
+  w.put_matrix(Matrix(0, 0));
+  ByteReader r(w.bytes());
+  const Matrix back = r.get_matrix();
   EXPECT_EQ(back.rows(), 0u);
   EXPECT_EQ(back.cols(), 0u);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Serialize, MultipleMatricesSequentially) {
   Rng rng(2);
   auto a = Matrix::random_gaussian(2, 3, rng);
   auto b = Matrix::random_gaussian(1, 1, rng);
-  std::stringstream ss;
-  write_matrix(ss, a);
-  write_matrix(ss, b);
-  EXPECT_EQ(read_matrix(ss), a);
-  EXPECT_EQ(read_matrix(ss), b);
+  ByteWriter w;
+  w.put_matrix(a);
+  w.put_matrix(b);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.get_matrix(), a);
+  EXPECT_EQ(r.get_matrix(), b);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Serialize, BadMagicThrows) {
-  std::stringstream ss;
-  ss << "NOTAMATRIXHEADER.................";
-  EXPECT_THROW(read_matrix(ss), std::runtime_error);
-}
-
-TEST(Serialize, TruncatedDataThrows) {
-  Rng rng(3);
-  auto m = Matrix::random_gaussian(4, 4, rng);
-  std::stringstream ss;
-  write_matrix(ss, m);
-  std::string buf = ss.str();
-  buf.resize(buf.size() / 2);
-  std::stringstream truncated(buf);
-  EXPECT_THROW(read_matrix(truncated), std::runtime_error);
-}
-
-TEST(Serialize, EmptyStreamThrows) {
-  std::stringstream ss;
-  EXPECT_THROW(read_matrix(ss), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundTripMultiple) {
-  Rng rng(4);
-  std::vector<Matrix> ms;
-  ms.push_back(Matrix::random_gaussian(3, 3, rng));
-  ms.push_back(Matrix::random_uniform(1, 8, rng));
-  ms.push_back(Matrix(2, 2, 42.0));
-  TempFile tmp("fedra_mats.bin");
-  save_matrices(tmp.path(), ms);
-  auto back = load_matrices(tmp.path());
-  ASSERT_EQ(back.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(back[i], ms[i]);
-}
-
-TEST(Serialize, EmptyListRoundTrip) {
-  TempFile tmp("fedra_mats_empty.bin");
-  save_matrices(tmp.path(), {});
-  EXPECT_TRUE(load_matrices(tmp.path()).empty());
-}
-
-TEST(Serialize, LoadMissingFileThrows) {
-  EXPECT_THROW(load_matrices("/no/such/fedra/file.bin"), std::runtime_error);
+  const std::string bytes = "NOTAMATRIXHEADER.................";
+  ByteReader r(bytes);
+  EXPECT_THROW((void)r.get_matrix(), SerializeError);
 }
 
 // --- ByteWriter / ByteReader buffer codec ---------------------------------
@@ -161,8 +105,7 @@ TEST(ByteCodec, SpecialDoublesRoundTripExactly) {
 
 TEST(ByteCodec, RandomMatrixShapesRoundTrip) {
   // Property test: arbitrary shapes — including empty axes — and payloads
-  // salted with subnormals, infinities and NaNs round-trip bit-exactly
-  // through BOTH codec layers (buffer and stream share the framing).
+  // salted with subnormals, infinities and NaNs round-trip bit-exactly.
   Rng rng(17);
   for (int trial = 0; trial < 60; ++trial) {
     const auto rows = static_cast<std::size_t>(rng.uniform_int(0, 12));
@@ -180,26 +123,17 @@ TEST(ByteCodec, RandomMatrixShapesRoundTrip) {
     ByteWriter w;
     w.put_matrix(m);
     ByteReader r(w.bytes());
-    const Matrix buffer_back = r.get_matrix();
+    const Matrix back = r.get_matrix();
     EXPECT_TRUE(r.at_end());
 
-    std::stringstream ss;
-    write_matrix(ss, m);
-    // Identical framing across the two layers: stream bytes == buffer
-    // bytes.
-    EXPECT_EQ(ss.str(), w.bytes());
-    const Matrix stream_back = read_matrix(ss);
-
-    ASSERT_EQ(buffer_back.rows(), rows);
-    ASSERT_EQ(buffer_back.cols(), cols);
+    ASSERT_EQ(back.rows(), rows);
+    ASSERT_EQ(back.cols(), cols);
     for (std::size_t i = 0; i < m.size(); ++i) {
-      const double mv = m[i], av = buffer_back[i], bv = stream_back[i];
-      std::uint64_t want, a, b;
+      const double mv = m[i], bv = back[i];
+      std::uint64_t want, got;
       std::memcpy(&want, &mv, 8);
-      std::memcpy(&a, &av, 8);
-      std::memcpy(&b, &bv, 8);
-      EXPECT_EQ(a, want);
-      EXPECT_EQ(b, want);
+      std::memcpy(&got, &bv, 8);
+      EXPECT_EQ(got, want);
     }
   }
 }
@@ -267,17 +201,6 @@ TEST(ByteCodec, BoolRejectsNonCanonicalBytes) {
   w.put_u8(2);
   ByteReader r(w.bytes());
   EXPECT_THROW((void)r.get_bool(), SerializeError);
-}
-
-TEST(Serialize, CorruptCountThrows) {
-  TempFile tmp("fedra_mats_bad.bin");
-  {
-    std::ofstream out(tmp.path(), std::ios::binary);
-    // Implausibly huge matrix count.
-    const std::uint64_t n = ~0ULL;
-    out.write(reinterpret_cast<const char*>(&n), 8);
-  }
-  EXPECT_THROW(load_matrices(tmp.path()), std::runtime_error);
 }
 
 }  // namespace

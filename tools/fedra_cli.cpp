@@ -2,23 +2,23 @@
 //
 //   fedra_cli traces --preset lte_walking --count 3 --seconds 600
 //                    [--out prefix] [--fit trace.csv]
-//   fedra_cli solve  --bandwidths 2e6,4e6,1e6 [--devices N] [--seed S]
-//                    [--lambda L]
-//   fedra_cli train  --out agent [--devices N] [--episodes E] [--seed S]
-//                    [--lambda L] [--scale]
-//   fedra_cli eval   --ckpt agent [--iterations K] [--seed S]
+//   fedra_cli solve  --bandwidths 2e6,4e6,1e6 [--seed S] [--lambda L]
+//   fedra_cli train  --out agent.ckpt [--devices N] [--episodes E]
+//                    [--seed S] [--lambda L] [--scale]
+//   fedra_cli eval   --ckpt agent.ckpt [--iterations K] [--seed S]
 //
-// `train` writes agent.actor / agent.critic (binary weights) plus
-// agent.meta (the scenario parameters needed to rebuild matching
-// simulators); `eval` reads all three and runs the full controller roster
-// on identical conditions.
+// `train` writes one file: the fedra::ckpt trainer snapshot, whose "meta"
+// section holds the scenario inputs (devices, seed, lambda, scale,
+// trace_samples) as raw f64. `eval` rebuilds the trainer from that meta
+// through the same checks as `train`, restores the snapshot into it and
+// runs the full controller roster on identical conditions. A flag the
+// subcommand does not take ends the run with exit 2.
+#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
-
-#include <memory>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "core/drl_controller.hpp"
@@ -48,16 +48,16 @@ int usage() {
                "usage: fedra_cli <traces|solve|train|eval|multiseed> "
                "[options]\n"
                "  traces    --preset lte_walking|hsdpa_bus --count N "
-               "--seconds S [--out prefix] [--fit file.csv]\n"
-               "  solve     --bandwidths B1,B2,... [--devices N] [--seed S] "
-               "[--lambda L]\n"
-               "  train     --out prefix [--devices N] [--episodes E] "
-               "[--seed S] [--lambda L] [--scale]\n"
-               "            [--checkpoint-every N] [--checkpoint-path F] "
-               "[--resume F]\n"
-               "  eval      --ckpt prefix [--iterations K] [--seed S]\n"
-               "  multiseed [--seeds S] [--iterations K] [--devices N] "
+               "--seconds S [--out prefix] [--fit file.csv] [--seed S]\n"
+               "  solve     --bandwidths B1,B2,... [--seed S] [--lambda L] "
+               "[--scale]\n"
+               "  train     --out F [--devices N] [--episodes E] [--seed S] "
                "[--lambda L] [--scale]\n"
+               "            [--trace-samples T] [--checkpoint-every N] "
+               "[--resume F]\n"
+               "  eval      --ckpt F [--iterations K] [--seed S]\n"
+               "  multiseed [--seeds S] [--iterations K] [--devices N] "
+               "[--seed S] [--lambda L] [--scale] [--trace-samples T]\n"
                "  any command also accepts --live-port P (0 = ephemeral): "
                "serve GET /metrics, /healthz, /statusz on 127.0.0.1:P for "
                "the lifetime of the command\n");
@@ -87,16 +87,73 @@ std::unique_ptr<live::LiveServer> maybe_start_live(const ArgParser& args) {
   return server;
 }
 
-ExperimentConfig scenario_from(const ArgParser& args) {
+// The scenario inputs, as the raw f64 values a checkpoint's meta section
+// stores. Every subcommand builds its ExperimentConfig from such values
+// through scenario_config, so eval rebuilds exactly the scenario train
+// ran and rejects what train would reject.
+ckpt::Meta scenario_meta(const ArgParser& args) {
+  const bool scale = args.flag("scale");
+  const ExperimentConfig base = scale ? scale_config() : testbed_config();
+  return {{"devices", args.get_double(
+                          "devices", static_cast<double>(base.num_devices))},
+          {"seed", args.get_double("seed", 42.0)},
+          {"lambda", args.get_double("lambda", base.cost.lambda)},
+          {"scale", scale ? 1.0 : 0.0},
+          {"trace_samples", args.get_double("trace-samples", 2000.0)}};
+}
+
+// meta[key], which must lie in [lo, hi] and, when `whole`, be an integer.
+double checked(const ckpt::Meta& meta, const std::string& key, double lo,
+               double hi, bool whole = true) {
+  const auto it = meta.find(key);
+  if (it == meta.end()) {
+    throw std::invalid_argument("scenario has no " + key);
+  }
+  const double v = it->second;
+  if (!(v >= lo && v <= hi) || (whole && v != std::floor(v))) {
+    char range[96];
+    std::snprintf(range, sizeof range, "%s %.17g is not %s in [%.17g, %.17g]",
+                  key.c_str(), v, whole ? "an integer" : "a number", lo, hi);
+    throw std::invalid_argument(range);
+  }
+  return v;
+}
+
+ExperimentConfig scenario_config(const ckpt::Meta& meta) {
   ExperimentConfig cfg =
-      args.flag("scale") ? scale_config() : testbed_config();
-  cfg.num_devices = static_cast<std::size_t>(
-      args.get_int("devices", static_cast<std::int64_t>(cfg.num_devices)));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.cost.lambda = args.get_double("lambda", cfg.cost.lambda);
-  cfg.trace_samples = static_cast<std::size_t>(
-      args.get_int("trace-samples", 2000));
+      checked(meta, "scale", 0, 1) == 1 ? scale_config() : testbed_config();
+  cfg.num_devices = static_cast<std::size_t>(checked(meta, "devices", 1, 1e3));
+  // Every integer up to 2^53 - 1 is exact in an f64.
+  cfg.seed = static_cast<std::uint64_t>(
+      checked(meta, "seed", 0, 9007199254740991.0));
+  cfg.cost.lambda = checked(meta, "lambda", 0, 1e6, false);
+  cfg.trace_samples =
+      static_cast<std::size_t>(checked(meta, "trace_samples", 1, 1e5));
   return cfg;
+}
+
+std::size_t count_flag(const ArgParser& args, const std::string& key,
+                       std::int64_t fallback, std::int64_t min) {
+  const std::int64_t v = args.get_int(key, fallback);
+  if (v < min) {
+    throw std::invalid_argument("--" + key + " must be at least " +
+                                std::to_string(min));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+FlEnvConfig env_config(const ExperimentConfig& cfg) {
+  FlEnvConfig env_cfg;
+  env_cfg.slot_seconds = cfg.slot_seconds;
+  env_cfg.history_slots = cfg.history_slots;
+  env_cfg.episode_length = 40;
+  return env_cfg;
+}
+
+OfflineTrainer make_trainer(const ExperimentConfig& cfg,
+                            std::size_t episodes) {
+  return OfflineTrainer(FlEnv(build_simulator(cfg), env_config(cfg)),
+                        recommended_trainer_config(episodes), cfg.seed + 1);
 }
 
 int cmd_traces(const ArgParser& args) {
@@ -125,8 +182,8 @@ int cmd_traces(const ArgParser& args) {
     return 0;
   }
   const auto preset = args.get("preset", "lte_walking");
-  const auto count = static_cast<std::size_t>(args.get_int("count", 3));
-  const auto seconds = static_cast<std::size_t>(args.get_int("seconds", 600));
+  const std::size_t count = count_flag(args, "count", 3, 1);
+  const std::size_t seconds = count_flag(args, "seconds", 600, 1);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
   auto traces = generate_trace_set(preset, count, seconds, rng);
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -154,7 +211,7 @@ int cmd_solve(const ArgParser& args) {
     std::fprintf(stderr, "solve: --bandwidths B1,B2,... is required\n");
     return 2;
   }
-  ExperimentConfig cfg = scenario_from(args);
+  ExperimentConfig cfg = scenario_config(scenario_meta(args));
   cfg.num_devices = bandwidths.size();
   cfg.trace_pool = 0;
   Rng rng(cfg.seed);
@@ -172,68 +229,39 @@ int cmd_solve(const ArgParser& args) {
   return 0;
 }
 
-void write_meta(const std::string& path,
-                const std::map<std::string, double>& kv) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  for (const auto& [k, v] : kv) out << k << "=" << v << "\n";
-}
-
-std::map<std::string, double> read_meta(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::map<std::string, double> kv;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    kv[line.substr(0, eq)] = std::stod(line.substr(eq + 1));
-  }
-  return kv;
-}
-
 int cmd_train(const ArgParser& args) {
   const auto out = args.require("out");
-  ExperimentConfig cfg = scenario_from(args);
-  const auto episodes =
-      static_cast<std::size_t>(args.get_int("episodes", 2000));
-
-  FlEnvConfig env_cfg;
-  env_cfg.slot_seconds = cfg.slot_seconds;
-  env_cfg.history_slots = cfg.history_slots;
-  env_cfg.episode_length = 40;
-  FlEnv env(build_simulator(cfg), env_cfg);
-  const double bw_ref = env.bandwidth_ref();
+  const ckpt::Meta meta = scenario_meta(args);
+  const ExperimentConfig cfg = scenario_config(meta);
+  const std::size_t episodes = count_flag(args, "episodes", 2000, 1);
 
   std::printf("training: N=%zu, lambda=%.3f, %zu episodes, seed %llu\n",
               cfg.num_devices, cfg.cost.lambda, episodes,
               static_cast<unsigned long long>(cfg.seed));
-  OfflineTrainer trainer(std::move(env), recommended_trainer_config(episodes),
-                         cfg.seed + 1);
+  OfflineTrainer trainer = make_trainer(cfg, episodes);
 
   // Checkpoint/resume wiring: the trainer stays format-agnostic — the
   // hooks below call into fedra::ckpt, and --resume restores the full
   // training state (so the run continues bit-exactly) before any episode
-  // runs.
+  // runs. Periodic snapshots and the final one all go to --out; the
+  // writes are atomic, so --resume continues from either kind.
   TrainHooks hooks;
-  hooks.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
-  const std::string ckpt_path = args.get("checkpoint-path", out + ".ckpt");
+  hooks.checkpoint_every = count_flag(args, "checkpoint-every", 0, 0);
   if (args.has("resume")) {
-    hooks.start_episode = ckpt::restore_trainer(args.require("resume"), trainer);
-    std::printf("resumed %s at episode %zu\n", args.require("resume").c_str(),
+    const auto resume = args.require("resume");
+    hooks.start_episode = ckpt::restore_trainer(resume, trainer);
+    if (hooks.start_episode > episodes) {
+      throw std::invalid_argument(
+          resume + " is at episode " + std::to_string(hooks.start_episode) +
+          ", past --episodes " + std::to_string(episodes));
+    }
+    std::printf("resumed %s at episode %zu\n", resume.c_str(),
                 hooks.start_episode);
   }
   if (hooks.checkpoint_every > 0) {
-    hooks.on_checkpoint = [&](std::size_t next_episode,
-                              const EpisodeStats& stats) {
-      ckpt::save_trainer(ckpt_path, trainer, next_episode,
-                         {{"next_episode", static_cast<double>(next_episode)},
-                          {"avg_cost", stats.avg_cost},
-                          {"seed", static_cast<double>(cfg.seed)},
-                          {"devices",
-                           static_cast<double>(cfg.num_devices)}});
-      std::printf("checkpoint -> %s (next episode %zu)\n", ckpt_path.c_str(),
+    hooks.on_checkpoint = [&](std::size_t next_episode, const EpisodeStats&) {
+      ckpt::save_trainer(out, trainer, next_episode, meta);
+      std::printf("checkpoint -> %s (next episode %zu)\n", out.c_str(),
                   next_episode);
     };
   }
@@ -244,45 +272,21 @@ int cmd_train(const ArgParser& args) {
                 history.front().avg_cost, history.back().avg_cost);
   }
 
-  trainer.agent().save(out);
-  write_meta(out + ".meta",
-             {{"devices", static_cast<double>(cfg.num_devices)},
-              {"seed", static_cast<double>(cfg.seed)},
-              {"lambda", cfg.cost.lambda},
-              {"scale", args.flag("scale") ? 1.0 : 0.0},
-              {"trace_samples", static_cast<double>(cfg.trace_samples)},
-              {"bandwidth_ref", bw_ref},
-              {"slot_seconds", env_cfg.slot_seconds},
-              {"history_slots",
-               static_cast<double>(env_cfg.history_slots)}});
-  std::printf("saved %s.actor / %s.critic / %s.meta\n", out.c_str(),
-              out.c_str(), out.c_str());
+  ckpt::save_trainer(out, trainer, episodes, meta);
+  std::printf("saved %s\n", out.c_str());
   return 0;
 }
 
 int cmd_eval(const ArgParser& args) {
-  const auto ckpt = args.require("ckpt");
-  const auto meta = read_meta(ckpt + ".meta");
-  ExperimentConfig cfg =
-      meta.at("scale") > 0.5 ? scale_config() : testbed_config();
-  cfg.num_devices = static_cast<std::size_t>(meta.at("devices"));
-  cfg.seed = static_cast<std::uint64_t>(meta.at("seed"));
-  cfg.cost.lambda = meta.at("lambda");
-  cfg.trace_samples = static_cast<std::size_t>(meta.at("trace_samples"));
-  FlEnvConfig env_cfg;
-  env_cfg.slot_seconds = meta.at("slot_seconds");
-  env_cfg.history_slots = static_cast<std::size_t>(meta.at("history_slots"));
-  const double bw_ref = meta.at("bandwidth_ref");
+  const auto path = args.require("ckpt");
+  const ExperimentConfig cfg = scenario_config(ckpt::read_meta(path));
+  OfflineTrainer trainer = make_trainer(cfg, 1);
+  ckpt::restore_trainer(path, trainer);
 
+  const auto iters = count_flag(args, "iterations", 400, 1);
   auto sim = build_simulator(cfg);
-  TrainerConfig tc = recommended_trainer_config(1);
-  PpoAgent agent(cfg.num_devices * (env_cfg.history_slots + 1),
-                 cfg.num_devices, tc.policy, tc.ppo, 1);
-  agent.load(ckpt);
-
-  const auto iters =
-      static_cast<std::size_t>(args.get_int("iterations", 400));
-  DrlController drl(agent, env_cfg, bw_ref);
+  DrlController drl(trainer.agent(), env_config(cfg),
+                    trainer.env().bandwidth_ref());
   HeuristicController heuristic(sim);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 3)));
   StaticController st(sim, 10, rng);
@@ -311,10 +315,9 @@ int cmd_eval(const ArgParser& args) {
 }
 
 int cmd_multiseed(const ArgParser& args) {
-  ExperimentConfig base = scenario_from(args);
-  const auto seeds = static_cast<std::size_t>(args.get_int("seeds", 10));
-  const auto iters =
-      static_cast<std::size_t>(args.get_int("iterations", 200));
+  ExperimentConfig base = scenario_config(scenario_meta(args));
+  const std::size_t seeds = count_flag(args, "seeds", 10, 1);
+  const std::size_t iters = count_flag(args, "iterations", 200, 1);
 
   std::vector<PolicySpec> roster;
   roster.push_back({"oracle", [](const SimulatorBase&) {
@@ -344,23 +347,54 @@ int cmd_multiseed(const ArgParser& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const ArgParser&);
+  std::vector<std::string> flags;  ///< besides --live-port
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"traces", cmd_traces, {"preset", "count", "seconds", "out", "fit",
+                              "seed"}},
+      {"solve", cmd_solve, {"bandwidths", "seed", "lambda", "scale"}},
+      {"train", cmd_train, {"out", "episodes", "checkpoint-every", "resume",
+                            "devices", "seed", "lambda", "scale",
+                            "trace-samples"}},
+      {"eval", cmd_eval, {"ckpt", "iterations", "seed"}},
+      {"multiseed", cmd_multiseed, {"seeds", "iterations", "devices", "seed",
+                                    "lambda", "scale", "trace-samples"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const auto& c : commands()) {
+    if (cmd == c.name) command = &c;
+  }
+  if (command == nullptr) return usage();
   fedra::set_log_level(fedra::LogLevel::Info);
   try {
     fedra::ArgParser args(argc - 1, argv + 1);
+    std::vector<std::string> known = command->flags;
+    known.push_back("live-port");
+    const auto unknown = args.unknown_keys(known);
+    if (!unknown.empty()) {
+      for (const auto& key : unknown) {
+        std::fprintf(stderr, "fedra_cli %s: unknown flag --%s\n", cmd.c_str(),
+                     key.c_str());
+      }
+      return 2;
+    }
     const auto live_server = maybe_start_live(args);
-    if (cmd == "traces") return cmd_traces(args);
-    if (cmd == "solve") return cmd_solve(args);
-    if (cmd == "train") return cmd_train(args);
-    if (cmd == "eval") return cmd_eval(args);
-    if (cmd == "multiseed") return cmd_multiseed(args);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fedra_cli %s: %s\n", cmd.c_str(), e.what());
     return 1;
   }
-  return usage();
 }
