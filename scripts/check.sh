@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification, the same four legs a PR must pass:
 #
-#   1. tier-1: default configure + build + full ctest (including the
+#   1. tier-1: default configure with warnings as errors
+#      (-DFEDRA_WERROR=ON) + build + full ctest (including the
 #      `live_probe` test: it starts the embedded observability exporter
 #      in-process, fetches /metrics, /healthz, /statusz and the
 #      flight-recorder dump over real TCP, validates every payload and
@@ -39,7 +40,7 @@ if [[ "${1:-}" == "--fast" ]]; then fast=1; fi
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1: build + ctest (build/) =="
-cmake -B build -S .
+cmake -B build -S . -DFEDRA_WERROR=ON
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 

@@ -34,35 +34,6 @@ void load_rng(ByteReader in, Rng& rng) {
   });
 }
 
-void save_normalizer(ByteWriter& out, const RunningNormalizer& n) {
-  out.put_doubles(n.mean());
-  out.put_doubles(n.m2());
-  out.put_u64(n.count());
-  out.put_bool(n.frozen());
-  out.put_f64(n.clip);
-  out.put_f64(n.eps);
-}
-
-void load_normalizer(ByteReader in, RunningNormalizer& n) {
-  decode_guard([&] {
-    std::vector<double> mean = in.get_doubles();
-    std::vector<double> m2 = in.get_doubles();
-    const std::uint64_t count = in.get_u64();
-    const bool frozen = in.get_bool();
-    const double clip = in.get_f64();
-    const double eps = in.get_f64();
-    in.expect_end();
-    if (mean.size() != n.dim() || m2.size() != n.dim()) {
-      throw_mismatch("normalizer dimension " + std::to_string(mean.size()) +
-                     " does not match target " + std::to_string(n.dim()));
-    }
-    n.restore(std::move(mean), std::move(m2),
-              static_cast<std::size_t>(count), frozen);
-    n.clip = clip;
-    n.eps = eps;
-  });
-}
-
 void save_params(ByteWriter& out, const std::vector<Matrix*>& params) {
   out.put_u64(params.size());
   for (const Matrix* m : params) out.put_matrix(*m);

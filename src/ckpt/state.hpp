@@ -20,7 +20,6 @@
 
 #include "ckpt/format.hpp"
 #include "env/fl_env.hpp"
-#include "env/normalizer.hpp"
 #include "fault/fault_model.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/ppo.hpp"
@@ -45,10 +44,6 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
 // RNG stream position (xoshiro words + gaussian cache).
 void save_rng(ByteWriter& out, const Rng& rng);
 void load_rng(ByteReader in, Rng& rng);
-
-// Welford running moments of a RunningNormalizer; dimension must match.
-void save_normalizer(ByteWriter& out, const RunningNormalizer& n);
-void load_normalizer(ByteReader in, RunningNormalizer& n);
 
 // A parameter list (e.g. GaussianPolicy::params() or
 // Sequential::param_values()). load_params writes through the pointers;

@@ -58,6 +58,7 @@ LiveServer::~LiveServer() { stop(); }
 
 bool LiveServer::start() {
   if (running_.load(std::memory_order_acquire)) return true;
+  if (config_.port < 0 || config_.port > 65535) return false;
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;

@@ -29,7 +29,8 @@
 namespace fedra::live {
 
 struct LiveConfig {
-  /// TCP port to bind on 127.0.0.1. 0 = ephemeral (read back via port()).
+  /// TCP port to bind on 127.0.0.1, in [0, 65535]. 0 = ephemeral (read
+  /// back via port()).
   int port = 0;
   /// /healthz turns 503 when the last watchdog_kick() is older than this
   /// (seconds). 0 = staleness never fails health. Never-kicked is healthy
@@ -46,7 +47,8 @@ class LiveServer {
   LiveServer& operator=(const LiveServer&) = delete;
 
   /// Binds + listens + spawns the accept pool. Returns false (with the
-  /// server stopped) if the socket/bind/listen fails. Idempotent.
+  /// server stopped) if the port is outside [0, 65535] or the
+  /// socket/bind/listen fails. Idempotent.
   bool start();
 
   /// Closes the listener, wakes the accept threads, joins them. Safe to

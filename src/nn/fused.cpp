@@ -162,6 +162,13 @@ __attribute__((target("avx2"))) std::size_t tanh_bulk_avx2(const double* x,
 
 // --- AVX-512F tier (8 lanes) -----------------------------------------------
 
+// GCC's AVX-512 intrinsics pass _mm512_undefined_*() as the masked-off
+// source, tripping -Wmaybe-uninitialized when inlined here even though
+// every lane is selected (the same false positive as in
+// sim/fleet_pricing.cpp).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 // Bitwise double ops in the integer domain: the _pd forms are AVX-512DQ,
 // which the avx512f dispatch gate does not check for.
 __attribute__((target("avx512f"))) inline __m512d and512(__m512d a,
@@ -229,6 +236,8 @@ __attribute__((target("avx512f"))) std::size_t tanh_bulk_avx512(
   }
   return i;
 }
+
+#pragma GCC diagnostic pop
 
 #endif  // FEDRA_FUSED_X86_SIMD
 

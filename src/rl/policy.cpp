@@ -33,44 +33,16 @@ GaussianPolicy::GaussianPolicy(std::size_t state_dim, std::size_t action_dim,
                                const PolicyConfig& config, Rng& rng)
     : state_dim_(state_dim),
       action_dim_(action_dim),
-      config_(config),
-      mean_net_(mlp_sizes(state_dim, config.hidden,
-                          config.state_dependent_std ? 2 * action_dim
-                                                     : action_dim),
-                config.activation, rng),
+      mean_net_(mlp_sizes(state_dim, config.hidden, action_dim),
+                Activation::Tanh, rng),
       log_std_(1, action_dim, config.init_log_std),
       grad_log_std_(1, action_dim) {
   FEDRA_EXPECTS(state_dim > 0 && action_dim > 0);
-  FEDRA_EXPECTS(config.min_log_std <= config.init_log_std &&
-                config.init_log_std <= config.max_log_std);
-  if (config_.state_dependent_std) {
-    // Bias the log-std head so the initial policy explores at the
-    // configured width (raw head starts near zero; shift it).
-    auto params = mean_net_.params();
-    Matrix& out_bias = *params.back();  // last Dense's bias (1 x 2A)
-    FEDRA_EXPECTS(out_bias.rows() == 1 &&
-                  out_bias.cols() == 2 * action_dim);
-    for (std::size_t j = 0; j < action_dim; ++j) {
-      out_bias[action_dim + j] = config.init_log_std;
-    }
-  }
+  FEDRA_EXPECTS(kMinLogStd <= config.init_log_std &&
+                config.init_log_std <= kMaxLogStd);
 }
 
-double GaussianPolicy::log_sigma_at(const Matrix& raw, std::size_t b,
-                                    std::size_t j) const {
-  if (!config_.state_dependent_std) return log_std_[j];
-  return std::clamp(raw(b, action_dim_ + j), config_.min_log_std,
-                    config_.max_log_std);
-}
-
-bool GaussianPolicy::log_sigma_in_range(const Matrix& raw, std::size_t b,
-                                        std::size_t j) const {
-  if (!config_.state_dependent_std) return true;
-  const double v = raw(b, action_dim_ + j);
-  return v > config_.min_log_std && v < config_.max_log_std;
-}
-
-const Matrix& GaussianPolicy::forward_raw(const std::vector<double>& state) {
+const Matrix& GaussianPolicy::forward_mean(const std::vector<double>& state) {
   FEDRA_EXPECTS(state.size() == state_dim_);
   infer_in_.resize_reuse(1, state_dim_);
   for (std::size_t j = 0; j < state_dim_; ++j) infer_in_(0, j) = state[j];
@@ -78,16 +50,16 @@ const Matrix& GaussianPolicy::forward_raw(const std::vector<double>& state) {
 }
 
 PolicySample GaussianPolicy::act(const std::vector<double>& state, Rng& rng) {
-  const Matrix& raw = forward_raw(state);
+  const Matrix& mean = forward_mean(state);
   PolicySample sample;
   sample.action.resize(action_dim_);
   sample.action_u.resize(action_dim_);
   double logp = 0.0;
   for (std::size_t j = 0; j < action_dim_; ++j) {
-    const double ls = log_sigma_at(raw, 0, j);
+    const double ls = log_std_[j];
     const double sd = std::exp(ls);
-    const double u = raw(0, j) + sd * rng.gaussian();
-    const double z = (u - raw(0, j)) / sd;
+    const double u = mean(0, j) + sd * rng.gaussian();
+    const double z = (u - mean(0, j)) / sd;
     logp += -0.5 * z * z - ls - 0.5 * kLog2Pi;
     sample.action_u[j] = u;
     sample.action[j] = sigmoid(u);
@@ -98,21 +70,21 @@ PolicySample GaussianPolicy::act(const std::vector<double>& state, Rng& rng) {
 
 std::vector<double> GaussianPolicy::mean_action(
     const std::vector<double>& state) {
-  const Matrix& raw = forward_raw(state);
+  const Matrix& mean = forward_mean(state);
   std::vector<double> action(action_dim_);
   for (std::size_t j = 0; j < action_dim_; ++j) {
-    action[j] = sigmoid(raw(0, j));
+    action[j] = sigmoid(mean(0, j));
   }
   return action;
 }
 
 void GaussianPolicy::mean_action_batch(const Matrix& states, Matrix& actions) {
   FEDRA_EXPECTS(states.cols() == state_dim_);
-  const Matrix& raw = mean_net_.forward_cached(states, batch_infer_ws_);
+  const Matrix& mean = mean_net_.forward_cached(states, batch_infer_ws_);
   actions.resize_reuse(states.rows(), action_dim_);
   for (std::size_t b = 0; b < states.rows(); ++b) {
     for (std::size_t j = 0; j < action_dim_; ++j) {
-      actions(b, j) = sigmoid(raw(b, j));
+      actions(b, j) = sigmoid(mean(b, j));
     }
   }
 }
@@ -126,17 +98,15 @@ void GaussianPolicy::log_probs(const Matrix& states, const Matrix& actions_u,
   FEDRA_EXPECTS(states.rows() == actions_u.rows());
   const std::size_t n = states.rows();
   out.resize(n);
-  double entropy_acc = 0.0;
   for (std::size_t lo = 0; lo < n; lo += block_rows) {
     const std::size_t hi = std::min(lo + block_rows, n);
     block_in_.resize_reuse(hi - lo, state_dim_);
     std::copy(states.data() + lo * state_dim_, states.data() + hi * state_dim_,
               block_in_.data());
     fill_log_probs(mean_net_.forward_cached(block_in_, ws_), actions_u, lo,
-                   out, entropy_acc);
+                   out);
   }
   cached_out_ = nullptr;  // the last block is not a batch to backward
-  last_entropy_ = n > 0 ? entropy_acc / static_cast<double>(n) : 0.0;
 }
 
 void GaussianPolicy::forward_log_probs(const Matrix& states,
@@ -145,27 +115,22 @@ void GaussianPolicy::forward_log_probs(const Matrix& states,
   FEDRA_EXPECTS(states.cols() == state_dim_);
   FEDRA_EXPECTS(actions_u.cols() == action_dim_);
   FEDRA_EXPECTS(states.rows() == actions_u.rows());
-  const Matrix& raw = mean_net_.forward_cached(states, ws_);
-  cached_out_ = &raw;
+  const Matrix& mean = mean_net_.forward_cached(states, ws_);
+  cached_out_ = &mean;
   out.resize(states.rows());
-  double entropy_acc = 0.0;
-  fill_log_probs(raw, actions_u, 0, out, entropy_acc);
-  last_entropy_ = states.rows() > 0
-                      ? entropy_acc / static_cast<double>(states.rows())
-                      : 0.0;
+  fill_log_probs(mean, actions_u, 0, out);
 }
 
-void GaussianPolicy::fill_log_probs(const Matrix& raw, const Matrix& actions_u,
-                                    std::size_t row0, std::vector<double>& out,
-                                    double& entropy_acc) const {
-  for (std::size_t b = 0; b < raw.rows(); ++b) {
+void GaussianPolicy::fill_log_probs(const Matrix& mean,
+                                    const Matrix& actions_u, std::size_t row0,
+                                    std::vector<double>& out) const {
+  for (std::size_t b = 0; b < mean.rows(); ++b) {
     double logp = 0.0;
     for (std::size_t j = 0; j < action_dim_; ++j) {
-      const double ls = log_sigma_at(raw, b, j);
+      const double ls = log_std_[j];
       const double sd = std::exp(ls);
-      const double z = (actions_u(row0 + b, j) - raw(b, j)) / sd;
+      const double z = (actions_u(row0 + b, j) - mean(b, j)) / sd;
       logp += -0.5 * z * z - ls - 0.5 * kLog2Pi;
-      entropy_acc += ls + 0.5 * (kLog2Pi + 1.0);
     }
     out[row0 + b] = logp;
   }
@@ -177,37 +142,23 @@ void GaussianPolicy::backward_log_probs(const Matrix& states,
                                         double entropy_coeff) {
   FEDRA_EXPECTS(states.rows() == coeff.size());
   FEDRA_EXPECTS(cached_out_ != nullptr);
-  const Matrix& raw = *cached_out_;
-  FEDRA_EXPECTS(raw.rows() == states.rows());
+  const Matrix& mean = *cached_out_;
+  FEDRA_EXPECTS(mean.rows() == states.rows());
   const std::size_t batch = states.rows();
-  const bool sds = config_.state_dependent_std;
-  // d logp / d mu_j       = (u_j - mu_j) / sigma_j^2
+  // d logp / d mu_j        = (u_j - mu_j) / sigma_j^2
   // d logp / d log sigma_j = z_j^2 - 1, with z = (u - mu)/sigma.
-  // Entropy term (loss -entropy_coeff * H_bar):
-  //   state-indep: dH/dlog sigma_j = 1 (H global)
-  //   state-dep:   dH_bar/d raw_{b,j} = 1/B inside the clamp.
-  grad_out_.resize_reuse(batch, sds ? 2 * action_dim_ : action_dim_);
-  grad_out_.set_zero();  // clamp-saturated log-std entries stay zero
+  // Entropy term (loss -entropy_coeff * H): dH/dlog sigma_j = 1.
+  grad_out_.resize_reuse(batch, action_dim_);  // every entry assigned below
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t j = 0; j < action_dim_; ++j) {
-      const double ls = log_sigma_at(raw, b, j);
-      const double sd = std::exp(ls);
-      const double diff = actions_u(b, j) - raw(b, j);
+      const double sd = std::exp(log_std_[j]);
+      const double diff = actions_u(b, j) - mean(b, j);
       const double z = diff / sd;
       grad_out_(b, j) = coeff[b] * diff / (sd * sd);
-      const double dlogp_dls = coeff[b] * (z * z - 1.0);
-      if (sds) {
-        if (log_sigma_in_range(raw, b, j)) {
-          grad_out_(b, action_dim_ + j) =
-              dlogp_dls -
-              entropy_coeff / static_cast<double>(batch);
-        }
-      } else {
-        grad_log_std_[j] += dlogp_dls;
-      }
+      grad_log_std_[j] += coeff[b] * (z * z - 1.0);
     }
   }
-  if (!sds && entropy_coeff != 0.0) {
+  if (entropy_coeff != 0.0) {
     for (std::size_t j = 0; j < action_dim_; ++j) {
       grad_log_std_[j] -= entropy_coeff;
     }
@@ -216,7 +167,6 @@ void GaussianPolicy::backward_log_probs(const Matrix& states,
 }
 
 double GaussianPolicy::entropy() const {
-  if (config_.state_dependent_std) return last_entropy_;
   double h = 0.0;
   for (std::size_t j = 0; j < action_dim_; ++j) {
     h += log_std_[j] + 0.5 * (kLog2Pi + 1.0);
@@ -226,13 +176,13 @@ double GaussianPolicy::entropy() const {
 
 std::vector<Matrix*> GaussianPolicy::params() {
   auto ps = mean_net_.params();
-  if (!config_.state_dependent_std) ps.push_back(&log_std_);
+  ps.push_back(&log_std_);
   return ps;
 }
 
 std::vector<Matrix*> GaussianPolicy::grads() {
   auto gs = mean_net_.grads();
-  if (!config_.state_dependent_std) gs.push_back(&grad_log_std_);
+  gs.push_back(&grad_log_std_);
   return gs;
 }
 
@@ -242,10 +192,8 @@ void GaussianPolicy::zero_grad() {
 }
 
 void GaussianPolicy::clamp_log_std() {
-  if (config_.state_dependent_std) return;  // clamped at evaluation time
   for (std::size_t j = 0; j < action_dim_; ++j) {
-    log_std_[j] =
-        std::clamp(log_std_[j], config_.min_log_std, config_.max_log_std);
+    log_std_[j] = std::clamp(log_std_[j], kMinLogStd, kMaxLogStd);
   }
 }
 

@@ -40,15 +40,6 @@ PpoMetrics& ppo_metrics() {
   return m;
 }
 
-std::vector<std::size_t> critic_sizes(std::size_t state_dim,
-                                      const std::vector<std::size_t>& hidden) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(state_dim);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(1);
-  return sizes;
-}
-
 void gather_rows_into(const Matrix& src, std::span<const std::size_t> idx,
                       Matrix& out) {
   out.resize_reuse(idx.size(), src.cols());
@@ -81,8 +72,7 @@ PpoAgent::PpoAgent(std::size_t state_dim, std::size_t action_dim,
       }()),
       critic_([&] {
         Rng rng(seed ^ 0xda3e39cb94b95bdbULL);
-        return Mlp(critic_sizes(state_dim, config.critic_hidden),
-                   config.critic_activation, rng);
+        return Mlp({state_dim, 64, 64, 1}, Activation::Tanh, rng);
       }()),
       actor_opt_(policy_.params(), policy_.grads(), config.actor_lr),
       critic_opt_(critic_, config.critic_lr) {
@@ -97,10 +87,6 @@ PolicySample PpoAgent::act(const std::vector<double>& state, Rng& rng) {
 
 std::vector<double> PpoAgent::mean_action(const std::vector<double>& state) {
   return policy_.mean_action(state);
-}
-
-void PpoAgent::mean_action_batch(const Matrix& states, Matrix& actions) {
-  policy_.mean_action_batch(states, actions);
 }
 
 double PpoAgent::value(const std::vector<double>& state) {
@@ -160,8 +146,7 @@ UpdateStats PpoAgent::update(const RolloutBuffer& buffer, Rng& rng) {
       actor.clipped / static_cast<double>(config_.update_epochs * n);
 
   // Post-update KL(old || new) over the full buffer, in minibatch-sized
-  // blocks through the actor's workspace. The same pass leaves entropy()
-  // at its full-buffer value when sigma is state-dependent.
+  // blocks through the actor's workspace.
   policy_.log_probs(states_, actions_u_, config_.minibatch_size, logp_new_);
   double kl = 0.0;
   for (std::size_t i = 0; i < n; ++i) kl += logp_old[i] - logp_new_[i];

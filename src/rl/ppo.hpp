@@ -29,8 +29,6 @@ struct PpoConfig {
   double critic_lr = 1e-3;
   double entropy_coef = 1e-3;
   double max_grad_norm = 0.5;
-  std::vector<std::size_t> critic_hidden = {64, 64};
-  Activation critic_activation = Activation::Tanh;
 };
 
 struct UpdateStats {
@@ -57,10 +55,6 @@ class PpoAgent {
 
   /// Deterministic mean action from theta_a (online reasoning).
   std::vector<double> mean_action(const std::vector<double>& state);
-
-  /// Batched deterministic mean actions (fedra::serve): row b is
-  /// bit-identical to mean_action(states.row(b)). Not thread-safe.
-  void mean_action_batch(const Matrix& states, Matrix& actions);
 
   /// V(s; theta_v) for rollout bookkeeping.
   double value(const std::vector<double>& state);
@@ -104,7 +98,7 @@ class PpoAgent {
   PpoConfig config_;
   GaussianPolicy policy_;      ///< theta_a
   GaussianPolicy policy_old_;  ///< theta_a^old
-  Mlp critic_;                 ///< theta_v
+  Mlp critic_;                 ///< theta_v: two tanh hidden layers of 64
   Adam actor_opt_;
   Adam critic_opt_;
 

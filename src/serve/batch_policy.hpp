@@ -17,7 +17,7 @@
 
 #include <cstddef>
 
-#include "rl/ppo.hpp"
+#include "rl/policy.hpp"
 #include "tensor/matrix.hpp"
 
 namespace fedra::serve {
@@ -34,7 +34,8 @@ class BatchPolicy {
   virtual void mean_action_batch(const Matrix& states, Matrix& actions) = 0;
 };
 
-/// Serves a GaussianPolicy's deterministic mean (non-owning).
+/// Serves a GaussianPolicy's deterministic mean (non-owning). A trained
+/// PPO agent is served as GaussianMeanPolicy(agent.policy()).
 class GaussianMeanPolicy final : public BatchPolicy {
  public:
   explicit GaussianMeanPolicy(GaussianPolicy& policy) : policy_(policy) {}
@@ -47,25 +48,6 @@ class GaussianMeanPolicy final : public BatchPolicy {
 
  private:
   GaussianPolicy& policy_;
-};
-
-/// Serves a trained PPO agent's online policy theta_a (non-owning).
-class PpoMeanPolicy final : public BatchPolicy {
- public:
-  explicit PpoMeanPolicy(PpoAgent& agent) : agent_(agent) {}
-
-  std::size_t state_dim() const override {
-    return agent_.policy().state_dim();
-  }
-  std::size_t action_dim() const override {
-    return agent_.policy().action_dim();
-  }
-  void mean_action_batch(const Matrix& states, Matrix& actions) override {
-    agent_.mean_action_batch(states, actions);
-  }
-
- private:
-  PpoAgent& agent_;
 };
 
 }  // namespace fedra::serve

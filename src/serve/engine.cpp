@@ -123,8 +123,7 @@ void InferenceEngine::decide(std::span<const double> state, DecideResult& out,
     return;
   }
   req.state = state;
-  req.deadline_us =
-      deadline_us < 0.0 ? config_.default_deadline_us : deadline_us;
+  req.deadline_us = deadline_us;
 
   std::unique_lock lock(mu_);
   if (!accepting_) {

@@ -68,9 +68,6 @@ struct ServeConfig {
   /// Admission bound: decide() sheds (kOverloaded) beyond this many
   /// queued-but-unserved requests.
   std::size_t max_queue_depth = 1024;
-  /// Deadline applied to requests that do not carry their own
-  /// (microseconds of queue wait; 0 = no deadline).
-  double default_deadline_us = 0.0;
   /// Micro-batching window: after work arrives, wait up to this long for
   /// the queue to reach max_batch before firing the forward pass. 0
   /// (default) = greedy — pop whatever is queued immediately. A small
@@ -117,16 +114,16 @@ class InferenceEngine {
   std::size_t action_dim() const { return policy_.action_dim(); }
 
   /// Blocking decide: admits the request (or refuses immediately) and
-  /// waits until the batcher completes it. `deadline_us` < 0 uses the
-  /// config default; 0 disables the deadline for this request.
+  /// waits until the batcher completes it. `deadline_us` bounds the
+  /// request's queue wait in microseconds; 0 means no deadline.
   DecideResult decide(std::span<const double> state,
-                      double deadline_us = -1.0);
+                      double deadline_us = 0.0);
 
   /// Capacity-reusing overload: `out.action`'s buffer is recycled for the
   /// result, so a caller looping decide() performs zero heap allocations
   /// per call in steady state.
   void decide(std::span<const double> state, DecideResult& out,
-              double deadline_us = -1.0);
+              double deadline_us = 0.0);
 
   /// Refuses new work, serves everything already admitted, then stops the
   /// batcher. Idempotent; also run by the destructor.

@@ -10,10 +10,9 @@ namespace fedra::serve {
 
 ServedDrlController::ServedDrlController(SessionManager& sessions,
                                          FlEnvConfig env_config,
-                                         double bandwidth_ref,
-                                         const SessionConfig& session_config)
+                                         double bandwidth_ref)
     : sessions_(sessions),
-      session_id_(sessions.open(session_config)),
+      session_id_(sessions.open()),
       env_config_(env_config),
       bandwidth_ref_(bandwidth_ref) {
   FEDRA_EXPECTS(bandwidth_ref > 0.0);

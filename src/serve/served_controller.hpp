@@ -30,8 +30,7 @@ class ServedDrlController final : public Controller {
   /// `env_config` / `bandwidth_ref` must match the served agent's
   /// training-time configuration, exactly as for DrlController.
   ServedDrlController(SessionManager& sessions, FlEnvConfig env_config,
-                      double bandwidth_ref,
-                      const SessionConfig& session_config = {});
+                      double bandwidth_ref);
   ~ServedDrlController() override;
 
   ServedDrlController(const ServedDrlController&) = delete;

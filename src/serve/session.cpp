@@ -8,17 +8,15 @@ SessionManager::SessionManager(InferenceEngine& engine,
                                std::uint64_t base_seed)
     : engine_(engine), base_seed_(base_seed) {}
 
-std::uint64_t SessionManager::open(const SessionConfig& config) {
+std::uint64_t SessionManager::open() {
   std::unique_lock lock(table_mu_);
   const std::uint64_t id = next_id_++;
-  auto session = std::make_unique<Session>(engine_.state_dim());
-  session->config = config;
+  auto session = std::make_unique<Session>();
   session->info.id = id;
   // Pure hash of (base_seed, id): two SplitMix64 steps mix the pair into
   // a stream seed that is stable across runs and table layouts.
   SplitMix64 mix(base_seed_ ^ (id * 0x9e3779b97f4a7c15ULL));
   session->info.seed = mix.next();
-  if (config.freeze_normalizer) session->normalizer.freeze();
   table_.emplace(id, std::move(session));
   return id;
 }
@@ -39,12 +37,6 @@ SessionInfo SessionManager::info(std::uint64_t id) const {
   if (it == table_.end()) return {};
   std::lock_guard session_lock(it->second->mu);
   return it->second->info;
-}
-
-RunningNormalizer* SessionManager::normalizer(std::uint64_t id) {
-  std::shared_lock lock(table_mu_);
-  const auto it = table_.find(id);
-  return it == table_.end() ? nullptr : &it->second->normalizer;
 }
 
 DecideResult SessionManager::decide(std::uint64_t id,
@@ -68,18 +60,9 @@ void SessionManager::decide(std::uint64_t id, std::span<const double> state,
   }
   Session& session = *it->second;
 
+  // Held until the engine answers: one in-flight request per session.
   std::unique_lock session_lock(session.mu);
-  if (session.config.normalize) {
-    std::vector<double> x(state.begin(), state.end());
-    session.normalizer.observe(x);
-    session.scratch = session.normalizer.normalize(x);
-    // The scratch buffer stays valid for the whole blocking decide(): the
-    // session lock is held until the engine answers, which also gives
-    // each session one in-flight request at a time.
-    engine_.decide(session.scratch, out, deadline_us);
-  } else {
-    engine_.decide(state, out, deadline_us);
-  }
+  engine_.decide(state, out, deadline_us);
   if (out.ok()) {
     ++session.info.decisions;
   } else {

@@ -1,7 +1,9 @@
 // Session multiplexing for the serving engine: one engine (one policy)
 // answers many independent federations, each with its own per-session
-// state — an optional running observation normalizer, a seeded
-// deterministic RNG stream, and decision counters.
+// state — a seeded deterministic RNG stream and decision counters. States
+// reach the policy as the caller built them: the paper's controller is
+// trained on raw scaled states, so serving stays bit-compatible with
+// DrlController.
 //
 // Determinism rules:
 //   * session ids are assigned sequentially from 1 in open() order, so a
@@ -28,21 +30,9 @@
 #include <span>
 #include <unordered_map>
 
-#include "env/normalizer.hpp"
 #include "serve/engine.hpp"
 
 namespace fedra::serve {
-
-struct SessionConfig {
-  /// Pass states through a per-session RunningNormalizer (observe +
-  /// normalize) before inference. Off by default: the paper's controller
-  /// is trained on raw scaled states, and serving must stay bit-compatible
-  /// with DrlController.
-  bool normalize = false;
-  /// Frozen normalizer: normalize without updating the moments (use when
-  /// the training-time moments are restored into the session).
-  bool freeze_normalizer = false;
-};
 
 struct SessionInfo {
   std::uint64_t id = 0;
@@ -59,7 +49,7 @@ class SessionManager {
   InferenceEngine& engine() { return engine_; }
 
   /// Opens a session; returns its id (sequential from 1).
-  std::uint64_t open(const SessionConfig& config = {});
+  std::uint64_t open();
 
   /// Closes a session; false if the id is unknown.
   bool close(std::uint64_t id);
@@ -69,29 +59,20 @@ class SessionManager {
   /// Info snapshot; id 0 in the result marks an unknown session.
   SessionInfo info(std::uint64_t id) const;
 
-  /// Mutable access to a session's normalizer (e.g. to restore
-  /// training-time moments before freezing). nullptr if unknown.
-  RunningNormalizer* normalizer(std::uint64_t id);
-
-  /// Decide through the session: applies the per-session normalizer when
-  /// configured, then rides the engine's batcher. Unknown ids fail with
-  /// kBadRequest without touching the engine.
+  /// Decide through the session: rides the engine's batcher and counts
+  /// the outcome. Unknown ids fail with kBadRequest without touching the
+  /// engine.
   DecideResult decide(std::uint64_t id, std::span<const double> state,
-                      double deadline_us = -1.0);
+                      double deadline_us = 0.0);
 
   /// Capacity-reusing overload (see InferenceEngine::decide).
   void decide(std::uint64_t id, std::span<const double> state,
-              DecideResult& out, double deadline_us = -1.0);
+              DecideResult& out, double deadline_us = 0.0);
 
  private:
   struct Session {
-    SessionConfig config;
     SessionInfo info;
-    RunningNormalizer normalizer;
-    std::vector<double> scratch;  ///< normalized-state buffer
-    std::mutex mu;                ///< serializes this session's decides
-
-    Session(std::size_t dim) : normalizer(dim) {}
+    std::mutex mu;  ///< serializes this session's decides
   };
 
   InferenceEngine& engine_;

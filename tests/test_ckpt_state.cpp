@@ -58,33 +58,6 @@ TEST(CkptState, RngShortPayloadIsTyped) {
             Errc::kMalformed);
 }
 
-TEST(CkptState, NormalizerRoundTrip) {
-  RunningNormalizer n(3);
-  Rng rng(5);
-  for (int i = 0; i < 50; ++i) {
-    n.observe({rng.gaussian(), rng.uniform() * 1e6, rng.gaussian(2.0, 3.0)});
-  }
-  n.freeze();
-  n.clip = 7.5;
-
-  ByteWriter w;
-  save_normalizer(w, n);
-  RunningNormalizer back(3);
-  load_normalizer(ByteReader(w.bytes()), back);
-
-  EXPECT_EQ(back.count(), n.count());
-  EXPECT_TRUE(back.frozen());
-  EXPECT_EQ(back.clip, 7.5);
-  const std::vector<double> x = {0.3, 4.2e5, -1.0};
-  EXPECT_EQ(back.normalize(x), n.normalize(x));
-
-  RunningNormalizer wrong_dim(4);
-  EXPECT_EQ(code_of([&] {
-              load_normalizer(ByteReader(w.bytes()), wrong_dim);
-            }),
-            Errc::kStateMismatch);
-}
-
 TEST(CkptState, ParamsRoundTripAndShapeCheck) {
   Rng rng(9);
   Matrix a = Matrix::random_gaussian(3, 4, rng);

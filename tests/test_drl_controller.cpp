@@ -15,8 +15,7 @@ struct Fixture {
   std::unique_ptr<PpoAgent> agent;
 };
 
-Fixture make_fixture(std::uint64_t seed = 42,
-                     bool state_dependent_std = false) {
+Fixture make_fixture(std::uint64_t seed = 42) {
   Fixture f;
   f.cfg = testbed_config();
   f.cfg.trace_samples = 400;
@@ -26,7 +25,6 @@ Fixture make_fixture(std::uint64_t seed = 42,
   FlEnv env(build_simulator(f.cfg), f.env_cfg);
   f.bw_ref = env.bandwidth_ref();
   TrainerConfig tc = recommended_trainer_config(1);
-  tc.policy.state_dependent_std = state_dependent_std;
   f.agent = std::make_unique<PpoAgent>(env.state_dim(), env.action_dim(),
                                        tc.policy, tc.ppo, seed);
   return f;
@@ -84,18 +82,6 @@ TEST(DrlController, DecisionsTrackBandwidthState) {
   sim1.reset(0.0);
   sim2.reset(200.0);
   EXPECT_NE(c.decide(sim1), c.decide(sim2));
-}
-
-TEST(DrlController, WorksWithStateDependentStdPolicy) {
-  auto f = make_fixture(13, /*state_dependent_std=*/true);
-  DrlController c(*f.agent, f.env_cfg, f.bw_ref);
-  auto sim = build_simulator(f.cfg);
-  auto freqs = c.decide(sim);
-  ASSERT_EQ(freqs.size(), sim.num_devices());
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    EXPECT_GT(freqs[i], 0.0);
-    EXPECT_LE(freqs[i], sim.fleet().max_freq_hz(i));
-  }
 }
 
 TEST(DrlControllerDeathTest, BadBandwidthRefAborts) {

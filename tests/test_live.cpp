@@ -427,6 +427,17 @@ bool prometheus_parses(const std::string& body) {
   return any;
 }
 
+TEST(LiveServer, OutOfRangePortDoesNotStart) {
+  // A port that does not fit in 16 bits is refused, not wrapped onto
+  // another port (-1 would bind 65535, 65536 an ephemeral port).
+  for (const int port : {-1, 65536, 70000}) {
+    live::LiveServer server{live::LiveConfig{port}};
+    EXPECT_FALSE(server.start()) << "port " << port;
+    EXPECT_FALSE(server.running()) << "port " << port;
+    EXPECT_EQ(server.port(), 0) << "port " << port;
+  }
+}
+
 TEST(LiveServer, ConcurrentScrapesUnderRegistryMutation) {
   telemetry::Telemetry::enable({});
   live::set_flight_recorder_enabled(true);

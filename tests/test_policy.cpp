@@ -138,19 +138,17 @@ TEST(Policy, BackwardLogProbsMatchesNumericGradient) {
 }
 
 TEST(Policy, ClampLogStdEnforcesBounds) {
-  PolicyConfig cfg;
-  cfg.min_log_std = -2.0;
-  cfg.max_log_std = 0.0;
-  cfg.init_log_std = -1.0;
-  Rng rng(12);
-  GaussianPolicy p(2, 2, cfg, rng);
-  // Push log_std out of range through its parameter pointer.
+  auto p = make_policy(2, 3, 12);
+  // Push log_std past both bounds through its parameter pointer; the
+  // in-range entry must stay put.
   Matrix* log_std = p.params().back();
-  (*log_std)[0] = 5.0;
-  (*log_std)[1] = -9.0;
+  (*log_std)[0] = GaussianPolicy::kMaxLogStd + 4.0;
+  (*log_std)[1] = GaussianPolicy::kMinLogStd - 4.0;
+  (*log_std)[2] = -1.0;
   p.clamp_log_std();
-  EXPECT_DOUBLE_EQ(p.log_std()[0], 0.0);
-  EXPECT_DOUBLE_EQ(p.log_std()[1], -2.0);
+  EXPECT_EQ(p.log_std()[0], GaussianPolicy::kMaxLogStd);
+  EXPECT_EQ(p.log_std()[1], GaussianPolicy::kMinLogStd);
+  EXPECT_EQ(p.log_std()[2], -1.0);
 }
 
 TEST(Policy, CopyParamsMakesPoliciesAgree) {
@@ -194,122 +192,19 @@ TEST(Policy, TrainableTowardTarget) {
   EXPECT_NEAR(after_u, 1.2, 0.3);
 }
 
-GaussianPolicy make_sds_policy(std::size_t sdim = 3, std::size_t adim = 2,
-                               std::uint64_t seed = 31) {
-  PolicyConfig cfg;
-  cfg.hidden = {8};
-  cfg.state_dependent_std = true;
-  Rng rng(seed);
-  return GaussianPolicy(sdim, adim, cfg, rng);
-}
-
-TEST(PolicySds, ParamsExcludeFreeLogStd) {
-  auto p = make_sds_policy();
-  auto indep = make_policy(3, 2, 31);
-  // The state-dependent net has a 2A-wide head instead of the extra
-  // log-std parameter matrix.
-  EXPECT_EQ(p.params().size(), indep.params().size() - 1);
-}
-
-TEST(PolicySds, InitialExplorationMatchesConfiguredWidth) {
-  auto p = make_sds_policy(2, 1, 32);
-  Rng rng(33);
-  std::vector<double> state{0.3, -0.3};
-  const double mean_u = [&] {
-    auto a = p.mean_action(state)[0];
-    return std::log(a / (1.0 - a));
-  }();
-  double acc = 0.0, sq = 0.0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) {
-    auto s = p.act(state, rng);
-    acc += s.action_u[0];
-    sq += s.action_u[0] * s.action_u[0];
-  }
-  const double emp_mean = acc / n;
-  const double emp_std = std::sqrt(sq / n - emp_mean * emp_mean);
-  EXPECT_NEAR(emp_mean, mean_u, 0.05);
-  PolicyConfig cfg;
-  // Head bias initialized so sigma(s) ~ exp(init_log_std) at start.
-  EXPECT_NEAR(emp_std, std::exp(cfg.init_log_std),
-              0.3 * std::exp(cfg.init_log_std));
-}
-
-TEST(PolicySds, BackwardMatchesNumericGradientWithEntropy) {
-  auto p = make_sds_policy(3, 2, 34);
-  Rng rng(35);
-  const std::size_t batch = 4;
-  Matrix states = Matrix::random_gaussian(batch, 3, rng);
-  Matrix actions = Matrix::random_gaussian(batch, 2, rng, 0.0, 0.7);
-  std::vector<double> coeff{0.5, -1.0, 2.0, 0.1};
-  const double entropy_coeff = 0.3;
-
-  std::vector<double> logps;
-  auto objective = [&] {
-    p.log_probs(states, actions, batch, logps);
-    double acc = 0.0;
-    for (std::size_t b = 0; b < batch; ++b) acc += coeff[b] * logps[b];
-    return acc - entropy_coeff * p.entropy();
-  };
-
-  p.zero_grad();
-  p.forward_log_probs(states, actions, logps);
-  p.backward_log_probs(states, actions, coeff, entropy_coeff);
-
-  auto params = p.params();
-  auto grads = p.grads();
-  double worst = 0.0;
-  const double eps = 1e-6;
-  for (std::size_t pi = 0; pi < params.size(); ++pi) {
-    for (std::size_t j = 0; j < params[pi]->size(); ++j) {
-      double& w = (*params[pi])[j];
-      const double orig = w;
-      w = orig + eps;
-      const double up = objective();
-      w = orig - eps;
-      const double down = objective();
-      w = orig;
-      const double numeric = (up - down) / (2 * eps);
-      const double analytic = (*grads[pi])[j];
-      const double denom =
-          std::max({std::abs(numeric), std::abs(analytic), 1e-8});
-      worst = std::max(worst, std::abs(numeric - analytic) / denom);
-    }
-  }
-  EXPECT_LT(worst, 1e-5);
-}
-
-TEST(PolicySds, SaveLoadRoundTrip) {
-  auto a = make_sds_policy(3, 2, 36);
-  auto b = make_sds_policy(3, 2, 37);
-  round_trip_params(a, b);
-  std::vector<double> state{1.0, 2.0, 3.0};
-  EXPECT_EQ(a.mean_action(state), b.mean_action(state));
-}
-
 TEST(Policy, BlockedLogProbsMatchOnePass) {
   // The blocked pass (PPO's post-update KL pass) must reproduce one
-  // unblocked pass bit for bit: per-row log-probs and, for
-  // state-dependent sigma, the entropy mean over all rows.
-  for (bool sds : {false, true}) {
-    PolicyConfig cfg;
-    cfg.hidden = {8};
-    cfg.state_dependent_std = sds;
-    Rng init(41);
-    GaussianPolicy p(3, 2, cfg, init);
-    Rng rng(42);
-    const Matrix states = Matrix::random_gaussian(10, 3, rng);
-    const Matrix actions = Matrix::random_gaussian(10, 2, rng, 0.0, 0.7);
-    std::vector<double> whole;
-    p.log_probs(states, actions, states.rows(), whole);
-    const double whole_entropy = p.entropy();
-    for (std::size_t block : {1, 3, 4, 9, 64}) {
-      std::vector<double> blocked;
-      p.log_probs(states, actions, block, blocked);
-      EXPECT_EQ(blocked, whole) << "sds " << sds << " block " << block;
-      EXPECT_EQ(p.entropy(), whole_entropy)
-          << "sds " << sds << " block " << block;
-    }
+  // unblocked pass bit for bit.
+  auto p = make_policy(3, 2, 41);
+  Rng rng(42);
+  const Matrix states = Matrix::random_gaussian(10, 3, rng);
+  const Matrix actions = Matrix::random_gaussian(10, 2, rng, 0.0, 0.7);
+  std::vector<double> whole;
+  p.log_probs(states, actions, states.rows(), whole);
+  for (std::size_t block : {1, 3, 4, 9, 64}) {
+    std::vector<double> blocked;
+    p.log_probs(states, actions, block, blocked);
+    EXPECT_EQ(blocked, whole) << "block " << block;
   }
 }
 

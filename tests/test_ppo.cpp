@@ -154,21 +154,6 @@ TEST(Ppo, ClipKeepsKlSmall) {
   }
 }
 
-TEST(Ppo, StateDependentStdSolvesBandit) {
-  PolicyConfig pcfg;
-  pcfg.hidden = {16};
-  pcfg.state_dependent_std = true;
-  PpoAgent agent(2, 1, pcfg, fast_ppo(), 31);
-  Bandit env;
-  Rng rng(32);
-  for (int round = 0; round < 60; ++round) {
-    auto buffer = collect(env, agent, 128, rng);
-    auto stats = agent.update(buffer, rng);
-    EXPECT_TRUE(std::isfinite(stats.entropy));
-  }
-  EXPECT_NEAR(agent.mean_action(env.state)[0], env.target, 0.1);
-}
-
 TEST(Ppo, ActIsTensorAllocationFree) {
   // The rollout hot path: once the inference buffers have warmed up, a
   // stochastic act() must not touch the tensor heap.
@@ -410,28 +395,6 @@ TEST(Ppo, UpdateBitsDoNotDependOnWhichThreadRunsTheActor) {
     EXPECT_EQ(o->stats.total_loss, plain.stats.total_loss);
     EXPECT_EQ(o->params, plain.params);
   }
-}
-
-TEST(Ppo, StateDependentEntropyIsTheFullBufferMeanAfterTheUpdate) {
-  // UpdateStats::entropy is the entropy of the updated policy over the
-  // whole buffer, even though the post-update pass runs in minibatch
-  // blocks (100 rows = 3 x 32 + 4).
-  PolicyConfig pcfg;
-  pcfg.hidden = {16};
-  pcfg.state_dependent_std = true;
-  PpoAgent agent(2, 1, pcfg, fast_ppo(), 61);
-  Rng rng(62);
-  const RolloutBuffer buffer = varied_buffer(agent, 100, rng);
-  const UpdateStats stats = agent.update(buffer, rng);
-  Matrix states;
-  Matrix actions;
-  buffer.states_matrix_into(states);
-  buffer.actions_matrix_into(actions);
-  std::vector<double> logps;
-  agent.policy().log_probs(states, actions, states.rows(), logps);
-  EXPECT_EQ(stats.entropy, agent.policy().entropy());
-  EXPECT_EQ(stats.total_loss, stats.policy_loss + stats.value_loss -
-                                  fast_ppo().entropy_coef * stats.entropy);
 }
 
 TEST(RolloutBuffer, MatrixViewsMatchTransitions) {

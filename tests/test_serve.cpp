@@ -23,19 +23,16 @@ using serve::DecideResult;
 using serve::DecideStatus;
 using serve::GaussianMeanPolicy;
 using serve::InferenceEngine;
-using serve::PpoMeanPolicy;
 using serve::ServeConfig;
 using serve::ServedDrlController;
-using serve::SessionConfig;
 using serve::SessionManager;
 
 constexpr std::size_t kStateDim = 12;
 constexpr std::size_t kActionDim = 3;
 
-PolicyConfig small_policy_config(bool state_dependent_std = false) {
+PolicyConfig small_policy_config() {
   PolicyConfig pc;
   pc.hidden = {16, 16};
-  pc.state_dependent_std = state_dependent_std;
   return pc;
 }
 
@@ -84,20 +81,11 @@ TEST(BatchPolicy, GaussianBatchBitIdenticalToSequential) {
   expect_batch_matches_sequential(policy, 100);
 }
 
-TEST(BatchPolicy, StateDependentStdBatchBitIdenticalToSequential) {
-  // The 2A-output head must slice the mean columns identically on both
-  // paths.
-  Rng init(4);
-  GaussianPolicy policy(kStateDim, kActionDim, small_policy_config(true),
-                        init);
-  expect_batch_matches_sequential(policy, 200);
-}
-
 TEST(BatchPolicy, PpoAgentBatchBitIdenticalToSequential) {
   TrainerConfig tc = recommended_trainer_config(1);
   tc.policy.hidden = {16, 16};
   PpoAgent agent(kStateDim, kActionDim, tc.policy, tc.ppo, 7);
-  PpoMeanPolicy adapter(agent);
+  GaussianMeanPolicy adapter(agent.policy());
   Rng rng(300);
   Matrix actions;
   for (std::size_t batch : {1u, 2u, 3u, 7u, 64u}) {
@@ -437,42 +425,6 @@ TEST(SessionManager, DecisionCountersTrackOutcomes) {
   EXPECT_EQ(sessions.info(id).failures, 0u);
 }
 
-TEST(SessionManager, NormalizerIsPerSession) {
-  SessionFixture f;
-  SessionManager sessions(f.engine);
-  const auto raw_id = sessions.open();
-  SessionConfig norm_cfg;
-  norm_cfg.normalize = true;
-  const auto norm_id = sessions.open(norm_cfg);
-  SessionConfig frozen_cfg;
-  frozen_cfg.normalize = true;
-  frozen_cfg.freeze_normalizer = true;
-  const auto frozen_id = sessions.open(frozen_cfg);
-
-  Rng rng(503);
-  const auto s1 = random_state(rng);
-  const auto s2 = random_state(rng);
-  // RunningNormalizer is the identity until it has 2 observations, so the
-  // divergence shows up on the normalizing session's SECOND decide.
-  const auto raw1 = sessions.decide(raw_id, s1);
-  const auto raw2 = sessions.decide(raw_id, s2);
-  ASSERT_TRUE(sessions.decide(norm_id, s1).ok());
-  const auto norm2 = sessions.decide(norm_id, s2);
-  const auto frozen1 = sessions.decide(frozen_id, s1);
-  ASSERT_TRUE(raw1.ok());
-  ASSERT_TRUE(raw2.ok());
-  ASSERT_TRUE(norm2.ok());
-  ASSERT_TRUE(frozen1.ok());
-  // With live moments the normalized state (hence action) diverges from
-  // the raw session's on the same input.
-  EXPECT_NE(norm2.action, raw2.action);
-  // A frozen normalizer with no restored moments never observes, so it
-  // stays the identity transform: bit-identical to the raw path.
-  EXPECT_EQ(frozen1.action, raw1.action);
-  EXPECT_NE(sessions.normalizer(frozen_id), nullptr);
-  EXPECT_EQ(sessions.normalizer(99), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // ServedDrlController: bit-compatibility with the in-process controller,
 // and the never-block fallback contract.
@@ -515,7 +467,7 @@ TEST(ServedDrlController, BitIdenticalToInProcessController) {
     }
   }
 
-  PpoMeanPolicy adapter(*f.agent);
+  GaussianMeanPolicy adapter(f.agent->policy());
   InferenceEngine engine(adapter, {});
   SessionManager sessions(engine, 11);
   ServedDrlController served(sessions, f.env_cfg, f.bw_ref);
@@ -536,7 +488,7 @@ TEST(ServedDrlController, BitIdenticalToInProcessController) {
 
 TEST(ServedDrlController, FallsBackWhenEngineRefuses) {
   auto f = make_controller_fixture(23);
-  PpoMeanPolicy adapter(*f.agent);
+  GaussianMeanPolicy adapter(f.agent->policy());
   InferenceEngine engine(adapter, {});
   SessionManager sessions(engine);
   ServedDrlController served(sessions, f.env_cfg, f.bw_ref);
@@ -561,7 +513,7 @@ TEST(ServedDrlController, FallsBackWhenEngineRefuses) {
 
 TEST(ServedDrlController, FallbackBeforeAnyDecisionIsMaxFrequency) {
   auto f = make_controller_fixture(25);
-  PpoMeanPolicy adapter(*f.agent);
+  GaussianMeanPolicy adapter(f.agent->policy());
   InferenceEngine engine(adapter, {});
   SessionManager sessions(engine);
   ServedDrlController served(sessions, f.env_cfg, f.bw_ref);

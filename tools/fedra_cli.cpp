@@ -13,6 +13,7 @@
 // through the same checks as `train`, restores the snapshot into it and
 // runs the full controller roster on identical conditions. A flag the
 // subcommand does not take ends the run with exit 2.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -67,19 +68,22 @@ int usage() {
 // --live-port P: start the embedded observability exporter for the
 // duration of the command. Enables in-memory telemetry (no sink files —
 // scrapes read the live registry) and installs the flight-recorder crash
-// handler so a SIGSEGV/SIGABRT mid-run still dumps the black box.
+// handler so a SIGSEGV/SIGABRT mid-run still dumps the black box. A port
+// outside [0, 65535] or one that cannot be bound ends the command with
+// exit 1 before it runs.
 std::unique_ptr<live::LiveServer> maybe_start_live(const ArgParser& args) {
   if (!args.has("live-port")) return nullptr;
   telemetry::TelemetryConfig tcfg;
   telemetry::Telemetry::enable(tcfg);
   live::install_flight_recorder_crash_handler();
+  const std::int64_t port = args.get_int("live-port", 0);
   live::LiveConfig lcfg;
-  lcfg.port = static_cast<int>(args.get_int("live-port", 0));
+  // Out-of-range values stay out of range, so start() refuses them.
+  lcfg.port = static_cast<int>(std::clamp<std::int64_t>(port, -1, 65536));
   auto server = std::make_unique<live::LiveServer>(lcfg);
   if (!server->start()) {
-    std::fprintf(stderr, "fedra_cli: cannot bind live exporter to port %d\n",
-                 lcfg.port);
-    return nullptr;
+    throw std::invalid_argument("cannot start the live exporter on port " +
+                                std::to_string(port));
   }
   std::printf("live exporter on http://127.0.0.1:%d (/metrics /healthz "
               "/statusz)\n",
@@ -102,6 +106,13 @@ ckpt::Meta scenario_meta(const ArgParser& args) {
           {"trace_samples", args.get_double("trace-samples", 2000.0)}};
 }
 
+// `v` printed with every digit an f64 needs to round-trip.
+std::string g17(double v) {
+  char buf[32];  // "%.17g" of any double takes at most 24 characters
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 // meta[key], which must lie in [lo, hi] and, when `whole`, be an integer.
 double checked(const ckpt::Meta& meta, const std::string& key, double lo,
                double hi, bool whole = true) {
@@ -111,10 +122,9 @@ double checked(const ckpt::Meta& meta, const std::string& key, double lo,
   }
   const double v = it->second;
   if (!(v >= lo && v <= hi) || (whole && v != std::floor(v))) {
-    char range[96];
-    std::snprintf(range, sizeof range, "%s %.17g is not %s in [%.17g, %.17g]",
-                  key.c_str(), v, whole ? "an integer" : "a number", lo, hi);
-    throw std::invalid_argument(range);
+    throw std::invalid_argument(key + " " + g17(v) + " is not " +
+                                (whole ? "an integer" : "a number") + " in [" +
+                                g17(lo) + ", " + g17(hi) + "]");
   }
   return v;
 }
@@ -210,6 +220,12 @@ int cmd_solve(const ArgParser& args) {
   if (bandwidths.empty()) {
     std::fprintf(stderr, "solve: --bandwidths B1,B2,... is required\n");
     return 2;
+  }
+  for (const double b : bandwidths) {
+    if (!(std::isfinite(b) && b > 0.0)) {
+      throw std::invalid_argument("bandwidth " + g17(b) +
+                                  " is not a finite number > 0");
+    }
   }
   ExperimentConfig cfg = scenario_config(scenario_meta(args));
   cfg.num_devices = bandwidths.size();

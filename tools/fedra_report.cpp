@@ -19,11 +19,14 @@
 // reader as `phases`, and shows how many telemetry lines it skipped. Torn
 // ledger lines are skipped by the reader; the dashboard shows the count.
 //
-// Exit codes: 0 done, 1 I/O failure (or a skipped line under --strict),
-// 2 usage.
+// Exit codes: 0 done, 1 I/O failure, a bad flag value (`--top` must be
+// an integer >= 0) or a skipped line under --strict, 2 usage or a flag
+// the subcommand does not take.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -241,13 +244,17 @@ int run_phases(const fedra::ArgParser& args) {
   const std::string path = args.positionals()[1];
   const bool show_metrics = !args.flag("no-metrics");
   const bool strict = args.flag("strict");
-  const auto top = static_cast<std::size_t>(args.get_int("top", 0));
+  const std::int64_t top = args.get_int("top", 0);
+  if (top < 0) {
+    throw std::invalid_argument("--top must be an integer >= 0, not " +
+                                std::to_string(top));
+  }
   fedra::obs::TelemetryLog log;
   if (!fedra::obs::read_telemetry_log_file(path, log)) {
     std::fprintf(stderr, "fedra_report: cannot open %s\n", path.c_str());
     return 1;
   }
-  print_phase_table(path, log.phases, top);
+  print_phase_table(path, log.phases, static_cast<std::size_t>(top));
   print_fault_summary(log.counters);
   print_scheduler(log.counters);
   print_live(log.counters, log.gauges);
@@ -319,13 +326,43 @@ int run_html(const fedra::ArgParser& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const fedra::ArgParser&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"phases", run_phases, {"top", "no-metrics", "strict"}},
+      {"html", run_html, {"out", "telemetry", "title"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  fedra::ArgParser args(argc, argv);
-  const std::string command =
-      args.positionals().empty() ? "" : args.positionals().front();
-  if (command == "phases") return run_phases(args);
-  if (command == "html") return run_html(args);
-  return usage();
+  try {
+    const fedra::ArgParser args(argc, argv);
+    const std::string name =
+        args.positionals().empty() ? "" : args.positionals().front();
+    const Command* command = nullptr;
+    for (const auto& c : commands()) {
+      if (name == c.name) command = &c;
+    }
+    if (command == nullptr) return usage();
+    const auto unknown = args.unknown_keys(command->flags);
+    if (!unknown.empty()) {
+      for (const auto& key : unknown) {
+        std::fprintf(stderr, "fedra_report %s: unknown flag --%s\n",
+                     name.c_str(), key.c_str());
+      }
+      return 2;
+    }
+    return command->run(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fedra_report: %s\n", e.what());
+    return 1;
+  }
 }
