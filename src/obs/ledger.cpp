@@ -18,10 +18,13 @@ namespace {
 // Like Telemetry's GlobalState: heap-allocated and never destroyed so
 // writers racing with process teardown never touch a dead object. While
 // the async writer exists, its drainer thread is the only writer of `out`
-// (the header was written before the drainer started); the mutex covers
-// the enable/disable/flush transitions.
+// (the header was written before the drainer started). `mutex` guards the
+// writer pointer for record_* and the enable/disable transitions;
+// `out_mutex` guards the stream. They are separate so a record_* call
+// never waits for the drainer's file writes.
 struct LedgerState {
   std::mutex mutex;
+  std::mutex out_mutex;
   LedgerConfig config;
   std::ofstream out;
   std::unique_ptr<AsyncLedgerWriter> writer;
@@ -79,12 +82,11 @@ std::atomic<bool>& RunLedger::enabled_flag() {
 
 bool RunLedger::enable(const LedgerConfig& config) {
   LedgerState& s = state();
-  // Retire any previous async writer outside the state lock (its drainer
-  // takes no LedgerState locks, but joining under the lock invites
-  // ordering accidents with flush()).
+  // Retire any previous async writer outside the locks (its drainer
+  // takes out_mutex per line, so joining under it would deadlock).
   enabled_flag().store(false, std::memory_order_relaxed);
   s.writer.reset();
-  std::lock_guard<std::mutex> lock(s.mutex);
+  std::scoped_lock lock(s.mutex, s.out_mutex);
   if (s.out.is_open()) s.out.close();
   s.out.open(config.path, std::ios::trunc);
   if (!s.out.is_open()) {
@@ -105,11 +107,11 @@ bool RunLedger::enable(const LedgerConfig& config) {
       .num("lambda", config.lambda);
   h.close();
   s.out << header << '\n';
-  // The sink runs on the drainer thread; it takes the state mutex per line
-  // so it cannot interleave with flush()/disable() stream access.
+  // The sink runs on the drainer thread; it takes the stream mutex per
+  // line so it cannot interleave with flush()/disable() stream access.
   s.writer = std::make_unique<AsyncLedgerWriter>(
       config.ring_bytes, [&s](const std::string& line) {
-        std::lock_guard<std::mutex> sink_lock(s.mutex);
+        std::lock_guard<std::mutex> sink_lock(s.out_mutex);
         if (s.out.is_open()) s.out << line << '\n';
       });
   enabled_flag().store(true, std::memory_order_relaxed);
@@ -134,7 +136,7 @@ void RunLedger::disable() {
   // Drain + join first so every accepted record reaches the stream before
   // it is closed (flush-at-exit ordering).
   s.writer.reset();
-  std::lock_guard<std::mutex> lock(s.mutex);
+  std::scoped_lock lock(s.mutex, s.out_mutex);
   if (s.out.is_open()) {
     s.out.flush();
     s.out.close();
@@ -144,7 +146,7 @@ void RunLedger::disable() {
 void RunLedger::flush() {
   LedgerState& s = state();
   if (s.writer != nullptr) s.writer->wait_drained();
-  std::lock_guard<std::mutex> lock(s.mutex);
+  std::lock_guard<std::mutex> lock(s.out_mutex);
   if (s.out.is_open()) s.out.flush();
 }
 
@@ -161,9 +163,9 @@ std::uint64_t RunLedger::dropped_records() {
 }
 
 // The state mutex guards only the writer-pointer check and the
-// (non-blocking) enqueue — it is contended just once per drained line,
-// never for the duration of disk I/O, so recording stays wait-free in the
-// practical sense the 4x-overhead gate measures.
+// (non-blocking) enqueue. The drainer writes the file under out_mutex, so
+// recording never waits for disk I/O and stays wait-free in the practical
+// sense the 4x-overhead gate measures.
 
 void RunLedger::record_round(const RoundRecord& record) {
   if (!enabled()) return;

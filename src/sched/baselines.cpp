@@ -69,54 +69,43 @@ void HeuristicController::observe(const IterationResult& result) {
 
 // ------------------------------------------------------------------- Oracle
 
-OracleController::OracleController(std::size_t grid_points)
-    : grid_points_(grid_points) {
-  FEDRA_EXPECTS(grid_points >= 4);
-}
+namespace {
+
+constexpr std::size_t kOracleGridPoints = 48;
+
+}  // namespace
 
 std::vector<double> OracleController::freqs_for_true_deadline(
     const SimulatorBase& sim, double deadline) const {
   // For each device independently: the smallest frequency whose TRUE
   // completion time (compute + trace-integral upload) is <= deadline.
-  // Completion time is non-increasing in frequency, so bisect.
+  // Upload finish time never decreases as its start moves later, so the
+  // compute budget is exact: compute may run until the latest upload start
+  // that still meets now + deadline, and no later.
   const double start = sim.now();
   const auto& params = sim.params();
   std::vector<double> freqs(sim.num_devices());
   for (std::size_t i = 0; i < sim.num_devices(); ++i) {
     const DeviceProfile d = sim.fleet().device(i);
-    const auto& trace = sim.trace(i);
-    const auto completion = [&](double f) {
-      const double cmp = d.compute_time(f, params.tau);
-      return cmp + trace.upload_duration(start + cmp, params.model_bytes);
-    };
+    const double budget =
+        sim.trace(i).latest_start(start + deadline, params.model_bytes) -
+        start;
     const double floor_hz = SimulatorBase::kMinFreqFraction * d.max_freq_hz;
-    if (completion(d.max_freq_hz) >= deadline) {
-      freqs[i] = d.max_freq_hz;  // even flat-out misses it
-      continue;
-    }
-    if (completion(floor_hz) <= deadline) {
-      freqs[i] = floor_hz;  // even the floor makes it
-      continue;
-    }
-    double lo = floor_hz;  // completion(lo) > deadline
-    double hi = d.max_freq_hz;  // completion(hi) < deadline
-    for (int iter = 0; iter < 60 && hi - lo > 1e3; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (completion(mid) <= deadline) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    freqs[i] = hi;
+    freqs[i] = budget > 0.0
+                   ? std::clamp(d.freq_for_compute_time(budget, params.tau),
+                                floor_hz, d.max_freq_hz)
+                   : d.max_freq_hz;  // even flat-out misses it
   }
   return freqs;
 }
 
 double OracleController::true_cost(const SimulatorBase& sim,
                                    double deadline) const {
-  const auto freqs = freqs_for_true_deadline(sim, deadline);
-  return sim.preview(freqs, {}).cost;
+  // Only the cost is read, so skip the per-device rows (cost is
+  // bit-identical across outcome layouts).
+  StepOptions options;
+  options.outcomes = OutcomeLayout::kSummary;
+  return sim.preview(freqs_for_true_deadline(sim, deadline), options).cost;
 }
 
 std::vector<double> OracleController::decide(const SimulatorBase& sim) {
@@ -143,8 +132,8 @@ std::vector<double> OracleController::decide(const SimulatorBase& sim) {
   // linear), so scan a grid first, then golden-section the best bracket.
   double best_t = lo;
   double best_c = true_cost(sim, lo);
-  const double step = (hi - lo) / static_cast<double>(grid_points_ - 1);
-  for (std::size_t g = 1; g < grid_points_; ++g) {
+  const double step = (hi - lo) / static_cast<double>(kOracleGridPoints - 1);
+  for (std::size_t g = 1; g < kOracleGridPoints; ++g) {
     const double t = lo + static_cast<double>(g) * step;
     const double c = true_cost(sim, t);
     if (c < best_c) {

@@ -68,19 +68,20 @@ class HeuristicController final : public Controller {
 
 class OracleController final : public Controller {
  public:
-  /// `grid_points` coarse deadlines are evaluated with true previews; the
-  /// best bracket is refined by golden-section.
-  explicit OracleController(std::size_t grid_points = 48);
-
+  /// Scans 48 coarse deadlines with true previews, then refines the best
+  /// bracket by golden-section.
   std::vector<double> decide(const SimulatorBase& sim) override;
   std::string name() const override { return "oracle"; }
 
- private:
+  /// The deadline-matched assignment for a round deadline `deadline`
+  /// seconds after sim.now(): each device gets the smallest frequency in
+  /// [floor, max] whose true completion (compute, then the trace-integral
+  /// upload) is <= deadline, or max when even that misses it.
   std::vector<double> freqs_for_true_deadline(const SimulatorBase& sim,
                                               double deadline) const;
-  double true_cost(const SimulatorBase& sim, double deadline) const;
 
-  std::size_t grid_points_;
+ private:
+  double true_cost(const SimulatorBase& sim, double deadline) const;
 };
 
 }  // namespace fedra

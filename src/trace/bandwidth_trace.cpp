@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace fedra {
 
@@ -75,6 +76,36 @@ double BandwidthTrace::upload_finish_time(double start, double bytes) const {
   double finish = periods * period + local;
   // Guard against fp round-off making finish slightly precede start.
   return std::max(finish, start);
+}
+
+double BandwidthTrace::latest_start(double deadline, double bytes) const {
+  FEDRA_EXPECTS(deadline >= 0.0);
+  FEDRA_EXPECTS(bytes >= 0.0);
+  const double period = duration();
+  const double per_period = prefix_.back();
+
+  const double target = cumulative_bytes(deadline) - bytes;
+  // Wrap to one period (floor also places a negative target in the period
+  // before 0), then find the largest local t with
+  // cumulative_in_period(t) <= remaining: upper_bound skips every bin the
+  // prefix is flat over, so the bin it lands after has positive bandwidth.
+  // Rounding can leave `remaining` a hair outside [0, per_period); the
+  // max() keeps upper_bound past prefix_[0].
+  const double periods = std::floor(target / per_period);
+  const double remaining = std::max(target - periods * per_period, 0.0);
+  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), remaining);
+  double local = period;  // remaining rounded up to a whole period
+  if (it != prefix_.end()) {
+    const auto j = static_cast<std::size_t>(it - prefix_.begin()) - 1;
+    local = static_cast<double>(j) * dt_ +
+            (remaining - prefix_[j]) / samples_[j];
+  }
+  const double start = periods * period + local;
+  // A deficit under one ulp of a period can round `remaining` up to a
+  // whole period and land the start on 0; keep the sign documented above.
+  return target < 0.0
+             ? std::min(start, -std::numeric_limits<double>::denorm_min())
+             : start;
 }
 
 namespace {

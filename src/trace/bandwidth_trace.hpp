@@ -48,6 +48,15 @@ class BandwidthTrace {
   /// bandwidth is positive (guaranteed at construction).
   double upload_finish_time(double start, double bytes) const;
 
+  /// Inverse of upload_finish_time in its start: the latest start s at
+  /// which `bytes` still finish by `deadline`, i.e. the largest s with
+  /// cumulative_bytes(s) <= cumulative_bytes(deadline) - bytes. Upload
+  /// finish time never decreases as the start moves later, so every
+  /// start <= s meets the deadline and every later one misses it. Inside
+  /// a zero-bandwidth run the result is the run's end. Negative when no
+  /// start >= 0 fits (cumulative_bytes(deadline) < bytes).
+  double latest_start(double deadline, double bytes) const;
+
   /// Batched form: out[k] = upload_finish_time(starts[k], bytes) for
   /// k in [0, n), bit-identical to the scalar calls but solved in
   /// interleaved lockstep batches (see the free upload_finish_times).

@@ -110,13 +110,13 @@ std::vector<double> ArgParser::get_double_list(const std::string& key) const {
     const std::string tok =
         rest.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    if (!tok.empty()) {
-      try {
-        out.push_back(std::stod(tok));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad list element for --" + key + ": " +
-                                    tok);
-      }
+    try {
+      std::size_t pos = 0;
+      out.push_back(std::stod(tok, &pos));
+      if (pos != tok.size()) throw std::invalid_argument("trailing");
+    } catch (const std::exception&) {
+      throw std::invalid_argument("bad list element for --" + key + ": '" +
+                                  tok + "'");
     }
     if (comma == std::string::npos) break;
     start = comma + 1;

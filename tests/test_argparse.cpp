@@ -92,6 +92,16 @@ TEST(ArgParse, DoubleListBadElementThrows) {
   EXPECT_THROW(p.get_double_list("bw"), std::invalid_argument);
 }
 
+TEST(ArgParse, DoubleListRejectsTrailingAndEmpty) {
+  // Each element must parse whole, as get_double requires, and none may
+  // be empty.
+  for (const char* bad : {"2e6abc", "2e6abc,,1e6", "1e6,,2e6", "1e6,2e6,",
+                          ",1e6", ""}) {
+    auto p = parse({"--bw", bad});
+    EXPECT_THROW(p.get_double_list("bw"), std::invalid_argument) << bad;
+  }
+}
+
 TEST(ArgParse, UnknownKeys) {
   auto p = parse({"--good", "1", "--oops", "2"});
   auto unknown = p.unknown_keys({"good"});

@@ -2,16 +2,22 @@
 // (obs/async_writer.hpp): codec round-trips under fuzzed records, a
 // concurrent multi-producer + drainer hammer, forced ring overflow with
 // observable drop counters, flush-at-exit ordering (also of a process
-// that exits with records still queued), and the headline
+// that exits with records still queued), recording that never waits for
+// a blocked file write, and the headline
 // contract — the drained JSONL is BYTE-identical to the header plus the
 // *_record_json lines of the same record stream.
 #include "obs/async_writer.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -375,6 +381,61 @@ TEST(AsyncLedger, FacadeOverflowIsCountedAndFileStaysWellFormed) {
   EXPECT_EQ(parsed.decisions.size(), static_cast<std::size_t>(written));
   EXPECT_EQ(parsed.parse_errors, 0u);
   std::remove(path.c_str());
+}
+
+// Recording never waits for the drainer's file writes. The ledger file
+// is a FIFO that nobody reads yet, so the drainer blocks in write() once
+// the pipe and the stream buffer are full; every record_round must still
+// return at once, because it only enqueues into the ring.
+TEST(AsyncLedger, RecordingDoesNotWaitForABlockedFileWrite) {
+  LedgerGuard guard;
+  const std::string path = temp_path("ledger_fifo");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // Open the read end first (non-blocking, so this open does not wait for
+  // a writer); then enable()'s open of the write end does not block.
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  LedgerConfig cfg;
+  cfg.path = path;
+  cfg.run_id = "fifo-test";
+  cfg.ring_bytes = 1 << 23;  // ample: nothing may drop
+  ASSERT_TRUE(RunLedger::enable(cfg));
+
+  // ~2.4 MB of JSON lines, far past a pipe's capacity.
+  constexpr std::size_t kRounds = 2000;
+  Rng rng(909);
+  std::vector<RoundRecord> rounds;
+  for (std::size_t i = 0; i < kRounds; ++i) rounds.push_back(fuzz_round(rng));
+  auto recording = std::async(std::launch::async, [&] {
+    for (const RoundRecord& r : rounds) RunLedger::record_round(r);
+  });
+  EXPECT_EQ(recording.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "record_round waited for the blocked drainer";
+
+  // Read the FIFO to its end, which unblocks the drainer.
+  ASSERT_EQ(::fcntl(reader, F_SETFL, 0), 0);
+  std::string bytes;
+  std::thread drain([&] {
+    char buf[1 << 16];
+    for (ssize_t n; (n = ::read(reader, buf, sizeof(buf))) > 0;) {
+      bytes.append(buf, static_cast<std::size_t>(n));
+    }
+  });
+  recording.wait();
+  RunLedger::flush();
+  EXPECT_EQ(RunLedger::dropped_records(), 0u);
+  RunLedger::disable();  // closes the write end: the reader sees EOF
+  drain.join();
+  ::close(reader);
+  std::remove(path.c_str());
+
+  std::istringstream in(bytes);
+  const Ledger parsed = read_ledger(in);
+  EXPECT_EQ(parsed.run_id, "fifo-test");
+  EXPECT_EQ(parsed.rounds.size(), kRounds);
+  EXPECT_EQ(parsed.parse_errors, 0u);
 }
 
 // A process that exits while records are still queued loses none of

@@ -108,6 +108,67 @@ TEST(BandwidthTrace, UploadMonotoneInBytes) {
   }
 }
 
+TEST(BandwidthTrace, LatestStartIsInverseOfUploadFinish) {
+  Rng rng(8);
+  auto t = generate_trace(hsdpa_bus_model(), 400, rng);
+  const double per_period = t.prefix_bytes().back();
+  // The last two sizes need more than one period of the trace, so the
+  // latest start lies one or more periods before the deadline.
+  for (double deadline : {37.25, 399.0, 755.5, 1333.0}) {
+    for (double bytes : {0.0, 1e3, 5e5, 3e6, 1.5 * per_period,
+                         2.2 * per_period}) {
+      const double s = t.latest_start(deadline, bytes);
+      if (s < 0.0) {
+        EXPECT_LT(t.cumulative_bytes(deadline), bytes) << deadline;
+        continue;
+      }
+      EXPECT_LE(t.upload_finish_time(s, bytes), deadline * (1.0 + 1e-9))
+          << "deadline " << deadline << " bytes " << bytes;
+      if (bytes > 0.0) {
+        EXPECT_GT(t.upload_finish_time(s + 1e-6, bytes), deadline)
+            << "deadline " << deadline << " bytes " << bytes;
+      }
+    }
+  }
+}
+
+TEST(BandwidthTrace, LatestStartWrapsAcrossPeriods) {
+  BandwidthTrace t({10.0, 20.0}, 1.0);  // 30 bytes per 2 s period
+  // B(6) = 90, so 75 bytes due at t = 6 start where B = 15: at 1.25,
+  // two periods before the deadline's own.
+  EXPECT_DOUBLE_EQ(t.latest_start(6.0, 75.0), 1.25);
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(1.25, 75.0), 6.0);
+  // A deadline mid-bin in the fourth period: B(7.5) = 110, start at B = 45.
+  EXPECT_DOUBLE_EQ(t.latest_start(7.5, 65.0), 3.25);
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(3.25, 65.0), 7.5);
+}
+
+TEST(BandwidthTrace, LatestStartEndsZeroBandwidthRuns) {
+  BandwidthTrace t({10.0, 0.0, 0.0, 20.0}, 1.0);
+  // 20 bytes by t = 4 can start anywhere in the idle [1, 3): the latest
+  // start is the end of that run.
+  EXPECT_DOUBLE_EQ(t.latest_start(4.0, 20.0), 3.0);
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(3.0, 20.0), 4.0);
+  EXPECT_GT(t.upload_finish_time(3.01, 20.0), 4.0);
+  // A deadline inside the idle run is met by the bytes moved before it.
+  EXPECT_DOUBLE_EQ(t.latest_start(2.5, 5.0), 0.5);
+
+  // An idle run across the period boundary: [2, 4) here.
+  BandwidthTrace wrap({0.0, 10.0, 0.0}, 1.0);
+  EXPECT_DOUBLE_EQ(wrap.latest_start(5.0, 10.0), 4.0);
+  EXPECT_DOUBLE_EQ(wrap.cumulative_bytes(5.0) - wrap.cumulative_bytes(4.0),
+                   10.0);
+  EXPECT_DOUBLE_EQ(wrap.latest_start(4.0, 10.0), 1.0);
+}
+
+TEST(BandwidthTrace, LatestStartNegativeWhenNothingFits) {
+  auto t = constant_trace(100.0, 10);
+  EXPECT_DOUBLE_EQ(t.latest_start(2.0, 200.0), 0.0);  // exactly fits
+  EXPECT_LT(t.latest_start(1.0, 200.0), 0.0);
+  EXPECT_LT(t.latest_start(0.0, 1e-300), 0.0);
+  EXPECT_DOUBLE_EQ(t.latest_start(3.0, 0.0), 3.0);
+}
+
 TEST(BandwidthTrace, SlotAverageBasic) {
   BandwidthTrace t({10.0, 20.0, 30.0, 40.0}, 1.0);
   EXPECT_DOUBLE_EQ(t.slot_average(0, 2.0), 15.0);

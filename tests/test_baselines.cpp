@@ -136,6 +136,42 @@ TEST(Oracle, NeverWorseThanStaticOnFirstIteration) {
   }
 }
 
+TEST(Oracle, EachDeviceIsMinimalForTheDeadline) {
+  // Across the oracle's deadline range, from several clock positions, each
+  // device either runs flat out, or meets the deadline T and is at the
+  // frequency floor or tight against T: 1e-6 less frequency misses T.
+  auto sim = make_sim(21);
+  const auto& params = sim.params();
+  OracleController oracle;
+  FullSpeedController full;
+  for (int round = 0; round < 4; ++round) {
+    const double now = sim.now();
+    for (double deadline = 0.5; deadline < 600.0; deadline *= 1.05) {
+      const auto freqs = oracle.freqs_for_true_deadline(sim, deadline);
+      ASSERT_EQ(freqs.size(), sim.num_devices());
+      for (std::size_t i = 0; i < freqs.size(); ++i) {
+        const DeviceProfile d = sim.fleet().device(i);
+        const auto completion = [&](double f) {
+          const double cmp = d.compute_time(f, params.tau);
+          return cmp +
+                 sim.trace(i).upload_duration(now + cmp, params.model_bytes);
+        };
+        if (freqs[i] == d.max_freq_hz) continue;
+        const double floor_hz = FlSimulator::kMinFreqFraction * d.max_freq_hz;
+        EXPECT_GE(freqs[i], floor_hz);
+        EXPECT_LT(freqs[i], d.max_freq_hz);
+        EXPECT_LE(completion(freqs[i]), deadline * (1.0 + 1e-9))
+            << "device " << i << " deadline " << deadline;
+        if (freqs[i] > floor_hz) {
+          EXPECT_GT(completion(freqs[i] * (1.0 - 1e-6)), deadline)
+              << "device " << i << " deadline " << deadline;
+        }
+      }
+    }
+    sim.step(full.decide(sim), {});
+  }
+}
+
 TEST(Baselines, RankingOverManyIterationsIsSane) {
   // Over a long run, clairvoyance can only help: oracle <= heuristic and
   // oracle <= static on average. (Greedy per-iteration optimality does not

@@ -3,6 +3,7 @@
 // the hand-computed cases in test_simulator.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "sched/baselines.hpp"
@@ -160,6 +161,56 @@ TEST_P(SimProperties, PartialParticipationConsistency) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimProperties,
                          ::testing::Values(1u, 7u, 42u, 99u, 1234u, 31337u,
                                            271828u, 314159u));
+
+// Rounds, out of `rounds` per seed over five seeds, in which heuristic,
+// static or full speed is cheaper than the oracle by more than 1e-9
+// relative. The heuristic drives the simulator from state to state, and
+// every controller is previewed from the same state. The oracle is greedy
+// per round and searches deadline-matched assignments only, so a
+// baseline can undercut it; the count must not grow.
+std::size_t rounds_a_baseline_beats_oracle(ExperimentConfig cfg,
+                                           std::size_t rounds) {
+  std::size_t beaten = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    cfg.seed = seed;
+    auto sim = build_simulator(cfg);
+    HeuristicController heuristic(sim);
+    Rng rng(seed ^ 0x5eedULL);
+    StaticController fixed(sim, 30, rng);
+    FullSpeedController full;
+    OracleController oracle;
+    StepOptions summary;
+    summary.outcomes = OutcomeLayout::kSummary;
+    for (std::size_t k = 0; k < rounds; ++k) {
+      const auto heuristic_freqs = heuristic.decide(sim);
+      const double oracle_cost = sim.preview(oracle.decide(sim), summary).cost;
+      const double best_baseline =
+          std::min({sim.preview(heuristic_freqs, summary).cost,
+                    sim.preview(fixed.decide(sim), summary).cost,
+                    sim.preview(full.decide(sim), summary).cost});
+      if (best_baseline < oracle_cost * (1.0 - 1e-9)) ++beaten;
+      heuristic.observe(sim.step(heuristic_freqs, {}));
+    }
+  }
+  return beaten;
+}
+
+TEST(OracleHonesty, BaselinesRarelyUndercutOracleOnTestbed) {
+  // Each bound is the count of the oracle that bisected every device's
+  // frequency to 1 kHz, before the closed-form deadline inversion; the
+  // closed form reaches the same count on both configurations.
+  const std::size_t beaten = rounds_a_baseline_beats_oracle(testbed_config(),
+                                                            200);
+  RecordProperty("rounds_beaten", static_cast<int>(beaten));
+  EXPECT_LE(beaten, 125u) << beaten << " of 1000 rounds";
+}
+
+TEST(OracleHonesty, BaselinesRarelyUndercutOracleAtScale) {
+  const std::size_t beaten = rounds_a_baseline_beats_oracle(scale_config(),
+                                                            200);
+  RecordProperty("rounds_beaten", static_cast<int>(beaten));
+  EXPECT_LE(beaten, 164u) << beaten << " of 1000 rounds";
+}
 
 }  // namespace
 }  // namespace fedra
