@@ -22,7 +22,7 @@ namespace fedra::bench {
 /// Scans argv for `--telemetry-out <prefix>` (or `--telemetry-out=prefix`)
 /// and, when present, enables telemetry writing `<prefix>.jsonl` and
 /// `<prefix>.trace.json` (flushed at exit). `--ledger-out <path>` likewise
-/// enables the run ledger (implying telemetry, which gates it) writing a
+/// enables the run ledger, which needs no telemetry, writing a
 /// `fedra.ledger.v1` JSONL that tools/fedra_report renders. Both flags are
 /// REMOVED from argc/argv so downstream parsers (google-benchmark rejects
 /// unknown flags) never see them. Returns true when telemetry was enabled.
@@ -51,13 +51,12 @@ inline bool init_telemetry_from_args(int& argc, char** argv) {
     argv[out++] = argv[i];
   }
   argc = out;
-  if (prefix.empty() && ledger_path.empty()) return false;
-  telemetry::TelemetryConfig cfg;
   if (!prefix.empty()) {
+    telemetry::TelemetryConfig cfg;
     cfg.jsonl_path = prefix + ".jsonl";
     cfg.chrome_trace_path = prefix + ".trace.json";
+    telemetry::Telemetry::enable(cfg);
   }
-  telemetry::Telemetry::enable(cfg);
   if (!ledger_path.empty()) {
     obs::LedgerConfig lcfg;
     lcfg.path = ledger_path;
@@ -70,7 +69,7 @@ inline bool init_telemetry_from_args(int& argc, char** argv) {
     lcfg.run_id = slash == std::string::npos ? argv0 : argv0.substr(slash + 1);
     obs::RunLedger::enable(lcfg);
   }
-  return true;
+  return !prefix.empty();
 }
 
 /// A trained agent plus everything needed to rebuild matching simulators.

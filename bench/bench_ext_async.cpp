@@ -3,7 +3,7 @@
 // The paper adopts the synchronized model citing Chen et al. [14]. This
 // bench runs both against identical devices/traces with REAL training:
 //   sync  — FedAvg rounds priced by the barrier simulator;
-//   async — event-driven updates priced by AsyncFlSimulator, aggregated
+//   async — event-driven updates priced by run_async, aggregated
 //           with staleness-weighted mixing.
 // Reported: wall-clock and energy to reach the same global-loss target,
 // plus update counts and staleness — the actual trade behind the paper's
@@ -78,10 +78,8 @@ int main() {
     acfg.base_mix = 0.35;
     acfg.staleness_decay = decay;
     AsyncFedAvgServer server(make_clients(spec), spec, acfg, 7);
-    AsyncFlSimulator sim(sync_sim.fleet_state(), sync_sim.trace_table(),
-                         sync_sim.params());
     // Long horizon; walk events until the loss target is met.
-    auto run = sim.run(full_freqs, 3000.0);
+    auto run = run_async(sync_sim, full_freqs, 3000.0);
     std::vector<std::vector<Matrix>> pulled(3, server.snapshot());
     double loss = 1e9, wall = 0.0, energy = 0.0, staleness = 0.0;
     std::size_t updates = 0;

@@ -6,7 +6,11 @@
 #      `live_probe` test: it starts the embedded observability exporter
 #      in-process, fetches /metrics, /healthz, /statusz and the
 #      flight-recorder dump over real TCP, validates every payload and
-#      verifies clean double-stop shutdown);
+#      verifies clean double-stop shutdown); then the end-to-end
+#      benchmark `bench_e2e/`, configured as its own project into
+#      build-e2e/: both of its targets are built, so a library API the
+#      benchmark calls cannot be deleted unnoticed, and
+#      `bench_e2e_selftest` runs;
 #   2. sanitize: address,undefined build, `sanitize`-labeled suites
 #      (`-L sanitize` regex-matches the combined sanitize_ckpt /
 #      sanitize_serve / sanitize_tsan labels, so the checkpoint and
@@ -43,6 +47,11 @@ echo "== tier-1: build + ctest (build/) =="
 cmake -B build -S . -DFEDRA_WERROR=ON
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== tier-1: end-to-end benchmark build + selftest (build-e2e/) =="
+cmake -B build-e2e -S bench_e2e
+cmake --build build-e2e -j "$jobs" --target bench_e2e bench_e2e_selftest
+build-e2e/bench_e2e_selftest
 
 if [[ "$fast" == 1 ]]; then
   echo "check.sh: tier-1 leg passed (--fast)"

@@ -34,19 +34,17 @@ std::vector<double> DrlController::decide(const SimulatorBase& sim) {
   for (std::size_t i = 0; i < fractions.size(); ++i) {
     freqs[i] = fractions[i] * sim.fleet().max_freq_hz(i);
   }
-  FEDRA_TELEMETRY_IF {
-    if (obs::RunLedger::enabled()) {
-      // Stash the decision; the matching observe() closes the record with
-      // the realized outcome. The prediction is a fault-free preview so
-      // the gap to the realized cost isolates fault-driven cost.
-      pending_.valid = true;
-      pending_.state = state;
-      pending_.freqs_hz = freqs;
-      const IterationResult predicted = sim.preview(freqs, StepOptions{});
-      pending_.predicted_time = predicted.iteration_time;
-      pending_.predicted_energy = predicted.total_energy;
-      pending_.predicted_cost = predicted.cost;
-    }
+  if (obs::RunLedger::enabled()) {
+    // Stash the decision; the matching observe() closes the record with
+    // the realized outcome. The prediction is a fault-free preview so
+    // the gap to the realized cost isolates fault-driven cost.
+    pending_.valid = true;
+    pending_.state = state;
+    pending_.freqs_hz = freqs;
+    const IterationResult predicted = sim.preview(freqs, StepOptions{});
+    pending_.predicted_time = predicted.iteration_time;
+    pending_.predicted_energy = predicted.total_energy;
+    pending_.predicted_cost = predicted.cost;
   }
   return freqs;
 }
@@ -55,22 +53,20 @@ void DrlController::observe(const IterationResult& result) {
   if (env_config_.fault_aware_state) last_result_ = result;
   if (pending_.valid) {
     pending_.valid = false;
-    FEDRA_TELEMETRY_IF {
-      if (obs::RunLedger::enabled()) {
-        obs::DecisionRecord decision;
-        decision.round = decision_round_;
-        decision.source = "ctl";
-        decision.state = std::move(pending_.state);
-        decision.action = std::move(pending_.freqs_hz);
-        decision.predicted_time = pending_.predicted_time;
-        decision.predicted_energy = pending_.predicted_energy;
-        decision.predicted_cost = pending_.predicted_cost;
-        decision.realized_time = result.iteration_time;
-        decision.realized_energy = result.total_energy;
-        decision.realized_cost = result.cost;
-        decision.reward = result.reward;
-        obs::RunLedger::record_decision(decision);
-      }
+    if (obs::RunLedger::enabled()) {
+      obs::DecisionRecord decision;
+      decision.round = decision_round_;
+      decision.source = "ctl";
+      decision.state = std::move(pending_.state);
+      decision.action = std::move(pending_.freqs_hz);
+      decision.predicted_time = pending_.predicted_time;
+      decision.predicted_energy = pending_.predicted_energy;
+      decision.predicted_cost = pending_.predicted_cost;
+      decision.realized_time = result.iteration_time;
+      decision.realized_energy = result.total_energy;
+      decision.realized_cost = result.cost;
+      decision.reward = result.reward;
+      obs::RunLedger::record_decision(decision);
     }
   }
   ++decision_round_;

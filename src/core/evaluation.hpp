@@ -3,11 +3,11 @@
 // iterations", Section V-B2) and collects the per-iteration series behind
 // Figures 7 and 8.
 //
-// The harness is templated over the SteppableSimulator concept, so the
-// same loop evaluates a controller against FlSimulator (synchronized
-// barrier) or AsyncFlSimulator (no barrier) — and EvalOptions carries the
-// round conditions (deadline, fault model) shared by every controller in
-// a comparison.
+// The harness is templated over the SteppableSimulator concept and copies
+// the simulator as its own type, so a simulator derived from FlSimulator
+// (one that times each step, say) runs its own step() override — and
+// EvalOptions carries the round conditions (deadline, fault model) shared
+// by every controller in a comparison.
 #pragma once
 
 #include <chrono>

@@ -6,7 +6,6 @@
 
 #include "live/flight_recorder.hpp"
 #include "obs/ledger.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace fedra {
 
@@ -122,11 +121,10 @@ StepResult FlEnv::step(const std::vector<double>& action) {
 
   // Ledger decision record: capture what the agent saw and what a
   // fault-free preview() of its action predicts, before the step advances
-  // the clock. Gated behind the Telemetry facade so the hot path stays a
-  // single branch (and allocation-free) when observability is off.
+  // the clock. With the ledger off the hot path stays a single branch
+  // (and allocation-free).
   obs::DecisionRecord decision;
-  bool ledger_on = false;
-  FEDRA_TELEMETRY_IF ledger_on = obs::RunLedger::enabled();
+  const bool ledger_on = obs::RunLedger::enabled();
   if (ledger_on) {
     decision.round = sim_.iteration();
     decision.source = "env";

@@ -6,13 +6,6 @@
 
 namespace fedra {
 
-namespace {
-Mlp build_model(const ModelSpec& spec, std::uint64_t seed) {
-  Rng rng(seed);
-  return Mlp(spec.sizes, spec.hidden, rng);
-}
-}  // namespace
-
 AsyncFedAvgServer::AsyncFedAvgServer(std::vector<FlClient> clients,
                                      const ModelSpec& spec,
                                      AsyncAggregationConfig config,

@@ -1,6 +1,6 @@
 // Asynchronous model aggregation with staleness-weighted mixing — the
-// server-side counterpart of AsyncFlSimulator. On each arriving update
-// the global model moves toward the client's model by
+// server-side counterpart of run_async (sim/async_simulator.hpp). On each
+// arriving update the global model moves toward the client's model by
 //
 //   alpha(s) = base_mix / (1 + staleness)^staleness_decay,
 //

@@ -8,12 +8,10 @@
 
 namespace fedra {
 
-namespace {
 Mlp build_model(const ModelSpec& spec, std::uint64_t seed) {
   Rng rng(seed);
-  return Mlp(spec.sizes, spec.hidden, rng);
+  return Mlp(spec.sizes, ModelSpec::kHidden, rng);
 }
-}  // namespace
 
 FlClient::FlClient(Dataset data, const ModelSpec& spec, std::uint64_t seed)
     : data_(std::move(data)), model_(build_model(spec, seed)), seed_(seed) {

@@ -19,8 +19,12 @@ namespace fedra {
 /// Topology shared by the global model and all client replicas.
 struct ModelSpec {
   std::vector<std::size_t> sizes;  ///< {in, hidden..., classes}
-  Activation hidden = Activation::ReLU;
+  /// Activation after every hidden layer of every FL model.
+  static constexpr Activation kHidden = Activation::ReLU;
 };
+
+/// The model `spec` describes, initialized from `seed`.
+Mlp build_model(const ModelSpec& spec, std::uint64_t seed);
 
 /// Hyper-parameters of local training.
 struct LocalTrainConfig {

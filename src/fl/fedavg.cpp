@@ -6,13 +6,6 @@
 
 namespace fedra {
 
-namespace {
-Mlp build_model(const ModelSpec& spec, std::uint64_t seed) {
-  Rng rng(seed);
-  return Mlp(spec.sizes, spec.hidden, rng);
-}
-}  // namespace
-
 FedAvgServer::FedAvgServer(std::vector<FlClient> clients,
                            const ModelSpec& spec, std::uint64_t seed)
     : clients_(std::move(clients)), global_model_(build_model(spec, seed)) {
@@ -137,31 +130,17 @@ RoundMetrics FedAvgServer::run_round(
   double loss_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) loss_sum += updates[i].avg_loss;
   m.mean_client_loss = loss_sum / static_cast<double>(n);
-  FEDRA_TELEMETRY_IF {
-    if (obs::RunLedger::enabled()) {
-      obs::FlRoundRecord rec;
-      rec.round = m.round;
-      rec.global_loss = m.global_loss;
-      rec.global_accuracy = m.global_accuracy;
-      rec.mean_client_loss = m.mean_client_loss;
-      rec.num_participants = m.num_participants;
-      rec.num_delivered = m.num_delivered;
-      obs::RunLedger::record_fl_round(rec);
-    }
+  if (obs::RunLedger::enabled()) {
+    obs::FlRoundRecord rec;
+    rec.round = m.round;
+    rec.global_loss = m.global_loss;
+    rec.global_accuracy = m.global_accuracy;
+    rec.mean_client_loss = m.mean_client_loss;
+    rec.num_participants = m.num_participants;
+    rec.num_delivered = m.num_delivered;
+    obs::RunLedger::record_fl_round(rec);
   }
   return m;
-}
-
-std::vector<RoundMetrics> FedAvgServer::train_until(
-    const LocalTrainConfig& config, double epsilon, std::size_t max_rounds,
-    ThreadPool& pool) {
-  FEDRA_EXPECTS(epsilon > 0.0 && max_rounds > 0);
-  std::vector<RoundMetrics> history;
-  for (std::size_t k = 0; k < max_rounds; ++k) {
-    history.push_back(run_round(config, pool));
-    if (history.back().global_loss < epsilon) break;  // constraint (10)
-  }
-  return history;
 }
 
 void FedAvgServer::restore(std::vector<Matrix> global_params,

@@ -63,13 +63,6 @@ class FedAvgServer {
                          const std::vector<std::size_t>& participants,
                          const std::vector<std::size_t>& delivered);
 
-  /// Runs rounds until F(w) < epsilon (constraint 10) or max_rounds.
-  /// Returns all round metrics.
-  std::vector<RoundMetrics> train_until(const LocalTrainConfig& config,
-                                        double epsilon,
-                                        std::size_t max_rounds,
-                                        ThreadPool& pool);
-
   /// F(w) of Eq. (8): data-size-weighted mean of client losses.
   double global_loss();
 

@@ -22,21 +22,6 @@ void ReLU::backward_into(const Matrix& grad_output, Matrix& grad_in) {
   relu_backward_map(grad_output.data(), x.data(), grad_in.data(), x.size());
 }
 
-void LeakyReLU::forward_into(const Matrix& input, Matrix& out) {
-  input_ref_ = &input;
-  out.resize_reuse(input.rows(), input.cols());
-  leaky_relu_map(input.data(), slope_, out.data(), input.size());
-}
-
-void LeakyReLU::backward_into(const Matrix& grad_output, Matrix& grad_in) {
-  FEDRA_EXPECTS(input_ref_ != nullptr);
-  const Matrix& x = *input_ref_;
-  FEDRA_EXPECTS(grad_output.same_shape(x));
-  grad_in.resize_reuse(x.rows(), x.cols());
-  leaky_relu_backward_map(grad_output.data(), x.data(), slope_,
-                          grad_in.data(), x.size());
-}
-
 void Tanh::forward_into(const Matrix& input, Matrix& out) {
   out.resize_reuse(input.rows(), input.cols());
   fast_tanh_map(input.data(), out.data(), input.size());
@@ -49,21 +34,6 @@ void Tanh::backward_into(const Matrix& grad_output, Matrix& grad_in) {
   FEDRA_EXPECTS(grad_output.same_shape(y));
   grad_in.resize_reuse(y.rows(), y.cols());
   tanh_backward_map(grad_output.data(), y.data(), grad_in.data(), y.size());
-}
-
-void Sigmoid::forward_into(const Matrix& input, Matrix& out) {
-  out.resize_reuse(input.rows(), input.cols());
-  fast_sigmoid_map(input.data(), out.data(), input.size());
-  output_ref_ = &out;
-}
-
-void Sigmoid::backward_into(const Matrix& grad_output, Matrix& grad_in) {
-  FEDRA_EXPECTS(output_ref_ != nullptr);
-  const Matrix& y = *output_ref_;
-  FEDRA_EXPECTS(grad_output.same_shape(y));
-  grad_in.resize_reuse(y.rows(), y.cols());
-  sigmoid_backward_map(grad_output.data(), y.data(), grad_in.data(),
-                       y.size());
 }
 
 void softmax_rows_into(const Matrix& logits, Matrix& out) {
@@ -81,35 +51,6 @@ void softmax_rows_into(const Matrix& logits, Matrix& out) {
     double z = 0.0;
     for (std::size_t j = 0; j < cols; ++j) z += o[j];
     for (std::size_t j = 0; j < cols; ++j) o[j] /= z;
-  }
-}
-
-Matrix softmax_rows(const Matrix& logits) {
-  Matrix out;
-  softmax_rows_into(logits, out);
-  return out;
-}
-
-void Softmax::forward_into(const Matrix& input, Matrix& out) {
-  softmax_rows_into(input, out);
-  output_ref_ = &out;
-}
-
-void Softmax::backward_into(const Matrix& grad_output, Matrix& grad_in) {
-  FEDRA_EXPECTS(output_ref_ != nullptr);
-  const Matrix& y = *output_ref_;
-  FEDRA_EXPECTS(grad_output.same_shape(y));
-  // dL/dx_j = y_j * (dL/dy_j - sum_k dL/dy_k y_k), per row.
-  grad_in.resize_reuse(y.rows(), y.cols());
-  for (std::size_t i = 0; i < grad_in.rows(); ++i) {
-    auto yr = y.row(i);
-    auto go = grad_output.row(i);
-    double dotp = 0.0;
-    for (std::size_t j = 0; j < yr.size(); ++j) dotp += go[j] * yr[j];
-    auto gi = grad_in.row(i);
-    for (std::size_t j = 0; j < yr.size(); ++j) {
-      gi[j] = yr[j] * (go[j] - dotp);
-    }
   }
 }
 

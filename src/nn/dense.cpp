@@ -27,8 +27,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
           Matrix::random_gaussian(in_features, out_features, rng, 0.0, std);
       break;
     }
-    case Init::Zero:
-      break;  // already zeroed
   }
 }
 

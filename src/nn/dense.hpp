@@ -7,9 +7,8 @@
 namespace fedra {
 
 enum class Init {
-  Xavier,  ///< uniform(-sqrt(6/(in+out)), +sqrt(6/(in+out))) — tanh/sigmoid
-  He,      ///< gaussian(0, sqrt(2/in)) — ReLU family
-  Zero,    ///< zeros (useful for output heads that should start neutral)
+  Xavier,  ///< uniform(-sqrt(6/(in+out)), +sqrt(6/(in+out))) — tanh
+  He,      ///< gaussian(0, sqrt(2/in)) — ReLU
 };
 
 class Dense final : public Layer {

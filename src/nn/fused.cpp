@@ -29,7 +29,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // The shared saturating-exp operation DAG. Every tanh tier and the scalar
-// exp/sigmoid maps execute, per element:
+// exp map execute, per element:
 //   clamp -> x*log2(e) -> magic-number round-to-nearest -> two-term
 //   Cody-Waite reduction r = x - n*ln2 -> degree-12 Horner polynomial ->
 //   scale by 2^n in two halves (n1 = n>>1, n2 = n-n1) assembled from raw
@@ -96,13 +96,6 @@ inline double tanh_core_scalar(double x) {
   const double sat = a > kTanhSat ? 1.0 : t;
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(sat) |
                                (std::bit_cast<std::uint64_t>(x) & kSignBit));
-}
-
-inline double sigmoid_core_scalar(double x) {
-  const double a = std::fabs(x);
-  const double e = exp_core_scalar(-a);
-  const double d = 1.0 + e;
-  return x < 0.0 ? e / d : 1.0 / d;
 }
 
 #if FEDRA_FUSED_X86_SIMD
@@ -267,11 +260,6 @@ double fast_tanh_reference(double x) {
   return tanh_core_scalar(x);
 }
 
-double fast_sigmoid_reference(double x) {
-  if (x != x) return x;
-  return sigmoid_core_scalar(x);
-}
-
 void fast_exp_map(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = fast_exp_reference(x[i]);
 }
@@ -283,20 +271,9 @@ void fast_tanh_map(const double* x, double* out, std::size_t n) {
   }
 }
 
-void fast_sigmoid_map(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = fast_sigmoid_reference(x[i]);
-}
-
 void relu_map(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = x[i] > 0.0 ? x[i] : 0.0;
-  }
-}
-
-void leaky_relu_map(const double* x, double slope, double* out,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = x[i] > 0.0 ? x[i] : slope * x[i];
   }
 }
 
@@ -307,24 +284,10 @@ void relu_backward_map(const double* g, const double* x, double* grad_in,
   }
 }
 
-void leaky_relu_backward_map(const double* g, const double* x, double slope,
-                             double* grad_in, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    grad_in[i] = x[i] <= 0.0 ? slope * g[i] : g[i];
-  }
-}
-
 void tanh_backward_map(const double* g, const double* y, double* grad_in,
                        std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     grad_in[i] = g[i] * (1.0 - y[i] * y[i]);
-  }
-}
-
-void sigmoid_backward_map(const double* g, const double* y, double* grad_in,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    grad_in[i] = g[i] * (y[i] * (1.0 - y[i]));
   }
 }
 
@@ -334,27 +297,9 @@ void sigmoid_backward_map(const double* g, const double* y, double* grad_in,
 
 namespace {
 
-void act_apply(FusedAct act, const double* x, double* out, std::size_t n) {
-  if (act == FusedAct::Tanh) {
-    fast_tanh_map(x, out, n);
-  } else {
-    fast_sigmoid_map(x, out, n);
-  }
-}
-
-/// Scalar-only variant of act_apply for bias_act_into_reference.
-void act_apply_reference(FusedAct act, const double* x, double* out,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = act == FusedAct::Tanh ? fast_tanh_reference(x[i])
-                                   : fast_sigmoid_reference(x[i]);
-  }
-}
-
-// Fused backward row kernels: dpre and the running column sum in one
-// sweep, each element the same arithmetic as the activation's backward
-// map. Row-ascending accumulation into cs matches col_sum_into.
-
+// Fused backward row kernel: dpre and the running column sum in one sweep,
+// each element the same arithmetic as tanh_backward_map. Row-ascending
+// accumulation into cs matches col_sum_into.
 void tanh_bwd_row(const double* g, const double* y, double* d, double* cs,
                   std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
@@ -364,59 +309,47 @@ void tanh_bwd_row(const double* g, const double* y, double* d, double* cs,
   }
 }
 
-void sigmoid_bwd_row(const double* g, const double* y, double* d, double* cs,
-                     std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const double v = g[j] * (y[j] * (1.0 - y[j]));
-    d[j] = v;
-    cs[j] += v;
+/// out = pre + bias, row by row: the bias half of both fused forwards.
+void add_bias_into(const Matrix& pre, const Matrix& bias, Matrix& out) {
+  FEDRA_EXPECTS(&out != &pre);
+  FEDRA_EXPECTS(bias.rows() == 1 && bias.cols() == pre.cols());
+  out.resize_reuse(pre.rows(), pre.cols());
+  const std::size_t cols = pre.cols();
+  const double* b = bias.data();
+  for (std::size_t i = 0; i < pre.rows(); ++i) {
+    const double* p = pre.data() + i * cols;
+    double* o = out.data() + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) o[j] = p[j] + b[j];
   }
 }
 
 }  // namespace
 
-void bias_act_into(const Matrix& pre, const Matrix& bias, FusedAct act,
-                   Matrix& out) {
-  FEDRA_EXPECTS(&out != &pre);
-  FEDRA_EXPECTS(bias.rows() == 1 && bias.cols() == pre.cols());
-  out.resize_reuse(pre.rows(), pre.cols());
-  const std::size_t cols = pre.cols();
-  const double* b = bias.data();
-  for (std::size_t i = 0; i < pre.rows(); ++i) {
-    const double* p = pre.data() + i * cols;
-    double* o = out.data() + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) o[j] = p[j] + b[j];
-  }
-  act_apply(act, out.data(), out.data(), out.size());
+void bias_act_into(const Matrix& pre, const Matrix& bias, Matrix& out) {
+  add_bias_into(pre, bias, out);
+  fast_tanh_map(out.data(), out.data(), out.size());
 }
 
 void bias_act_into_reference(const Matrix& pre, const Matrix& bias,
-                             FusedAct act, Matrix& out) {
-  FEDRA_EXPECTS(&out != &pre);
-  FEDRA_EXPECTS(bias.rows() == 1 && bias.cols() == pre.cols());
-  out.resize_reuse(pre.rows(), pre.cols());
-  const std::size_t cols = pre.cols();
-  const double* b = bias.data();
-  for (std::size_t i = 0; i < pre.rows(); ++i) {
-    const double* p = pre.data() + i * cols;
-    double* o = out.data() + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) o[j] = p[j] + b[j];
+                             Matrix& out) {
+  add_bias_into(pre, bias, out);
+  double* o = out.data();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    o[i] = fast_tanh_reference(o[i]);
   }
-  act_apply_reference(act, out.data(), out.data(), out.size());
 }
 
-void act_backward_colsum_into(const Matrix& g, const Matrix& y, FusedAct act,
-                              Matrix& dpre, Matrix& colsum) {
+void act_backward_colsum_into(const Matrix& g, const Matrix& y, Matrix& dpre,
+                              Matrix& colsum) {
   FEDRA_EXPECTS(g.same_shape(y));
   dpre.resize_reuse(y.rows(), y.cols());
   colsum.resize_reuse(1, y.cols());
   colsum.set_zero();
-  const auto row = act == FusedAct::Tanh ? &tanh_bwd_row : &sigmoid_bwd_row;
   const std::size_t cols = y.cols();
   double* cs = colsum.data();
   for (std::size_t i = 0; i < y.rows(); ++i) {
-    row(g.data() + i * cols, y.data() + i * cols, dpre.data() + i * cols, cs,
-        cols);
+    tanh_bwd_row(g.data() + i * cols, y.data() + i * cols,
+                 dpre.data() + i * cols, cs, cols);
   }
 }
 

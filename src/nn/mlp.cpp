@@ -8,31 +8,20 @@ namespace fedra {
 
 namespace {
 
-// Pair-fusion probe: layers_[i] = Dense and layers_[i+1] = Tanh/Sigmoid
-// (the output-derivative activations; see nn/fused.hpp for why the ReLU
-// family stays layer-by-layer). Returns the activation kind and a hook to
-// bind the fused output so a later backward finds its y.
+// Pair-fusion probe: layers_[i] = Dense and layers_[i+1] = Tanh (the
+// output-derivative activation; see nn/fused.hpp for why ReLU stays
+// layer-by-layer). Returns both layers so a fused forward can bind its
+// output for a later backward.
 struct FusablePair {
   Dense* dense = nullptr;
-  FusedAct act{};
   Tanh* tanh = nullptr;
-  Sigmoid* sigmoid = nullptr;
 };
 
 bool probe_fusable(Layer& a, Layer& b, FusablePair& pair) {
   pair.dense = dynamic_cast<Dense*>(&a);
   if (pair.dense == nullptr) return false;
   pair.tanh = dynamic_cast<Tanh*>(&b);
-  if (pair.tanh != nullptr) {
-    pair.act = FusedAct::Tanh;
-    return true;
-  }
-  pair.sigmoid = dynamic_cast<Sigmoid*>(&b);
-  if (pair.sigmoid != nullptr) {
-    pair.act = FusedAct::Sigmoid;
-    return true;
-  }
-  return false;
+  return pair.tanh != nullptr;
 }
 
 }  // namespace
@@ -55,12 +44,8 @@ const Matrix& Sequential::forward_cached(const Matrix& input, Workspace& ws) {
       Matrix& pre = ws.slot(i);
       Matrix& out = ws.slot(i + 1);
       pair.dense->forward_gemm_into(*cur, pre);
-      bias_act_into(pre, pair.dense->bias(), pair.act, out);
-      if (pair.tanh != nullptr) {
-        pair.tanh->bind_output(out);
-      } else {
-        pair.sigmoid->bind_output(out);
-      }
+      bias_act_into(pre, pair.dense->bias(), out);
+      pair.tanh->bind_output(out);
       cur = &out;
       ++i;
       continue;
@@ -84,7 +69,7 @@ void Sequential::backward_cached(const Matrix& grad_output, Workspace& ws) {
       // dpre lands where the activation would have written, grad_in where
       // the dense would have.
       Matrix& dpre = ws.grad(pp);
-      act_backward_colsum_into(*cur, ws.slot(k), pair.act, dpre,
+      act_backward_colsum_into(*cur, ws.slot(k), dpre,
                                pair.dense->bias_grad_scratch());
       pair.dense->accumulate_bias_grad();
       pair.dense->accumulate_weight_grad(dpre);
@@ -166,35 +151,29 @@ LayerPtr make_activation(Activation a) {
   switch (a) {
     case Activation::ReLU:
       return std::make_unique<ReLU>();
-    case Activation::LeakyReLU:
-      return std::make_unique<LeakyReLU>();
     case Activation::Tanh:
       return std::make_unique<Tanh>();
-    case Activation::Sigmoid:
-      return std::make_unique<Sigmoid>();
     case Activation::None:
       return nullptr;
   }
   return nullptr;
 }
 
-Init init_for(Activation a) {
-  return (a == Activation::ReLU || a == Activation::LeakyReLU) ? Init::He
-                                                               : Init::Xavier;
-}
-
 }  // namespace
 
-Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation hidden, Rng& rng,
-         Activation output) {
+Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation hidden,
+         Rng& rng) {
   FEDRA_EXPECTS(sizes.size() >= 2);
   in_features_ = sizes.front();
   out_features_ = sizes.back();
+  const Init hidden_init =
+      hidden == Activation::ReLU ? Init::He : Init::Xavier;
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
     const bool last = (i + 2 == sizes.size());
     add(std::make_unique<Dense>(sizes[i], sizes[i + 1], rng,
-                                last ? Init::Xavier : init_for(hidden)));
-    LayerPtr act = make_activation(last ? output : hidden);
+                                last ? Init::Xavier : hidden_init));
+    if (last) break;
+    LayerPtr act = make_activation(hidden);
     if (act) add(std::move(act));
   }
 }

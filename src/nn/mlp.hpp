@@ -13,7 +13,11 @@
 
 namespace fedra {
 
-enum class Activation { ReLU, LeakyReLU, Tanh, Sigmoid, None };
+// The values are pinned, not positional: they keep the numbers they had
+// before LeakyReLU (1) and Sigmoid (3) were deleted, so anything that
+// prints or records the raw value (parameterised test names, logs) still
+// names the same activation.
+enum class Activation { ReLU = 0, Tanh = 2, None = 4 };
 
 /// A stack of layers applied in order. It runs only over a caller-owned
 /// Workspace (nn/workspace.hpp), so it is a Module, not a Layer.
@@ -32,7 +36,7 @@ class Sequential : public Module {
   /// buffer (valid until the next cached call on `ws`). `input` must stay
   /// valid and unmodified until backward_cached completes — layers cache
   /// pointers into these buffers instead of copying. A Dense followed by
-  /// Tanh/Sigmoid runs as one fused pass (nn/fused.hpp), bit-identical to
+  /// Tanh runs as one fused pass (nn/fused.hpp), bit-identical to
   /// calling each layer's forward_into in turn.
   const Matrix& forward_cached(const Matrix& input, Workspace& ws);
 
@@ -62,12 +66,11 @@ class Sequential : public Module {
 };
 
 /// Fully-connected network: sizes = {in, h1, ..., out}. `hidden` activation
-/// is inserted after every layer except the last; `output` after the last.
-/// Hidden layers use He init for ReLU-family activations, Xavier otherwise.
+/// is inserted after every layer except the last, whose output is linear.
+/// Hidden layers use He init for ReLU, Xavier otherwise.
 class Mlp : public Sequential {
  public:
-  Mlp(const std::vector<std::size_t>& sizes, Activation hidden, Rng& rng,
-      Activation output = Activation::None);
+  Mlp(const std::vector<std::size_t>& sizes, Activation hidden, Rng& rng);
 
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }

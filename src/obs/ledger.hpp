@@ -16,10 +16,12 @@
 //                             cost
 //   {"type":"fl_round", ...}  one per FedAvg aggregation: loss/accuracy
 //
-// Gating: the ledger sits BEHIND the Telemetry facade.  Instrumentation
-// sites test `FEDRA_TELEMETRY_IF { if (RunLedger::enabled()) ... }`, so
-// with telemetry off the hot path pays the same single relaxed load it
-// already paid, and zero heap allocations (verified in tests/test_obs.cpp).
+// Gating: RunLedger::enabled() is the ledger's one switch, independent of
+// the Telemetry facade.  Instrumentation sites test
+// `if (RunLedger::enabled()) ...`, so with the ledger off the hot path
+// pays one relaxed load and zero heap allocations (verified in
+// tests/test_obs.cpp), and an enabled ledger records every round whether
+// or not telemetry is on.
 //
 // All doubles are written with std::to_chars shortest round-trip form, so
 // readers recover them bit-exactly (and formatting costs ~10x less than
@@ -76,7 +78,7 @@ struct DeviceRoundRecord {
 /// with no fused contractions; see DESIGN.md section 7).
 struct RoundRecord {
   std::size_t round = 0;
-  std::string source = "sim";  ///< "sim" (barrier) or "async"
+  std::string source = "sim";  ///< the writer; FlSimulator::step is "sim"
   double start_time = 0.0;     ///< simulator clock when the round began
   double iteration_time = 0.0; ///< T^k: the round makespan
   double total_energy = 0.0;   ///< Sigma_i E_i^k
@@ -139,8 +141,8 @@ struct LedgerConfig {
 
 /// Process-global ledger sink, modeled on telemetry::Telemetry: one
 /// relaxed atomic load when off, a non-blocking ring enqueue when on.
-/// Writers (simulator, env, controller, FedAvg) never construct record
-/// objects unless both Telemetry and the ledger are enabled.
+/// Writers (simulator, env, controllers, FedAvg) construct record objects
+/// only while the ledger is enabled; Telemetry does not gate them.
 class RunLedger {
  public:
   static bool enabled() {

@@ -37,11 +37,9 @@ inline const char* device_failure_name(DeviceFailure failure) {
 /// instead of being materialized.
 inline RoundRecord make_round_record(std::size_t round,
                                      const IterationResult& result,
-                                     const CostParams& params,
-                                     const char* source) {
+                                     const CostParams& params) {
   RoundRecord r;
   r.round = round;
-  r.source = source;
   r.start_time = result.start_time;
   r.iteration_time = result.iteration_time;
   r.total_energy = result.total_energy;

@@ -58,16 +58,14 @@ std::vector<double> ServedDrlController::decide(const SimulatorBase& sim) {
     }
   }
 
-  FEDRA_TELEMETRY_IF {
-    if (obs::RunLedger::enabled()) {
-      pending_.valid = true;
-      pending_.state = state;
-      pending_.freqs_hz = freqs;
-      const IterationResult predicted = sim.preview(freqs, StepOptions{});
-      pending_.predicted_time = predicted.iteration_time;
-      pending_.predicted_energy = predicted.total_energy;
-      pending_.predicted_cost = predicted.cost;
-    }
+  if (obs::RunLedger::enabled()) {
+    pending_.valid = true;
+    pending_.state = state;
+    pending_.freqs_hz = freqs;
+    const IterationResult predicted = sim.preview(freqs, StepOptions{});
+    pending_.predicted_time = predicted.iteration_time;
+    pending_.predicted_energy = predicted.total_energy;
+    pending_.predicted_cost = predicted.cost;
   }
   return freqs;
 }
@@ -76,22 +74,20 @@ void ServedDrlController::observe(const IterationResult& result) {
   if (env_config_.fault_aware_state) last_result_ = result;
   if (pending_.valid) {
     pending_.valid = false;
-    FEDRA_TELEMETRY_IF {
-      if (obs::RunLedger::enabled()) {
-        obs::DecisionRecord decision;
-        decision.round = decision_round_;
-        decision.source = "serve";
-        decision.state = std::move(pending_.state);
-        decision.action = std::move(pending_.freqs_hz);
-        decision.predicted_time = pending_.predicted_time;
-        decision.predicted_energy = pending_.predicted_energy;
-        decision.predicted_cost = pending_.predicted_cost;
-        decision.realized_time = result.iteration_time;
-        decision.realized_energy = result.total_energy;
-        decision.realized_cost = result.cost;
-        decision.reward = result.reward;
-        obs::RunLedger::record_decision(decision);
-      }
+    if (obs::RunLedger::enabled()) {
+      obs::DecisionRecord decision;
+      decision.round = decision_round_;
+      decision.source = "serve";
+      decision.state = std::move(pending_.state);
+      decision.action = std::move(pending_.freqs_hz);
+      decision.predicted_time = pending_.predicted_time;
+      decision.predicted_energy = pending_.predicted_energy;
+      decision.predicted_cost = pending_.predicted_cost;
+      decision.realized_time = result.iteration_time;
+      decision.realized_energy = result.total_energy;
+      decision.realized_cost = result.cost;
+      decision.reward = result.reward;
+      obs::RunLedger::record_decision(decision);
     }
   }
   ++decision_round_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "obs/ledger.hpp"
-#include "obs/record_builders.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/contracts.hpp"
 
@@ -17,43 +15,11 @@ double AsyncRunResult::mean_staleness() const {
   return acc / static_cast<double>(events.size());
 }
 
-AsyncFlSimulator::AsyncFlSimulator(std::vector<DeviceProfile> devices,
-                                   std::vector<BandwidthTrace> traces,
-                                   CostParams params, double start_time)
-    : SimulatorBase(std::move(devices), std::move(traces), params,
-                    start_time) {}
-
-AsyncFlSimulator::AsyncFlSimulator(FleetState fleet, TraceTable traces,
-                                   CostParams params, double start_time)
-    : SimulatorBase(std::move(fleet), std::move(traces), params, start_time) {}
-
-IterationResult AsyncFlSimulator::step(const std::vector<double>& freqs_hz,
-                                       const StepOptions& options) {
-  if (options.dry_run_at.has_value()) return preview(freqs_hz, options);
-  IterationResult result = compute_round(freqs_hz, options, /*advance=*/true,
-                                         now_, /*barrier_idle=*/false);
-  now_ += result.iteration_time;
-  ++iteration_;
-  FEDRA_TELEMETRY_IF {
-    if (obs::RunLedger::enabled()) {
-      obs::RunLedger::record_round(
-          obs::make_round_record(iteration_ - 1, result, params(), "async"));
-    }
-  }
-  return result;
-}
-
-IterationResult AsyncFlSimulator::preview(const std::vector<double>& freqs_hz,
-                                          StepOptions options) const {
-  const double start_time = options.dry_run_at.value_or(now());
-  FEDRA_EXPECTS(start_time >= 0.0);
-  return compute_round(freqs_hz, options, /*advance=*/false, start_time,
-                       /*barrier_idle=*/false);
-}
-
-AsyncRunResult AsyncFlSimulator::run(const std::vector<double>& freqs_hz,
-                                     double horizon) const {
-  FEDRA_EXPECTS(freqs_hz.size() == num_devices());
+AsyncRunResult run_async(const SimulatorBase& sim,
+                         const std::vector<double>& freqs_hz, double horizon) {
+  const std::size_t n = sim.num_devices();
+  const CostParams& params = sim.params();
+  FEDRA_EXPECTS(freqs_hz.size() == n);
   FEDRA_EXPECTS(horizon > 0.0);
   FEDRA_TRACE_SPAN("async_run");
 
@@ -73,31 +39,31 @@ AsyncRunResult AsyncFlSimulator::run(const std::vector<double>& freqs_hz,
   // completion immediately schedules the device's next cycle.
   const auto schedule = [&](std::size_t i, double start,
                             std::size_t version) -> Pending {
-    const DeviceProfile dev = fleet().device(i);
-    const double floor_hz = kMinFreqFraction * dev.max_freq_hz;
+    const DeviceProfile dev = sim.fleet().device(i);
+    const double floor_hz = SimulatorBase::kMinFreqFraction * dev.max_freq_hz;
     const double f = std::clamp(freqs_hz[i], floor_hz, dev.max_freq_hz);
-    const double cmp = dev.compute_time(f, params().tau);
+    const double cmp = dev.compute_time(f, params.tau);
     const double upload_end =
-        trace(i).upload_finish_time(start + cmp, params().model_bytes);
+        sim.trace(i).upload_finish_time(start + cmp, params.model_bytes);
     Pending p;
     p.finish = upload_end;
     p.device = i;
     p.based_on_version = version;
     p.compute_time = cmp;
     p.comm_time = upload_end - (start + cmp);
-    p.energy = dev.compute_energy(f, params().tau) +
+    p.energy = dev.compute_energy(f, params.tau) +
                dev.comm_energy(p.comm_time);
     return p;
   };
 
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue;
-  for (std::size_t i = 0; i < num_devices(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     queue.push(schedule(i, 0.0, 0));
   }
 
   AsyncRunResult result;
   result.horizon = horizon;
-  result.updates_per_device.assign(num_devices(), 0);
+  result.updates_per_device.assign(n, 0);
   std::size_t version = 0;
   while (!queue.empty()) {
     Pending p = queue.top();

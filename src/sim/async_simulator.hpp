@@ -1,30 +1,19 @@
-// Asynchronous federated learning simulator — the counterfactual to the
-// paper's synchronized barrier (the paper adopts sync citing Chen et al.
-// [14]; this module makes that design choice measurable).
+// Asynchronous federated learning — the counterfactual to the paper's
+// synchronized barrier (the paper adopts sync citing Chen et al. [14];
+// run_async makes that design choice measurable).
 //
 // In async mode every device loops independently: pull the latest global
 // model, train tau passes at its frequency, upload, repeat — no barrier,
 // no idle time. The server version-stamps the global model; an update
 // computed against version v and applied at version v' has staleness
-// v' - v. Event-driven simulation over the same bandwidth traces and
-// device profiles as the synchronous FlSimulator.
-//
-// AsyncFlSimulator also exposes the shared SimulatorBase round surface
-// (step/preview with StepOptions): one "round" is every device running a
-// single train-upload cycle concurrently from now(), with no barrier —
-// idle_time is zero and the clock advances by the slowest device's cycle.
-// That lets the evaluation harness and every controller run unchanged
-// against either simulator.
+// v' - v. Event-driven simulation over the device profiles, bandwidth
+// traces and cost parameters of a synchronous simulator.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "sim/cost_model.hpp"
-#include "sim/device.hpp"
 #include "sim/simulator_base.hpp"
-#include "sim/step_options.hpp"
-#include "trace/bandwidth_trace.hpp"
 
 namespace fedra {
 
@@ -53,32 +42,11 @@ struct AsyncRunResult {
   double mean_staleness() const;
 };
 
-class AsyncFlSimulator : public SimulatorBase {
- public:
-  AsyncFlSimulator(std::vector<DeviceProfile> devices,
-                   std::vector<BandwidthTrace> traces, CostParams params,
-                   double start_time = 0.0);
-
-  /// Fleet-scale construction: SoA device columns plus a shared-pool trace
-  /// table (no per-device trace copies).
-  AsyncFlSimulator(FleetState fleet, TraceTable traces, CostParams params,
-                   double start_time = 0.0);
-
-  /// One concurrent train-upload cycle per scheduled device, no barrier:
-  /// idle_time is 0 for every device and the clock advances by the
-  /// slowest resolution time (the next pull point for a lockstep policy).
-  IterationResult step(const std::vector<double>& freqs_hz,
-                       const StepOptions& options) override;
-
-  /// Same cycle WITHOUT advancing clock, counter, or crash chain.
-  IterationResult preview(const std::vector<double>& freqs_hz,
-                          StepOptions options) const override;
-
-  /// Simulates all devices looping independently at the given frequencies
-  /// from t = 0 until `horizon` seconds. Updates completing after the
-  /// horizon are discarded (their energy is not charged).
-  AsyncRunResult run(const std::vector<double>& freqs_hz,
-                     double horizon) const;
-};
+/// Simulates every device of `sim` looping independently at the given
+/// frequencies from t = 0 until `horizon` seconds. Updates completing
+/// after the horizon are discarded (their energy is not charged). Reads
+/// only the fleet, traces and cost parameters of `sim`, never its clock.
+AsyncRunResult run_async(const SimulatorBase& sim,
+                         const std::vector<double>& freqs_hz, double horizon);
 
 }  // namespace fedra

@@ -88,17 +88,15 @@ IterationResult FlSimulator::step(const std::vector<double>& freqs_hz,
   if (options.dry_run_at.has_value()) return preview(freqs_hz, options);
   tel::ScopedTimer timer(tel::Telemetry::enabled() ? sim_metrics().step_us
                                                    : tel::Histogram{});
-  IterationResult result = compute_round(freqs_hz, options, /*advance=*/true,
-                                         now_, /*barrier_idle=*/true);
+  IterationResult result =
+      compute_round(freqs_hz, options, /*advance=*/true, now_);
   // Constraint (11): t^{k+1} = t^k + T^k.
   now_ += result.iteration_time;
   ++iteration_;
-  FEDRA_TELEMETRY_IF {
-    record_iteration(result);
-    if (obs::RunLedger::enabled()) {
-      obs::RunLedger::record_round(
-          obs::make_round_record(iteration_ - 1, result, params(), "sim"));
-    }
+  FEDRA_TELEMETRY_IF record_iteration(result);
+  if (obs::RunLedger::enabled()) {
+    obs::RunLedger::record_round(
+        obs::make_round_record(iteration_ - 1, result, params()));
   }
   return result;
 }
@@ -107,8 +105,7 @@ IterationResult FlSimulator::preview(const std::vector<double>& freqs_hz,
                                      StepOptions options) const {
   const double start_time = options.dry_run_at.value_or(now_);
   FEDRA_EXPECTS(start_time >= 0.0);
-  return compute_round(freqs_hz, options, /*advance=*/false, start_time,
-                       /*barrier_idle=*/true);
+  return compute_round(freqs_hz, options, /*advance=*/false, start_time);
 }
 
 }  // namespace fedra

@@ -410,7 +410,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
 
 IterationResult SimulatorBase::compute_round(
     const std::vector<double>& freqs_hz, const StepOptions& options,
-    bool advance, double start_time, bool barrier_idle) const {
+    bool advance, double start_time) const {
   const std::size_t n = fleet_.size();
   FEDRA_EXPECTS(freqs_hz.size() == n);
   const std::vector<bool>* participating = options.participating;
@@ -476,9 +476,9 @@ IterationResult SimulatorBase::compute_round(
   }
 
   result.iteration_time = makespan;
-  // Second pass: idle time needs the round makespan.
+  // Second pass: idle time at the barrier needs the round makespan.
   for (auto& out : result.devices) {
-    out.idle_time = barrier_idle && out.participated && out.completed
+    out.idle_time = out.participated && out.completed
                         ? makespan - out.total_time
                         : 0.0;
   }

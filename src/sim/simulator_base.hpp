@@ -1,10 +1,10 @@
-// SimulatorBase — the shared surface of the synchronous and asynchronous
-// FL simulators, plus the one round engine both run through.
+// SimulatorBase — the surface controllers see of the synchronous FL
+// simulator, plus the one round engine it runs through.
 //
 // Controllers, selectors, and the evaluation harness program against this
 // base (or against the SteppableSimulator concept for code that copies
 // simulators by value), so a policy written once runs unchanged against
-// FlSimulator and AsyncFlSimulator:
+// FlSimulator and any simulator derived from it:
 //
 //   now()/iteration()/reset()  — simulation clock and round counter;
 //   step(freqs, StepOptions)   — one round: participation mask, round
@@ -113,13 +113,11 @@ class SimulatorBase {
   /// The shared round engine. Faults come from options.faults (read in
   /// place) or else options.fault_model, drawn for iteration() inside each
   /// pricing block; `advance` evolves the model's crash chain (real steps
-  /// only). `barrier_idle` selects the synchronous barrier semantics
-  /// (idle_time = makespan - T_i) vs the asynchronous no-barrier semantics
-  /// (idle_time = 0).
+  /// only). Every device that completes waits at the barrier:
+  /// idle_time = makespan - T_i.
   IterationResult compute_round(const std::vector<double>& freqs_hz,
                                 const StepOptions& options,
-                                bool advance, double start_time,
-                                bool barrier_idle) const;
+                                bool advance, double start_time) const;
 
   double now_ = 0.0;
   std::size_t iteration_ = 0;

@@ -99,10 +99,4 @@ Matrix& Matrix::operator*=(double scalar) {
   return *this;
 }
 
-Matrix& Matrix::hadamard_inplace(const Matrix& other) {
-  FEDRA_EXPECTS(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
 }  // namespace fedra

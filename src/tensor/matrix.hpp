@@ -164,8 +164,6 @@ class Matrix {
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double scalar);
-  /// Hadamard (elementwise) product in place.
-  Matrix& hadamard_inplace(const Matrix& other);
 
   bool operator==(const Matrix& other) const = default;
 

@@ -317,12 +317,6 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
                b.cols(), BPack::kColumns, c.data(), c.cols());
 }
 
-Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_at_b_into(a, b, c);
-  return c;
-}
-
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   FEDRA_EXPECTS(a.cols() == b.cols());
   check_matmul_shapes(a, b, c);
@@ -332,12 +326,6 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
   // micro-kernel reads one contiguous line per k step.
   gemm_blocked(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), 1, b.data(),
                b.cols(), BPack::kRows, c.data(), c.cols());
-}
-
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_a_bt_into(a, b, c);
-  return c;
 }
 
 Matrix matmul_reference(const Matrix& a, const Matrix& b) {
@@ -391,53 +379,11 @@ Matrix matmul_a_bt_reference(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
-  }
-  return t;
-}
-
-Matrix add(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c += b;
-  return c;
-}
-
-Matrix sub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c -= b;
-  return c;
-}
-
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.hadamard_inplace(b);
-  return c;
-}
-
-Matrix scale(const Matrix& a, double s) {
-  Matrix c = a;
-  c *= s;
-  return c;
-}
-
 void axpy(double a, const Matrix& x, Matrix& y) {
   FEDRA_EXPECTS(x.same_shape(y));
   const double* xd = x.data();
   double* yd = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) yd[i] += a * xd[i];
-}
-
-Matrix apply(const Matrix& a, const std::function<double(double)>& f) {
-  Matrix c = a;
-  apply_inplace(c, f);
-  return c;
-}
-
-void apply_inplace(Matrix& a, const std::function<double(double)>& f) {
-  for (auto& x : a.flat()) x = f(x);
 }
 
 void add_row_broadcast(Matrix& a, const Matrix& bias) {
@@ -458,44 +404,6 @@ void col_sum_into(const Matrix& a, Matrix& s) {
   }
 }
 
-Matrix col_sum(const Matrix& a) {
-  Matrix s;
-  col_sum_into(a, s);
-  return s;
-}
-
-Matrix row_sum(const Matrix& a) {
-  Matrix s(a.rows(), 1);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    const double* row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += row[j];
-    s[i] = acc;
-  }
-  return s;
-}
-
-double sum(const Matrix& a) {
-  double acc = 0.0;
-  for (double x : a.flat()) acc += x;
-  return acc;
-}
-
-double frobenius_norm(const Matrix& a) {
-  double acc = 0.0;
-  for (double x : a.flat()) acc += x * x;
-  return std::sqrt(acc);
-}
-
-double dot(const Matrix& a, const Matrix& b) {
-  FEDRA_EXPECTS(a.size() == b.size());
-  double acc = 0.0;
-  const double* ad = a.data();
-  const double* bd = b.data();
-  for (std::size_t i = 0; i < a.size(); ++i) acc += ad[i] * bd[i];
-  return acc;
-}
-
 std::size_t argmax_row(const Matrix& a, std::size_t r) {
   FEDRA_EXPECTS(r < a.rows() && a.cols() > 0);
   auto row = a.row(r);
@@ -513,11 +421,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
     m = std::max(m, std::abs(a[i] - b[i]));
   }
   return m;
-}
-
-void clip_inplace(Matrix& a, double lo, double hi) {
-  FEDRA_EXPECTS(lo <= hi);
-  for (auto& x : a.flat()) x = std::clamp(x, lo, hi);
 }
 
 }  // namespace fedra

@@ -1,5 +1,5 @@
-// Matrix kernels: blocked GEMM, transposed products, elementwise maps,
-// broadcast helpers and reductions.
+// Matrix kernels: blocked GEMM, transposed products, axpy, the bias
+// broadcast and column sum of the dense layer, and test helpers.
 //
 // GEMM kernels are cache-blocked and register-tiled but BIT-EXACT with the
 // naive triple loop: every output element accumulates its k terms in
@@ -14,7 +14,7 @@
 // produces bit-identical output.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 
 #include "tensor/matrix.hpp"
 
@@ -23,16 +23,13 @@ namespace fedra {
 /// C = A * B.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing A^T.
-Matrix matmul_at_b(const Matrix& a, const Matrix& b);
-
-/// C = A * B^T without materializing B^T.
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
-
 // Allocation-free variants: `c` is re-dimensioned with capacity reuse and
-// fully overwritten. `c` must not alias `a` or `b`.
+// fully overwritten. `c` must not alias `a` or `b`. The transposed
+// products read A^T or B^T in place, without materializing them.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// C = A^T * B.
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// C = A * B^T.
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 // Reference kernels: the naive ascending-k triple loops the blocked
@@ -43,50 +40,19 @@ Matrix matmul_reference(const Matrix& a, const Matrix& b);
 Matrix matmul_at_b_reference(const Matrix& a, const Matrix& b);
 Matrix matmul_a_bt_reference(const Matrix& a, const Matrix& b);
 
-Matrix transpose(const Matrix& a);
-
-// Elementwise binary ops (shapes must match).
-Matrix add(const Matrix& a, const Matrix& b);
-Matrix sub(const Matrix& a, const Matrix& b);
-Matrix hadamard(const Matrix& a, const Matrix& b);
-Matrix scale(const Matrix& a, double s);
-
 /// y = a*x + y (in place on y), the axpy BLAS idiom used by optimizers.
 void axpy(double a, const Matrix& x, Matrix& y);
-
-/// Applies f to every element, returning a new matrix.
-Matrix apply(const Matrix& a, const std::function<double(double)>& f);
-
-/// Applies f in place.
-void apply_inplace(Matrix& a, const std::function<double(double)>& f);
 
 /// Adds row vector `bias` (1 x cols) to every row of `a` in place.
 void add_row_broadcast(Matrix& a, const Matrix& bias);
 
-/// Column-wise sum producing a 1 x cols row vector.
-Matrix col_sum(const Matrix& a);
-
 /// Column-wise sum into `s` (re-dimensioned to 1 x cols, capacity reused).
 void col_sum_into(const Matrix& a, Matrix& s);
-
-/// Row-wise sum producing a rows x 1 column vector.
-Matrix row_sum(const Matrix& a);
-
-double sum(const Matrix& a);
-
-/// Frobenius norm.
-double frobenius_norm(const Matrix& a);
-
-/// Dot product of two same-shaped matrices viewed as flat vectors.
-double dot(const Matrix& a, const Matrix& b);
 
 /// Index of the maximum element in row r.
 std::size_t argmax_row(const Matrix& a, std::size_t r);
 
 /// Max absolute difference between two same-shaped matrices.
 double max_abs_diff(const Matrix& a, const Matrix& b);
-
-/// Clips every element to [lo, hi] in place.
-void clip_inplace(Matrix& a, double lo, double hi);
 
 }  // namespace fedra

@@ -67,11 +67,6 @@ void ByteWriter::put_doubles(const std::vector<double>& xs) {
   put_bytes(xs.data(), xs.size() * sizeof(double));
 }
 
-void ByteWriter::put_u64s(const std::vector<std::uint64_t>& xs) {
-  put_u64(xs.size());
-  for (std::uint64_t x : xs) put_u64(x);
-}
-
 void ByteWriter::put_bools(const std::vector<bool>& xs) {
   put_u64(xs.size());
   for (bool b : xs) put_u8(b ? 1 : 0);
@@ -155,14 +150,6 @@ std::vector<double> ByteReader::get_doubles() {
   }
   std::vector<double> xs(static_cast<std::size_t>(n));
   get_bytes(xs.data(), xs.size() * sizeof(double));
-  return xs;
-}
-
-std::vector<std::uint64_t> ByteReader::get_u64s() {
-  const std::uint64_t n = get_u64();
-  if (n > remaining() / 8) throw SerializeError("u64 array truncated");
-  std::vector<std::uint64_t> xs(static_cast<std::size_t>(n));
-  for (auto& x : xs) x = get_u64();
   return xs;
 }
 

@@ -43,8 +43,6 @@ class ByteWriter {
   void put_string(std::string_view s);
   /// u64 count + raw doubles.
   void put_doubles(const std::vector<double>& xs);
-  /// u64 count + u64 each.
-  void put_u64s(const std::vector<std::uint64_t>& xs);
   /// u64 count + one byte per element.
   void put_bools(const std::vector<bool>& xs);
   /// "FMAT" framing (see file comment).
@@ -78,7 +76,6 @@ class ByteReader {
   void get_bytes(void* out, std::size_t size);
   std::string get_string();
   std::vector<double> get_doubles();
-  std::vector<std::uint64_t> get_u64s();
   std::vector<bool> get_bools();
   Matrix get_matrix();
 

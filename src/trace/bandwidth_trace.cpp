@@ -17,6 +17,9 @@ BandwidthTrace::BandwidthTrace(std::vector<double> samples, double dt)
   }
   // A trace that can never move a byte would make uploads take forever.
   FEDRA_EXPECTS(prefix_.back() > 0.0);
+  std::size_t zeros = 0;
+  while (samples_[samples_.size() - 1 - zeros] == 0.0) ++zeros;
+  zero_tail_ = static_cast<double>(zeros) * dt_;
 }
 
 double BandwidthTrace::bandwidth_at(double t) const {
@@ -64,7 +67,9 @@ double BandwidthTrace::upload_finish_time(double start, double bytes) const {
   const auto it = std::lower_bound(prefix_.begin(), prefix_.end(), remaining);
   double local;
   if (it == prefix_.begin()) {
-    local = 0.0;
+    // The target is a whole number of periods: the last byte moved at the
+    // end of the previous period's last positive bin.
+    local = periods > 0.0 ? -zero_tail_ : 0.0;
   } else {
     const auto j = static_cast<std::size_t>(it - prefix_.begin()) - 1;
     const double into = remaining - prefix_[j];
@@ -164,7 +169,7 @@ void solve_lockstep(const BandwidthTrace* const* traces, const double* starts,
         base[k] + (prefix[k][base[k]] < remaining[k] ? 1 : 0);
     double local;
     if (idx == 0) {
-      local = 0.0;
+      local = periods[k] > 0.0 ? -traces[k]->zero_tail() : 0.0;
     } else {
       const std::size_t j = idx - 1;
       const double into = remaining[k] - prefix[k][j];
@@ -205,18 +210,6 @@ void upload_finish_times(const BandwidthTrace* const* traces,
       }
     }
     k += lanes;
-  }
-}
-
-void BandwidthTrace::upload_finish_times(const double* starts, std::size_t n,
-                                         double bytes, double* out) const {
-  const BandwidthTrace* lanes[kSolveLanes];
-  for (auto& lane : lanes) lane = this;
-  std::size_t k = 0;
-  while (k < n) {
-    const std::size_t batch = std::min(kSolveLanes, n - k);
-    fedra::upload_finish_times(lanes, starts + k, batch, bytes, out + k);
-    k += batch;
   }
 }
 

@@ -57,16 +57,15 @@ class BandwidthTrace {
   /// start >= 0 fits (cumulative_bytes(deadline) < bytes).
   double latest_start(double deadline, double bytes) const;
 
-  /// Batched form: out[k] = upload_finish_time(starts[k], bytes) for
-  /// k in [0, n), bit-identical to the scalar calls but solved in
-  /// interleaved lockstep batches (see the free upload_finish_times).
-  void upload_finish_times(const double* starts, std::size_t n, double bytes,
-                           double* out) const;
-
   /// Prefix integral: prefix_bytes()[j] = bytes transferable over the
   /// first j samples of one period (size num_samples() + 1). Exposed for
   /// the batched fleet pricing kernels.
   const std::vector<double>& prefix_bytes() const { return prefix_; }
+
+  /// Length in seconds of the run of zero-bandwidth bins that ends each
+  /// period (0 when the last sample is positive). An upload whose last
+  /// byte lands on a period boundary finished this long before it.
+  double zero_tail() const { return zero_tail_; }
 
   /// Upload duration (finish - start) for `bytes` starting at `start`.
   double upload_duration(double start, double bytes) const {
@@ -90,6 +89,7 @@ class BandwidthTrace {
   std::vector<double> samples_;
   std::vector<double> prefix_;  // prefix_[j] = bytes over first j samples
   double dt_ = 1.0;
+  double zero_tail_ = 0.0;
 };
 
 /// Batched Eq. (3) solve across (possibly distinct) traces:

@@ -6,13 +6,6 @@
 
 namespace fedra {
 
-BandwidthTrace scale_trace(const BandwidthTrace& trace, double factor) {
-  FEDRA_EXPECTS(factor > 0.0);
-  std::vector<double> samples = trace.samples();
-  for (auto& s : samples) s *= factor;
-  return BandwidthTrace(std::move(samples), trace.resolution());
-}
-
 BandwidthTrace concat_traces(const std::vector<BandwidthTrace>& traces) {
   FEDRA_EXPECTS(!traces.empty());
   const double dt = traces.front().resolution();
@@ -22,28 +15,6 @@ BandwidthTrace concat_traces(const std::vector<BandwidthTrace>& traces) {
     samples.insert(samples.end(), t.samples().begin(), t.samples().end());
   }
   return BandwidthTrace(std::move(samples), dt);
-}
-
-BandwidthTrace slice_trace(const BandwidthTrace& trace, std::size_t first,
-                           std::size_t count) {
-  FEDRA_EXPECTS(count > 0);
-  FEDRA_EXPECTS(first + count <= trace.num_samples());
-  std::vector<double> samples(
-      trace.samples().begin() + static_cast<std::ptrdiff_t>(first),
-      trace.samples().begin() + static_cast<std::ptrdiff_t>(first + count));
-  return BandwidthTrace(std::move(samples), trace.resolution());
-}
-
-BandwidthTrace blend_traces(const BandwidthTrace& a, const BandwidthTrace& b,
-                            double w) {
-  FEDRA_EXPECTS(w >= 0.0 && w <= 1.0);
-  FEDRA_EXPECTS(a.resolution() == b.resolution());
-  FEDRA_EXPECTS(a.num_samples() == b.num_samples());
-  std::vector<double> samples(a.num_samples());
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    samples[j] = (1.0 - w) * a.samples()[j] + w * b.samples()[j];
-  }
-  return BandwidthTrace(std::move(samples), a.resolution());
 }
 
 BandwidthTrace step_trace(

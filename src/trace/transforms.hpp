@@ -1,7 +1,9 @@
-// Trace transforms for scenario construction: scale, concatenate, slice,
-// and blend traces. The adaptive-scheduler example builds its regime-shift
-// scenario from these instead of hand-rolled sample vectors, and tests use
-// them to craft exact edge cases.
+// Trace transforms for scenario construction: concatenate traces, build a
+// piecewise-constant step trace, and black out a window. The
+// adaptive-scheduler example builds its regime-shift scenario from these
+// instead of hand-rolled sample vectors, the fault model's blackout
+// windows go through blackout_trace, and tests use them to craft exact
+// edge cases.
 #pragma once
 
 #include <vector>
@@ -10,20 +12,8 @@
 
 namespace fedra {
 
-/// Multiplies every sample by `factor` (> 0).
-BandwidthTrace scale_trace(const BandwidthTrace& trace, double factor);
-
 /// Joins traces end to end. All inputs must share the same resolution.
 BandwidthTrace concat_traces(const std::vector<BandwidthTrace>& traces);
-
-/// Samples [first, first + count) of one period.
-BandwidthTrace slice_trace(const BandwidthTrace& trace, std::size_t first,
-                           std::size_t count);
-
-/// Per-sample convex blend: (1 - w) * a + w * b. Traces must match in
-/// resolution and length; w in [0, 1].
-BandwidthTrace blend_traces(const BandwidthTrace& a, const BandwidthTrace& b,
-                            double w);
 
 /// Piecewise-constant trace from (duration_seconds, bandwidth) segments at
 /// the given resolution. Durations are rounded to whole samples (at least

@@ -30,8 +30,6 @@ void set_log_level(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
 void log(LogLevel level, const char* fmt, ...) {
   if (level < g_level.load(std::memory_order_relaxed)) return;
   char msg[1024];

@@ -10,7 +10,6 @@ namespace fedra {
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// printf-style logging; no-op when below the current level.
 void log(LogLevel level, const char* fmt, ...)

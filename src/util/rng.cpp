@@ -21,12 +21,6 @@ double Rng::gaussian() {
   return u * m;
 }
 
-double Rng::exponential(double rate) {
-  FEDRA_EXPECTS(rate > 0.0);
-  // 1 - uniform() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   FEDRA_EXPECTS(!weights.empty());
   double total = 0.0;

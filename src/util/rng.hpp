@@ -105,9 +105,6 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate);
-
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p) {
     FEDRA_EXPECTS(p >= 0.0 && p <= 1.0);

@@ -21,23 +21,6 @@ void RunningStat::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStat::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

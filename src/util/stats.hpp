@@ -14,7 +14,6 @@ namespace fedra {
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }

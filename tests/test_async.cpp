@@ -32,11 +32,10 @@ CostParams tiny_params(double model_bytes = 100.0) {
 TEST(AsyncSim, TwoIdenticalDevicesAlternate) {
   // cycle time = compute 1 s + upload 1 s = 2 s each. Both start at t=0,
   // finish together at t=2, 4, 6, ... In an 11 s horizon each completes 5.
-  AsyncFlSimulator sim(
-      {uniform_device(1e9, 1e9), uniform_device(1e9, 1e9)},
-      {constant_trace(100.0, 50), constant_trace(100.0, 50)},
-      tiny_params());
-  auto r = sim.run({1e9, 1e9}, 11.0);
+  FlSimulator sim({uniform_device(1e9, 1e9), uniform_device(1e9, 1e9)},
+                  {constant_trace(100.0, 50), constant_trace(100.0, 50)},
+                  tiny_params());
+  auto r = run_async(sim, {1e9, 1e9}, 11.0);
   EXPECT_EQ(r.events.size(), 10u);
   EXPECT_EQ(r.updates_per_device[0], 5u);
   EXPECT_EQ(r.updates_per_device[1], 5u);
@@ -52,11 +51,10 @@ TEST(AsyncSim, StalenessReflectsConcurrentUpdates) {
   // Device 0 cycles every 2 s, device 1 every 8 s (4x slower compute).
   // While device 1 computes one cycle, device 0 lands ~4 updates, so
   // device 1's updates should carry staleness ~4; device 0's ~1.
-  AsyncFlSimulator sim(
-      {uniform_device(1e9, 1e9), uniform_device(7e9, 1e9)},
-      {constant_trace(100.0, 50), constant_trace(100.0, 50)},
-      tiny_params());
-  auto r = sim.run({1e9, 1e9}, 100.0);
+  FlSimulator sim({uniform_device(1e9, 1e9), uniform_device(7e9, 1e9)},
+                  {constant_trace(100.0, 50), constant_trace(100.0, 50)},
+                  tiny_params());
+  auto r = run_async(sim, {1e9, 1e9}, 100.0);
   double slow_staleness = 0.0;
   std::size_t slow_count = 0;
   double fast_staleness = 0.0;
@@ -83,15 +81,13 @@ TEST(AsyncSim, NoBarrierMeansMoreUpdatesThanSync) {
   ExperimentConfig cfg = testbed_config();
   cfg.trace_samples = 600;
   auto sync = build_simulator(cfg);
-  AsyncFlSimulator async_sim(sync.fleet_state(), sync.trace_table(),
-                             sync.params());
 
   std::vector<double> freqs;
   for (std::size_t i = 0; i < sync.num_devices(); ++i)
     freqs.push_back(sync.fleet().max_freq_hz(i));
 
   const double horizon = 300.0;
-  auto async_result = async_sim.run(freqs, horizon);
+  auto async_result = run_async(sync, freqs, horizon);
 
   FlSimulator sync_run = sync;
   sync_run.reset(0.0);
@@ -104,9 +100,9 @@ TEST(AsyncSim, NoBarrierMeansMoreUpdatesThanSync) {
 }
 
 TEST(AsyncSim, EnergyAccountedPerCompletedCycle) {
-  AsyncFlSimulator sim({uniform_device(1e9, 1e9)},
-                       {constant_trace(100.0, 50)}, tiny_params());
-  auto r = sim.run({0.5e9}, 12.0);
+  FlSimulator sim({uniform_device(1e9, 1e9)}, {constant_trace(100.0, 50)},
+                  tiny_params());
+  auto r = run_async(sim, {0.5e9}, 12.0);
   // compute 2 s + upload 1 s = 3 s per cycle -> 4 cycles in 12 s.
   ASSERT_EQ(r.events.size(), 4u);
   const double per_cycle = 1e-28 * 1e9 * 0.25e18 + 1.0;  // E_cmp + 1s upload
@@ -118,9 +114,9 @@ TEST(AsyncSim, EnergyAccountedPerCompletedCycle) {
 }
 
 TEST(AsyncSim, HorizonCutsUnfinishedCycles) {
-  AsyncFlSimulator sim({uniform_device(1e9, 1e9)},
-                       {constant_trace(100.0, 50)}, tiny_params());
-  auto r = sim.run({1e9}, 3.9);  // cycles finish at 2.0 and 4.0
+  FlSimulator sim({uniform_device(1e9, 1e9)}, {constant_trace(100.0, 50)},
+                  tiny_params());
+  auto r = run_async(sim, {1e9}, 3.9);  // cycles finish at 2.0 and 4.0
   EXPECT_EQ(r.events.size(), 1u);
 }
 
@@ -178,13 +174,11 @@ TEST(AsyncFedAvg, EventDrivenTrainingConverges) {
 
   ExperimentConfig cfg = testbed_config();
   cfg.trace_samples = 600;
-  auto sync = build_simulator(cfg);
-  AsyncFlSimulator sim(sync.fleet_state(), sync.trace_table(),
-                       sync.params());
+  auto sim = build_simulator(cfg);
   std::vector<double> freqs;
   for (std::size_t i = 0; i < sim.num_devices(); ++i)
     freqs.push_back(sim.fleet().max_freq_hz(i));
-  auto run = sim.run(freqs, 250.0);
+  auto run = run_async(sim, freqs, 250.0);
   ASSERT_GT(run.events.size(), 10u);
 
   const double initial = server.global_loss();
@@ -226,13 +220,12 @@ TEST(AsyncFedAvg, GlobalAccuracyIsPinned) {
 }
 
 TEST(AsyncDeathTest, BadInputsAbort) {
-  EXPECT_DEATH(
-      AsyncFlSimulator(FleetState{}, TraceTable{}, tiny_params()),
-      "precondition");
-  AsyncFlSimulator sim({uniform_device(1e9, 1e9)},
-                       {constant_trace(100.0, 50)}, tiny_params());
-  EXPECT_DEATH(sim.run({1e9, 1e9}, 10.0), "precondition");
-  EXPECT_DEATH(sim.run({1e9}, 0.0), "precondition");
+  EXPECT_DEATH(FlSimulator(FleetState{}, TraceTable{}, tiny_params()),
+               "precondition");
+  FlSimulator sim({uniform_device(1e9, 1e9)}, {constant_trace(100.0, 50)},
+                  tiny_params());
+  EXPECT_DEATH(run_async(sim, {1e9, 1e9}, 10.0), "precondition");
+  EXPECT_DEATH(run_async(sim, {1e9}, 0.0), "precondition");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -167,6 +168,76 @@ TEST(BandwidthTrace, LatestStartNegativeWhenNothingFits) {
   EXPECT_LT(t.latest_start(1.0, 200.0), 0.0);
   EXPECT_LT(t.latest_start(0.0, 1e-300), 0.0);
   EXPECT_DOUBLE_EQ(t.latest_start(3.0, 0.0), 3.0);
+}
+
+// Eq. (3) at a period boundary: when the last byte lands exactly on a
+// whole number of periods, the upload finished at the end of the last
+// positive bin, not at the end of the zero-bandwidth tail after it.
+TEST(BandwidthTrace, UploadEndingOnAPeriodBoundarySkipsTheZeroTail) {
+  const BandwidthTrace t({10.0, 0.0}, 1.0);
+  EXPECT_DOUBLE_EQ(t.zero_tail(), 1.0);
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(0.0, 10.0), 1.0);
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(0.0, 30.0), 5.0);
+  // A start inside the tail waits for the next period's positive bin.
+  EXPECT_DOUBLE_EQ(t.upload_finish_time(1.5, 10.0), 3.0);
+
+  const BandwidthTrace wrap({0.0, 10.0, 0.0}, 1.0);
+  EXPECT_DOUBLE_EQ(wrap.upload_finish_time(4.0, 10.0), 5.0);
+  EXPECT_DOUBLE_EQ(wrap.upload_finish_time(0.0, 10.0), 2.0);
+
+  // Without a zero tail nothing moves: the boundary is the finish.
+  const BandwidthTrace live({0.0, 10.0}, 1.0);
+  EXPECT_DOUBLE_EQ(live.zero_tail(), 0.0);
+  EXPECT_DOUBLE_EQ(live.upload_finish_time(0.0, 10.0), 2.0);
+}
+
+TEST(BandwidthTrace, LockstepMatchesScalarOnZeroTailBoundaries) {
+  const BandwidthTrace a({10.0, 0.0}, 1.0);
+  const BandwidthTrace b({0.0, 10.0, 0.0}, 1.0);
+  const BandwidthTrace c({5.0, 0.0, 20.0, 0.0, 0.0}, 0.5);
+  for (const BandwidthTrace* tr : {&a, &b, &c}) {
+    const double per_period = tr->prefix_bytes().back();
+    const std::vector<double> starts = {0.0, 0.5, 1.0, 1.5, 2.0,
+                                        3.0, 4.0, 4.5, 7.0, 9.25};
+    for (double bytes : {per_period, 2.0 * per_period, 0.5 * per_period}) {
+      const std::vector<const BandwidthTrace*> lanes(starts.size(), tr);
+      std::vector<double> batched(starts.size());
+      upload_finish_times(lanes.data(), starts.data(), starts.size(), bytes,
+                          batched.data());
+      for (std::size_t k = 0; k < starts.size(); ++k) {
+        EXPECT_EQ(batched[k], tr->upload_finish_time(starts[k], bytes))
+            << "start " << starts[k] << " bytes " << bytes;
+      }
+    }
+  }
+  const double start = 4.0;
+  const BandwidthTrace* lane = &b;
+  double out = 0.0;
+  upload_finish_times(&lane, &start, 1, 10.0, &out);
+  EXPECT_DOUBLE_EQ(out, 5.0);
+  lane = &a;
+  const double zero = 0.0;
+  upload_finish_times(&lane, &zero, 1, 10.0, &out);
+  EXPECT_DOUBLE_EQ(out, 1.0);
+}
+
+TEST(BandwidthTrace, LatestStartInvertsUploadFinishOnZeroTails) {
+  const BandwidthTrace a({10.0, 0.0}, 1.0);
+  const BandwidthTrace b({0.0, 10.0, 0.0}, 1.0);
+  const BandwidthTrace c({5.0, 0.0, 20.0, 0.0, 0.0}, 0.5);
+  for (const BandwidthTrace* tr : {&a, &b, &c}) {
+    const double per_period = tr->prefix_bytes().back();
+    for (double deadline : {1.0, 2.0, 2.5, 3.0, 5.0, 6.0, 7.25}) {
+      for (double bytes : {0.5 * per_period, per_period, 2.0 * per_period}) {
+        const double s = tr->latest_start(deadline, bytes);
+        if (s < 0.0) continue;
+        EXPECT_LE(tr->upload_finish_time(s, bytes), deadline)
+            << "deadline " << deadline << " bytes " << bytes;
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(a.latest_start(1.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(a.upload_finish_time(0.0, 10.0), 1.0);
 }
 
 TEST(BandwidthTrace, SlotAverageBasic) {

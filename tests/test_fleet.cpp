@@ -17,7 +17,6 @@
 
 #include "fault/fault_model.hpp"
 #include "sim/cohort.hpp"
-#include "sim/async_simulator.hpp"
 #include "sim/experiment_config.hpp"
 #include "sim/fleet_pricing.hpp"
 #include "sim/simulator.hpp"
@@ -493,7 +492,6 @@ FaultConfig churn_config() {
 /// rounds as explicit assignments from a twin model's advance(): results
 /// bitwise equal, crash chains equal after every step, and a preview in
 /// between touches neither the chain nor the outcome of the next step.
-template <typename Sim>
 void expect_block_draws_match_assignment(bool cohort) {
   constexpr std::size_t kBlock = SimulatorBase::kPricingBlock;
   const std::size_t n = 3 * kBlock + 17;
@@ -505,8 +503,8 @@ void expect_block_draws_match_assignment(bool cohort) {
     SCOPED_TRACE(::testing::Message() << "pool " << workers << " cohort "
                                       << cohort);
     ThreadPool pool(workers);
-    Sim drawn(fleet, traces, fleet_params());
-    Sim given(fleet, traces, fleet_params());
+    FlSimulator drawn(fleet, traces, fleet_params());
+    FlSimulator given(fleet, traces, fleet_params());
     FaultModel model(churn_config(), 314);
     FaultModel twin(churn_config(), 314);
     std::size_t rejoins = 0;
@@ -544,19 +542,11 @@ void expect_block_draws_match_assignment(bool cohort) {
 }
 
 TEST(FleetFaults, BlockDrawsMatchAssignmentFullFleet) {
-  expect_block_draws_match_assignment<FlSimulator>(false);
+  expect_block_draws_match_assignment(false);
 }
 
 TEST(FleetFaults, BlockDrawsMatchAssignmentCohort) {
-  expect_block_draws_match_assignment<FlSimulator>(true);
-}
-
-TEST(FleetFaults, AsyncBlockDrawsMatchAssignmentFullFleet) {
-  expect_block_draws_match_assignment<AsyncFlSimulator>(false);
-}
-
-TEST(FleetFaults, AsyncBlockDrawsMatchAssignmentCohort) {
-  expect_block_draws_match_assignment<AsyncFlSimulator>(true);
+  expect_block_draws_match_assignment(true);
 }
 
 TEST(FaultModelBatch, NonParticipantsOnlyStepTheCrashChain) {

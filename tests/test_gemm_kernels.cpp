@@ -96,6 +96,18 @@ void poison(Matrix& m, Rng& rng) {
   }
 }
 
+Matrix at_b(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_at_b_into(a, b, c);
+  return c;
+}
+
+Matrix a_bt(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_a_bt_into(a, b, c);
+  return c;
+}
+
 TEST(GemmKernels, MatmulBitwiseMatchesReference) {
   Rng rng(101);
   for (const auto& s : kShapes) {
@@ -111,7 +123,7 @@ TEST(GemmKernels, MatmulAtBBitwiseMatchesReference) {
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.k, s.m, rng);  // C = A^T B is m x n
     const Matrix b = random_matrix(s.k, s.n, rng);
-    EXPECT_TRUE(bitwise_equal(matmul_at_b(a, b), matmul_at_b_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(at_b(a, b), matmul_at_b_reference(a, b)))
         << s.m << "x" << s.k << "x" << s.n;
   }
 }
@@ -121,7 +133,7 @@ TEST(GemmKernels, MatmulABtBitwiseMatchesReference) {
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.m, s.k, rng);  // C = A B^T is m x n
     const Matrix b = random_matrix(s.n, s.k, rng);
-    EXPECT_TRUE(bitwise_equal(matmul_a_bt(a, b), matmul_a_bt_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(a_bt(a, b), matmul_a_bt_reference(a, b)))
         << s.m << "x" << s.k << "x" << s.n;
   }
 }
@@ -140,13 +152,14 @@ TEST(GemmKernels, NonFiniteOperandsPropagateIdentically) {
     EXPECT_TRUE(bitwise_equal(matmul(a, b), matmul_reference(a, b)))
         << "matmul " << s.m << "x" << s.k << "x" << s.n;
 
-    Matrix bt = transpose(b);
-    EXPECT_TRUE(
-        bitwise_equal(matmul_a_bt(a, bt), matmul_a_bt_reference(a, bt)))
+    Matrix bt = random_matrix(s.n, s.k, rng);
+    poison(bt, rng);
+    EXPECT_TRUE(bitwise_equal(a_bt(a, bt), matmul_a_bt_reference(a, bt)))
         << "a_bt " << s.m << "x" << s.k << "x" << s.n;
 
-    Matrix at = transpose(a);
-    EXPECT_TRUE(bitwise_equal(matmul_at_b(at, b), matmul_at_b_reference(at, b)))
+    Matrix at = random_matrix(s.k, s.m, rng);
+    poison(at, rng);
+    EXPECT_TRUE(bitwise_equal(at_b(at, b), matmul_at_b_reference(at, b)))
         << "at_b " << s.m << "x" << s.k << "x" << s.n;
   }
 }
@@ -157,7 +170,7 @@ TEST(GemmKernels, IntoVariantsReuseCapacity) {
   const Matrix big_b = random_matrix(48, 56, rng);
   const Matrix small_a = random_matrix(9, 13, rng);
   const Matrix small_b = random_matrix(13, 11, rng);
-  const Matrix bt = transpose(big_b);              // 56 x 48
+  const Matrix bt = random_matrix(56, 48, rng);      // a_bt: cols match big_a
   const Matrix tall_b = random_matrix(64, 56, rng);  // at_b: rows match big_a
   Matrix c;
   matmul_into(big_a, big_b, c);  // first call sizes the buffer (64x56)
@@ -185,12 +198,17 @@ TEST(GemmKernels, IntoVariantsReuseCapacity) {
 }
 
 TEST(GemmKernels, ColSumIntoMatchesColSum) {
+  // Each column sum accumulates the rows in ascending order from +0.0.
   Rng rng(108);
   Matrix a = random_matrix(17, 29, rng);
   poison(a, rng);
+  Matrix want(1, a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) want(0, j) += a(i, j);
+  }
   Matrix s;
   col_sum_into(a, s);
-  EXPECT_TRUE(bitwise_equal(s, col_sum(a)));
+  EXPECT_TRUE(bitwise_equal(s, want));
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ TEST(CrossEntropy, ConfidentCorrectIsSmall) {
 TEST(CrossEntropy, GradIsSoftmaxMinusOnehotOverBatch) {
   Matrix logits{{1.0, 2.0, 0.5}, {0.0, 0.0, 0.0}};
   std::vector<std::size_t> labels{1, 2};
-  auto probs = softmax_rows(logits);
+  Matrix probs;
+  softmax_rows_into(logits, probs);
   auto r = softmax_cross_entropy(logits, labels);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {

@@ -100,14 +100,6 @@ TEST(Matrix, ScalarScale) {
   EXPECT_DOUBLE_EQ(a(0, 1), 4.0);
 }
 
-TEST(Matrix, HadamardInPlace) {
-  Matrix a{{2.0, 3.0}};
-  Matrix b{{4.0, 5.0}};
-  a.hadamard_inplace(b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 8.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 15.0);
-}
-
 TEST(Matrix, SameShape) {
   Matrix a(2, 3), b(2, 3), c(3, 2);
   EXPECT_TRUE(a.same_shape(b));

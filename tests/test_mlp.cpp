@@ -58,7 +58,7 @@ TEST(Mlp, CopyParamsMakesNetsIdentical) {
 
 TEST(Mlp, ParamValuesRoundTrip) {
   Rng rng(4);
-  Mlp net({2, 3, 1}, Activation::Sigmoid, rng);
+  Mlp net({2, 3, 1}, Activation::Tanh, rng);
   auto snapshot = net.param_values();
   Rng xr(5);
   Matrix x = Matrix::random_gaussian(3, 2, xr);
@@ -83,17 +83,6 @@ TEST(Mlp, SaveLoadRoundTrip) {
   Rng xr(8);
   Matrix x = Matrix::random_gaussian(5, 3, xr);
   EXPECT_EQ(infer(na, x), infer(nb, x));
-}
-
-TEST(Mlp, OutputActivationApplied) {
-  Rng rng(9);
-  Mlp net({2, 4, 3}, Activation::ReLU, rng, Activation::Sigmoid);
-  Matrix x = Matrix::random_gaussian(6, 2, rng, 0.0, 3.0);
-  auto y = infer(net, x);
-  for (double v : y.flat()) {
-    EXPECT_GT(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
 }
 
 TEST(Mlp, LearnsXor) {

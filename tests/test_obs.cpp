@@ -328,7 +328,7 @@ TEST(Ledger, RoundRecordCapsDeviceRowsAt1024) {
     result.devices[i].compute_time = static_cast<double>(i);
   }
   const obs::RoundRecord r =
-      obs::make_round_record(7, result, CostParams{}, "sim");
+      obs::make_round_record(7, result, CostParams{});
   EXPECT_EQ(r.devices.size(), 1024u);
   EXPECT_EQ(r.devices_omitted, 976u);
   EXPECT_EQ(r.devices.back().device, 1023u);
@@ -404,6 +404,36 @@ TEST(Obs, ZeroAllocationsWhenTelemetryOff) {
   EXPECT_EQ(after.allocs, before.allocs);
   EXPECT_EQ(after.bytes, before.bytes);
   EXPECT_EQ(obs::RunLedger::records_written(), 0u);
+}
+
+// The ledger's one switch: with telemetry off, an enabled ledger still
+// records every simulator round.
+TEST(Obs, LedgerRecordsEveryRoundWithTelemetryOff) {
+  ObsGuard guard;
+  ASSERT_FALSE(telemetry::Telemetry::enabled());
+  const std::string path = temp_path("no_telemetry.ledger.jsonl");
+  obs::LedgerConfig lcfg;
+  lcfg.path = path;
+  lcfg.run_id = "no_telemetry";
+  ASSERT_TRUE(obs::RunLedger::enable(lcfg));
+
+  FlSimulator sim = build_simulator(testbed_config());
+  const std::vector<double> freqs(sim.num_devices(), 1e9);
+  constexpr std::size_t kRounds = 7;
+  std::vector<IterationResult> results;
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    results.push_back(sim.step(freqs, StepOptions{}));
+  }
+  EXPECT_EQ(obs::RunLedger::records_written(), kRounds);
+  obs::RunLedger::disable();
+
+  obs::Ledger ledger;
+  ASSERT_TRUE(obs::read_ledger_file(path, ledger));
+  ASSERT_EQ(ledger.rounds.size(), kRounds);
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    EXPECT_EQ(ledger.rounds[k].round, k);
+    EXPECT_EQ(ledger.rounds[k].iteration_time, results[k].iteration_time);
+  }
 }
 
 // ---------------------------------------------------------------------------

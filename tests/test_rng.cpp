@@ -110,18 +110,6 @@ TEST(Rng, GaussianScaled) {
   EXPECT_NEAR(sum / n, 5.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(13);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double e = rng.exponential(2.0);
-    EXPECT_GE(e, 0.0);
-    sum += e;
-  }
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(14);
   const int n = 100000;

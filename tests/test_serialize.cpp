@@ -55,7 +55,6 @@ TEST(ByteCodec, PrimitivesRoundTrip) {
   w.put_bool(false);
   w.put_string("hello");
   w.put_doubles({1.5, -2.5});
-  w.put_u64s({7, 8, 9});
   w.put_bools({true, false, true});
 
   ByteReader r(w.bytes());
@@ -68,7 +67,6 @@ TEST(ByteCodec, PrimitivesRoundTrip) {
   EXPECT_FALSE(r.get_bool());
   EXPECT_EQ(r.get_string(), "hello");
   EXPECT_EQ(r.get_doubles(), (std::vector<double>{1.5, -2.5}));
-  EXPECT_EQ(r.get_u64s(), (std::vector<std::uint64_t>{7, 8, 9}));
   EXPECT_EQ(r.get_bools(), (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(r.at_end());
   EXPECT_NO_THROW(r.expect_end());

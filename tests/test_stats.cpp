@@ -5,8 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace fedra {
 namespace {
 
@@ -38,34 +36,6 @@ TEST(RunningStat, MatchesDirectComputation) {
   EXPECT_NEAR(rs.variance(), var, 1e-12);
   EXPECT_DOUBLE_EQ(rs.min(), 1.0);
   EXPECT_DOUBLE_EQ(rs.max(), 16.0);
-}
-
-TEST(RunningStat, MergeEqualsSequential) {
-  Rng rng(1);
-  RunningStat a, b, all;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.gaussian(3.0, 2.0);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStat empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
 TEST(Stats, MeanAndStddev) {
