@@ -24,9 +24,10 @@
 // Timings are reported in microseconds and gate nothing (machine noise
 // must not gate correctness).
 //
-// Flags: --smoke (reps=2, smaller arms — the `perf` ctest label runs
-//        this), --reps N (default 3), --out PATH (default
-//        BENCH_sweep.json).
+// Flags: --smoke (reps=5, smaller arms — the `perf` ctest label runs
+//        this; a smoke side times only ~20 ms, so one slow rep on a
+//        shared machine must not decide the gate), --reps N (default 3),
+//        --out PATH (default BENCH_sweep.json).
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (smoke) reps = 2;
+  if (smoke) reps = 5;
 
   const std::size_t num_seeds = 5;
   const std::size_t iterations = smoke ? 60 : 200;

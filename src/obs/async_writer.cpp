@@ -11,6 +11,9 @@ constexpr std::uint8_t kFrameRound = 1;
 constexpr std::uint8_t kFrameDecision = 2;
 constexpr std::uint8_t kFrameFlRound = 3;
 constexpr std::size_t kFrameHeader = 5;  // u32 total length + u8 type
+// A drain pass hands the sink its lines in one call, or in one call per
+// this many bytes when a backlog would make the formatted pass larger.
+constexpr std::size_t kSinkChunk = std::size_t{1} << 16;
 
 // --- little-endian scalar put/get (memcpy: alignment-safe, and the repo
 // --- only targets little-endian x86-64, so no byte swapping) --------------
@@ -320,9 +323,10 @@ void AsyncLedgerWriter::drain_loop() {
       continue;
     }
     // Copy the published span into linear staging memory (at most two
-    // memcpys across the wrap), format every frame, then retire the bytes.
-    // The tail advances only after the sink has the lines, so head == tail
-    // really means "everything accepted is written".
+    // memcpys across the wrap), format every frame into the reused line
+    // buffer, hand it to the sink, then retire the bytes. The tail
+    // advances only after the sink has the lines, so head == tail really
+    // means "everything accepted is written".
     const auto avail = static_cast<std::size_t>(head - tail);
     stage_.resize(avail);
     const std::size_t pos = static_cast<std::size_t>(tail) & mask_;
@@ -332,6 +336,7 @@ void AsyncLedgerWriter::drain_loop() {
       std::memcpy(stage_.data() + first, ring_.data(), avail - first);
     }
     std::size_t consumed = 0;
+    lines_.clear();
     while (consumed + kFrameHeader <= avail) {
       std::uint32_t frame_len = 0;
       std::memcpy(&frame_len, stage_.data() + consumed, sizeof(frame_len));
@@ -339,27 +344,31 @@ void AsyncLedgerWriter::drain_loop() {
       const std::uint8_t type = stage_[consumed + 4];
       const std::uint8_t* payload = stage_.data() + consumed + kFrameHeader;
       const std::size_t payload_len = frame_len - kFrameHeader;
+      bool decoded = false;
       switch (type) {
         case kFrameRound:
-          if (decode_round_payload(payload, payload_len, round)) {
-            sink_(round_record_json(round));
-          }
+          decoded = decode_round_payload(payload, payload_len, round);
+          if (decoded) append_record_json(round, lines_);
           break;
         case kFrameDecision:
-          if (decode_decision_payload(payload, payload_len, decision)) {
-            sink_(decision_record_json(decision));
-          }
+          decoded = decode_decision_payload(payload, payload_len, decision);
+          if (decoded) append_record_json(decision, lines_);
           break;
         case kFrameFlRound:
-          if (decode_fl_round_payload(payload, payload_len, fl_round)) {
-            sink_(fl_round_record_json(fl_round));
-          }
+          decoded = decode_fl_round_payload(payload, payload_len, fl_round);
+          if (decoded) append_record_json(fl_round, lines_);
           break;
         default:
           break;  // unknown frame: skip (forward compatibility)
       }
+      if (decoded) lines_ += '\n';
       consumed += frame_len;
+      if (lines_.size() >= kSinkChunk) {
+        sink_(lines_);
+        lines_.clear();
+      }
     }
+    if (!lines_.empty()) sink_(lines_);
     tail_.store(tail + consumed, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock(cv_mutex_);

@@ -12,7 +12,7 @@
 //    if the process dies mid-write; the reader already tolerates those).
 //  * each drained line is byte-identical to formatting the record on the
 //    producer thread: the drainer decodes back to the record structs and
-//    runs the very same *_record_json formatters.
+//    runs the very same append_record_json formatters.
 //  * wait_drained() returns only after every accepted frame has been
 //    handed to the sink, which is what gives RunLedger::flush() and
 //    disable() their flush-at-exit ordering.
@@ -39,8 +39,9 @@ namespace fedra::obs {
 class AsyncLedgerWriter {
  public:
   /// `ring_bytes` is rounded up to a power of two (min 4 KiB). `sink` is
-  /// called from the drainer thread with one formatted JSONL line per
-  /// record, in acceptance order.
+  /// called from the drainer thread with whole JSONL lines, each ending in
+  /// '\n', in acceptance order: one call per drain pass, split only when
+  /// a pass formats more than 64 KiB.
   AsyncLedgerWriter(std::size_t ring_bytes,
                     std::function<void(const std::string&)> sink);
   ~AsyncLedgerWriter();
@@ -88,6 +89,7 @@ class AsyncLedgerWriter {
   std::condition_variable data_cv_;     ///< producer -> drainer
   std::condition_variable drained_cv_;  ///< drainer -> wait_drained
   std::vector<std::uint8_t> stage_;     ///< drainer-side linear copy
+  std::string lines_;                   ///< drainer-side formatted lines
   std::thread drainer_;
 };
 

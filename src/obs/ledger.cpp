@@ -108,11 +108,14 @@ bool RunLedger::enable(const LedgerConfig& config) {
   h.close();
   s.out << header << '\n';
   // The sink runs on the drainer thread; it takes the stream mutex per
-  // line so it cannot interleave with flush()/disable() stream access.
+  // chunk of lines so it cannot interleave with flush()/disable() stream
+  // access.
   s.writer = std::make_unique<AsyncLedgerWriter>(
-      config.ring_bytes, [&s](const std::string& line) {
+      config.ring_bytes, [&s](const std::string& lines) {
         std::lock_guard<std::mutex> sink_lock(s.out_mutex);
-        if (s.out.is_open()) s.out << line << '\n';
+        if (s.out.is_open()) {
+          s.out.write(lines.data(), static_cast<std::streamsize>(lines.size()));
+        }
       });
   enabled_flag().store(true, std::memory_order_relaxed);
   if (!s.status_registered.exchange(true, std::memory_order_acq_rel)) {
@@ -191,8 +194,7 @@ void RunLedger::record_fl_round(const FlRoundRecord& record) {
   if (s.writer != nullptr && !s.writer->enqueue_fl_round(record)) count_drop();
 }
 
-std::string round_record_json(const RoundRecord& r) {
-  std::string out;
+void append_record_json(const RoundRecord& r, std::string& out) {
   JsonObject o(out);
   o.str("type", "round")
       .u64("round", r.round)
@@ -234,11 +236,9 @@ std::string round_record_json(const RoundRecord& r) {
   }
   out += ']';
   o.close();
-  return out;
 }
 
-std::string decision_record_json(const DecisionRecord& r) {
-  std::string out;
+void append_record_json(const DecisionRecord& r, std::string& out) {
   JsonObject o(out);
   o.str("type", "decision")
       .u64("round", r.round)
@@ -253,11 +253,9 @@ std::string decision_record_json(const DecisionRecord& r) {
       .nums("action", r.action)
       .nums("state", r.state);
   o.close();
-  return out;
 }
 
-std::string fl_round_record_json(const FlRoundRecord& r) {
-  std::string out;
+void append_record_json(const FlRoundRecord& r, std::string& out) {
   JsonObject o(out);
   o.str("type", "fl_round")
       .u64("round", r.round)
@@ -267,6 +265,23 @@ std::string fl_round_record_json(const FlRoundRecord& r) {
       .u64("participants", r.num_participants)
       .u64("delivered", r.num_delivered);
   o.close();
+}
+
+std::string round_record_json(const RoundRecord& r) {
+  std::string out;
+  append_record_json(r, out);
+  return out;
+}
+
+std::string decision_record_json(const DecisionRecord& r) {
+  std::string out;
+  append_record_json(r, out);
+  return out;
+}
+
+std::string fl_round_record_json(const FlRoundRecord& r) {
+  std::string out;
+  append_record_json(r, out);
   return out;
 }
 

@@ -217,7 +217,11 @@ Ledger read_ledger(std::istream& in);
 bool read_ledger_file(const std::string& path, Ledger& out,
                       std::string* error = nullptr);
 
-/// Serialization helpers (exposed for tests and the report tool).
+/// Serialization: append_record_json appends one record's JSON object
+/// (no newline) to `out`; the *_record_json forms return it as a string.
+void append_record_json(const RoundRecord& record, std::string& out);
+void append_record_json(const DecisionRecord& record, std::string& out);
+void append_record_json(const FlRoundRecord& record, std::string& out);
 std::string round_record_json(const RoundRecord& record);
 std::string decision_record_json(const DecisionRecord& record);
 std::string fl_round_record_json(const FlRoundRecord& record);

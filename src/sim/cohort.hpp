@@ -8,11 +8,13 @@
 // SplitMix64 key — a pure function of (seed, round, device_id), so the
 // cohort is independent of iteration order, device count elsewhere, and
 // platform, and two shards sampling the same round agree without
-// coordination. Only about 1.05 k candidates are ranked; they are kept in
-// id order, so the k chosen devices come out sorted by id without a sort,
-// ready to drive a StepOptions participation mask (which the round engine
-// prices at O(cohort) past one crash-chain step per device) or an
-// fl::FedAvg roster.
+// coordination. One branchless pass hashes every device and keeps the
+// about 1.05 k + 64 candidates under a key cut, in id order; a histogram
+// over their keys finds the bucket holding the k-th smallest, which alone
+// is partially sorted. One ordered scan then keeps the k winners, so they
+// come out sorted by id without a sort, ready to drive a StepOptions
+// participation mask (which the round engine prices at O(cohort) past one
+// crash-chain step per device) or an fl::FedAvg roster.
 #pragma once
 
 #include <cstddef>
@@ -42,11 +44,11 @@ Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
 
 namespace detail {
 
-/// sample_cohort with an explicit candidate cut, as a fraction of the key
-/// space: only devices whose key is at most cut * 2^64 are ranked, and the
-/// whole fleet is ranked when fewer than k pass (or cut >= 1). The result
-/// is the same for every cut; sample_cohort picks one that about 1.05 k +
-/// 64 devices pass. Exposed so tests can drive both paths.
+/// sample_cohort with an explicit candidate cut >= 0, as a fraction of
+/// the key space: only devices whose key is at most cut * 2^64 are ranked,
+/// and the whole fleet is ranked when fewer than k pass (or cut >= 1).
+/// The result is the same for every cut; sample_cohort picks one that
+/// about 1.05 k + 64 devices pass. Exposed so tests can drive both paths.
 Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
                               std::uint64_t seed, std::size_t round,
                               double cut);

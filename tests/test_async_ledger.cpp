@@ -41,6 +41,18 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
+/// Appends the lines of one sink call, which must be whole lines that
+/// each end in '\n', to `lines` (without the newlines).
+void split_lines(const std::string& chunk, std::vector<std::string>& lines) {
+  EXPECT_FALSE(chunk.empty());
+  EXPECT_EQ(chunk.back(), '\n') << "sink got a torn line";
+  std::size_t begin = 0;
+  for (std::size_t end; (end = chunk.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    lines.push_back(chunk.substr(begin, end - begin));
+  }
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
@@ -173,9 +185,9 @@ TEST(AsyncLedger, DecoderRejectsTruncatedPayloads) {
 TEST(AsyncLedger, DrainsInOrderAndWaitDrainedIsComplete) {
   std::vector<std::string> lines;
   std::mutex lines_mutex;
-  AsyncLedgerWriter writer(1 << 16, [&](const std::string& line) {
+  AsyncLedgerWriter writer(1 << 16, [&](const std::string& chunk) {
     std::lock_guard<std::mutex> lock(lines_mutex);
-    lines.push_back(line);
+    split_lines(chunk, lines);
   });
 
   Rng rng(303);
@@ -208,9 +220,9 @@ TEST(AsyncLedger, DrainsInOrderAndWaitDrainedIsComplete) {
 TEST(AsyncLedger, ConcurrentProducersLoseNothingAccepted) {
   std::vector<std::string> lines;
   std::mutex lines_mutex;
-  AsyncLedgerWriter writer(1 << 14, [&](const std::string& line) {
+  AsyncLedgerWriter writer(1 << 14, [&](const std::string& chunk) {
     std::lock_guard<std::mutex> lock(lines_mutex);
-    lines.push_back(line);
+    split_lines(chunk, lines);
   });
 
   constexpr int kProducers = 4;
@@ -248,12 +260,12 @@ TEST(AsyncLedger, OverflowDropsWholeRecordsAndCounts) {
   std::atomic<bool> release{false};
   std::vector<std::string> lines;
   std::mutex lines_mutex;
-  AsyncLedgerWriter writer(4096, [&](const std::string& line) {
+  AsyncLedgerWriter writer(4096, [&](const std::string& chunk) {
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
     std::lock_guard<std::mutex> lock(lines_mutex);
-    lines.push_back(line);
+    split_lines(chunk, lines);
   });
 
   Rng rng(404);
@@ -286,9 +298,9 @@ TEST(AsyncLedger, StopDrainsBeforeJoining) {
   std::vector<std::string> lines;
   std::mutex lines_mutex;
   {
-    AsyncLedgerWriter writer(1 << 16, [&](const std::string& line) {
+    AsyncLedgerWriter writer(1 << 16, [&](const std::string& chunk) {
       std::lock_guard<std::mutex> lock(lines_mutex);
-      lines.push_back(line);
+      split_lines(chunk, lines);
     });
     Rng rng(505);
     for (int i = 0; i < 50; ++i) {

@@ -704,6 +704,29 @@ TEST(CohortSampling, CandidateFilterMatchesFullRanking) {
   }
 }
 
+// Every cut, from one that nothing passes through the default to ones at
+// or past the whole key space, gives the full ranking's cohort. Tiny cuts
+// start from a near-empty candidate buffer, so this also drives its growth.
+TEST(CohortSampling, CutSweepMatchesFullRanking) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{4097},
+                        std::size_t{1} << 20}) {
+    for (std::size_t k : {std::size_t{1}, n / 10, n - 1, n}) {
+      if (k == 0) continue;
+      const Cohort full = detail::sample_cohort_with_cut(n, k, 31, 4, 1.0);
+      ASSERT_EQ(full.size(), k);
+      const double nd = static_cast<double>(n);
+      const double kd = static_cast<double>(k);
+      for (double cut : {0.0, 1e-6, kd / nd, 1.05 * kd / nd + 64.0 / nd, 0.5,
+                         0.999, 1.0, 4.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n " << n << " k " << k << " cut " << cut);
+        EXPECT_EQ(detail::sample_cohort_with_cut(n, k, 31, 4, cut).indices,
+                  full.indices);
+      }
+    }
+  }
+}
+
 /// Test-side copy of the documented cohort key: SplitMix64 over the
 /// order-free (seed, round, id) combine.
 std::uint64_t oracle_cohort_key(std::uint64_t seed, std::uint64_t round,
@@ -736,6 +759,24 @@ TEST(CohortSampling, MatchesFullSortOracle) {
         std::sort(expected.begin(), expected.end());
         EXPECT_EQ(sample_cohort(n, k, seed, round).indices, expected);
       }
+    }
+  }
+  // The fleet benchmark's shape: a 10% cohort of a million devices.
+  const std::size_t n = 1'000'000;
+  const std::size_t k = 100'000;
+  std::vector<std::pair<std::uint64_t, std::size_t>> ranked(n);
+  for (std::uint64_t bench_seed : {1u, 2u}) {
+    for (std::size_t round : {0u, 9u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << bench_seed << " round " << round);
+      for (std::size_t i = 0; i < n; ++i) {
+        ranked[i] = {oracle_cohort_key(bench_seed, round, i), i};
+      }
+      std::sort(ranked.begin(), ranked.end());
+      std::vector<std::size_t> expected(k);
+      for (std::size_t j = 0; j < k; ++j) expected[j] = ranked[j].second;
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(sample_cohort(n, k, bench_seed, round).indices, expected);
     }
   }
 }
