@@ -8,8 +8,14 @@
 // through the *_reference scalar kernels) at every pool size {1, 2, 8} —
 // any mismatch sets "pricing_exact": false and fails the run via the exit
 // code, so the `perf` ctest label enforces the tentpole contract, not
-// just the timings. Timings are reported in microseconds and gate nothing
-// (machine noise must not gate correctness).
+// just the timings. A churn row then steps a 1M-device fleet with a 10%
+// cohort under the README churn mix for three rounds per pool size: the
+// round drawn from the fault model inside the pricing blocks (word-wise
+// crash chain, full faults for members only) must equal, bitwise, the
+// round priced from a twin model's advance() assignment, and the two
+// crash chains must agree ("churn_exact"). Timings are reported in
+// microseconds and gate nothing (machine noise must not gate
+// correctness).
 //
 // Flags: --smoke (1 rep — the `perf` ctest label runs this),
 //        --reps N (default 5), --out PATH (default BENCH_fleet.json).
@@ -23,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_model.hpp"
+#include "sim/cohort.hpp"
 #include "sim/fleet_pricing.hpp"
 #include "sim/fleet_state.hpp"
 #include "sim/simulator.hpp"
@@ -213,15 +221,95 @@ SizeRow run_size(std::size_t n, int reps) {
   return row;
 }
 
+struct ChurnRow {
+  std::size_t n = 0;
+  std::size_t cohort = 0;
+  std::size_t rounds = 0;
+  double step_us_pool1 = 0.0;  // fastest model-drawn step per pool
+  double step_us_pool2 = 0.0;
+  double step_us_pool8 = 0.0;
+  bool exact = true;
+};
+
+/// Every total and failure count of one round.
+bool same_round(const IterationResult& a, const IterationResult& b) {
+  return totals_of(a) == totals_of(b) && a.num_crashes == b.num_crashes &&
+         a.num_dropouts == b.num_dropouts &&
+         a.num_timeouts == b.num_timeouts &&
+         a.num_upload_failures == b.num_upload_failures &&
+         a.total_retries == b.total_retries;
+}
+
+ChurnRow run_churn(std::size_t n, std::size_t rounds) {
+  const FleetState fleet = make_fleet_state(n, FleetModel{}, 2024);
+  const auto freqs = make_freqs(fleet);
+  FlSimulator sim(fleet, make_traces(n), bench_params());
+  // The churn mix README.md uses for fedra::fault.
+  fault::FaultConfig churn;
+  churn.dropout_prob = 0.05;
+  churn.straggler_prob = 0.15;
+  churn.crash_prob = 0.02;
+  churn.upload_failure_prob = 0.1;
+
+  ChurnRow row;
+  row.n = n;
+  row.cohort = n / 10;
+  row.rounds = rounds;
+  double* const slots[3] = {&row.step_us_pool1, &row.step_us_pool2,
+                            &row.step_us_pool8};
+  const std::size_t workers[3] = {1, 2, 8};
+  for (int w = 0; w < 3; ++w) {
+    ThreadPool pool(workers[w]);
+    fault::FaultModel model(churn, 42);
+    fault::FaultModel twin(churn, 42);
+    sim.reset(0.0);
+    *slots[w] = std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const std::vector<bool> mask = sample_cohort(n, row.cohort, 7, r).mask(n);
+      StepOptions opts;
+      opts.participating = &mask;
+      opts.outcomes = OutcomeLayout::kSummary;
+      opts.pool = &pool;
+
+      const fault::RoundFaults assignment = twin.advance(sim.iteration(), n);
+      StepOptions given = opts;
+      given.faults = &assignment;
+      given.dry_run_at = sim.now();
+      const IterationResult expected = sim.preview(freqs, given);
+
+      StepOptions drawn = opts;
+      drawn.fault_model = &model;
+      const auto t0 = Clock::now();
+      const IterationResult got = sim.step(freqs, drawn);
+      const auto t1 = Clock::now();
+      *slots[w] = std::min(
+          *slots[w],
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+      if (!same_round(got, expected) ||
+          model.crash_state() != twin.crash_state()) {
+        row.exact = false;
+        std::fprintf(stderr,
+                     "bench_fleet: CHURN MISMATCH n=%zu pool=%zu round=%zu "
+                     "(drawn cost=%.17g crashes=%zu vs assignment "
+                     "cost=%.17g crashes=%zu)\n",
+                     n, workers[w], r, got.cost, got.num_crashes,
+                     expected.cost, expected.num_crashes);
+      }
+    }
+  }
+  return row;
+}
+
 void write_json(const std::string& path, bool smoke, int reps,
-                const std::vector<SizeRow>& rows, bool all_exact) {
+                const std::vector<SizeRow>& rows, bool all_exact,
+                const ChurnRow& churn) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "bench_fleet: cannot write %s\n", path.c_str());
     return;
   }
   os << "{\n";
-  os << "  \"schema\": \"fedra.bench.fleet.v2\",\n";
+  os << "  \"schema\": \"fedra.bench.fleet.v3\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"pricing_exact\": " << (all_exact ? "true" : "false") << ",\n";
@@ -236,7 +324,13 @@ void write_json(const std::string& path, bool smoke, int reps,
        << ", \"exact\": " << (r.exact ? "true" : "false") << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  os << "  ]\n";
+  os << "  ],\n";
+  os << "  \"churn_exact\": " << (churn.exact ? "true" : "false") << ",\n";
+  os << "  \"churn\": {\"n\": " << churn.n << ", \"cohort\": " << churn.cohort
+     << ", \"rounds\": " << churn.rounds
+     << ", \"step_us_pool1\": " << churn.step_us_pool1
+     << ", \"step_us_pool2\": " << churn.step_us_pool2
+     << ", \"step_us_pool8\": " << churn.step_us_pool8 << "}\n";
   os << "}\n";
   std::printf("bench_fleet: wrote %s\n", path.c_str());
 }
@@ -280,14 +374,29 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  write_json(out_path, smoke, reps, rows, all_exact);
+  const ChurnRow churn = run_churn(1000000, 3);
+  std::printf("\nchurn round (%zu devices, %zu cohort, %zu rounds per pool)\n",
+              churn.n, churn.cohort, churn.rounds);
+  std::printf("%14s %14s %14s  %s\n", "pool1_us", "pool2_us", "pool8_us",
+              "exact");
+  std::printf("%14.1f %14.1f %14.1f  %s\n", churn.step_us_pool1,
+              churn.step_us_pool2, churn.step_us_pool8,
+              churn.exact ? "yes" : "NO");
+
+  write_json(out_path, smoke, reps, rows, all_exact, churn);
   if (!all_exact) {
     std::fprintf(stderr,
                  "bench_fleet: FAILED — engine does not match the scalar "
                  "oracle bitwise\n");
     return 1;
   }
+  if (!churn.exact) {
+    std::fprintf(stderr,
+                 "bench_fleet: FAILED — the model-drawn churn round does not "
+                 "match the advance() assignment bitwise\n");
+    return 1;
+  }
   std::printf("bench_fleet: all fleet sizes priced bit-identically to the "
-              "scalar oracle\n");
+              "scalar oracle; churn rounds match their assignments\n");
   return 0;
 }

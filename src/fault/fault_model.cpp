@@ -1,6 +1,8 @@
 #include "fault/fault_model.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "util/contracts.hpp"
 
@@ -17,16 +19,22 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 
 double clamp_prob(double p) { return std::clamp(p, 0.0, 1.0); }
 
-/// The first uniform() of Rng(seed), in closed form: xoshiro256**'s first
-/// output reads only s[1], the second SplitMix64 word of the seed, so the
-/// other three state words need not be built.
-double first_uniform(std::uint64_t seed) {
+/// The first output of Rng(seed) >> 11, in closed form: xoshiro256**'s
+/// first output reads only s[1], the second SplitMix64 word of the seed,
+/// so the other three state words need not be built. Times 2^-53 it is
+/// the stream's first uniform().
+std::uint64_t first_draw(std::uint64_t seed) {
   std::uint64_t z = seed + 2 * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   const std::uint64_t s1 = (z ^ (z >> 31)) * 5;
-  const std::uint64_t out = ((s1 << 7) | (s1 >> 57)) * 9;
-  return static_cast<double>(out >> 11) * 0x1.0p-53;
+  return (((s1 << 7) | (s1 >> 57)) * 9) >> 11;
+}
+
+/// ceil(p * 2^53): for an integer x < 2^53, x * 2^-53 < p iff x < cut.
+/// Scaling by a power of two is exact, so the cut is too.
+std::uint64_t cut_of(double p) {
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 }  // namespace
@@ -61,6 +69,7 @@ FaultModel::FaultModel(FaultConfig config, std::uint64_t seed)
   FEDRA_EXPECTS(config.blackout_duration_s >= 0.0);
   FEDRA_EXPECTS(config.blackout_max_offset_s >= 0.0);
   FEDRA_EXPECTS(config.retry_backoff_s >= 0.0);
+  FEDRA_EXPECTS(config.max_retries <= 64);
 }
 
 DeviceFault FaultModel::draw_rest(Rng& rng, bool crashed) const {
@@ -97,71 +106,93 @@ DeviceFault FaultModel::draw_rest(Rng& rng, bool crashed) const {
   return f;
 }
 
-void FaultModel::draw_block(std::size_t iteration, std::size_t begin,
-                            std::size_t end,
-                            const std::vector<bool>& was_crashed,
-                            const std::vector<bool>* participating,
-                            DeviceFault* out,
-                            std::vector<bool>* now_crashed) const {
-  FEDRA_EXPECTS(begin <= end);
-  FEDRA_EXPECTS(participating == nullptr || participating->size() >= end);
-  FEDRA_EXPECTS(now_crashed == nullptr || now_crashed->size() >= end);
-  if (!enabled()) return;
-  const std::uint64_t round_seed = mix(seed_, iteration);
-  // Loaded once: the compiler must assume a chain write below changes any
-  // of them, and it may indeed alias was_crashed.
-  const double crash_prob = config_.crash_prob;
-  const double rejoin_prob = config_.rejoin_prob;
-  const std::size_t was_end = std::min(end, was_crashed.size());
-  // The crash-chain step on the stream's first draw u (bernoulli(p) is
-  // u < p). Each index is read before its own (possibly aliased) write
-  // and never touched by another iteration.
-  const auto chain_step = [&](std::size_t i, double u) {
-    const bool was = i < was_end && was_crashed[i];
-    return was ? !(u < rejoin_prob) : u < crash_prob;
-  };
-  // A drawn device: its chain step, then its fault from the rest of the
-  // stream. Returns the new crash state.
-  const auto draw = [&](std::size_t i, std::uint64_t stream) {
-    Rng rng(stream);
-    const bool now = chain_step(i, rng.uniform());
-    out[i - begin] = draw_rest(rng, now);
-    return now;
-  };
-  const auto drawn = [participating](std::size_t i) {
-    return participating == nullptr || (*participating)[i];
-  };
-  if (now_crashed == nullptr) {
-    // A dry run leaves the chain alone: visit only the drawn devices.
-    for (std::size_t i = begin; i < end; ++i) {
-      if (drawn(i)) draw(i, mix(round_seed, i));
-    }
-    return;
-  }
-  // Every device steps its chain here, so this loop is kept apart from
-  // the dry run's: the extra branches cost a fifth of its time. A
-  // non-participant's fault is never read, so it only steps the chain, on
-  // the closed-form first uniform.
-  std::vector<bool>& chain = *now_crashed;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::uint64_t stream = mix(round_seed, i);
-    chain[i] = drawn(i) ? draw(i, stream)
-                        : chain_step(i, first_uniform(stream));
-  }
-}
-
 void FaultModel::draw_range(std::size_t iteration, std::size_t begin,
                             std::size_t end,
                             const std::vector<bool>& was_crashed,
                             RoundFaults* round,
                             std::vector<bool>* now_crashed) const {
+  FEDRA_EXPECTS(begin <= end);
   FEDRA_EXPECTS(round != nullptr && round->devices.size() >= end);
-  draw_block(iteration, begin, end, was_crashed, nullptr,
-             round->devices.data() + begin, now_crashed);
+  FEDRA_EXPECTS(now_crashed == nullptr || now_crashed->size() >= end);
+  if (!enabled()) return;
+  const std::uint64_t round_seed = mix(seed_, iteration);
+  // Each index is read before its own (possibly aliased) write and never
+  // touched by another iteration.
+  for (std::size_t i = begin; i < end; ++i) {
+    Rng rng(mix(round_seed, i));
+    const bool was = i < was_crashed.size() && was_crashed[i];
+    const bool now = chain_step(was, rng.uniform());
+    round->devices[i] = draw_rest(rng, now);
+    if (now_crashed != nullptr) (*now_crashed)[i] = now;
+  }
 }
 
-std::vector<bool>& FaultModel::chain_for(std::size_t num_devices) {
-  if (crashed_.size() < num_devices) crashed_.resize(num_devices);
+void FaultModel::draw_block(std::size_t iteration, std::size_t begin,
+                            std::size_t end,
+                            const std::vector<std::uint64_t>& was,
+                            std::span<const std::size_t> members,
+                            DeviceFault* out,
+                            std::vector<std::uint64_t>* now) const {
+  FEDRA_EXPECTS(begin <= end);
+  FEDRA_EXPECTS(now == nullptr || now->size() * 64 >= end);
+  if (!enabled()) return;
+  const std::uint64_t round_seed = mix(seed_, iteration);
+  const auto was_word = [&was](std::size_t w) {
+    return w < was.size() ? was[w] : std::uint64_t{0};
+  };
+  const auto was_bit = [&](std::size_t i) {
+    return ((was_word(i / 64) >> (i % 64)) & 1) != 0;
+  };
+
+  // The members' full faults, each from its own stream: the first draw
+  // steps its chain, the rest is its fault.
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    FEDRA_EXPECTS(members[j] < end - begin);
+    const std::size_t i = begin + members[j];
+    Rng rng(mix(round_seed, i));
+    out[j] = draw_rest(rng, chain_step(was_bit(i), rng.uniform()));
+  }
+  if (now == nullptr) return;
+
+  // Every device's chain step, on the first draw alone. A device before
+  // the range's first word boundary steps by itself.
+  std::vector<std::uint64_t>& chain = *now;
+  std::size_t i = begin;
+  for (; i < end && i % 64 != 0; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    const double u =
+        static_cast<double>(first_draw(mix(round_seed, i))) * 0x1.0p-53;
+    const bool crashed = chain_step(was_bit(i), u);
+    chain[i / 64] = crashed ? chain[i / 64] | bit : chain[i / 64] & ~bit;
+  }
+  // The rest 64 at a time, in the integer domain: with x a device's first
+  // draw, a healthy device crashes when x < crash_cut and a crashed one
+  // stays down when x >= rejoin_cut, so now = was ? stay : crash, per
+  // bit. A tail word keeps its bits at and past `end`.
+  const std::uint64_t crash_cut = cut_of(config_.crash_prob);
+  const std::uint64_t rejoin_cut = cut_of(config_.rejoin_prob);
+  for (; i < end; i += 64) {
+    std::uint64_t crash = 0;
+    std::uint64_t stay = 0;
+    for (std::uint64_t l = 0; l < 64; ++l) {
+      const std::uint64_t x = first_draw(mix(round_seed, i + l));
+      crash |= static_cast<std::uint64_t>(x < crash_cut) << l;
+      stay |= static_cast<std::uint64_t>(x >= rejoin_cut) << l;
+    }
+    const std::uint64_t w = was_word(i / 64);
+    const std::uint64_t stepped = (w & stay) | (~w & crash);
+    const std::uint64_t lanes = end - i < 64
+                                    ? (std::uint64_t{1} << (end - i)) - 1
+                                    : ~std::uint64_t{0};
+    chain[i / 64] = (chain[i / 64] & ~lanes) | (stepped & lanes);
+  }
+}
+
+std::vector<std::uint64_t>& FaultModel::chain_for(std::size_t num_devices) {
+  if (chain_size_ < num_devices) {
+    chain_size_ = num_devices;
+    crashed_.resize((num_devices + 63) / 64, 0);
+  }
   return crashed_;
 }
 
@@ -169,7 +200,7 @@ RoundFaults FaultModel::peek(std::size_t iteration,
                              std::size_t num_devices) const {
   RoundFaults round;
   round.devices.resize(num_devices);
-  draw_range(iteration, 0, num_devices, crashed_, &round, nullptr);
+  draw_range(iteration, 0, num_devices, crash_state(), &round, nullptr);
   return round;
 }
 
@@ -178,15 +209,34 @@ RoundFaults FaultModel::advance(std::size_t iteration,
   RoundFaults round;
   round.devices.resize(num_devices);
   if (enabled()) {
-    draw_range(iteration, 0, num_devices, crashed_, &round,
-               &chain_for(num_devices));
+    std::vector<bool> chain = crash_state();
+    if (chain.size() < num_devices) chain.resize(num_devices);
+    draw_range(iteration, 0, num_devices, chain, &round, &chain);
+    set_crash_state(std::move(chain));
   }
   return round;
 }
 
 std::size_t FaultModel::num_crashed() const {
-  return static_cast<std::size_t>(
-      std::count(crashed_.begin(), crashed_.end(), true));
+  std::size_t n = 0;
+  for (const std::uint64_t w : crashed_) n += std::popcount(w);
+  return n;
+}
+
+std::vector<bool> FaultModel::crash_state() const {
+  std::vector<bool> state(chain_size_);
+  for (std::size_t i = 0; i < chain_size_; ++i) {
+    state[i] = ((crashed_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  return state;
+}
+
+void FaultModel::set_crash_state(std::vector<bool> state) {
+  chain_size_ = state.size();
+  crashed_.assign((chain_size_ + 63) / 64, 0);
+  for (std::size_t i = 0; i < chain_size_; ++i) {
+    if (state[i]) crashed_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
 }
 
 }  // namespace fedra::fault

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -62,7 +63,8 @@ struct FaultConfig {
   double blackout_max_offset_s = 30.0;
   /// P(one upload attempt fails). Failed attempts back off
   /// retry_backoff_s * 2^k before attempt k+1; after max_retries retries
-  /// the update is abandoned.
+  /// (at most 64, so every backoff factor fits a 64-bit shift) the update
+  /// is abandoned.
   double upload_failure_prob = 0.0;
   std::size_t max_retries = 2;
   double retry_backoff_s = 1.0;
@@ -127,62 +129,81 @@ class FaultModel {
   /// crash chain (used by previews / dry runs).
   RoundFaults peek(std::size_t iteration, std::size_t num_devices) const;
 
-  /// The one draw loop: writes devices [begin, end) of `iteration`'s
-  /// assignment into out[0, end - begin), reading the prior crash state
-  /// from `was_crashed` (indices past its size = healthy) and writing the
-  /// evolved state into `now_crashed` (sized >= end) when non-null; the
-  /// two may be the same vector. A device with a false `participating`
-  /// entry (nullptr = everyone) only steps its crash chain — the first
-  /// draw of the same stream — and its `out` slot is left untouched.
-  /// Every device is a pure function of (seed, iteration, device, its own
-  /// prior crash bit), so disjoint blocks commute: any block schedule
-  /// produces the same assignment and crash chain bitwise as one
-  /// sequential draw. No-op when the model is disabled.
-  /// NOTE: now_crashed is bit-packed (std::vector<bool>), so concurrent
-  /// block-parallel writers must either pass nullptr or use ranges
-  /// aligned to 64-device multiples.
-  void draw_block(std::size_t iteration, std::size_t begin, std::size_t end,
-                  const std::vector<bool>& was_crashed,
-                  const std::vector<bool>* participating, DeviceFault* out,
-                  std::vector<bool>* now_crashed) const;
-
-  /// draw_block for every device of [begin, end) into round->devices
-  /// (sized >= end), at the devices' own indices.
+  /// The per-device reference draw: writes devices [begin, end) of
+  /// `iteration`'s assignment into round->devices (sized >= end) at their
+  /// own indices, reading the prior crash state from `was_crashed`
+  /// (indices past its size = healthy) and writing the evolved state into
+  /// `now_crashed` (sized >= end) when non-null; the two may be the same
+  /// vector. Each device is a pure function of (seed, iteration, device,
+  /// its own prior crash bit), so disjoint ranges commute. No-op when the
+  /// model is disabled.
   void draw_range(std::size_t iteration, std::size_t begin, std::size_t end,
                   const std::vector<bool>& was_crashed, RoundFaults* round,
                   std::vector<bool>* now_crashed) const;
 
-  /// The crash chain, sized for at least `num_devices`, for callers that
-  /// advance it in place with draw_block (was_crashed and now_crashed
-  /// both the chain). Call once, serially, before concurrent block draws.
-  std::vector<bool>& chain_for(std::size_t num_devices);
+  /// The round engine's draw over a crash chain stored as 64-device words
+  /// (device i is bit i % 64 of word i / 64; words past `was`'s size are
+  /// healthy). First the members: out[j] is the fault of device
+  /// begin + members[j], its chain step read from `was`. Then, when `now`
+  /// is non-null (covering >= end devices), every device of [begin, end)
+  /// steps its chain into `now`, 64 devices per word for aligned words;
+  /// bits of `now` outside the range are kept. `was` and `now` may be the
+  /// same vector, since each word is read before it is written. The bits
+  /// equal draw_range's for every member and every chain state. No-op when
+  /// the model is disabled.
+  /// NOTE: concurrent writers of one `now` must use ranges that start and
+  /// end on 64-device multiples (or at the chain's end), so that each
+  /// writes its own words.
+  void draw_block(std::size_t iteration, std::size_t begin, std::size_t end,
+                  const std::vector<std::uint64_t>& was,
+                  std::span<const std::size_t> members, DeviceFault* out,
+                  std::vector<std::uint64_t>* now) const;
+
+  /// The crash chain's words, sized for at least `num_devices`, for
+  /// callers that advance it in place with draw_block (was and now both
+  /// the chain). Call once, serially, before concurrent block draws.
+  std::vector<std::uint64_t>& chain_for(std::size_t num_devices);
+
+  /// The crash chain's words as they stand (bits past the chain's size are
+  /// zero).
+  const std::vector<std::uint64_t>& crash_words() const { return crashed_; }
 
   /// Draws the fault assignment for `iteration` and advances the crash
-  /// chain. Call once per real simulator step, in iteration order.
+  /// chain through the per-device reference draw. Call once per real
+  /// simulator step, in iteration order.
   RoundFaults advance(std::size_t iteration, std::size_t num_devices);
 
   /// Clears the crash chain (all devices healthy), e.g. at episode reset.
-  void reset() { crashed_.clear(); }
+  void reset() {
+    crashed_.clear();
+    chain_size_ = 0;
+  }
 
   /// Devices currently down (crash chain state).
   std::size_t num_crashed() const;
 
-  // Crash-chain snapshot/restore for checkpointing (fedra::ckpt). The
-  // chain is the ONLY mutable state — everything else is a pure function
-  // of (seed, iteration, device) — so restoring it resumes the fault
-  // sequence bit-exactly.
-  const std::vector<bool>& crash_state() const { return crashed_; }
-  void set_crash_state(std::vector<bool> state) { crashed_ = std::move(state); }
+  // Crash-chain snapshot/restore for checkpointing (fedra::ckpt), one
+  // entry per device the chain covers. The chain is the ONLY mutable
+  // state — everything else is a pure function of (seed, iteration,
+  // device) — so restoring it resumes the fault sequence bit-exactly.
+  std::vector<bool> crash_state() const;
+  void set_crash_state(std::vector<bool> state);
 
  private:
   /// A device's fault given its crash-chain draw, continuing the same
   /// stream after that draw.
   DeviceFault draw_rest(Rng& rng, bool crashed) const;
 
+  /// One device's chain step on its stream's first uniform u.
+  bool chain_step(bool was, double u) const {
+    return was ? !(u < config_.rejoin_prob) : u < config_.crash_prob;
+  }
+
   FaultConfig config_;
   std::uint64_t seed_ = 0;
   bool enabled_ = false;
-  std::vector<bool> crashed_;  ///< crash-chain state, lazily sized
+  std::vector<std::uint64_t> crashed_;  ///< crash-chain words, lazily sized
+  std::size_t chain_size_ = 0;          ///< devices the chain covers
 };
 
 }  // namespace fedra::fault

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace fedra {
 
@@ -48,27 +49,65 @@ struct Candidates {
   }
 };
 
-/// Ids hashed per step of the candidate loop: each step checks the
-/// arrays' room once and write-prefetches one line of each, a few lines
-/// ahead of the slot it starts at.
+/// Ids hashed per step of the candidate loop: each step hashes its ids
+/// in one fixed-width lane loop, checks the arrays' room once and
+/// write-prefetches one line of each, a few lines ahead of the slot it
+/// starts at.
 constexpr std::size_t kBlock = 64;
 
+/// detail::cohort_keys as one fixed 64-lane loop over integers only. A
+/// device's key is one SplitMix64 step over the order-free (seed, round,
+/// id) combine also used by the fault model; the round's share of the
+/// combine is hoisted out of the loop (modular addition regroups exactly,
+/// so the keys are unchanged). The loop vectorizes wherever 64-bit lanes
+/// multiply; no intrinsics, so every build gives the same keys.
+[[gnu::always_inline]] inline void cohort_keys_lanes(std::uint64_t seed,
+                                                     std::uint64_t round,
+                                                     std::uint64_t first_id,
+                                                     std::uint64_t* keys) {
+  const std::uint64_t a = seed ^ (round * kGolden);
+  const std::uint64_t offset = kGolden + (a << 6) + (a >> 2);
+  for (std::uint64_t l = 0; l < kBlock; ++l) {
+    std::uint64_t z = (a ^ (first_id + l + offset)) + kGolden;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    keys[l] = z ^ (z >> 31);
+  }
+}
+
+// The AVX-512 build of the same loop, picked by one cached CPU check.
+// A plain target attribute rather than target_clones: the ifunc resolver
+// of the latter crashes a GCC 12 TSan binary at startup.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FEDRA_COHORT_AVX512 1
+__attribute__((target("avx512f,avx512dq"))) void cohort_keys_avx512(
+    std::uint64_t seed, std::uint64_t round, std::uint64_t first_id,
+    std::uint64_t* keys) {
+  cohort_keys_lanes(seed, round, first_id, keys);
+}
+
+bool has_avx512() {
+  static const bool yes = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512dq");
+  return yes;
+}
+#else
+#define FEDRA_COHORT_AVX512 0
+#endif
+
 /// Sets `out` to the (key, id) pairs whose key is at most `key_cut`, in id
-/// order. A device's key is one SplitMix64 step over the order-free
-/// (seed, round, id) combine also used by the fault model; the round's
-/// share of the combine is hoisted out of the loop (modular addition
-/// regroups exactly, so the keys are unchanged). Every pair is stored and
-/// the write slot advances only past those that pass, so the loop has no
-/// branch on the key. Memory safety does not rest on the caller's sizing:
-/// each block of ids first makes room for all of its pairs. The prefetch
-/// matters because the arrays are cold after a round's pricing, and a
-/// store stream that reaches a new line only every ~80 ids otherwise
-/// stalls on each line's miss.
+/// order. Each block of 64 ids is hashed into a stack buffer by the lane
+/// loop (a tail block hashes ids past the fleet too and ignores them).
+/// Every pair is then stored and the write slot advances only past those
+/// that pass, so the loop has no branch on the key. Memory safety does
+/// not rest on the caller's sizing: each block of ids first makes room for
+/// all of its pairs. The prefetch matters because the arrays are cold
+/// after a round's pricing, and a store stream that reaches a new line
+/// only every ~80 ids otherwise stalls on each line's miss.
 void collect_candidates(Candidates& out, std::size_t fleet_size,
                         std::uint64_t seed, std::size_t round,
                         std::uint64_t key_cut) {
-  const std::uint64_t a = seed ^ (static_cast<std::uint64_t>(round) * kGolden);
-  const std::uint64_t offset = kGolden + (a << 6) + (a >> 2);
+  std::uint64_t block_keys[kBlock];
   std::size_t m = 0;
   for (std::size_t begin = 0; begin < fleet_size; begin += kBlock) {
     const std::size_t end = std::min(fleet_size, begin + kBlock);
@@ -81,12 +120,10 @@ void collect_candidates(Candidates& out, std::size_t fleet_size,
     const std::size_t ahead = std::min(m + 32, out.capacity - 1);
     __builtin_prefetch(keys + ahead, 1);
     __builtin_prefetch(ids + ahead, 1);
+    detail::cohort_keys(seed, round, begin, block_keys);
 #pragma GCC unroll 4
     for (std::size_t i = begin; i < end; ++i) {
-      std::uint64_t z = (a ^ (i + offset)) + kGolden;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      const std::uint64_t key = z ^ (z >> 31);
+      const std::uint64_t key = block_keys[i - begin];
       keys[m] = key;
       ids[m] = i;
       m += key <= key_cut;
@@ -145,6 +182,23 @@ Cohort sample_cohort(std::size_t fleet_size, std::size_t k,
 }
 
 namespace detail {
+
+void cohort_keys(std::uint64_t seed, std::uint64_t round,
+                 std::uint64_t first_id, std::uint64_t* keys) {
+#if FEDRA_COHORT_AVX512
+  if (has_avx512()) return cohort_keys_avx512(seed, round, first_id, keys);
+#endif
+  cohort_keys_lanes(seed, round, first_id, keys);
+}
+
+void cohort_keys_reference(std::uint64_t seed, std::uint64_t round,
+                           std::uint64_t first_id, std::uint64_t* keys) {
+  const std::uint64_t a = seed ^ (round * kGolden);
+  for (std::uint64_t l = 0; l < kBlock; ++l) {
+    SplitMix64 sm(a ^ ((first_id + l) + kGolden + (a << 6) + (a >> 2)));
+    keys[l] = sm.next();
+  }
+}
 
 Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
                               std::uint64_t seed, std::size_t round,

@@ -9,12 +9,16 @@
 // cohort is independent of iteration order, device count elsewhere, and
 // platform, and two shards sampling the same round agree without
 // coordination. One branchless pass hashes every device and keeps the
-// about 1.05 k + 64 candidates under a key cut, in id order; a histogram
-// over their keys finds the bucket holding the k-th smallest, which alone
-// is partially sorted. One ordered scan then keeps the k winners, so they
-// come out sorted by id without a sort, ready to drive a StepOptions
-// participation mask (which the round engine prices at O(cohort) past one
-// crash-chain step per device) or an fl::FedAvg roster.
+// about 1.05 k + 64 candidates under a key cut, in id order. It hashes 64
+// ids at a time in a fixed lane loop that is built twice, for the
+// baseline ISA and for AVX-512, and picked by one cached CPU check; the
+// loop is integer-only, so both builds give the same keys. A histogram
+// over the candidates' keys finds the bucket holding the k-th smallest,
+// which alone is partially sorted. One ordered scan then keeps the k
+// winners, so they come out sorted by id without a sort, ready to drive a
+// StepOptions participation mask (which the round engine prices at
+// O(cohort) past one crash-chain word step per 64 devices) or an
+// fl::FedAvg roster.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +56,16 @@ namespace detail {
 Cohort sample_cohort_with_cut(std::size_t fleet_size, std::size_t k,
                               std::uint64_t seed, std::size_t round,
                               double cut);
+
+/// The rank keys of the 64 devices first_id, first_id + 1, ... (mod 2^64)
+/// for (seed, round) into keys[0, 64), through the lane-loop build this
+/// CPU runs.
+void cohort_keys(std::uint64_t seed, std::uint64_t round,
+                 std::uint64_t first_id, std::uint64_t* keys);
+
+/// cohort_keys one device at a time through SplitMix64 — its oracle.
+void cohort_keys_reference(std::uint64_t seed, std::uint64_t round,
+                           std::uint64_t first_id, std::uint64_t* keys);
 
 }  // namespace detail
 

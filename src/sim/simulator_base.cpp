@@ -72,7 +72,7 @@ struct BlockScratch {
   std::vector<double> freq;
   std::vector<double> tcmp;
   std::vector<double> ecmp;
-  std::vector<fault::DeviceFault> faults;  // model-drawn, block-relative
+  std::vector<fault::DeviceFault> faults;  // model-drawn, one per member
   std::vector<std::size_t> solve_idx;
   std::vector<double> solve_start;
   std::vector<double> solve_end;
@@ -123,7 +123,7 @@ struct SimulatorBase::FaultSource {
   const fault::RoundFaults* assignment = nullptr;
   const fault::FaultModel* model = nullptr;
   std::size_t iteration = 0;
-  std::vector<bool>* chain = nullptr;
+  std::vector<std::uint64_t>* chain = nullptr;
 };
 
 SimulatorBase::SimulatorBase(std::vector<DeviceProfile> devices,
@@ -250,22 +250,10 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
   BlockScratch& s = block_scratch();
   s.ensure(bn);
 
-  // This block's faults, indexed like the scratch columns. A model is
-  // drawn here, on the worker that prices the block: participants get
-  // their full fault, non-participants only step the crash chain.
-  const fault::DeviceFault* faults = nullptr;
-  if (source.assignment != nullptr) {
-    faults = source.assignment->devices.data() + begin;
-  } else if (source.model != nullptr) {
-    source.model->draw_block(source.iteration, begin, end,
-                             source.model->crash_state(), participating,
-                             s.faults.data(), source.chain);
-    faults = s.faults.data();
-  }
-
   // The block's members as block offsets (without a mask every lane is
-  // one), and their price_compute inputs: read in place when everyone
-  // takes part, else gathered so that the work below is O(members).
+  // one; listed only when a fault model needs them), and their
+  // price_compute inputs: read in place when everyone takes part, else
+  // gathered so that the work below is O(members).
   const FleetView view(fleet_);
   const double* cycles = view.cycles_per_bit().data() + begin;
   const double* bits = view.dataset_bits().data() + begin;
@@ -292,9 +280,29 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
     capacitance = s.capacitance.data();
     max_freq = s.max_freq.data();
     request = s.request.data();
+  } else if (source.model != nullptr) {
+    for (std::size_t k = 0; k < bn; ++k) s.members[k] = k;
   }
   const auto lane = [&](std::size_t j) {
     return participating != nullptr ? s.members[j] : j;
+  };
+
+  // This block's faults. A model is drawn here, on the worker that prices
+  // the block: the members' full faults into s.faults (member-indexed),
+  // then every device's crash-chain step, 64 per word. A non-member
+  // builds no generator.
+  if (source.model != nullptr) {
+    source.model->draw_block(source.iteration, begin, end,
+                             source.model->crash_words(),
+                             {s.members.data(), m}, s.faults.data(),
+                             source.chain);
+  }
+  const auto fault_of = [&](std::size_t j) -> const fault::DeviceFault* {
+    if (source.model != nullptr) return &s.faults[j];
+    if (source.assignment != nullptr) {
+      return &source.assignment->devices[begin + lane(j)];
+    }
+    return nullptr;
   };
 
   // Compute-side pricing of the members through the SIMD-dispatched
@@ -310,9 +318,9 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
   s.solve_idx.clear();
   s.solve_start.clear();
   for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t k = lane(j);
-    if (faults != nullptr && faults[k].faulty()) continue;
-    s.solve_idx.push_back(begin + k);
+    const fault::DeviceFault* df = fault_of(j);
+    if (df != nullptr && df->faulty()) continue;
+    s.solve_idx.push_back(begin + lane(j));
     s.solve_start.push_back(start_time + s.tcmp[j]);
   }
   s.solve_end.resize(s.solve_idx.size());
@@ -346,7 +354,7 @@ void SimulatorBase::price_block(std::size_t begin, std::size_t end,
     DeviceOutcome out;
     ++totals.scheduled;
 
-    const fault::DeviceFault* df = faults != nullptr ? &faults[k] : nullptr;
+    const fault::DeviceFault* df = fault_of(j);
     if (df != nullptr && df->crashed) {
       // Down before the round started: the server skips a known-dead
       // connection — no time, no energy, no barrier contribution.
@@ -428,7 +436,8 @@ IterationResult SimulatorBase::compute_round(
              options.fault_model->enabled()) {
     faults.model = options.fault_model;
     faults.iteration = iteration_;
-    // Sized here, serially: the blocks below then only flip their own bits.
+    // Sized here, serially: the blocks below then only write their own
+    // words.
     if (advance) faults.chain = &options.fault_model->chain_for(n);
   }
   const double deadline = options.deadline > 0.0
@@ -443,7 +452,7 @@ IterationResult SimulatorBase::compute_round(
   // disjoint slots and their own totals, and partials combine in block
   // order below — so any pool size (or none) produces identical bits.
   // Blocks start at multiples of 64 devices, so their crash-chain bits
-  // live in disjoint std::vector<bool> words.
+  // live in disjoint 64-bit words.
   static_assert(kPricingBlock % 64 == 0);
   const std::size_t nblocks = (n + kPricingBlock - 1) / kPricingBlock;
   std::vector<BlockTotals> totals(nblocks);

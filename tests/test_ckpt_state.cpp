@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "sim/experiment_config.hpp"
 
@@ -204,6 +207,43 @@ TEST(CkptState, FaultModelCrashChainRoundTrip) {
               load_fault_model(ByteReader(w.bytes()), other_seed);
             }),
             Errc::kStateMismatch);
+}
+
+// The crash chain is stored as 64-device words, but its checkpoint stays
+// one byte per device: the bytes of a 130-device chain stepped word-wise
+// for four rounds are pinned, as written when the chain was a
+// std::vector<bool> (and as the per-device advance() still writes them).
+TEST(CkptState, FaultModelBytesArePinned) {
+  const std::string pinned =
+      "8200000000000000820000000000000001010101010001000001000001010101"
+      "0000010100010100000101010100010001010100000000010000000101010000"
+      "0101000100010100000001010001000000000000000001000101010000010000"
+      "0101010101000001000000010000000001010101000100010101000000010001"
+      "000101010101000000010000010100000001";
+  fault::FaultConfig fc;
+  fc.dropout_prob = 0.1;
+  fc.crash_prob = 0.3;
+  fc.rejoin_prob = 0.4;
+  fault::FaultModel stepped(fc, 130);
+  fault::FaultModel advanced(fc, 130);
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::vector<std::uint64_t>& chain = stepped.chain_for(130);
+    stepped.draw_block(k, 0, 130, chain, {}, nullptr, &chain);
+    (void)advanced.advance(k, 130);
+  }
+  const auto hex_of = [](const fault::FaultModel& model) {
+    ByteWriter w;
+    save_fault_model(w, model);
+    std::string hex;
+    for (const unsigned char b : w.bytes()) {
+      static const char* const kDigits = "0123456789abcdef";
+      hex += kDigits[b >> 4];
+      hex += kDigits[b & 15];
+    }
+    return hex;
+  };
+  EXPECT_EQ(hex_of(stepped), pinned);
+  EXPECT_EQ(hex_of(advanced), pinned);
 }
 
 TEST(CkptState, IterationResultRoundTripsAllFields) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/transforms.hpp"
+#include "util/rng.hpp"
 
 namespace fedra {
 namespace {
@@ -212,6 +216,165 @@ TEST(FaultModel, ScaledClampsProbabilitiesToOne) {
   // Magnitudes are intensity-independent: only probabilities scale.
   EXPECT_DOUBLE_EQ(hot.max_slowdown, cfg.max_slowdown);
   EXPECT_EQ(hot.max_retries, cfg.max_retries);
+}
+
+TEST(FaultModel, RejectsMoreThan64Retries) {
+  FaultConfig cfg;
+  cfg.upload_failure_prob = 1.0;
+  cfg.max_retries = 65;
+  EXPECT_DEATH(FaultModel(cfg, 1), "precondition");
+  cfg.max_retries = SIZE_MAX;
+  EXPECT_DEATH(FaultModel(cfg, 1), "precondition");
+}
+
+TEST(FaultSimulator, SixtyFourRetriesExhaustWithinRange) {
+  // The largest accepted budget: 64 retries, every attempt fails, and the
+  // last backoff factor is 2^63.
+  FaultConfig cfg;
+  cfg.upload_failure_prob = 1.0;
+  cfg.max_retries = 64;
+  cfg.retry_backoff_s = 0.0;
+  FaultModel model(cfg, 1);
+  FlSimulator sim = one_device_sim();
+  StepOptions options;
+  options.fault_model = &model;
+  const IterationResult r = sim.step({0.5e9}, options);
+  EXPECT_EQ(r.num_upload_failures, 1u);
+  EXPECT_EQ(r.total_retries, 64u);
+}
+
+// ---------------------------------------------------------------------------
+// The word-wise crash chain == the per-device reference draw.
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint64_t> words_of(const std::vector<bool>& bits) {
+  std::vector<std::uint64_t> words((bits.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) words[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return words;
+}
+
+std::vector<bool> bits_of(const std::vector<std::uint64_t>& words,
+                          std::size_t n) {
+  std::vector<bool> bits(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bits[i] = ((words[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  return bits;
+}
+
+/// draw_block over [begin, end) of an n-device chain whose prior state is
+/// `was` (possibly shorter than n) against draw_range: every third device
+/// of the range is a member, and both a separate and an in-place `now`
+/// must end with the reference's chain, bits outside the range kept.
+void expect_word_chain_matches_reference(const FaultModel& model,
+                                         std::size_t iteration,
+                                         std::size_t begin, std::size_t end,
+                                         std::size_t n,
+                                         const std::vector<bool>& was) {
+  SCOPED_TRACE(::testing::Message() << "range [" << begin << ", " << end
+                                    << ") of " << n << ", chain "
+                                    << was.size());
+  std::vector<bool> padded = was;
+  padded.resize(n);
+  RoundFaults round;
+  round.devices.resize(n);
+  std::vector<bool> expected = padded;
+  model.draw_range(iteration, begin, end, was, &round, &expected);
+
+  std::vector<std::size_t> members;
+  for (std::size_t k = 0; begin + k < end; k += 3) members.push_back(k);
+  std::vector<DeviceFault> out(members.size());
+  const std::vector<std::uint64_t> was_words = words_of(was);
+  std::vector<std::uint64_t> now = words_of(padded);
+  model.draw_block(iteration, begin, end, was_words, members, out.data(),
+                   &now);
+  EXPECT_EQ(bits_of(now, n), expected);
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    expect_fault_eq(out[j], round.devices[begin + members[j]]);
+  }
+
+  std::vector<std::uint64_t> in_place = words_of(padded);
+  model.draw_block(iteration, begin, end, in_place, {}, nullptr, &in_place);
+  EXPECT_EQ(bits_of(in_place, n), expected);
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> ranges_of(std::size_t n) {
+  const std::size_t head = std::min<std::size_t>(n, 5);
+  return {{0, n}, {n / 3, n}, {head, std::max(head, n - n / 4)}};
+}
+
+TEST(FaultChainWords, MatchesReferenceAcrossProbabilities) {
+  const std::size_t sizes[] = {1, 63, 64, 65, 4113, 3 * 4096 + 17};
+  const double probs[] = {0.0, 0x1.0p-53, 0.02, 0.1, 0.25, 0.5, 1.0};
+  for (const double crash : probs) {
+    for (const double rejoin : probs) {
+      SCOPED_TRACE(::testing::Message() << "crash " << crash << " rejoin "
+                                        << rejoin);
+      FaultConfig cfg;
+      cfg.dropout_prob = 0.1;  // enabled even when crash_prob is 0
+      cfg.straggler_prob = 0.2;
+      cfg.crash_prob = crash;
+      cfg.rejoin_prob = rejoin;
+      const FaultModel model(cfg, 99);
+      for (const std::size_t n : sizes) {
+        for (const bool down : {false, true}) {
+          const std::vector<bool> was(n, down);
+          for (const auto& [begin, end] : ranges_of(n)) {
+            expect_word_chain_matches_reference(model, 3, begin, end, n,
+                                                was);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultChainWords, MatchesReferenceOnMixedAndShortChains) {
+  const FaultModel model(chaos_config(), 5);
+  Rng rng(11);
+  for (const std::size_t n : {65u, 4113u, 3u * 4096u + 17u}) {
+    std::vector<bool> was(n);
+    for (std::size_t i = 0; i < n; ++i) was[i] = rng.bernoulli(0.4);
+    for (const std::size_t len : {n, n / 2, std::size_t{70}, std::size_t{0}}) {
+      const std::vector<bool> shorter(was.begin(),
+                                      was.begin() + static_cast<long>(len));
+      for (const auto& [begin, end] : ranges_of(n)) {
+        for (std::size_t iteration : {0u, 7u}) {
+          expect_word_chain_matches_reference(model, iteration, begin, end,
+                                              n, shorter);
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultChainWords, CrashStateRoundTripsOffWordBoundary) {
+  FaultModel m(chaos_config(), 4);
+  std::vector<bool> state(130);
+  std::size_t down = 0;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    state[i] = i % 3 == 0 || i == 129;
+    down += state[i] ? 1 : 0;
+  }
+  m.set_crash_state(state);
+  EXPECT_EQ(m.crash_state(), state);
+  EXPECT_EQ(m.num_crashed(), down);
+  EXPECT_EQ(m.crash_words().size(), 3u);
+
+  // Growing the chain adds healthy devices and keeps the rest.
+  (void)m.chain_for(200);
+  std::vector<bool> grown = state;
+  grown.resize(200);
+  EXPECT_EQ(m.crash_state(), grown);
+  EXPECT_EQ(m.num_crashed(), down);
+  (void)m.chain_for(100);  // never shrinks
+  EXPECT_EQ(m.crash_state().size(), 200u);
+
+  m.reset();
+  EXPECT_TRUE(m.crash_state().empty());
+  EXPECT_EQ(m.num_crashed(), 0u);
 }
 
 TEST(FaultSimulator, DisabledModelMatchesPlainOptionsBitExact) {

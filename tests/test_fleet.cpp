@@ -22,6 +22,7 @@
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_table.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedra {
@@ -532,9 +533,10 @@ void expect_block_draws_match_assignment(bool cohort) {
       const IterationResult expected = given.step(freqs, by_assignment);
       expect_result_eq(drawn.step(freqs, by_model), expected);
       expect_result_eq(previewed, expected);
-      EXPECT_EQ(model.crash_state(), twin.crash_state());
+      const std::vector<bool> now = twin.crash_state();
+      EXPECT_EQ(model.crash_state(), now);
       for (std::size_t i = 0; i < was.size(); ++i) {
-        if (was[i] && !twin.crash_state()[i]) ++rejoins;
+        if (was[i] && !now[i]) ++rejoins;
       }
     }
     EXPECT_GT(rejoins, 0u);
@@ -572,15 +574,23 @@ TEST(FaultModelBatch, NonParticipantsOnlyStepTheCrashChain) {
   EXPECT_GT(rejoins, 0u);
   EXPECT_GT(crashes, 0u);
 
-  // In place, as the simulator steps its chain.
-  const DeviceFault untouched{.dropout_frac = -1.0};
-  std::vector<DeviceFault> block(n, untouched);
-  std::vector<bool> chain = was;
-  model.draw_block(4, 0, n, chain, &mask, block.data(), &chain);
-  EXPECT_EQ(chain, full_chain);
+  // In place, as the simulator steps its chain: the members' faults come
+  // out member-indexed, and nothing past the last member is written.
+  std::vector<std::size_t> members;
   for (std::size_t i = 0; i < n; ++i) {
-    expect_fault_eq(block[i], mask[i] ? full.devices[i] : untouched);
+    if (mask[i]) members.push_back(i);
   }
+  const DeviceFault untouched{.dropout_frac = -1.0};
+  std::vector<DeviceFault> block(members.size() + 1, untouched);
+  FaultModel chained(churn_config(), 8);
+  chained.set_crash_state(was);
+  std::vector<std::uint64_t>& chain = chained.chain_for(n);
+  chained.draw_block(4, 0, n, chain, members, block.data(), &chain);
+  EXPECT_EQ(chained.crash_state(), full_chain);
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    expect_fault_eq(block[j], full.devices[members[j]]);
+  }
+  expect_fault_eq(block.back(), untouched);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,6 +787,32 @@ TEST(CohortSampling, MatchesFullSortOracle) {
       for (std::size_t j = 0; j < k; ++j) expected[j] = ranked[j].second;
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(sample_cohort(n, k, bench_seed, round).indices, expected);
+    }
+  }
+}
+
+// The dispatched 64-id key loop (the AVX-512 build on a CPU that has it)
+// equals its one-device-at-a-time reference, near the 2^64 id wrap too.
+TEST(CohortSampling, KeyKernelMatchesReference) {
+  Rng rng(64);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> first_ids = {0, 1, 63, 4096, kMax - 63,
+                                          kMax - 31, kMax};
+  for (int t = 0; t < 32; ++t) first_ids.push_back(rng.next_u64());
+  for (const std::uint64_t first_id : first_ids) {
+    for (int t = 0; t < 4; ++t) {
+      const std::uint64_t seed = rng.next_u64();
+      const std::uint64_t round = t == 0 ? 0 : rng.next_u64() % 1000;
+      SCOPED_TRACE(::testing::Message() << "first id " << first_id
+                                        << " seed " << seed);
+      std::uint64_t got[64];
+      std::uint64_t want[64];
+      detail::cohort_keys(seed, round, first_id, got);
+      detail::cohort_keys_reference(seed, round, first_id, want);
+      for (std::uint64_t l = 0; l < 64; ++l) {
+        EXPECT_EQ(got[l], want[l]) << "lane " << l;
+        EXPECT_EQ(want[l], oracle_cohort_key(seed, round, first_id + l));
+      }
     }
   }
 }
