@@ -19,14 +19,6 @@ FlClient::FlClient(Dataset data, const ModelSpec& spec, std::uint64_t seed)
   FEDRA_EXPECTS(!spec.sizes.empty() && spec.sizes.front() == data_.dim());
 }
 
-ClientUpdate FlClient::train_round(const std::vector<Matrix>& global_params,
-                                   const LocalTrainConfig& config,
-                                   std::size_t round_index) {
-  ClientUpdate update;
-  train_round_into(global_params, config, round_index, update);
-  return update;
-}
-
 void FlClient::train_round_into(const std::vector<Matrix>& global_params,
                                 const LocalTrainConfig& config,
                                 std::size_t round_index, ClientUpdate& out) {

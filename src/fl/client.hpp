@@ -49,16 +49,11 @@ class FlClient {
   const Dataset& data() const { return data_; }
 
   /// One round: load global params, run ceil(tau) epochs of minibatch SGD
-  /// (fractional tau truncates the final epoch proportionally), return the
-  /// update. Deterministic given the client seed and round index.
-  ClientUpdate train_round(const std::vector<Matrix>& global_params,
-                           const LocalTrainConfig& config,
-                           std::size_t round_index);
-
-  /// Capacity-reusing variant: writes the update into `out`, reusing its
-  /// parameter matrices' heap blocks (shapes are fixed by the topology, so
-  /// after the first round this path performs zero tensor allocations —
-  /// the residual the fedavg_round bench used to charge to param_values()).
+  /// (fractional tau truncates the final epoch proportionally), write the
+  /// update into `out`. Deterministic given the client seed and round
+  /// index. Reuses `out`'s parameter matrices' heap blocks (shapes are
+  /// fixed by the topology, so after the first round this performs zero
+  /// tensor allocations).
   void train_round_into(const std::vector<Matrix>& global_params,
                         const LocalTrainConfig& config,
                         std::size_t round_index, ClientUpdate& out);

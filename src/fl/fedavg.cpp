@@ -15,116 +15,52 @@ FedAvgServer::FedAvgServer(std::vector<FlClient> clients,
 
 RoundMetrics FedAvgServer::run_round(const LocalTrainConfig& config,
                                      ThreadPool& pool) {
-  std::vector<std::size_t> everyone(clients_.size());
-  for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
-  return run_round(config, pool, everyone);
-}
-
-RoundMetrics FedAvgServer::run_round(
-    const LocalTrainConfig& config, ThreadPool& pool,
-    const std::vector<std::size_t>& participants) {
-  return run_round(config, pool, participants, participants);
-}
-
-RoundMetrics FedAvgServer::run_round(
-    const LocalTrainConfig& config, ThreadPool& pool,
-    const std::vector<std::size_t>& participants,
-    const std::vector<std::size_t>& delivered) {
-  // De-duplicate while preserving validity checks.
-  std::vector<std::size_t> roster;
-  roster.reserve(participants.size());
-  std::vector<bool> seen(clients_.size(), false);
-  for (std::size_t idx : participants) {
-    FEDRA_EXPECTS(idx < clients_.size());
-    if (!seen[idx]) {
-      seen[idx] = true;
-      roster.push_back(idx);
-    }
-  }
-  FEDRA_EXPECTS(!roster.empty());
-
-  // Delivery mask over client indices: every delivered client must have
-  // trained (a device cannot upload an update it never computed).
-  std::vector<bool> arrived(clients_.size(), false);
-  for (std::size_t idx : delivered) {
-    FEDRA_EXPECTS(idx < clients_.size());
-    FEDRA_EXPECTS(seen[idx]);
-    arrived[idx] = true;
-  }
-
-  const std::size_t n = roster.size();
-  // Round-persistent update slots: grown once, never shrunk, so the
-  // parameter matrices inside keep their heap blocks across rounds
-  // (train_round_into assigns into them with capacity reuse).
-  if (updates_.size() < n) updates_.resize(n);
+  const std::size_t n = clients_.size();
+  // Round-persistent update slots: sized once, so the parameter matrices
+  // inside keep their heap blocks across rounds (train_round_into assigns
+  // into them with capacity reuse).
+  updates_.resize(n);
   std::vector<ClientUpdate>& updates = updates_;
   // Per-device local training is embarrassingly parallel: each client owns
-  // its model replica and dataset; `updates` slots are disjoint. Clients
-  // whose upload will be lost still train — that compute is the waste the
-  // fault bench measures.
+  // its model replica and dataset; `updates` slots are disjoint.
   {
     FEDRA_TRACE_SPAN("local_train");
     pool.parallel_for(0, n, [&](std::size_t i) {
-      clients_[roster[i]].train_round_into(global_params_, config, round_,
-                                           updates[i]);
+      clients_[i].train_round_into(global_params_, config, round_, updates[i]);
     });
   }
 
   FEDRA_TRACE_SPAN("aggregate");
-  // Weighted average over the DELIVERED subset: w <- sum_i (D_i / D') w_i
-  // where D' renormalizes to the survivors (Eq. 8 weighting restricted to
-  // arrivals). A round with no arrivals leaves the global model as-is.
+  // Weighted average: w <- sum_i (D_i / D) w_i (Eq. 8 weighting).
   double total_samples = 0.0;
-  std::size_t num_delivered = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!arrived[roster[i]]) continue;
     total_samples += static_cast<double>(updates[i].num_samples);
-    ++num_delivered;
   }
-  if (num_delivered > 0) {
-    FEDRA_ENSURES(total_samples > 0.0);
-    // Accumulate into round-persistent scratch, then swap with the global
-    // params: both vectors keep their capacity, so steady-state rounds
-    // allocate nothing here. Accumulation order matches the original
-    // (per-parameter, delivered clients in roster order) bit-for-bit.
-    agg_scratch_.resize(global_params_.size());
-    for (std::size_t p = 0; p < global_params_.size(); ++p) {
-      Matrix& acc = agg_scratch_[p];
-      acc.resize_reuse(global_params_[p].rows(), global_params_[p].cols());
-      acc.set_zero();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!arrived[roster[i]]) continue;
-        const auto& u = updates[i];
-        const double w =
-            static_cast<double>(u.num_samples) / total_samples;
-        FEDRA_EXPECTS(u.params[p].same_shape(acc));
-        for (std::size_t j = 0; j < acc.size(); ++j) {
-          acc[j] += w * u.params[p][j];
-        }
+  FEDRA_ENSURES(total_samples > 0.0);
+  // Accumulate into round-persistent scratch, then swap with the global
+  // params: both vectors keep their capacity, so steady-state rounds
+  // allocate nothing here. Accumulation runs per parameter, clients in
+  // order.
+  agg_scratch_.resize(global_params_.size());
+  for (std::size_t p = 0; p < global_params_.size(); ++p) {
+    Matrix& acc = agg_scratch_[p];
+    acc.resize_reuse(global_params_[p].rows(), global_params_[p].cols());
+    acc.set_zero();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& u = updates[i];
+      const double w = static_cast<double>(u.num_samples) / total_samples;
+      FEDRA_EXPECTS(u.params[p].same_shape(acc));
+      for (std::size_t j = 0; j < acc.size(); ++j) {
+        acc[j] += w * u.params[p][j];
       }
     }
-    std::swap(global_params_, agg_scratch_);
   }
-
-  FEDRA_TELEMETRY_IF {
-    namespace tel = fedra::telemetry;
-    static auto lost =
-        tel::Telemetry::metrics().counter("fl.lost_updates");
-    static auto partial =
-        tel::Telemetry::metrics().counter("fl.partial_rounds");
-    static auto wasted =
-        tel::Telemetry::metrics().counter("fl.wasted_rounds");
-    if (num_delivered < n) {
-      lost.add(n - num_delivered);
-      partial.add();
-    }
-    if (num_delivered == 0) wasted.add();
-  }
+  std::swap(global_params_, agg_scratch_);
 
   RoundMetrics m;
   m.round = round_++;
   m.num_participants = n;
-  m.num_delivered = num_delivered;
+  m.num_delivered = n;
   m.global_loss = global_loss();
   m.global_accuracy = global_accuracy();
   double loss_sum = 0.0;

@@ -19,7 +19,7 @@ struct RoundMetrics {
   double global_accuracy = 0.0; ///< on the union of client data
   double mean_client_loss = 0.0;
   std::size_t num_participants = 0;  ///< clients that trained this round
-  std::size_t num_delivered = 0;     ///< updates that reached the server
+  std::size_t num_delivered = 0;     ///< updates aggregated (all of them)
 };
 
 class FedAvgServer {
@@ -41,27 +41,9 @@ class FedAvgServer {
   /// continues the round sequence bit-exactly.
   void restore(std::vector<Matrix> global_params, std::size_t round);
 
-  /// Runs one synchronized FedAvg round; returns its metrics.
+  /// Runs one synchronized FedAvg round over every client; returns its
+  /// metrics.
   RoundMetrics run_round(const LocalTrainConfig& config, ThreadPool& pool);
-
-  /// Partial-participation round (client selection): only the listed
-  /// clients train; the new global model is the D_n-weighted average of
-  /// THEIR updates (standard FedAvg with client sampling). Indices must
-  /// be valid and non-empty; duplicates are ignored.
-  RoundMetrics run_round(const LocalTrainConfig& config, ThreadPool& pool,
-                         const std::vector<std::size_t>& participants);
-
-  /// Fault-tolerant round: every client in `participants` trains (and
-  /// spends the compute), but only the updates of clients also listed in
-  /// `delivered` reach the server — crashed/dropped/timed-out uploads are
-  /// lost. The new global model is the D_n-weighted average over the
-  /// DELIVERED subset only (the weights renormalize to the survivors,
-  /// keeping the Eq. 8 estimator unbiased over arrivals). `delivered`
-  /// must be a subset of `participants`; when it is empty the round is
-  /// wasted and the global model is unchanged.
-  RoundMetrics run_round(const LocalTrainConfig& config, ThreadPool& pool,
-                         const std::vector<std::size_t>& participants,
-                         const std::vector<std::size_t>& delivered);
 
   /// F(w) of Eq. (8): data-size-weighted mean of client losses.
   double global_loss();

@@ -114,22 +114,6 @@ Layer& Sequential::layer(std::size_t i) {
   return *layers_[i];
 }
 
-std::size_t Sequential::num_params() {
-  std::size_t n = 0;
-  for (Matrix* p : params()) n += p->size();
-  return n;
-}
-
-void Sequential::copy_params_from(Sequential& other) {
-  auto dst = params();
-  auto src = other.params();
-  FEDRA_EXPECTS(dst.size() == src.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    FEDRA_EXPECTS(dst[i]->same_shape(*src[i]));
-    *dst[i] = *src[i];
-  }
-}
-
 std::vector<Matrix> Sequential::param_values() {
   std::vector<Matrix> values;
   for (Matrix* p : params()) values.push_back(*p);

@@ -49,12 +49,6 @@ class Sequential : public Module {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i);
 
-  /// Total number of scalar parameters.
-  std::size_t num_params();
-
-  /// Copies parameter values from another network with identical topology.
-  void copy_params_from(Sequential& other);
-
   /// Snapshot of parameter values (deep copy, aligned with params()).
   std::vector<Matrix> param_values();
 

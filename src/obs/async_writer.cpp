@@ -37,7 +37,11 @@ void put_doubles(std::vector<std::uint8_t>& out,
   put_pod<std::uint32_t>(out, static_cast<std::uint32_t>(v.size()));
   const std::size_t at = out.size();
   out.resize(at + v.size() * sizeof(double));
-  std::memcpy(out.data() + at, v.data(), v.size() * sizeof(double));
+  // An empty vector's data() may be null, which memcpy forbids even for
+  // zero bytes.
+  if (!v.empty()) {
+    std::memcpy(out.data() + at, v.data(), v.size() * sizeof(double));
+  }
 }
 
 struct Cursor {
@@ -68,7 +72,7 @@ struct Cursor {
       return false;
     }
     v.resize(count);
-    std::memcpy(v.data(), p, count * sizeof(double));
+    if (count > 0) std::memcpy(v.data(), p, count * sizeof(double));
     p += count * sizeof(double);
     return true;
   }

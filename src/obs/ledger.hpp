@@ -125,8 +125,8 @@ struct FlRoundRecord {
   double global_loss = 0.0;
   double global_accuracy = 0.0;
   double mean_client_loss = 0.0;
-  std::size_t num_participants = 0;
-  std::size_t num_delivered = 0;
+  std::size_t num_participants = 0;  ///< every client: rounds are full-roster
+  std::size_t num_delivered = 0;     ///< equal to num_participants
 };
 
 struct LedgerConfig {

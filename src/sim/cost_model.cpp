@@ -14,10 +14,4 @@ double iteration_reward(double iteration_time, double total_energy,
   return -iteration_cost(iteration_time, total_energy, params);
 }
 
-double total_cost(const std::vector<IterationResult>& results) {
-  double acc = 0.0;
-  for (const auto& r : results) acc += r.cost;
-  return acc;
-}
-
 }  // namespace fedra

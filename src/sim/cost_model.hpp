@@ -40,8 +40,8 @@ enum class OutcomeLayout : std::uint8_t {
 
 /// Outcome of one device in one federated iteration.
 struct DeviceOutcome {
-  /// False when the device was excluded from the round (client
-  /// selection); all time/energy fields are zero in that case.
+  /// False when the device was excluded from the round (outside the
+  /// fleet cohort); all time/energy fields are zero in that case.
   bool participated = true;
   /// True when the device's update reached the server. Scheduled devices
   /// that crash, drop out, time out, or exhaust upload retries have
@@ -96,8 +96,5 @@ double iteration_cost(double iteration_time, double total_energy,
 /// Eq. (13): r_k = -T^k - lambda * sum_i E_i^k.
 double iteration_reward(double iteration_time, double total_energy,
                         const CostParams& params);
-
-/// Sum of per-iteration costs over a run (the full objective, Eq. 9).
-double total_cost(const std::vector<IterationResult>& results);
 
 }  // namespace fedra

@@ -10,7 +10,7 @@
 // upload starts at t^k + t_cmp and finishes when xi bytes have flowed.
 //
 // Everything beyond the frequency vector rides in StepOptions: the
-// participation mask (client selection), the round deadline tau (devices
+// participation mask (the fleet cohort), the round deadline tau (devices
 // still running at t^k + tau are timed out and excluded from the barrier),
 // fault injection, dry runs, outcome layout and the pricing thread pool.
 // (The pre-StepOptions step(freqs) / step(freqs, participating) /

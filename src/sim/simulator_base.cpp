@@ -204,7 +204,8 @@ void faulty_device_round(const DeviceProfile& dev,
     if (a + 1 < attempts) {
       TimelinePhase wait;
       wait.kind = TimelinePhase::kWait;
-      wait.duration = f.retry_backoff_s * static_cast<double>(1ULL << a);
+      // backoff * 2^a, exact; a shift would overflow past 63 failures.
+      wait.duration = std::ldexp(f.retry_backoff_s, static_cast<int>(a));
       phases.push_back(wait);
       t += wait.duration;
     }

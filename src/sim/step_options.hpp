@@ -6,7 +6,7 @@
 // Instead, one entry point takes the frequency vector plus a StepOptions:
 //
 //   sim.step(freqs, {});                                  // plain round
-//   sim.step(freqs, StepOptions::with_participants(mask)); // selection
+//   sim.step(freqs, StepOptions::with_participants(mask)); // fleet cohort
 //   sim.step(freqs, {.deadline = 15.0});                   // server timeout
 //   sim.step(freqs, {.fault_model = &faults});             // churn injection
 //   sim.preview(freqs, StepOptions::dry_run(t));           // no state change
@@ -27,7 +27,7 @@ namespace fedra {
 class ThreadPool;
 
 struct StepOptions {
-  /// Participation mask (client selection): devices with a false entry sit
+  /// Participation mask (the fleet cohort): devices with a false entry sit
   /// the round out entirely. Non-owning; must outlive the call. nullptr =
   /// everyone participates. At least one entry must be true.
   const std::vector<bool>* participating = nullptr;

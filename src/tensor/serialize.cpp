@@ -131,7 +131,9 @@ bool ByteReader::get_bool() {
 
 void ByteReader::get_bytes(void* out, std::size_t size) {
   require(size);
-  std::memcpy(out, p_, size);
+  // `out` may be null for size 0 (an empty vector's data()), which memcpy
+  // forbids even for zero bytes.
+  if (size > 0) std::memcpy(out, p_, size);
   p_ += size;
 }
 

@@ -6,17 +6,6 @@
 
 namespace fedra {
 
-BandwidthTrace concat_traces(const std::vector<BandwidthTrace>& traces) {
-  FEDRA_EXPECTS(!traces.empty());
-  const double dt = traces.front().resolution();
-  std::vector<double> samples;
-  for (const auto& t : traces) {
-    FEDRA_EXPECTS(t.resolution() == dt);
-    samples.insert(samples.end(), t.samples().begin(), t.samples().end());
-  }
-  return BandwidthTrace(std::move(samples), dt);
-}
-
 BandwidthTrace step_trace(
     const std::vector<std::pair<double, double>>& segments, double dt) {
   FEDRA_EXPECTS(!segments.empty());

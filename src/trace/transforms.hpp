@@ -1,9 +1,8 @@
-// Trace transforms for scenario construction: concatenate traces, build a
-// piecewise-constant step trace, and black out a window. The
-// adaptive-scheduler example builds its regime-shift scenario from these
-// instead of hand-rolled sample vectors, the fault model's blackout
-// windows go through blackout_trace, and tests use them to craft exact
-// edge cases.
+// Trace transforms for scenario construction: build a piecewise-constant
+// step trace, and black out a window. The adaptive-scheduler example
+// builds its regime-shift scenario with one step_trace, the fault model's
+// blackout windows go through blackout_trace, and tests use them to craft
+// exact edge cases.
 #pragma once
 
 #include <vector>
@@ -11,9 +10,6 @@
 #include "trace/bandwidth_trace.hpp"
 
 namespace fedra {
-
-/// Joins traces end to end. All inputs must share the same resolution.
-BandwidthTrace concat_traces(const std::vector<BandwidthTrace>& traces);
 
 /// Piecewise-constant trace from (duration_seconds, bandwidth) segments at
 /// the given resolution. Durations are rounded to whole samples (at least

@@ -21,22 +21,6 @@ double Rng::gaussian() {
   return u * m;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  FEDRA_EXPECTS(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    FEDRA_EXPECTS(w >= 0.0);
-    total += w;
-  }
-  FEDRA_EXPECTS(total > 0.0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical edge: fell off the end
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;

@@ -111,9 +111,6 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Sample an index from an (unnormalized) non-negative weight vector.
-  std::size_t categorical(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

@@ -53,27 +53,6 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-std::vector<CdfPoint> empirical_cdf(std::span<const double> xs) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf;
-  cdf.reserve(sorted.size());
-  const double n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
-}
-
-double cdf_at(std::span<const double> xs, double threshold) {
-  if (xs.empty()) return 0.0;
-  std::size_t c = 0;
-  for (double x : xs) {
-    if (x <= threshold) ++c;
-  }
-  return static_cast<double>(c) / static_cast<double>(xs.size());
-}
-
 Summary summarize(std::span<const double> xs) {
   Summary s;
   s.count = xs.size();

@@ -40,18 +40,6 @@ double stddev(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
 double percentile(std::span<const double> xs, double p);
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value;       ///< sample value
-  double cumulative;  ///< fraction of samples <= value, in (0, 1]
-};
-
-/// Full empirical CDF (sorted values, i/n cumulative fractions).
-std::vector<CdfPoint> empirical_cdf(std::span<const double> xs);
-
-/// Fraction of samples <= threshold.
-double cdf_at(std::span<const double> xs, double threshold);
-
 /// Fixed-size summary used by the figure benches.
 struct Summary {
   std::size_t count = 0;

@@ -59,25 +59,6 @@ TEST(ThreadDeterminism, FedAvgRoundIsPoolSizeInvariant) {
   }
 }
 
-TEST(ThreadDeterminism, PartialRoundIsPoolSizeInvariant) {
-  // Fault-shaped rounds (subset trains, smaller subset delivers) follow
-  // the same disjoint-slot pattern — pool size must not matter there
-  // either.
-  LocalTrainConfig lc;
-  std::vector<std::vector<Matrix>> results;
-  for (std::size_t threads : kPoolSizes) {
-    FedAvgServer server = make_server();
-    ThreadPool pool(threads);
-    (void)server.run_round(lc, pool, {0, 2, 3, 5}, {2, 5});
-    results.push_back(server.global_params());
-  }
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    for (std::size_t p = 0; p < results[0].size(); ++p) {
-      EXPECT_EQ(results[t][p], results[0][p]);
-    }
-  }
-}
-
 TEST(ThreadDeterminism, PpoUpdateIsRunToRunDeterministic) {
   // One FedAvg-style experiment episode + one PPO update, repeated. The
   // update runs the actor's epochs as a task on global_pool(), but each

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -524,6 +525,49 @@ TEST(FaultSimulator, ExhaustedRetriesLoseTheUpdate) {
   EXPECT_DOUBLE_EQ(d.avg_bandwidth, 0.0);
   EXPECT_EQ(r.num_upload_failures, 1u);
   EXPECT_EQ(r.num_completed, 0u);
+}
+
+TEST(FaultSimulator, BackoffKeepsDoublingPastSixtyFourFailedUploads) {
+  // An explicit assignment may exceed FaultModel's retry cap: 70 failed
+  // attempts wait backoff * 2^a after attempt a, up to a = 68, past what
+  // a 64-bit shift can express.
+  const FlSimulator base = one_device_sim();
+  RoundFaults faults;
+  faults.devices.resize(1);
+  faults.devices[0].failed_uploads = 70;
+  faults.devices[0].upload_exhausted = true;
+  faults.devices[0].retry_backoff_s = std::ldexp(1.0, -60);  // 2^-60..2^8 s
+  // Start of each upload attempt: 2 s compute, then 2 s per upload and
+  // the backoff after each failed one.
+  std::vector<double> starts;
+  double t = 2.0;
+  for (std::size_t a = 0; a < 70; ++a) {
+    starts.push_back(t);
+    t += 2.0;
+    if (a + 1 < 70) {
+      t += faults.devices[0].retry_backoff_s *
+           std::exp2(static_cast<double>(a));
+    }
+  }
+  StepOptions options;
+  options.faults = &faults;
+  FlSimulator sim = base;
+  const auto full = sim.step({0.5e9}, options);
+  const auto& d = full.devices[0];
+  EXPECT_EQ(d.failure, DeviceFailure::kUpload);
+  EXPECT_TRUE(std::isfinite(d.total_time));
+  EXPECT_NEAR(d.total_time, t, 1e-9 * t);
+  EXPECT_NEAR(d.comm_time, 140.0, 1e-9);
+  // A deadline 1 s into attempt k cuts k + 1/2 uploads only when every
+  // earlier wait had its length.
+  for (std::size_t k = 1; k < 70; ++k) {
+    FlSimulator cut = base;
+    options.deadline = starts[k] + 1.0;
+    const auto r = cut.step({0.5e9}, options);
+    EXPECT_NEAR(r.devices[0].comm_time, 2.0 * static_cast<double>(k) + 1.0,
+                1e-6)
+        << "attempt " << k;
+  }
 }
 
 TEST(FaultSimulator, CrashedDeviceCostsNothingAndSitsOut) {

@@ -27,6 +27,14 @@ std::vector<FlClient> make_clients(std::size_t n, double beta,
   return clients;
 }
 
+// One local round into a fresh update.
+ClientUpdate train(FlClient& c, const std::vector<Matrix>& global_params,
+                   const LocalTrainConfig& config, std::size_t round_index) {
+  ClientUpdate u;
+  c.train_round_into(global_params, config, round_index, u);
+  return u;
+}
+
 TEST(FlClient, TrainRoundReturnsSampleCount) {
   Rng rng(1);
   auto spec = small_spec(4, 3);
@@ -36,7 +44,7 @@ TEST(FlClient, TrainRoundReturnsSampleCount) {
   Rng rng2(2);
   auto clients2 = make_clients(1, 1.0, spec, rng2, 100);
   LocalTrainConfig cfg;
-  auto update = clients2[0].train_round(server.global_params(), cfg, 0);
+  auto update = train(clients2[0], server.global_params(), cfg, 0);
   EXPECT_EQ(update.num_samples, clients2[0].num_samples());
   EXPECT_EQ(update.params.size(), server.global_params().size());
   EXPECT_GT(update.avg_loss, 0.0);
@@ -54,7 +62,7 @@ TEST(FlClient, LocalTrainingReducesLocalLoss) {
   LocalTrainConfig cfg;
   cfg.tau = 3.0;
   cfg.learning_rate = 0.1;
-  auto update = c.train_round(params, cfg, 0);
+  auto update = train(c, params, cfg, 0);
   const double after = c.local_loss(update.params);
   EXPECT_LT(after, before);
 }
@@ -68,8 +76,8 @@ TEST(FlClient, DeterministicGivenSeedAndRound) {
   Rng model_rng(6);
   Mlp global(spec.sizes, ModelSpec::kHidden, model_rng);
   LocalTrainConfig cfg;
-  auto ua = a.train_round(global.param_values(), cfg, 3);
-  auto ub = b.train_round(global.param_values(), cfg, 3);
+  auto ua = train(a, global.param_values(), cfg, 3);
+  auto ub = train(b, global.param_values(), cfg, 3);
   for (std::size_t p = 0; p < ua.params.size(); ++p) {
     EXPECT_EQ(ua.params[p], ub.params[p]);
   }
@@ -83,8 +91,8 @@ TEST(FlClient, DifferentRoundsDifferentBatches) {
   Rng model_rng(6);
   Mlp global(spec.sizes, ModelSpec::kHidden, model_rng);
   LocalTrainConfig cfg;
-  auto u0 = c.train_round(global.param_values(), cfg, 0);
-  auto u1 = c.train_round(global.param_values(), cfg, 1);
+  auto u0 = train(c, global.param_values(), cfg, 0);
+  auto u1 = train(c, global.param_values(), cfg, 1);
   EXPECT_NE(u0.params[0], u1.params[0]);
 }
 
@@ -194,10 +202,9 @@ TEST(FedAvg, RoundIsTensorAllocationFree) {
   EXPECT_EQ(after.bytes, before.bytes);
 }
 
-TEST(FedAvgPartial, ReweightsOverDeliveredSubset) {
-  // Eq. (8) restricted to arrivals: with client 1's update lost in
-  // transit, the new global model is the D_n-weighted average of updates
-  // 0 and 2 only, renormalized by D_0 + D_2.
+TEST(FedAvg, AggregateIsDataSizeWeighted) {
+  // Eq. (8): the new global model is the D_n-weighted average of every
+  // client's update, normalized by D_0 + D_1 + D_2.
   auto spec = small_spec(4, 2);
   Rng rng(21);
   auto clients = make_clients(3, 1.0, spec, rng, 300);
@@ -207,74 +214,23 @@ TEST(FedAvgPartial, ReweightsOverDeliveredSubset) {
   const auto w0 = server.global_params();
   ThreadPool pool(2);
   LocalTrainConfig cfg;
-  auto u0 = probes[0].train_round(w0, cfg, 0);
-  auto u2 = probes[2].train_round(w0, cfg, 0);
-  auto m = server.run_round(cfg, pool, {0, 1, 2}, {0, 2});
+  std::vector<ClientUpdate> u;
+  for (auto& c : probes) u.push_back(train(c, w0, cfg, 0));
+  auto m = server.run_round(cfg, pool);
   EXPECT_EQ(m.num_participants, 3u);
-  EXPECT_EQ(m.num_delivered, 2u);
-  const double total =
-      static_cast<double>(u0.num_samples + u2.num_samples);
+  EXPECT_EQ(m.num_delivered, 3u);
+  const double total = static_cast<double>(
+      u[0].num_samples + u[1].num_samples + u[2].num_samples);
   const auto& w1 = server.global_params();
   for (std::size_t p = 0; p < w1.size(); ++p) {
     for (std::size_t j = 0; j < w1[p].size(); ++j) {
-      const double expected =
-          (static_cast<double>(u0.num_samples) * u0.params[p][j] +
-           static_cast<double>(u2.num_samples) * u2.params[p][j]) /
-          total;
-      EXPECT_NEAR(w1[p][j], expected, 1e-12);
+      double expected = 0.0;
+      for (const auto& ui : u) {
+        expected += static_cast<double>(ui.num_samples) * ui.params[p][j];
+      }
+      EXPECT_NEAR(w1[p][j], expected / total, 1e-12);
     }
   }
-}
-
-TEST(FedAvgPartial, EmptyDeliveredLeavesGlobalModelUnchanged) {
-  // A fully wasted round: everyone trained, nothing arrived.
-  auto spec = small_spec(3, 2);
-  Rng rng(22);
-  auto clients = make_clients(2, 1.0, spec, rng, 200);
-  FedAvgServer server(std::move(clients), spec, 43);
-  const auto before = server.global_params();
-  ThreadPool pool(1);
-  LocalTrainConfig cfg;
-  auto m = server.run_round(cfg, pool, {0, 1}, {});
-  EXPECT_EQ(m.num_participants, 2u);
-  EXPECT_EQ(m.num_delivered, 0u);
-  ASSERT_EQ(server.global_params().size(), before.size());
-  for (std::size_t p = 0; p < before.size(); ++p) {
-    EXPECT_EQ(server.global_params()[p], before[p]);
-  }
-}
-
-TEST(FedAvgPartial, FullDeliveryMatchesSelectionOverload) {
-  auto build = [] {
-    auto spec = small_spec(3, 2);
-    Rng rng(23);
-    auto clients = make_clients(3, 1.0, spec, rng, 240);
-    return FedAvgServer(std::move(clients), spec, 44);
-  };
-  auto a = build();
-  auto b = build();
-  ThreadPool pool(2);
-  LocalTrainConfig cfg;
-  std::vector<std::size_t> roster = {0, 2};
-  auto ma = a.run_round(cfg, pool, roster);
-  auto mb = b.run_round(cfg, pool, roster, roster);
-  EXPECT_DOUBLE_EQ(ma.global_loss, mb.global_loss);
-  for (std::size_t p = 0; p < a.global_params().size(); ++p) {
-    EXPECT_EQ(a.global_params()[p], b.global_params()[p]);
-  }
-}
-
-TEST(FedAvgPartialDeathTest, DeliveredMustBeSubsetOfParticipants) {
-  auto spec = small_spec(3, 2);
-  Rng rng(24);
-  auto clients = make_clients(3, 1.0, spec, rng, 150);
-  FedAvgServer server(std::move(clients), spec, 45);
-  ThreadPool pool(1);
-  LocalTrainConfig cfg;
-  std::vector<std::size_t> participants = {0, 1};
-  std::vector<std::size_t> delivered = {2};  // never trained this round
-  EXPECT_DEATH(server.run_round(cfg, pool, participants, delivered),
-               "precondition");
 }
 
 }  // namespace

@@ -24,7 +24,9 @@ TEST(Mlp, TopologyAndParamCount) {
   EXPECT_EQ(net.in_features(), 4u);
   EXPECT_EQ(net.out_features(), 3u);
   // (4*8 + 8) + (8*3 + 3) = 40 + 27
-  EXPECT_EQ(net.num_params(), 67u);
+  std::size_t num_params = 0;
+  for (Matrix* p : net.params()) num_params += p->size();
+  EXPECT_EQ(num_params, 67u);
 }
 
 TEST(Mlp, ForwardShape) {
@@ -42,17 +44,6 @@ TEST(Mlp, DeterministicBySeed) {
   Mlp nb({3, 4, 1}, Activation::Tanh, b);
   Rng xr(9);
   Matrix x = Matrix::random_gaussian(2, 3, xr);
-  EXPECT_EQ(infer(na, x), infer(nb, x));
-}
-
-TEST(Mlp, CopyParamsMakesNetsIdentical) {
-  Rng a(1), b(2);
-  Mlp na({3, 5, 2}, Activation::ReLU, a);
-  Mlp nb({3, 5, 2}, Activation::ReLU, b);
-  Rng xr(3);
-  Matrix x = Matrix::random_gaussian(4, 3, xr);
-  EXPECT_NE(infer(na, x), infer(nb, x));
-  nb.copy_params_from(na);
   EXPECT_EQ(infer(na, x), infer(nb, x));
 }
 

@@ -128,18 +128,6 @@ TEST(Rng, BernoulliDegenerate) {
   }
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(16);
-  std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.categorical(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
 TEST(Rng, PermutationIsValid) {
   Rng rng(17);
   const std::size_t n = 257;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "sim/experiment_config.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -188,6 +189,63 @@ TEST(SimulatorDeathTest, MismatchedInputsAbort) {
   FlSimulator sim({simple_device()}, {constant_trace(50.0, 10)},
                   simple_params());
   EXPECT_DEATH(sim.step({1e9, 1e9}, {}), "precondition");
+}
+
+FlSimulator make_sim(std::size_t devices, std::uint64_t seed) {
+  ExperimentConfig cfg = testbed_config();
+  cfg.num_devices = devices;
+  cfg.trace_pool = 0;
+  cfg.trace_samples = 400;
+  cfg.seed = seed;
+  return build_simulator(cfg);
+}
+
+TEST(SimulatorParticipation, ExcludedDevicesCostNothing) {
+  auto sim = make_sim(3, 7);
+  std::vector<double> freqs;
+  for (std::size_t i = 0; i < sim.num_devices(); ++i)
+    freqs.push_back(sim.fleet().max_freq_hz(i));
+  const std::vector<bool> mask{true, false, true};
+  auto r = sim.step(freqs, StepOptions::with_participants(mask));
+  EXPECT_FALSE(r.devices[1].participated);
+  EXPECT_DOUBLE_EQ(r.devices[1].energy, 0.0);
+  EXPECT_DOUBLE_EQ(r.devices[1].total_time, 0.0);
+  EXPECT_DOUBLE_EQ(r.devices[1].idle_time, 0.0);
+  EXPECT_TRUE(r.devices[0].participated);
+  EXPECT_GT(r.devices[0].energy, 0.0);
+}
+
+TEST(SimulatorParticipation, DroppingStragglerShrinksMakespan) {
+  auto sim = make_sim(3, 11);
+  std::vector<double> freqs;
+  for (std::size_t i = 0; i < sim.num_devices(); ++i)
+    freqs.push_back(sim.fleet().max_freq_hz(i));
+  auto full = sim.preview(freqs, StepOptions::dry_run(0.0));
+  // Identify the straggler and rerun without it.
+  std::size_t straggler = 0;
+  for (std::size_t i = 1; i < 3; ++i) {
+    if (full.devices[i].total_time >
+        full.devices[straggler].total_time) {
+      straggler = i;
+    }
+  }
+  std::vector<bool> mask(3, true);
+  mask[straggler] = false;
+  FlSimulator sim2 = sim;
+  auto partial = sim2.step(freqs, StepOptions::with_participants(mask));
+  EXPECT_LT(partial.iteration_time, full.iteration_time);
+  EXPECT_LT(partial.total_energy, full.total_energy);
+}
+
+TEST(SimulatorParticipationDeathTest, EmptyRoundAborts) {
+  auto sim = make_sim(2, 3);
+  std::vector<double> freqs{1e9, 1e9};
+  const std::vector<bool> nobody{false, false};
+  const std::vector<bool> short_mask{true};
+  EXPECT_DEATH(sim.step(freqs, StepOptions::with_participants(nobody)),
+               "precondition");
+  EXPECT_DEATH(sim.step(freqs, StepOptions::with_participants(short_mask)),
+               "precondition");
 }
 
 }  // namespace

@@ -67,25 +67,6 @@ TEST(Stats, PercentileSingle) {
   EXPECT_DOUBLE_EQ(percentile(xs, 33), 7.0);
 }
 
-TEST(Stats, EmpiricalCdfIsMonotone) {
-  std::vector<double> xs{3.0, 1.0, 2.0, 2.0};
-  auto cdf = empirical_cdf(xs);
-  ASSERT_EQ(cdf.size(), 4u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GT(cdf[i].cumulative, cdf[i - 1].cumulative);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().cumulative, 1.0);
-}
-
-TEST(Stats, CdfAtThreshold) {
-  std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(cdf_at(xs, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf_at(xs, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf_at(xs, 10.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdf_at({}, 1.0), 0.0);
-}
-
 TEST(Stats, SummarizeFields) {
   std::vector<double> xs;
   for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));

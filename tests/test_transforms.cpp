@@ -10,15 +10,6 @@
 namespace fedra {
 namespace {
 
-TEST(Transforms, ConcatJoinsInOrder) {
-  BandwidthTrace a({1.0, 2.0}, 1.0);
-  BandwidthTrace b({3.0}, 1.0);
-  auto joined = concat_traces({a, b, a});
-  EXPECT_EQ(joined.num_samples(), 5u);
-  EXPECT_DOUBLE_EQ(joined.samples()[2], 3.0);
-  EXPECT_DOUBLE_EQ(joined.samples()[4], 2.0);
-}
-
 TEST(Transforms, StepTraceSegments) {
   auto t = step_trace({{3.0, 100.0}, {2.0, 50.0}}, 1.0);
   EXPECT_EQ(t.num_samples(), 5u);
@@ -38,9 +29,7 @@ TEST(Transforms, StepTraceRoundsToWholeSamples) {
 TEST(Transforms, ComposedScenario) {
   // Build the regime-shift scenario the adaptive-scheduler example uses,
   // then verify the integral bookkeeping survives the composition.
-  auto shifting = concat_traces({step_trace({{300.0, 7e6}}),
-                                 step_trace({{300.0, 0.5e6}}),
-                                 step_trace({{300.0, 7e6}})});
+  auto shifting = step_trace({{300.0, 7e6}, {300.0, 0.5e6}, {300.0, 7e6}});
   EXPECT_EQ(shifting.num_samples(), 900u);
   // 10 MB at t=0 (fast phase): ~1.43 s. At t=310 (dead zone): 20 s.
   EXPECT_NEAR(shifting.upload_duration(0.0, 10e6), 10.0 / 7.0, 1e-9);
@@ -105,7 +94,6 @@ TEST(Transforms, BlackoutNeverSilencesTheWholeTrace) {
 
 TEST(TransformsDeathTest, BadArgsAbort) {
   BandwidthTrace t({1.0, 2.0}, 1.0);
-  EXPECT_DEATH((void)concat_traces({}), "precondition");
   EXPECT_DEATH((void)step_trace({}), "precondition");
   EXPECT_DEATH((void)blackout_trace(t, -1.0, 0.5), "precondition");
   EXPECT_DEATH((void)blackout_trace(t, 0.0, 2.0), "precondition");

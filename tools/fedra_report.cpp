@@ -103,9 +103,6 @@ void print_fault_summary(const Series& counters) {
       {"sim.fault.upload_failures", "uploads lost (retries exhausted)"},
       {"sim.fault.retries", "upload retries"},
       {"sim.fault.partial_rounds", "partial rounds"},
-      {"fl.lost_updates", "FedAvg updates lost"},
-      {"fl.partial_rounds", "FedAvg partial aggregations"},
-      {"fl.wasted_rounds", "FedAvg wasted rounds (nothing arrived)"},
   };
   bool any = false;
   for (const auto& row : rows) {
