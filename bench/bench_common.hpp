@@ -60,8 +60,8 @@ inline bool init_telemetry_from_args(int& argc, char** argv) {
   if (!ledger_path.empty()) {
     obs::LedgerConfig lcfg;
     lcfg.path = ledger_path;
-    // Both benches that accept this flag run on testbed_config(), so its
-    // cost weight is the right header lambda. Per-round energy_term stays
+    // bench_micro, the one bench that accepts this flag, runs on
+    // testbed_config(), so its cost weight is the right header lambda. Per-round energy_term stays
     // authoritative either way (it is computed from the sim's own params).
     lcfg.lambda = testbed_config().cost.lambda;
     const std::string argv0 = argv[0] != nullptr ? argv[0] : "bench";

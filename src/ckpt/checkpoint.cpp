@@ -99,47 +99,6 @@ std::size_t restore_trainer(const std::string& path,
   return next_episode;
 }
 
-void save_fedavg(const std::string& path, const FedAvgServer& server,
-                 const Meta& meta) {
-  Writer out;
-  write_meta(out, meta);
-  ByteWriter& s = out.add(kFedAvgSection);
-  s.put_u64(server.num_clients());
-  s.put_u64(server.round());
-  save_params(s, server.global_params());
-  out.write_file(path);
-}
-
-void restore_fedavg(const std::string& path, FedAvgServer& server) {
-  const Reader in = Reader::from_file(path);
-  decode_guard([&] {
-    ByteReader s = in.open(kFedAvgSection);
-    const std::uint64_t num_clients = s.get_u64();
-    if (num_clients != server.num_clients()) {
-      throw CkptError(Errc::kStateMismatch,
-                      "client count does not match the target server");
-    }
-    const std::uint64_t round = s.get_u64();
-    const std::uint64_t count = s.get_u64();
-    if (count != server.global_params().size()) {
-      throw CkptError(Errc::kStateMismatch,
-                      "parameter count does not match the target server");
-    }
-    std::vector<Matrix> params;
-    params.reserve(server.global_params().size());
-    for (std::size_t p = 0; p < server.global_params().size(); ++p) {
-      Matrix m = s.get_matrix();
-      if (!m.same_shape(server.global_params()[p])) {
-        throw CkptError(Errc::kStateMismatch,
-                        "parameter shape does not match the target server");
-      }
-      params.push_back(std::move(m));
-    }
-    s.expect_end();
-    server.restore(std::move(params), static_cast<std::size_t>(round));
-  });
-}
-
 Meta read_meta(const std::string& path) {
   const Reader in = Reader::from_file(path);
   if (!in.has(kMetaSection)) return {};

@@ -1,16 +1,15 @@
-// High-level checkpoint entry points: full snapshots of the two stateful
-// experiment drivers (the offline DRL trainer and a FedAvg server), built
-// from the component codecs in state.hpp on top of the container format
-// in format.hpp.
+// High-level checkpoint entry points: a full snapshot of the stateful
+// experiment driver (the offline DRL trainer), built from the component
+// codecs in state.hpp on top of the container format in format.hpp.
 //
-// Restore targets are RECONSTRUCTED objects: the caller rebuilds the
-// trainer / server from the same experiment config (same topology, seeds
-// and traces), then restore_* overwrites every piece of mutable state so
-// the resumed run continues bit-exactly — model parameters, optimizer
-// moments, RNG stream positions, mid-fill rollout buffer, simulator
-// clock, fault crash chain and episode cursor all carry across. A
-// topology difference (different device count, network shape, buffer
-// capacity, fault seed...) is rejected with CkptError(kStateMismatch).
+// The restore target is a RECONSTRUCTED trainer: the caller rebuilds it
+// from the same experiment config (same topology, seeds and traces), then
+// restore_trainer overwrites every piece of mutable state so the resumed
+// run continues bit-exactly — model parameters, optimizer moments, RNG
+// stream positions, mid-fill rollout buffer, simulator clock and episode
+// cursor all carry across. A topology difference (different device
+// count, network shape, buffer capacity...) is rejected with
+// CkptError(kStateMismatch).
 #pragma once
 
 #include <cstddef>
@@ -19,7 +18,6 @@
 
 #include "ckpt/format.hpp"
 #include "core/offline_trainer.hpp"
-#include "fl/fedavg.hpp"
 
 namespace fedra::ckpt {
 
@@ -33,7 +31,6 @@ inline constexpr const char* kMetaSection = "meta";
 inline constexpr const char* kTrainerSection = "trainer";
 inline constexpr const char* kRolloutSection = "rollout";
 inline constexpr const char* kEnvSection = "env";
-inline constexpr const char* kFedAvgSection = "fedavg";
 
 /// Snapshots the full trainer state to `path` (atomically).
 /// `next_episode` is the index of the first episode a resumed run should
@@ -45,13 +42,6 @@ void save_trainer(const std::string& path, OfflineTrainer& trainer,
 /// same configuration; returns the stored next_episode. Throws CkptError
 /// on any integrity or compatibility failure.
 std::size_t restore_trainer(const std::string& path, OfflineTrainer& trainer);
-
-/// Snapshots a FedAvg server (global parameters + round counter).
-void save_fedavg(const std::string& path, const FedAvgServer& server,
-                 const Meta& meta = {});
-
-/// Restores a save_fedavg snapshot into a same-topology server.
-void restore_fedavg(const std::string& path, FedAvgServer& server);
 
 /// Reads just the "meta" section of any checkpoint (empty map when the
 /// section is absent).

@@ -41,7 +41,7 @@
 namespace fedra::ckpt {
 
 inline constexpr char kMagic[4] = {'F', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// What went wrong with a checkpoint operation.
 enum class Errc {

@@ -183,27 +183,6 @@ void load_rollout(ByteReader in, RolloutBuffer& buffer) {
   });
 }
 
-void save_fault_model(ByteWriter& out, const fault::FaultModel& model) {
-  out.put_u64(model.seed());
-  out.put_bools(model.crash_state());
-}
-
-void load_fault_model(ByteReader in, fault::FaultModel& model) {
-  decode_guard([&] {
-    const std::uint64_t seed = in.get_u64();
-    std::vector<bool> crashed = in.get_bools();
-    in.expect_end();
-    // Draws are keyed on the model seed, so restoring a crash chain into a
-    // differently-seeded model would splice two unrelated fault sequences.
-    if (seed != model.seed()) {
-      throw_mismatch("fault-model seed " + std::to_string(seed) +
-                     " does not match target " +
-                     std::to_string(model.seed()));
-    }
-    model.set_crash_state(std::move(crashed));
-  });
-}
-
 void save_sim_clock(ByteWriter& out, const SimulatorBase& sim) {
   out.put_f64(sim.now());
   out.put_u64(sim.iteration());
@@ -218,100 +197,11 @@ void load_sim_clock(ByteReader in, SimulatorBase& sim) {
   });
 }
 
-void save_iteration_result(ByteWriter& out, const IterationResult& r) {
-  out.put_f64(r.start_time);
-  out.put_f64(r.iteration_time);
-  out.put_f64(r.total_energy);
-  out.put_f64(r.total_compute_energy);
-  out.put_f64(r.cost);
-  out.put_f64(r.reward);
-  out.put_u64(r.num_scheduled);
-  out.put_u64(r.num_completed);
-  out.put_u64(r.num_crashes);
-  out.put_u64(r.num_dropouts);
-  out.put_u64(r.num_timeouts);
-  out.put_u64(r.num_upload_failures);
-  out.put_u64(r.total_retries);
-  // One record per stored row; a summary result writes a count of zero.
-  out.put_u64(r.devices.size());
-  for (const DeviceOutcome& d : r.devices) {
-    out.put_bool(d.participated);
-    out.put_bool(d.completed);
-    out.put_u8(static_cast<std::uint8_t>(d.failure));
-    out.put_u64(d.retries);
-    out.put_f64(d.freq_hz);
-    out.put_f64(d.compute_time);
-    out.put_f64(d.comm_time);
-    out.put_f64(d.total_time);
-    out.put_f64(d.idle_time);
-    out.put_f64(d.compute_energy);
-    out.put_f64(d.comm_energy);
-    out.put_f64(d.energy);
-    out.put_f64(d.avg_bandwidth);
-  }
-}
-
-IterationResult load_iteration_result(ByteReader& in) {
-  return decode_guard([&] {
-    IterationResult r;
-    r.start_time = in.get_f64();
-    r.iteration_time = in.get_f64();
-    r.total_energy = in.get_f64();
-    r.total_compute_energy = in.get_f64();
-    r.cost = in.get_f64();
-    r.reward = in.get_f64();
-    r.num_scheduled = static_cast<std::size_t>(in.get_u64());
-    r.num_completed = static_cast<std::size_t>(in.get_u64());
-    r.num_crashes = static_cast<std::size_t>(in.get_u64());
-    r.num_dropouts = static_cast<std::size_t>(in.get_u64());
-    r.num_timeouts = static_cast<std::size_t>(in.get_u64());
-    r.num_upload_failures = static_cast<std::size_t>(in.get_u64());
-    r.total_retries = static_cast<std::size_t>(in.get_u64());
-    const std::uint64_t n = in.get_u64();
-    // One DeviceOutcome occupies well over 16 bytes, so this cap rejects
-    // corrupt counts before the reserve below can allocate.
-    if (n > in.remaining() / 16) {
-      throw_malformed("device-outcome count exceeds payload");
-    }
-    r.devices.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      DeviceOutcome d;
-      d.participated = in.get_bool();
-      d.completed = in.get_bool();
-      const std::uint8_t failure = in.get_u8();
-      if (failure > static_cast<std::uint8_t>(DeviceFailure::kUpload)) {
-        throw_malformed("unknown DeviceFailure value " +
-                        std::to_string(failure));
-      }
-      d.failure = static_cast<DeviceFailure>(failure);
-      d.retries = static_cast<std::size_t>(in.get_u64());
-      d.freq_hz = in.get_f64();
-      d.compute_time = in.get_f64();
-      d.comm_time = in.get_f64();
-      d.total_time = in.get_f64();
-      d.idle_time = in.get_f64();
-      d.compute_energy = in.get_f64();
-      d.comm_energy = in.get_f64();
-      d.energy = in.get_f64();
-      d.avg_bandwidth = in.get_f64();
-      r.devices.push_back(d);
-    }
-    if (r.num_completed > r.num_scheduled) {
-      throw_malformed("num_completed exceeds num_scheduled");
-    }
-    return r;
-  });
-}
-
 void save_env(ByteWriter& out, const FlEnv& env) {
   out.put_u64(env.num_devices());
   out.put_f64(env.bandwidth_ref());
   save_sim_clock(out, env.simulator());
   out.put_u64(env.steps_in_episode());
-  const IterationResult* last = env.last_result();
-  out.put_bool(last != nullptr);
-  if (last != nullptr) save_iteration_result(out, *last);
-  save_fault_model(out, env.fault_model());
 }
 
 void load_env(ByteReader in, FlEnv& env) {
@@ -332,24 +222,9 @@ void load_env(ByteReader in, FlEnv& env) {
     const double now = in.get_f64();
     const std::uint64_t iteration = in.get_u64();
     const std::uint64_t steps_in_episode = in.get_u64();
-    const bool has_result = in.get_bool();
-    IterationResult last;
-    if (has_result) {
-      last = load_iteration_result(in);
-      if (last.devices.size() != env.num_devices()) {
-        throw_mismatch("last-result device count does not match the env");
-      }
-    }
-    const std::uint64_t fault_seed = in.get_u64();
-    std::vector<bool> crashed = in.get_bools();
     in.expect_end();
-    if (fault_seed != env.fault_model().seed()) {
-      throw_mismatch("fault-model seed does not match the target env");
-    }
     env.simulator().restore_clock(now, static_cast<std::size_t>(iteration));
-    env.restore_episode(static_cast<std::size_t>(steps_in_episode),
-                        has_result, std::move(last));
-    env.fault_model_mut().set_crash_state(std::move(crashed));
+    env.restore_episode(static_cast<std::size_t>(steps_in_episode));
   });
 }
 

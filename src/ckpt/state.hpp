@@ -20,7 +20,6 @@
 
 #include "ckpt/format.hpp"
 #include "env/fl_env.hpp"
-#include "fault/fault_model.hpp"
 #include "nn/optimizer.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
@@ -61,22 +60,13 @@ void load_adam(ByteReader in, Adam& opt);
 void save_rollout(ByteWriter& out, const RolloutBuffer& buffer);
 void load_rollout(ByteReader in, RolloutBuffer& buffer);
 
-// Fault-model crash chain. The target model must have the same seed the
-// snapshot was taken from (the draw stream is keyed on it).
-void save_fault_model(ByteWriter& out, const fault::FaultModel& model);
-void load_fault_model(ByteReader in, fault::FaultModel& model);
-
 // Simulator clock + round counter (the "trace cursor": traces are
 // stateless functions of time, so the clock IS the cursor).
 void save_sim_clock(ByteWriter& out, const SimulatorBase& sim);
 void load_sim_clock(ByteReader in, SimulatorBase& sim);
 
-// Full per-device outcome of one iteration (fault-aware state rebuilds).
-void save_iteration_result(ByteWriter& out, const IterationResult& r);
-IterationResult load_iteration_result(ByteReader& in);
-
-// FlEnv mid-episode state: sim clock, episode step counter, last result,
-// fault-model crash chain.
+// FlEnv mid-episode state: device count, state scaling, sim clock and
+// episode step counter.
 void save_env(ByteWriter& out, const FlEnv& env);
 void load_env(ByteReader in, FlEnv& env);
 

@@ -25,9 +25,8 @@ std::vector<double> DrlController::decide(const SimulatorBase& sim) {
     decide_hist = h;
   }
   tel::ScopedTimer timer(decide_hist);
-  const auto state = bandwidth_history_state(
-      sim, sim.now(), env_config_, bandwidth_ref_,
-      last_result_ ? &*last_result_ : nullptr);
+  const auto state =
+      bandwidth_history_state(sim, sim.now(), env_config_, bandwidth_ref_);
   const auto fractions = agent_.mean_action(state);
   FEDRA_ENSURES(fractions.size() == sim.num_devices());
   std::vector<double> freqs(fractions.size());
@@ -50,7 +49,6 @@ std::vector<double> DrlController::decide(const SimulatorBase& sim) {
 }
 
 void DrlController::observe(const IterationResult& result) {
-  if (env_config_.fault_aware_state) last_result_ = result;
   if (pending_.valid) {
     pending_.valid = false;
     if (obs::RunLedger::enabled()) {

@@ -2,14 +2,7 @@
 // build the bandwidth-history state from the simulator clock, feed it to
 // the actor network, and emit the mean action as per-device frequencies.
 // Only the actor is consulted — the critic exists solely for training.
-//
-// With a fault-aware env config, the controller also remembers the last
-// observed IterationResult so the per-device fault features (delivery
-// flag, retry load) match what the agent saw in training; before the
-// first observation they take their neutral defaults.
 #pragma once
-
-#include <optional>
 
 #include "env/fl_env.hpp"
 #include "rl/ppo.hpp"
@@ -33,7 +26,6 @@ class DrlController final : public Controller {
   PpoAgent& agent_;
   FlEnvConfig env_config_;
   double bandwidth_ref_;
-  std::optional<IterationResult> last_result_;
 
   // Run-ledger support (only populated while the ledger is enabled): the
   // state/action/predicted-cost of the pending decide(), matched with the

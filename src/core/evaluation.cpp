@@ -11,14 +11,6 @@ double EvalSeries::avg_compute_energy() const {
 }
 double EvalSeries::avg_total_energy() const { return mean(total_energies); }
 
-double EvalSeries::failure_rate(std::size_t num_devices) const {
-  if (failed_devices.empty() || num_devices == 0) return 0.0;
-  std::size_t failed = 0;
-  for (std::size_t f : failed_devices) failed += f;
-  return static_cast<double>(failed) /
-         static_cast<double>(failed_devices.size() * num_devices);
-}
-
 EvalSeries fold_eval_series(std::string policy,
                             const std::vector<IterationResult>& results) {
   EvalSeries series;
@@ -28,7 +20,6 @@ EvalSeries fold_eval_series(std::string policy,
   series.compute_energies.reserve(results.size());
   series.total_energies.reserve(results.size());
   series.idle_times.reserve(results.size());
-  series.failed_devices.reserve(results.size());
   for (const auto& r : results) {
     series.costs.push_back(r.cost);
     series.times.push_back(r.iteration_time);
@@ -37,7 +28,6 @@ EvalSeries fold_eval_series(std::string policy,
     double idle = 0.0;
     for (const DeviceOutcome& d : r.devices) idle += d.idle_time;
     series.idle_times.push_back(idle);
-    series.failed_devices.push_back(r.num_failed());
   }
   return series;
 }

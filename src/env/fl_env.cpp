@@ -11,17 +11,14 @@ namespace fedra {
 
 std::size_t state_features_per_device(const FlEnvConfig& config) {
   return config.history_slots + 1 +
-         (config.include_device_features ? 3 : 0) +
-         (config.fault_aware_state ? 2 : 0);
+         (config.include_device_features ? 3 : 0);
 }
 
-std::vector<double> bandwidth_history_state(
-    const SimulatorBase& sim, double now, const FlEnvConfig& config,
-    double bandwidth_ref, const IterationResult* last_result) {
+std::vector<double> bandwidth_history_state(const SimulatorBase& sim,
+                                            double now,
+                                            const FlEnvConfig& config,
+                                            double bandwidth_ref) {
   FEDRA_EXPECTS(bandwidth_ref > 0.0);
-  if (last_result != nullptr) {
-    FEDRA_EXPECTS(last_result->devices.size() == sim.num_devices());
-  }
   const auto now_slot =
       static_cast<long long>(std::floor(now / config.slot_seconds));
   std::vector<double> state;
@@ -42,22 +39,6 @@ std::vector<double> bandwidth_history_state(
       state.push_back(dev.max_freq_hz / 2e9);
       state.push_back(dev.tx_power_w);
     }
-    if (config.fault_aware_state) {
-      // Delivery flag and retry load from the previous round. Neutral
-      // defaults (delivered, no retries) before the first round and for
-      // devices that sat the round out.
-      double delivered = 1.0;
-      double retry_load = 0.0;
-      if (last_result != nullptr) {
-        const DeviceOutcome& d = last_result->devices[i];
-        if (d.participated) {
-          delivered = d.completed ? 1.0 : 0.0;
-          retry_load = std::min(1.0, static_cast<double>(d.retries) / 3.0);
-        }
-      }
-      state.push_back(delivered);
-      state.push_back(retry_load);
-    }
   }
   return state;
 }
@@ -67,7 +48,6 @@ FlEnv::FlEnv(FlSimulator simulator, FlEnvConfig config)
   FEDRA_EXPECTS(config_.slot_seconds > 0.0);
   FEDRA_EXPECTS(config_.episode_length > 0);
   FEDRA_EXPECTS(config_.reward_scale > 0.0);
-  FEDRA_EXPECTS(config_.dropout_penalty >= 0.0);
   if (config_.bandwidth_ref > 0.0) {
     bandwidth_ref_ = config_.bandwidth_ref;
   } else {
@@ -89,17 +69,14 @@ std::vector<double> FlEnv::reset(Rng& rng) {
 
 std::vector<double> FlEnv::reset_at(double start_time) {
   sim_.reset(start_time);
-  fault_model_.reset();
   steps_in_episode_ = 0;
-  has_result_ = false;
   return observe();
 }
 
 std::vector<double> FlEnv::observe() const {
   // s_k: per device, slot averages at slots floor(t/h), ..., floor(t/h)-H
   // (paper Section IV-B1), most recent first.
-  return bandwidth_history_state(sim_, sim_.now(), config_, bandwidth_ref_,
-                                 has_result_ ? &last_result_ : nullptr);
+  return bandwidth_history_state(sim_, sim_.now(), config_, bandwidth_ref_);
 }
 
 StepResult FlEnv::step(const std::vector<double>& action) {
@@ -115,14 +92,10 @@ StepResult FlEnv::step(const std::vector<double>& action) {
     // Fraction -> Hz; the simulator applies its own floor/cap clamping.
     freqs[i] = action[i] * caps[i];
   }
-  StepOptions options;
-  options.deadline = config_.round_deadline;
-  options.fault_model = fault_model_.enabled() ? &fault_model_ : nullptr;
 
-  // Ledger decision record: capture what the agent saw and what a
-  // fault-free preview() of its action predicts, before the step advances
-  // the clock. With the ledger off the hot path stays a single branch
-  // (and allocation-free).
+  // Ledger decision record: capture what the agent saw and what preview()
+  // of its action predicts, before the step advances the clock. With the
+  // ledger off the hot path stays a single branch (and allocation-free).
   obs::DecisionRecord decision;
   const bool ledger_on = obs::RunLedger::enabled();
   if (ledger_on) {
@@ -130,22 +103,15 @@ StepResult FlEnv::step(const std::vector<double>& action) {
     decision.source = "env";
     decision.state = observe();
     decision.action = action;
-    StepOptions predict_options = options;
-    predict_options.fault_model = nullptr;  // predict the fault-free round
-    const IterationResult predicted = sim_.preview(freqs, predict_options);
+    const IterationResult predicted = sim_.preview(freqs, StepOptions{});
     decision.predicted_time = predicted.iteration_time;
     decision.predicted_energy = predicted.total_energy;
     decision.predicted_cost = predicted.cost;
   }
 
   StepResult r;
-  r.info = sim_.step(freqs, options);
-  double reward = r.info.reward;
-  if (config_.dropout_penalty > 0.0) {
-    reward -= config_.dropout_penalty *
-              static_cast<double>(r.info.num_failed());
-  }
-  r.reward = reward * config_.reward_scale;
+  r.info = sim_.step(freqs, StepOptions{});
+  r.reward = r.info.reward * config_.reward_scale;
 
   if (ledger_on) {
     decision.realized_time = r.info.iteration_time;
@@ -155,21 +121,14 @@ StepResult FlEnv::step(const std::vector<double>& action) {
     obs::RunLedger::record_decision(decision);
   }
 
-  last_result_ = r.info;
-  has_result_ = true;
   ++steps_in_episode_;
   r.done = steps_in_episode_ >= config_.episode_length;
   r.state = observe();
   return r;
 }
 
-void FlEnv::restore_episode(std::size_t steps_in_episode, bool has_result,
-                            IterationResult last_result) {
-  FEDRA_EXPECTS(!has_result ||
-                last_result.devices.size() == sim_.num_devices());
+void FlEnv::restore_episode(std::size_t steps_in_episode) {
   steps_in_episode_ = steps_in_episode;
-  has_result_ = has_result;
-  last_result_ = std::move(last_result);
 }
 
 std::vector<double> FlEnv::max_freqs() const {

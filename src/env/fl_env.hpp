@@ -10,19 +10,11 @@
 //
 // Episodes are `episode_length` iterations from a random start time
 // (Algorithm 1 line 6 randomizes t^1 so the agent sees many trace phases).
-//
-// Fault-aware training: attach a FaultModel (set_fault_model) and the env
-// forwards it — plus the configured round deadline — into every simulator
-// step. With fault_aware_state on, the state gains two features per
-// device (did its last update arrive; how loaded were its retries) so the
-// agent can react to churn, and dropout_penalty charges each lost update
-// in the reward.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "fault/fault_model.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -43,25 +35,16 @@ struct FlEnvConfig {
   /// paper argues bandwidth-only is enough (Section IV-B3); the state
   /// ablation bench tests that claim.
   bool include_device_features = false;
-  /// Round deadline tau forwarded to every simulator step (<= 0 = none).
-  double round_deadline = 0.0;
-  /// Append 2 fault features per device: last-round delivery flag (1 =
-  /// update arrived or no round yet) and retry load in [0, 1].
-  bool fault_aware_state = false;
-  /// Extra negative reward per scheduled device whose update was lost
-  /// (before reward_scale). 0 = Eq. (13) unchanged.
-  double dropout_penalty = 0.0;
 };
 
 /// State construction shared by FlEnv and the online DrlController: per
 /// device, the H+1 most recent slot-averaged bandwidths at time `now`
 /// (slots floor(now/h) .. floor(now/h)-H, most recent first), scaled by
-/// `bandwidth_ref` so entries are O(1). With config.fault_aware_state,
-/// two fault features per device are appended from `last_result`
-/// (nullptr = neutral defaults: delivered, zero retries).
-std::vector<double> bandwidth_history_state(
-    const SimulatorBase& sim, double now, const FlEnvConfig& config,
-    double bandwidth_ref, const IterationResult* last_result = nullptr);
+/// `bandwidth_ref` so entries are O(1).
+std::vector<double> bandwidth_history_state(const SimulatorBase& sim,
+                                            double now,
+                                            const FlEnvConfig& config,
+                                            double bandwidth_ref);
 
 /// Features appended per device by the state builder.
 std::size_t state_features_per_device(const FlEnvConfig& config);
@@ -87,27 +70,13 @@ class FlEnv {
   FlSimulator& simulator() { return sim_; }
   const FlEnvConfig& config() const { return config_; }
 
-  /// Attaches a fault model; every subsequent step draws from it. The env
-  /// owns its copy (envs are passed by value into trainers), and resets
-  /// its crash chain at episode starts.
-  void set_fault_model(fault::FaultModel model) { fault_model_ = model; }
-  const fault::FaultModel& fault_model() const { return fault_model_; }
-  /// Mutable fault-model access for checkpoint restore (fedra::ckpt).
-  fault::FaultModel& fault_model_mut() { return fault_model_; }
-
   // Mid-episode state, exposed for checkpointing (fedra::ckpt).
   std::size_t steps_in_episode() const { return steps_in_episode_; }
-  /// Last simulator outcome, or nullptr before the first step of a run.
-  const IterationResult* last_result() const {
-    return has_result_ ? &last_result_ : nullptr;
-  }
 
-  /// Restores the mid-episode position captured by a checkpoint: the step
-  /// counter and (when has_result) the previous round's outcome that
-  /// fault-aware states are built from. The simulator clock is restored
-  /// separately via SimulatorBase::restore_clock.
-  void restore_episode(std::size_t steps_in_episode, bool has_result,
-                       IterationResult last_result);
+  /// Restores the mid-episode step counter captured by a checkpoint. The
+  /// simulator clock is restored separately via
+  /// SimulatorBase::restore_clock.
+  void restore_episode(std::size_t steps_in_episode);
 
   /// Starts an episode at a random time within the trace period; returns
   /// s_1. Randomizing the phase is Algorithm 1 line 6.
@@ -132,11 +101,8 @@ class FlEnv {
  private:
   FlSimulator sim_;
   FlEnvConfig config_;
-  fault::FaultModel fault_model_;  ///< default-constructed = disabled
   std::size_t steps_in_episode_ = 0;
   double bandwidth_ref_ = 1.0;
-  IterationResult last_result_;
-  bool has_result_ = false;
 };
 
 }  // namespace fedra

@@ -1,6 +1,5 @@
 #include "fault/fault_model.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -16,8 +15,6 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   SplitMix64 sm(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
   return sm.next();
 }
-
-double clamp_prob(double p) { return std::clamp(p, 0.0, 1.0); }
 
 /// The first output of Rng(seed) >> 11, in closed form: xoshiro256**'s
 /// first output reads only s[1], the second SplitMix64 word of the seed,
@@ -42,17 +39,6 @@ std::uint64_t cut_of(double p) {
 bool FaultConfig::any_enabled() const {
   return dropout_prob > 0.0 || straggler_prob > 0.0 || crash_prob > 0.0 ||
          blackout_prob > 0.0 || upload_failure_prob > 0.0;
-}
-
-FaultConfig FaultConfig::scaled(double factor) const {
-  FEDRA_EXPECTS(factor >= 0.0);
-  FaultConfig out = *this;
-  out.dropout_prob = clamp_prob(dropout_prob * factor);
-  out.straggler_prob = clamp_prob(straggler_prob * factor);
-  out.crash_prob = clamp_prob(crash_prob * factor);
-  out.blackout_prob = clamp_prob(blackout_prob * factor);
-  out.upload_failure_prob = clamp_prob(upload_failure_prob * factor);
-  return out;
 }
 
 FaultModel::FaultModel(FaultConfig config, std::uint64_t seed)

@@ -71,10 +71,6 @@ struct FaultConfig {
 
   /// True when any fault class has non-zero probability.
   bool any_enabled() const;
-
-  /// Copy with every probability multiplied by `factor` (clamped to 1);
-  /// the knob the fault bench sweeps to grade failure intensity.
-  FaultConfig scaled(double factor) const;
 };
 
 /// Fault assignment of one device in one round. Default-constructed =
@@ -173,7 +169,7 @@ class FaultModel {
   /// simulator step, in iteration order.
   RoundFaults advance(std::size_t iteration, std::size_t num_devices);
 
-  /// Clears the crash chain (all devices healthy), e.g. at episode reset.
+  /// Clears the crash chain (all devices healthy), e.g. to replay a run.
   void reset() {
     crashed_.clear();
     chain_size_ = 0;
@@ -182,10 +178,10 @@ class FaultModel {
   /// Devices currently down (crash chain state).
   std::size_t num_crashed() const;
 
-  // Crash-chain snapshot/restore for checkpointing (fedra::ckpt), one
-  // entry per device the chain covers. The chain is the ONLY mutable
-  // state — everything else is a pure function of (seed, iteration,
-  // device) — so restoring it resumes the fault sequence bit-exactly.
+  // Crash-chain snapshot/restore, one entry per device the chain covers.
+  // The chain is the ONLY mutable state — everything else is a pure
+  // function of (seed, iteration, device) — so restoring it resumes the
+  // fault sequence bit-exactly.
   std::vector<bool> crash_state() const;
   void set_crash_state(std::vector<bool> state);
 

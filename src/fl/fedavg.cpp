@@ -79,16 +79,6 @@ RoundMetrics FedAvgServer::run_round(const LocalTrainConfig& config,
   return m;
 }
 
-void FedAvgServer::restore(std::vector<Matrix> global_params,
-                           std::size_t round) {
-  FEDRA_EXPECTS(global_params.size() == global_params_.size());
-  for (std::size_t p = 0; p < global_params.size(); ++p) {
-    FEDRA_EXPECTS(global_params[p].same_shape(global_params_[p]));
-  }
-  global_params_ = std::move(global_params);
-  round_ = round;
-}
-
 double FedAvgServer::global_loss() {
   // F(w) = sum_n D_n F_n(w) / sum_n D_n (Eq. 8).
   double weighted = 0.0;

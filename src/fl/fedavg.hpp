@@ -28,18 +28,7 @@ class FedAvgServer {
   FedAvgServer(std::vector<FlClient> clients, const ModelSpec& spec,
                std::uint64_t seed);
 
-  std::size_t num_clients() const { return clients_.size(); }
-
   const std::vector<Matrix>& global_params() const { return global_params_; }
-
-  /// Rounds completed so far (clients key their local SGD streams on it).
-  std::size_t round() const { return round_; }
-
-  /// Restores a (global params, round counter) snapshot taken by
-  /// fedra::ckpt. Parameter shapes must match the model topology; client
-  /// datasets and seeds are rebuilt by the caller, so a restored server
-  /// continues the round sequence bit-exactly.
-  void restore(std::vector<Matrix> global_params, std::size_t round);
 
   /// Runs one synchronized FedAvg round over every client; returns its
   /// metrics.

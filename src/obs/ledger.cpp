@@ -25,7 +25,6 @@ namespace {
 struct LedgerState {
   std::mutex mutex;
   std::mutex out_mutex;
-  LedgerConfig config;
   std::ofstream out;
   std::unique_ptr<AsyncLedgerWriter> writer;
   std::atomic<bool> status_registered{false};  ///< /statusz source, once
@@ -92,7 +91,6 @@ bool RunLedger::enable(const LedgerConfig& config) {
   if (!s.out.is_open()) {
     return false;
   }
-  s.config = config;
   if (!s.atexit_registered) {
     // Drains the ring at exit, as Telemetry flushes its sinks: records
     // still queued when main returns would otherwise be lost.
@@ -152,8 +150,6 @@ void RunLedger::flush() {
   std::lock_guard<std::mutex> lock(s.out_mutex);
   if (s.out.is_open()) s.out.flush();
 }
-
-const LedgerConfig& RunLedger::config() { return state().config; }
 
 std::uint64_t RunLedger::records_written() {
   LedgerState& s = state();

@@ -156,7 +156,6 @@ class RunLedger {
   static void disable();
   /// Waits until every accepted record reached the file, then flushes it.
   static void flush();
-  static const LedgerConfig& config();
   /// Records accepted since enable() (header excluded). An accepted record
   /// is guaranteed to reach the file by the next flush().
   static std::uint64_t records_written();

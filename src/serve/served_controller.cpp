@@ -31,9 +31,8 @@ std::vector<double> ServedDrlController::decide(const SimulatorBase& sim) {
     decide_hist = h;
   }
   tel::ScopedTimer timer(decide_hist);
-  const auto state = bandwidth_history_state(
-      sim, sim.now(), env_config_, bandwidth_ref_,
-      last_result_ ? &*last_result_ : nullptr);
+  const auto state =
+      bandwidth_history_state(sim, sim.now(), env_config_, bandwidth_ref_);
 
   DecideResult res = sessions_.decide(session_id_, state);
   last_status_ = res.status;
@@ -71,7 +70,6 @@ std::vector<double> ServedDrlController::decide(const SimulatorBase& sim) {
 }
 
 void ServedDrlController::observe(const IterationResult& result) {
-  if (env_config_.fault_aware_state) last_result_ = result;
   if (pending_.valid) {
     pending_.valid = false;
     if (obs::RunLedger::enabled()) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "env/fl_env.hpp"
 #include "sched/controller.hpp"
@@ -50,7 +49,6 @@ class ServedDrlController final : public Controller {
   std::uint64_t session_id_ = 0;
   FlEnvConfig env_config_;
   double bandwidth_ref_;
-  std::optional<IterationResult> last_result_;
   std::vector<double> last_freqs_;  ///< backpressure fallback
   DecideStatus last_status_ = DecideStatus::kOk;
   std::uint64_t fallbacks_ = 0;

@@ -54,8 +54,6 @@ SpanBuffer& Telemetry::spans() {
   return *s.spans;
 }
 
-const TelemetryConfig& Telemetry::config() { return state().config; }
-
 void Telemetry::enable(const TelemetryConfig& config) {
   auto& s = state();
   {

@@ -51,7 +51,6 @@ class Telemetry {
 
   static MetricsRegistry& metrics();
   static SpanBuffer& spans();
-  static const TelemetryConfig& config();
 
   /// Writes the JSONL metrics/span file and the Chrome trace file (for
   /// whichever paths are configured). Safe to call repeatedly; each call

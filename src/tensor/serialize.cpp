@@ -67,11 +67,6 @@ void ByteWriter::put_doubles(const std::vector<double>& xs) {
   put_bytes(xs.data(), xs.size() * sizeof(double));
 }
 
-void ByteWriter::put_bools(const std::vector<bool>& xs) {
-  put_u64(xs.size());
-  for (bool b : xs) put_u8(b ? 1 : 0);
-}
-
 void ByteWriter::put_matrix(const Matrix& m) {
   put_bytes(kMagic, sizeof(kMagic));
   put_u64(m.rows());
@@ -152,14 +147,6 @@ std::vector<double> ByteReader::get_doubles() {
   }
   std::vector<double> xs(static_cast<std::size_t>(n));
   get_bytes(xs.data(), xs.size() * sizeof(double));
-  return xs;
-}
-
-std::vector<bool> ByteReader::get_bools() {
-  const std::uint64_t n = get_u64();
-  if (n > remaining()) throw SerializeError("bool array truncated");
-  std::vector<bool> xs(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = get_bool();
   return xs;
 }
 

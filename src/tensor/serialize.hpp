@@ -43,8 +43,6 @@ class ByteWriter {
   void put_string(std::string_view s);
   /// u64 count + raw doubles.
   void put_doubles(const std::vector<double>& xs);
-  /// u64 count + one byte per element.
-  void put_bools(const std::vector<bool>& xs);
   /// "FMAT" framing (see file comment).
   void put_matrix(const Matrix& m);
 
@@ -76,7 +74,6 @@ class ByteReader {
   void get_bytes(void* out, std::size_t size);
   std::string get_string();
   std::vector<double> get_doubles();
-  std::vector<bool> get_bools();
   Matrix get_matrix();
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }

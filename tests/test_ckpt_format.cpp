@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -120,14 +121,18 @@ TEST(CkptFormat, BadMagicIsTyped) {
   }
 }
 
+// A future layout and the previous one (whose env section carried the
+// fault crash chain and the last round's outcome) are both refused.
 TEST(CkptFormat, WrongVersionIsTyped) {
-  std::string bytes = small_container();
-  bytes[4] = static_cast<char>(kFormatVersion + 1);
-  try {
-    Reader::from_bytes(bytes);
-    FAIL() << "future version must throw";
-  } catch (const CkptError& e) {
-    EXPECT_EQ(e.code(), Errc::kBadVersion);
+  for (const std::uint32_t version : {kFormatVersion + 1, kFormatVersion - 1}) {
+    std::string bytes = small_container();
+    bytes[4] = static_cast<char>(version);
+    try {
+      Reader::from_bytes(bytes);
+      FAIL() << "version " << version << " must throw";
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), Errc::kBadVersion) << "version " << version;
+    }
   }
 }
 

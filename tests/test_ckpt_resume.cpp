@@ -12,9 +12,7 @@
 #include <string>
 
 #include "ckpt/state.hpp"
-#include "fl/dataset.hpp"
 #include "sim/experiment_config.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedra::ckpt {
 namespace {
@@ -231,53 +229,6 @@ TEST(CkptResume, CorruptedCheckpointsAreTypedNotFatal) {
   write_bytes(bytes);
   OfflineTrainer target = make_trainer(2);
   EXPECT_EQ(restore_trainer(ckpt.path(), target), 1u);
-}
-
-TEST(CkptResume, FedAvgRoundTripContinuesBitExactly) {
-  auto make_server = [] {
-    ModelSpec spec;
-    spec.sizes = {4, 8, 3};
-    Rng rng(21);
-    auto data = make_gaussian_mixture(120, 4, 3, rng, 3.0, 0.6);
-    auto shards = split_dirichlet(data, 4, 1.0, rng);
-    std::vector<FlClient> clients;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      clients.emplace_back(std::move(shards[i]), spec,
-                           static_cast<std::uint64_t>(100 + i));
-    }
-    return FedAvgServer(std::move(clients), spec, 5);
-  };
-
-  LocalTrainConfig lc;
-  lc.tau = 1.0;
-  lc.learning_rate = 0.05;
-  ThreadPool pool(2);
-
-  FedAvgServer a = make_server();
-  for (int r = 0; r < 3; ++r) (void)a.run_round(lc, pool);
-
-  TempFile ckpt("fedra_fedavg.ckpt");
-  save_fedavg(ckpt.path(), a, {{"round", 3.0}});
-
-  FedAvgServer b = make_server();
-  restore_fedavg(ckpt.path(), b);
-  EXPECT_EQ(b.round(), a.round());
-  ASSERT_EQ(b.global_params().size(), a.global_params().size());
-  for (std::size_t p = 0; p < a.global_params().size(); ++p) {
-    EXPECT_EQ(b.global_params()[p], a.global_params()[p]);
-  }
-
-  // Clients are rebuilt deterministically from their seeds and key their
-  // local SGD on the round index, so both servers continue identically.
-  for (int r = 0; r < 3; ++r) {
-    RoundMetrics ma = a.run_round(lc, pool);
-    RoundMetrics mb = b.run_round(lc, pool);
-    EXPECT_EQ(ma.global_loss, mb.global_loss);
-    EXPECT_EQ(ma.global_accuracy, mb.global_accuracy);
-  }
-  for (std::size_t p = 0; p < a.global_params().size(); ++p) {
-    EXPECT_EQ(b.global_params()[p], a.global_params()[p]);
-  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -207,16 +208,31 @@ TEST(FaultModel, ResetClearsCrashChain) {
   EXPECT_EQ(m.num_crashed(), 0u);
 }
 
-TEST(FaultModel, ScaledClampsProbabilitiesToOne) {
-  auto cfg = chaos_config();
-  auto hot = cfg.scaled(10.0);
-  EXPECT_DOUBLE_EQ(hot.dropout_prob, 1.0);
-  EXPECT_DOUBLE_EQ(hot.crash_prob, 1.0);
-  auto cold = cfg.scaled(0.0);
-  EXPECT_FALSE(cold.any_enabled());
-  // Magnitudes are intensity-independent: only probabilities scale.
-  EXPECT_DOUBLE_EQ(hot.max_slowdown, cfg.max_slowdown);
-  EXPECT_EQ(hot.max_retries, cfg.max_retries);
+// The crash chain is stored as 64-device words. draw_block steps it a word
+// at a time and advance() one device at a time; both must leave the chain
+// these bits pin for 130 devices after four rounds.
+TEST(FaultModel, CrashChainBitsArePinned) {
+  const std::string pinned =
+      "11111010010011110011011001111010111000010001110011010110001101000"
+      "00000101110010011111001000100001111010111000101011111000100110001";
+  FaultConfig cfg;
+  cfg.dropout_prob = 0.1;
+  cfg.crash_prob = 0.3;
+  cfg.rejoin_prob = 0.4;
+  FaultModel stepped(cfg, 130);
+  FaultModel advanced(cfg, 130);
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::vector<std::uint64_t>& chain = stepped.chain_for(130);
+    stepped.draw_block(k, 0, 130, chain, {}, nullptr, &chain);
+    (void)advanced.advance(k, 130);
+  }
+  const auto bits_of = [](const FaultModel& model) {
+    std::string bits;
+    for (const bool crashed : model.crash_state()) bits += crashed ? '1' : '0';
+    return bits;
+  };
+  EXPECT_EQ(bits_of(stepped), pinned);
+  EXPECT_EQ(bits_of(advanced), pinned);
 }
 
 TEST(FaultModel, RejectsMoreThan64Retries) {
@@ -655,8 +671,15 @@ TEST(FaultSimulator, EnvFaultRunIsReproducibleEndToEnd) {
   };
   FlSimulator a = build();
   FlSimulator b = build();
-  FaultModel ma(chaos_config().scaled(1.5), 2024);
-  FaultModel mb(chaos_config().scaled(1.5), 2024);
+  // chaos_config() with every probability at 1.5x.
+  FaultConfig cfg = chaos_config();
+  cfg.dropout_prob *= 1.5;
+  cfg.straggler_prob *= 1.5;
+  cfg.crash_prob *= 1.5;
+  cfg.blackout_prob *= 1.5;
+  cfg.upload_failure_prob *= 1.5;
+  FaultModel ma(cfg, 2024);
+  FaultModel mb(cfg, 2024);
   StepOptions oa;
   oa.fault_model = &ma;
   oa.deadline = 30.0;

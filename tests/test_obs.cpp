@@ -53,6 +53,21 @@ FlEnvConfig testbed_env_config(std::size_t episode_length) {
   return env_cfg;
 }
 
+// Runs `body` with the ledger (and telemetry) writing to `path`, then turns
+// both off so the file is complete.
+template <typename Body>
+void with_ledger(const std::string& path, Body body) {
+  telemetry::Telemetry::enable({});
+  obs::LedgerConfig lcfg;
+  lcfg.path = path;
+  lcfg.run_id = "test_obs";
+  lcfg.lambda = testbed_config().cost.lambda;
+  EXPECT_TRUE(obs::RunLedger::enable(lcfg));
+  body();
+  obs::RunLedger::disable();
+  telemetry::Telemetry::disable();
+}
+
 // Runs `rounds` deterministic FlEnv steps with the ledger on and returns
 // (in-memory results, scaled rewards, decision-time states).
 struct EnvRun {
@@ -63,39 +78,48 @@ struct EnvRun {
   std::size_t state_dim = 0;
 };
 
-EnvRun run_env_with_ledger(const std::string& path, std::size_t rounds,
-                           bool with_faults) {
+EnvRun run_env_with_ledger(const std::string& path, std::size_t rounds) {
   const ExperimentConfig cfg = testbed_config();
   FlEnv env(build_simulator(cfg), testbed_env_config(rounds + 1));
-  if (with_faults) {
-    fault::FaultConfig fcfg;
-    fcfg.dropout_prob = 0.4;
-    fcfg.upload_failure_prob = 0.4;
-    env.set_fault_model(fault::FaultModel(fcfg, 11));
-  }
-
-  telemetry::Telemetry::enable({});
-  obs::LedgerConfig lcfg;
-  lcfg.path = path;
-  lcfg.run_id = "test_obs";
-  lcfg.lambda = cfg.cost.lambda;
-  EXPECT_TRUE(obs::RunLedger::enable(lcfg));
-
   EnvRun run;
   run.lambda = cfg.cost.lambda;
   run.state_dim = env.state_dim();
-  std::vector<double> state = env.reset_at(0.0);
-  const std::vector<double> action(env.action_dim(), 0.7);
-  for (std::size_t k = 0; k < rounds; ++k) {
-    run.states.push_back(state);
-    StepResult r = env.step(action);
-    run.infos.push_back(r.info);
-    run.rewards.push_back(r.reward);
-    state = r.state;
-  }
-  obs::RunLedger::disable();
-  telemetry::Telemetry::disable();
+  with_ledger(path, [&] {
+    std::vector<double> state = env.reset_at(0.0);
+    const std::vector<double> action(env.action_dim(), 0.7);
+    for (std::size_t k = 0; k < rounds; ++k) {
+      run.states.push_back(state);
+      StepResult r = env.step(action);
+      run.infos.push_back(r.info);
+      run.rewards.push_back(r.reward);
+      state = r.state;
+    }
+  });
   return run;
+}
+
+// Steps a testbed simulator `rounds` times under injected dropouts and
+// upload failures with the ledger on; returns the in-memory results.
+std::vector<IterationResult> run_faulty_sim_with_ledger(
+    const std::string& path, std::size_t rounds) {
+  FlSimulator sim = build_simulator(testbed_config());
+  fault::FaultConfig fcfg;
+  fcfg.dropout_prob = 0.4;
+  fcfg.upload_failure_prob = 0.4;
+  fault::FaultModel faults(fcfg, 11);
+  StepOptions options;
+  options.fault_model = &faults;
+  std::vector<double> freqs(sim.num_devices());
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    freqs[i] = 0.7 * sim.fleet().max_freq_hz(i);
+  }
+  std::vector<IterationResult> infos;
+  with_ledger(path, [&] {
+    for (std::size_t k = 0; k < rounds; ++k) {
+      infos.push_back(sim.step(freqs, options));
+    }
+  });
+  return infos;
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +467,7 @@ TEST(Obs, FiftyRoundLedgerDecomposesBitExactly) {
   ObsGuard guard;
   const std::string path = temp_path("run50.ledger.jsonl");
   const std::size_t kRounds = 50;
-  const EnvRun run = run_env_with_ledger(path, kRounds, /*with_faults=*/false);
+  const EnvRun run = run_env_with_ledger(path, kRounds);
 
   obs::Ledger ledger;
   std::string error;
@@ -528,7 +552,7 @@ TEST(Obs, TwentyRoundLedgerStaysWithinBudget) {
   ObsGuard guard;
   const std::string path = temp_path("run20.ledger.jsonl");
   const std::size_t kRounds = 20;
-  run_env_with_ledger(path, kRounds, /*with_faults=*/false);
+  run_env_with_ledger(path, kRounds);
 
   obs::Ledger ledger;
   std::string error;
@@ -548,7 +572,8 @@ TEST(Obs, FaultyRunRecordsFailures) {
   ObsGuard guard;
   const std::string path = temp_path("faults.ledger.jsonl");
   const std::size_t kRounds = 30;
-  const EnvRun run = run_env_with_ledger(path, kRounds, /*with_faults=*/true);
+  const std::vector<IterationResult> infos =
+      run_faulty_sim_with_ledger(path, kRounds);
 
   obs::Ledger ledger;
   ASSERT_TRUE(obs::read_ledger_file(path, ledger));
@@ -558,7 +583,7 @@ TEST(Obs, FaultyRunRecordsFailures) {
   std::size_t failed_device_records = 0;
   for (std::size_t k = 0; k < kRounds; ++k) {
     const obs::RoundRecord& r = ledger.rounds[k];
-    const IterationResult& info = run.infos[k];
+    const IterationResult& info = infos[k];
     EXPECT_EQ(r.num_scheduled, info.num_scheduled);
     EXPECT_EQ(r.num_completed, info.num_completed);
     EXPECT_EQ(r.num_dropouts, info.num_dropouts);
@@ -705,7 +730,7 @@ TEST(Attribution, FindsStragglerBottleneckAndCumulativeSplit) {
 TEST(Report, EmitsSelfContainedHtml) {
   ObsGuard guard;
   const std::string path = temp_path("report.ledger.jsonl");
-  run_env_with_ledger(path, 10, /*with_faults=*/true);
+  run_faulty_sim_with_ledger(path, 10);
 
   obs::Ledger ledger;
   ASSERT_TRUE(obs::read_ledger_file(path, ledger));

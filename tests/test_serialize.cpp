@@ -55,7 +55,6 @@ TEST(ByteCodec, PrimitivesRoundTrip) {
   w.put_bool(false);
   w.put_string("hello");
   w.put_doubles({1.5, -2.5});
-  w.put_bools({true, false, true});
 
   ByteReader r(w.bytes());
   EXPECT_EQ(r.get_u8(), 0xab);
@@ -67,7 +66,6 @@ TEST(ByteCodec, PrimitivesRoundTrip) {
   EXPECT_FALSE(r.get_bool());
   EXPECT_EQ(r.get_string(), "hello");
   EXPECT_EQ(r.get_doubles(), (std::vector<double>{1.5, -2.5}));
-  EXPECT_EQ(r.get_bools(), (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(r.at_end());
   EXPECT_NO_THROW(r.expect_end());
 }

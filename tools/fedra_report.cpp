@@ -78,8 +78,7 @@ void print_phase_table(const std::string& path,
 }
 
 // Fault/straggler summary: the sim.fault.* counters written by the
-// simulator and the fl.* delivery counters written by FedAvg. Shown first
-// — when a run had churn, this is what you look at.
+// simulator. Shown first — when a run had churn, this is what you look at.
 void print_fault_summary(const Series& counters) {
   auto find = [&](const std::string& name, double& out) {
     for (const auto& [n, v] : counters) {
