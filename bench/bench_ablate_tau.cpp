@@ -18,7 +18,6 @@
 #include <string>
 
 #include "core/sweep.hpp"
-#include "sched/baselines.hpp"
 #include "sim/experiment_config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -54,20 +53,7 @@ int main(int argc, char** argv) {
     cfg.cost.tau = tau;
     grid.configs.push_back(cfg);
   }
-  grid.policies.push_back({"oracle", [](const SimulatorBase&) {
-                             return std::make_unique<OracleController>();
-                           }});
-  grid.policies.push_back({"heuristic", [](const SimulatorBase& sim) {
-                             return std::make_unique<HeuristicController>(sim);
-                           }});
-  grid.policies.push_back({"static", [](const SimulatorBase& sim) {
-                             Rng rng(1);
-                             return std::make_unique<StaticController>(sim, 10,
-                                                                       rng);
-                           }});
-  grid.policies.push_back({"fullspeed", [](const SimulatorBase&) {
-                             return std::make_unique<FullSpeedController>();
-                           }});
+  grid.policies = baseline_roster();
   grid.num_seeds = 1;
   grid.iterations = iterations;
   const SweepEngine engine(std::move(grid));

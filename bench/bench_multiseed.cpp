@@ -9,8 +9,8 @@
 // Runs through the sweep engine: seeds execute concurrently on a
 // work-stealing pool, and the serial reference loop is re-run to assert
 // the aggregate is bitwise identical (exit code 1 on mismatch, so the
-// `perf` ctest label enforces the engine contract on this roster — which,
-// unlike bench_sweep's, includes the mpc-ewma predictive controller).
+// `perf` ctest label enforces the engine contract through
+// run_multi_seed, the entry point fedra_cli multiseed uses).
 //
 // Flags: --smoke (6 seeds x 60 iterations), --pool N (default hardware
 //        concurrency), --seeds N, --iters N.
@@ -20,8 +20,6 @@
 #include <string>
 
 #include "core/experiment.hpp"
-#include "sched/baselines.hpp"
-#include "sched/predictive.hpp"
 #include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
@@ -55,31 +53,12 @@ int main(int argc, char** argv) {
               "iterations, N=3)\n\n",
               num_seeds, iterations);
 
-  std::vector<PolicySpec> roster;
-  roster.push_back({"oracle", [](const SimulatorBase&) {
-                      return std::make_unique<OracleController>();
-                    }});
-  roster.push_back({"heuristic", [](const SimulatorBase& sim) {
-                      return std::make_unique<HeuristicController>(sim);
-                    }});
-  roster.push_back({"mpc-ewma", [](const SimulatorBase& sim) {
-                      return std::make_unique<PredictiveController>(
-                          sim, std::make_unique<EwmaPredictor>(0.2));
-                    }});
-  roster.push_back({"static", [](const SimulatorBase& sim) {
-                      Rng rng(1);
-                      return std::make_unique<StaticController>(sim, 10,
-                                                                rng);
-                    }});
-  roster.push_back({"fullspeed", [](const SimulatorBase&) {
-                      return std::make_unique<FullSpeedController>();
-                    }});
-
   ExperimentConfig base = testbed_config();
   base.trace_samples = smoke ? 600 : 2000;
 
   using Clock = std::chrono::steady_clock;
   ThreadPool pool(pool_size);
+  const auto roster = baseline_roster();
   const auto t0 = Clock::now();
   auto result = run_multi_seed(base, roster, num_seeds, iterations, &pool);
   const auto t1 = Clock::now();

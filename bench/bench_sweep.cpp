@@ -35,14 +35,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sweep.hpp"
-#include "sched/baselines.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -91,24 +88,6 @@ std::string aggregate_fingerprint(const MultiSeedResult& r) {
     out += ',';
   }
   return out;
-}
-
-std::vector<PolicySpec> baseline_roster() {
-  std::vector<PolicySpec> roster;
-  roster.push_back({"oracle", [](const SimulatorBase&) {
-                      return std::make_unique<OracleController>();
-                    }});
-  roster.push_back({"heuristic", [](const SimulatorBase& sim) {
-                      return std::make_unique<HeuristicController>(sim);
-                    }});
-  roster.push_back({"static", [](const SimulatorBase& sim) {
-                      Rng rng(1);
-                      return std::make_unique<StaticController>(sim, 10, rng);
-                    }});
-  roster.push_back({"fullspeed", [](const SimulatorBase&) {
-                      return std::make_unique<FullSpeedController>();
-                    }});
-  return roster;
 }
 
 double sweep_speedup_floor(unsigned hw_threads) {

@@ -67,19 +67,6 @@ void load_params(ByteReader in, const std::vector<Matrix*>& params) {
   });
 }
 
-std::vector<Matrix> load_param_values(ByteReader in) {
-  return decode_guard([&] {
-    const std::uint64_t count = in.get_u64();
-    std::vector<Matrix> out;
-    // No reserve on the raw count: a corrupted prefix must not drive a
-    // huge allocation — get_matrix throws before `out` can grow past the
-    // payload's actual contents.
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(in.get_matrix());
-    in.expect_end();
-    return out;
-  });
-}
-
 void save_adam(ByteWriter& out, const Adam& opt) {
   out.put_u64(opt.timestep());
   save_params(out, opt.moment1());

@@ -50,7 +50,6 @@ void load_rng(ByteReader in, Rng& rng);
 void save_params(ByteWriter& out, const std::vector<Matrix*>& params);
 void save_params(ByteWriter& out, const std::vector<Matrix>& params);
 void load_params(ByteReader in, const std::vector<Matrix*>& params);
-std::vector<Matrix> load_param_values(ByteReader in);
 
 // Adam step counter + first/second moments.
 void save_adam(ByteWriter& out, const Adam& opt);

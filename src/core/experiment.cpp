@@ -4,10 +4,29 @@
 #include <cstdio>
 
 #include "core/sweep.hpp"
+#include "sched/baselines.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
 
 namespace fedra {
+
+std::vector<PolicySpec> baseline_roster() {
+  std::vector<PolicySpec> roster;
+  roster.push_back({"oracle", [](const SimulatorBase&) {
+                      return std::make_unique<OracleController>();
+                    }});
+  roster.push_back({"heuristic", [](const SimulatorBase& sim) {
+                      return std::make_unique<HeuristicController>(sim);
+                    }});
+  roster.push_back({"static", [](const SimulatorBase& sim) {
+                      Rng rng(1);
+                      return std::make_unique<StaticController>(sim, 10, rng);
+                    }});
+  roster.push_back({"fullspeed", [](const SimulatorBase&) {
+                      return std::make_unique<FullSpeedController>();
+                    }});
+  return roster;
+}
 
 MetricCI make_metric_ci(const std::vector<double>& xs) {
   MetricCI ci;

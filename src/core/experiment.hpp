@@ -24,6 +24,10 @@ struct PolicySpec {
   std::function<std::unique_ptr<Controller>(const SimulatorBase&)> make;
 };
 
+/// The model-based baselines, in table order: oracle, heuristic [3],
+/// static [4] (10 probes drawn from Rng(1)) and fullspeed.
+std::vector<PolicySpec> baseline_roster();
+
 struct MetricCI {
   double mean = 0.0;
   double stddev = 0.0;

@@ -10,8 +10,7 @@
 namespace fedra {
 
 std::size_t state_features_per_device(const FlEnvConfig& config) {
-  return config.history_slots + 1 +
-         (config.include_device_features ? 3 : 0);
+  return config.history_slots + 1;
 }
 
 std::vector<double> bandwidth_history_state(const SimulatorBase& sim,
@@ -30,15 +29,6 @@ std::vector<double> bandwidth_history_state(const SimulatorBase& sim,
       state.push_back(trace.slot_average(slot, config.slot_seconds) /
                       bandwidth_ref);
     }
-    if (config.include_device_features) {
-      // Static per-device profile, scaled to O(1): compute volume per
-      // round (cycles / 1e10), frequency cap (/ 2 GHz, the fleet-model
-      // maximum), radio power (W, already O(1)).
-      const DeviceProfile dev = sim.fleet().device(i);
-      state.push_back(dev.cycles_per_round(sim.params().tau) / 1e10);
-      state.push_back(dev.max_freq_hz / 2e9);
-      state.push_back(dev.tx_power_w);
-    }
   }
   return state;
 }
@@ -48,15 +38,11 @@ FlEnv::FlEnv(FlSimulator simulator, FlEnvConfig config)
   FEDRA_EXPECTS(config_.slot_seconds > 0.0);
   FEDRA_EXPECTS(config_.episode_length > 0);
   FEDRA_EXPECTS(config_.reward_scale > 0.0);
-  if (config_.bandwidth_ref > 0.0) {
-    bandwidth_ref_ = config_.bandwidth_ref;
-  } else {
-    double ref = 0.0;
-    for (const auto& t : sim_.trace_table().pool()) {
-      ref = std::max(ref, t.max_bandwidth());
-    }
-    bandwidth_ref_ = std::max(ref, 1.0);
+  double ref = 0.0;
+  for (const auto& t : sim_.trace_table().pool()) {
+    ref = std::max(ref, t.max_bandwidth());
   }
+  bandwidth_ref_ = std::max(ref, 1.0);
 }
 
 std::vector<double> FlEnv::reset(Rng& rng) {

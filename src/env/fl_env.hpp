@@ -27,14 +27,6 @@ struct FlEnvConfig {
   /// Multiplies Eq. (13) before it reaches the learner. Does not change
   /// the argmax policy, only conditions the critic regression.
   double reward_scale = 0.05;
-  /// Reference bandwidth (bytes/s) used to scale state entries to O(1).
-  /// 0 = auto: the max bandwidth over all device traces.
-  double bandwidth_ref = 0.0;
-  /// Append 3 static device features per device (normalized compute
-  /// volume, frequency cap, radio power) to the bandwidth history. The
-  /// paper argues bandwidth-only is enough (Section IV-B3); the state
-  /// ablation bench tests that claim.
-  bool include_device_features = false;
 };
 
 /// State construction shared by FlEnv and the online DrlController: per
@@ -46,7 +38,7 @@ std::vector<double> bandwidth_history_state(const SimulatorBase& sim,
                                             const FlEnvConfig& config,
                                             double bandwidth_ref);
 
-/// Features appended per device by the state builder.
+/// State entries per device: the H+1 slot averages.
 std::size_t state_features_per_device(const FlEnvConfig& config);
 
 struct StepResult {
@@ -94,8 +86,9 @@ class FlEnv {
   /// delta_i^max of each device — what action fraction 1.0 maps to.
   std::vector<double> max_freqs() const;
 
-  /// The state scaling constant (needed to rebuild states outside the env,
-  /// e.g. during online reasoning).
+  /// The state scaling constant: the max bandwidth over all device traces
+  /// (needed to rebuild states outside the env, e.g. during online
+  /// reasoning).
   double bandwidth_ref() const { return bandwidth_ref_; }
 
  private:

@@ -82,8 +82,6 @@ struct IterationResult {
   std::size_t num_upload_failures = 0;  ///< retries exhausted
   std::size_t total_retries = 0;
 
-  /// Scheduled devices whose update was lost.
-  std::size_t num_failed() const { return num_scheduled - num_completed; }
   /// True when at least one scheduled update went missing (the rounds
   /// FedAvg must partially aggregate).
   bool partial() const { return num_completed < num_scheduled; }

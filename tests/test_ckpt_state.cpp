@@ -80,11 +80,6 @@ TEST(CkptState, ParamsRoundTripAndShapeCheck) {
             Errc::kStateMismatch);
   EXPECT_EQ(code_of([&] { load_params(ByteReader(w.bytes()), {&a2}); }),
             Errc::kStateMismatch);
-
-  auto values = load_param_values(ByteReader(w.bytes()));
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], a);
-  EXPECT_EQ(values[1], b);
 }
 
 TEST(CkptState, AdamRoundTripRestoresBiasCorrection) {

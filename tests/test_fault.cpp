@@ -466,7 +466,6 @@ TEST(FaultSimulator, ForcedDropoutChargesPartialEnergy) {
   EXPECT_EQ(r.num_dropouts, 1u);
   EXPECT_EQ(r.num_completed, 0u);
   EXPECT_TRUE(r.partial());
-  EXPECT_EQ(r.num_failed(), 1u);
   // The lost round still costs its energy and occupies the server until
   // the vanish is resolved.
   EXPECT_NEAR(r.iteration_time, 2.0, 1e-12);

@@ -52,7 +52,7 @@ TEST(FlEnv, ResetAtIsDeterministic) {
 
 TEST(FlEnv, StateReflectsSlotHistoryOrder) {
   // On a known trace the state must be [slot(t), slot(t)-1, ...] per
-  // device, most recent first.
+  // device, most recent first, each scaled by the trace maximum.
   std::vector<double> samples;
   for (int j = 0; j < 100; ++j) samples.push_back(100.0 + j);
   BandwidthTrace trace(samples, 1.0);
@@ -61,13 +61,14 @@ TEST(FlEnv, StateReflectsSlotHistoryOrder) {
   FlEnvConfig cfg;
   cfg.slot_seconds = 10.0;
   cfg.history_slots = 2;
-  cfg.bandwidth_ref = 1.0;  // disable scaling for exact comparison
   FlEnv env(std::move(sim), cfg);
+  const double ref = trace.max_bandwidth();
+  EXPECT_EQ(env.bandwidth_ref(), ref);
   auto s = env.reset_at(35.0);  // slot 3
   ASSERT_EQ(s.size(), 3u);
-  EXPECT_DOUBLE_EQ(s[0], trace.slot_average(3, 10.0));
-  EXPECT_DOUBLE_EQ(s[1], trace.slot_average(2, 10.0));
-  EXPECT_DOUBLE_EQ(s[2], trace.slot_average(1, 10.0));
+  EXPECT_DOUBLE_EQ(s[0], trace.slot_average(3, 10.0) / ref);
+  EXPECT_DOUBLE_EQ(s[1], trace.slot_average(2, 10.0) / ref);
+  EXPECT_DOUBLE_EQ(s[2], trace.slot_average(1, 10.0) / ref);
 }
 
 TEST(FlEnv, StepRewardMatchesScaledCost) {

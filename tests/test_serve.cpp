@@ -9,11 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/drl_controller.hpp"
 #include "core/offline_trainer.hpp"
-#include "serve/served_controller.hpp"
 #include "serve/session.hpp"
-#include "sim/experiment_config.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
@@ -24,7 +21,6 @@ using serve::DecideStatus;
 using serve::GaussianMeanPolicy;
 using serve::InferenceEngine;
 using serve::ServeConfig;
-using serve::ServedDrlController;
 using serve::SessionManager;
 
 constexpr std::size_t kStateDim = 12;
@@ -423,110 +419,6 @@ TEST(SessionManager, DecisionCountersTrackOutcomes) {
   EXPECT_TRUE(sessions.decide(id, state).ok());
   EXPECT_EQ(sessions.info(id).decisions, 2u);
   EXPECT_EQ(sessions.info(id).failures, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ServedDrlController: bit-compatibility with the in-process controller,
-// and the never-block fallback contract.
-// ---------------------------------------------------------------------------
-
-struct ControllerFixture {
-  ExperimentConfig cfg;
-  FlEnvConfig env_cfg;
-  double bw_ref = 0.0;
-  std::unique_ptr<PpoAgent> agent;
-};
-
-ControllerFixture make_controller_fixture(std::uint64_t seed = 42) {
-  ControllerFixture f;
-  f.cfg = testbed_config();
-  f.cfg.trace_samples = 400;
-  f.cfg.seed = seed;
-  f.env_cfg.slot_seconds = f.cfg.slot_seconds;
-  f.env_cfg.history_slots = f.cfg.history_slots;
-  FlEnv env(build_simulator(f.cfg), f.env_cfg);
-  f.bw_ref = env.bandwidth_ref();
-  TrainerConfig tc = recommended_trainer_config(1);
-  f.agent = std::make_unique<PpoAgent>(env.state_dim(), env.action_dim(),
-                                       tc.policy, tc.ppo, seed);
-  return f;
-}
-
-TEST(ServedDrlController, BitIdenticalToInProcessController) {
-  auto f = make_controller_fixture(21);
-
-  // In-process reference first, while no engine thread exists.
-  std::vector<std::vector<double>> want;
-  {
-    DrlController inproc(*f.agent, f.env_cfg, f.bw_ref);
-    auto sim = build_simulator(f.cfg);
-    sim.reset(0.0);
-    for (int k = 0; k < 8; ++k) {
-      want.push_back(inproc.decide(sim));
-      sim.step(want.back(), {});
-    }
-  }
-
-  GaussianMeanPolicy adapter(f.agent->policy());
-  InferenceEngine engine(adapter, {});
-  SessionManager sessions(engine, 11);
-  ServedDrlController served(sessions, f.env_cfg, f.bw_ref);
-  EXPECT_EQ(served.name(), "drl-serve");
-  EXPECT_NE(served.session_id(), 0u);
-
-  auto sim = build_simulator(f.cfg);
-  sim.reset(0.0);
-  for (int k = 0; k < 8; ++k) {
-    const auto freqs = served.decide(sim);
-    EXPECT_EQ(freqs, want[static_cast<std::size_t>(k)]) << "round " << k;
-    sim.step(freqs, {});
-  }
-  EXPECT_EQ(served.fallbacks(), 0u);
-  EXPECT_EQ(served.last_status(), DecideStatus::kOk);
-  EXPECT_EQ(sessions.info(served.session_id()).decisions, 8u);
-}
-
-TEST(ServedDrlController, FallsBackWhenEngineRefuses) {
-  auto f = make_controller_fixture(23);
-  GaussianMeanPolicy adapter(f.agent->policy());
-  InferenceEngine engine(adapter, {});
-  SessionManager sessions(engine);
-  ServedDrlController served(sessions, f.env_cfg, f.bw_ref);
-  auto sim = build_simulator(f.cfg);
-  sim.reset(0.0);
-
-  const auto good = served.decide(sim);
-  ASSERT_EQ(served.fallbacks(), 0u);
-  sim.step(good, {});
-
-  engine.stop();
-  // The federation must keep stepping: the controller degrades to its
-  // previous decision instead of blocking on a dead engine.
-  const auto degraded = served.decide(sim);
-  EXPECT_EQ(degraded, good);
-  EXPECT_EQ(served.fallbacks(), 1u);
-  EXPECT_EQ(served.last_status(), DecideStatus::kShutdown);
-  sim.step(degraded, {});
-  EXPECT_EQ(served.decide(sim), good);
-  EXPECT_EQ(served.fallbacks(), 2u);
-}
-
-TEST(ServedDrlController, FallbackBeforeAnyDecisionIsMaxFrequency) {
-  auto f = make_controller_fixture(25);
-  GaussianMeanPolicy adapter(f.agent->policy());
-  InferenceEngine engine(adapter, {});
-  SessionManager sessions(engine);
-  ServedDrlController served(sessions, f.env_cfg, f.bw_ref);
-  engine.stop();
-
-  auto sim = build_simulator(f.cfg);
-  sim.reset(0.0);
-  const auto freqs = served.decide(sim);
-  ASSERT_EQ(freqs.size(), sim.num_devices());
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    EXPECT_EQ(freqs[i], sim.fleet().max_freq_hz(i));
-  }
-  EXPECT_EQ(served.fallbacks(), 1u);
 }
 
 }  // namespace

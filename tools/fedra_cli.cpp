@@ -29,7 +29,6 @@
 #include "core/offline_trainer.hpp"
 #include "live/flight_recorder.hpp"
 #include "live/http_exporter.hpp"
-#include "sched/predictive.hpp"
 #include "sched/baselines.hpp"
 #include "sim/experiment_config.hpp"
 #include "trace/fit.hpp"
@@ -335,27 +334,7 @@ int cmd_multiseed(const ArgParser& args) {
   const std::size_t seeds = count_flag(args, "seeds", 10, 1);
   const std::size_t iters = count_flag(args, "iterations", 200, 1);
 
-  std::vector<PolicySpec> roster;
-  roster.push_back({"oracle", [](const SimulatorBase&) {
-                      return std::make_unique<OracleController>();
-                    }});
-  roster.push_back({"heuristic", [](const SimulatorBase& sim) {
-                      return std::make_unique<HeuristicController>(sim);
-                    }});
-  roster.push_back({"mpc-ewma", [](const SimulatorBase& sim) {
-                      return std::make_unique<PredictiveController>(
-                          sim, std::make_unique<EwmaPredictor>(0.2));
-                    }});
-  roster.push_back({"static", [](const SimulatorBase& sim) {
-                      Rng rng(1);
-                      return std::make_unique<StaticController>(sim, 10,
-                                                                rng);
-                    }});
-  roster.push_back({"fullspeed", [](const SimulatorBase&) {
-                      return std::make_unique<FullSpeedController>();
-                    }});
-
-  auto result = run_multi_seed(base, roster, seeds, iters);
+  auto result = run_multi_seed(base, baseline_roster(), seeds, iters);
   std::printf("%s\n", aggregate_header().c_str());
   for (const auto& p : result.policies) {
     std::printf("%s\n", format_aggregate_row(p).c_str());
